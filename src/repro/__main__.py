@@ -7,28 +7,21 @@ a smoke test that doubles as the thirty-second tour of the library.
 ``python -m repro sweep ...`` dispatches to the sharded experiment-sweep
 orchestrator (see :mod:`repro.sweep.cli` for flags).
 
-``python -m repro faults --self-check`` runs the fault-injection matrix
-(kill leaders / partition / corrupt frames, each under reliable on/off
-and wire on/off) asserting determinism and recovery — the CI
-``fault-matrix`` job.
-
 ``python -m repro serve`` brings up a persistent query engine over a
 small deployment and serves a synthesized arrival stream, printing the
-per-round cache/radio accounting; ``--self-check`` runs the serving
-acceptance matrix instead (the CI ``serve`` job).
+per-round cache/radio accounting.  The serving contracts are pinned by
+``tests/test_serve_engine.py`` and ``tests/test_serve_resilience.py``.
 
-``python -m repro partition`` runs one seeded broadcast storm serially
-and space-partitioned (DESIGN.md §12) and prints the matching
-fingerprints plus the wall-clock split; ``--self-check`` runs the
-partitioned-simulator acceptance matrix instead (the CI ``partition``
-job).
+``python -m repro partition [side] [K]`` runs one seeded broadcast storm
+serially and space-partitioned (DESIGN.md §12) and prints the matching
+fingerprints plus the wall-clock split; ``tests/test_partition.py``
+holds the acceptance matrix.
 
 ``python -m repro scenario`` runs one seeded round under the full
 scenario composition (log-normal shadowing, mobility, pursuit adversary,
 duty-cycled sources; DESIGN.md §14) serially and space-partitioned,
 printing the matching fingerprints and the scenario report;
-``--self-check`` runs the scenario acceptance matrix instead (the CI
-``scenario`` job).
+``tests/test_scenario.py`` holds the acceptance matrix.
 
 ``python -m repro bench ...`` forwards to the perf-regression harness
 (:mod:`repro.bench`), flags included — ``--check``, ``--workers N``,
@@ -38,13 +31,17 @@ printing the matching fingerprints and the scenario report;
 (:mod:`repro.analyze`): memoized aggregation of sweep JSONL sinks with
 confidence intervals (``--sink``/``--by``), plus trajectory regression
 detection over the committed ``BENCH_*.json`` artifacts, writing
-``ANALYZE_report.json``; ``--self-check`` runs the analysis acceptance
-matrix instead (the CI ``analyze`` job).
+``ANALYZE_report.json``.
+
+An unknown subcommand or a non-numeric ``side``/``threshold`` prints one
+usage line naming the subcommands and exits 2.
 """
 
 from __future__ import annotations
 
+import importlib
 import sys
+from typing import Callable
 
 from .apps import (
     GaussianBlobField,
@@ -56,12 +53,22 @@ from .core import VirtualArchitecture
 from .core.analysis import estimate_quadtree, quadtree_step_count
 
 
-def _serve_demo(args: list[str]) -> int:
-    """``python -m repro serve [--self-check]``."""
-    from .serve import self_check
+def _parse(args: list[str], defaults: tuple, usage: str) -> list | None:
+    """Positional ``args`` cast like ``defaults`` (absent ones default);
+    prints ``usage`` and returns None if one does not parse."""
+    try:
+        return [type(d)(a) for a, d in zip(args, defaults)] + list(defaults[len(args):])
+    except ValueError:
+        print(usage, file=sys.stderr)
+        return None
 
-    if "--self-check" in args:
-        return 0 if self_check() else 1
+
+def _serve_demo(args: list[str]) -> int:
+    """``python -m repro serve [side] [queries]``."""
+    parsed = _parse(args, (4, 12), "usage: python -m repro serve [side] [queries]")
+    if parsed is None:
+        return 2
+    side, n_queries = parsed
 
     import numpy as np
 
@@ -76,8 +83,6 @@ def _serve_demo(args: list[str]) -> int:
     from .runtime import deploy
     from .serve import QueryEngine, ServeConfig, synthesize_arrivals
 
-    side = int(args[0]) if args else 4
-    n_queries = int(args[1]) if len(args) > 1 else 12
     terrain = Terrain(100.0)
     cells = CellGrid(terrain, side)
     rng = np.random.default_rng(7)
@@ -121,11 +126,11 @@ def _serve_demo(args: list[str]) -> int:
 
 
 def _partition_demo(args: list[str]) -> int:
-    """``python -m repro partition [side] [K] [--self-check]``."""
-    from .partition import self_check
-
-    if "--self-check" in args:
-        return 0 if self_check() else 1
+    """``python -m repro partition [side] [K]``."""
+    parsed = _parse(args, (16, 4), "usage: python -m repro partition [side] [K]")
+    if parsed is None:
+        return 2
+    side, partitions = parsed
 
     import time
 
@@ -134,9 +139,6 @@ def _partition_demo(args: list[str]) -> int:
     from .bench import make_deployment
     from .partition import effective_procs, run_partitioned_storm
 
-    positional = [a for a in args if not a.startswith("-")]
-    side = int(positional[0]) if positional else 16
-    partitions = int(positional[1]) if len(positional) > 1 else 4
     seed = 11
     net = make_deployment(side=side, n_random=side * side * 6, seed=seed)
     budget = effective_procs(partitions)
@@ -166,22 +168,85 @@ def _partition_demo(args: list[str]) -> int:
     return 0 if match else 1
 
 
-def _scenario_demo(args: list[str]) -> int:
-    """``python -m repro scenario [--self-check]``."""
-    from .scenario import self_check
-    from .scenario.selfcheck import SIDE, _kill_plan, _run, demo_scenario
+#: The scenario demo's world: a 4x4-cell, 140-node deployment.
+SCENARIO_SIDE = 4
+SCENARIO_SEED = 11
 
-    if "--self-check" in args:
-        return 0 if self_check() else 1
+
+def _count_all(cell: object) -> bool:
+    """Module-level predicate: the program spec is pickled into shards."""
+    return True
+
+
+def demo_scenario():
+    """The reference full-composition scenario the demo runs."""
+    from .bench import make_deployment
+    from .scenario import (
+        Attacker,
+        LogNormalShadowing,
+        Scenario,
+        SourcePeriodModel,
+        plan_cell_hops,
+    )
+
+    side, seed = SCENARIO_SIDE, SCENARIO_SEED
+    net = make_deployment(side=side, n_random=140, seed=seed)
+    cells = [(x, y) for x in range(side) for y in range(side)]
+    return Scenario(
+        link=LogNormalShadowing(sigma=3.0, seed=seed),
+        mobility=plan_cell_hops(
+            sorted(net.node_ids()), cells, hops=5, at=0.6, spacing=0.1, seed=seed
+        ),
+        attacker=Attacker(start_cell=(0, 0), source_cells=((side - 1, side - 1),)),
+        sources=SourcePeriodModel(
+            cells=((side - 1, side - 1), (1, 2)),
+            period=1.0,
+            first=0.4,
+            count=2,
+            dst_cell=(0, 0),
+        ),
+    )
+
+
+def _scenario_round(scenario, plan, partitions: int = 0):
+    """One seeded round on a fresh stack; ``partitions=0`` = serial path."""
+    import numpy as np
+
+    from .bench import make_deployment
+    from .core import CountAggregation
+    from .partition import run_partitioned_application
+    from .runtime import deploy
+
+    stack = deploy(
+        make_deployment(side=SCENARIO_SIDE, n_random=140, seed=SCENARIO_SEED)
+    )
+    spec = VirtualArchitecture(SCENARIO_SIDE).synthesize(CountAggregation(_count_all))
+    kwargs = dict(
+        rng=np.random.default_rng(SCENARIO_SEED + 1),
+        reliable=True,
+        max_retries=8,
+        fault_plan=plan,
+        scenario=scenario,
+    )
+    if partitions == 0:
+        return stack.run_application(spec, **kwargs)
+    return run_partitioned_application(
+        stack, spec, partitions=partitions, procs=1, wall_timeout_s=120.0, **kwargs
+    )
+
+
+def _scenario_demo(args: list[str]) -> int:
+    """``python -m repro scenario``."""
+    from .runtime import FaultEvent, FaultPlan
 
     scn = demo_scenario()
-    plan = _kill_plan((1, 1))
+    plan = FaultPlan(events=(FaultEvent(time=0.7, action="kill_leader", cell=(1, 1)),))
     print(f"scenario             : {scn.link.kind} + "
           f"{len(scn.mobility.moves)} moves + attacker at "
           f"{scn.attacker.start_cell} + {len(scn.sources.cells)} sources")
     print(f"scenario fingerprint : {scn.fingerprint()}")
-    serial = _run(scn, plan=plan)
-    partitioned = _run(scn, partitions=4, plan=plan)
+    serial = _scenario_round(scn, plan)
+    partitioned = _scenario_round(scn, plan, partitions=4)
     rep = serial.scenario_report
     print(f"serial run           : {serial.transmissions} tx, "
           f"{serial.events_processed} events, "
@@ -203,36 +268,36 @@ def _scenario_demo(args: list[str]) -> int:
     return 0 if match else 1
 
 
+def _forward(module: str) -> Callable[[list[str]], int]:
+    """A subcommand that hands its arguments to ``module.main``."""
+    return lambda args: importlib.import_module(module, __package__).main(args)
+
+
+#: ``python -m repro <name> ...`` -> the handler of its remaining arguments.
+SUBCOMMANDS: dict[str, Callable[[list[str]], int]] = {
+    "analyze": _forward(".analyze.cli"),
+    "bench": _forward(".bench"),
+    "partition": _partition_demo,
+    "scenario": _scenario_demo,
+    "serve": _serve_demo,
+    "sweep": _forward(".sweep.cli"),
+}
+
+USAGE = (
+    "usage: python -m repro [side [threshold]] | "
+    f"{{{','.join(SUBCOMMANDS)}}} ..."
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run the demo; returns a process exit code."""
     args = list(sys.argv[1:] if argv is None else argv)
-    if args and args[0] == "sweep":
-        from .sweep.cli import main as sweep_main
-
-        return sweep_main(args[1:])
-    if args and args[0] == "faults":
-        from .runtime.faults import self_check
-
-        if "--self-check" not in args[1:]:
-            print("usage: python -m repro faults --self-check", file=sys.stderr)
-            return 2
-        return 0 if self_check() else 1
-    if args and args[0] == "serve":
-        return _serve_demo(args[1:])
-    if args and args[0] == "partition":
-        return _partition_demo(args[1:])
-    if args and args[0] == "scenario":
-        return _scenario_demo(args[1:])
-    if args and args[0] == "bench":
-        from .bench import main as bench_main
-
-        return bench_main(args[1:])
-    if args and args[0] == "analyze":
-        from .analyze.cli import main as analyze_main
-
-        return analyze_main(args[1:])
-    side = int(args[0]) if args else 16
-    threshold = float(args[1]) if len(args) > 1 else 0.5
+    if args and args[0] in SUBCOMMANDS:
+        return SUBCOMMANDS[args[0]](args[1:])
+    parsed = _parse(args, (16, 0.5), USAGE)
+    if parsed is None:
+        return 2
+    side, threshold = parsed
     # side <= 0 must not slip through: 0 & -1 == 0 passes the bit trick
     if side <= 0 or side & (side - 1):
         print(f"side must be a positive power of two, got {side}", file=sys.stderr)

@@ -18,8 +18,7 @@ publishable answers —
   (the bench 0.85x floor plus a prediction-interval CI-overlap rule)
   emitting ``ANALYZE_report.json``;
 * :mod:`repro.analyze.tables` — deterministic text/markdown tables;
-* :mod:`repro.analyze.cli` / :mod:`repro.analyze.selfcheck` — the
-  ``python -m repro analyze`` subcommand and the CI acceptance matrix.
+* :mod:`repro.analyze.cli` — the ``python -m repro analyze`` subcommand.
 
 Quick use::
 
@@ -61,7 +60,6 @@ from .regression import (
     detect_regressions,
     write_report,
 )
-from .selfcheck import self_check
 from .stats import (
     Accumulator,
     ConfidenceInterval,
@@ -110,7 +108,6 @@ __all__ = [
     "micro_table",
     "prediction_interval_lower",
     "regression_table",
-    "self_check",
     "t_critical",
     "write_report",
     "z_critical",

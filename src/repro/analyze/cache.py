@@ -9,9 +9,9 @@ dict is loaded from the memo without parsing a single record, and the
 partials merge associatively into the campaign answer.
 
 The :class:`CacheStats` counters are part of the contract, not telemetry:
-the self-check asserts that re-aggregating an unchanged campaign performs
-**zero** record re-reads, and that growing the campaign re-reads only the
-changed file.
+``tests/test_analyze_ingest.py`` asserts that re-aggregating an unchanged
+campaign performs **zero** record re-reads, and that growing the campaign
+re-reads only the changed file.
 
 Cross-file duplicate runs are an error (:class:`DuplicateRecordError`):
 once two files' partials both contain a run, the merged moments cannot be

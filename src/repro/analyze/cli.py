@@ -13,9 +13,9 @@ Two modes, composable in one invocation:
   tables are printed, and the machine-readable verdict is written to
   ``--report`` (default ``ANALYZE_report.json``).
 
-``--self-check`` runs the analysis acceptance matrix instead (the CI
-``analyze`` job).  Exit codes: 0 ok; 1 regression findings or audit
-mismatches; 2 usage/ingest errors.
+The acceptance contracts are pinned by ``tests/test_analyze_*.py``.
+Exit codes: 0 ok; 1 regression findings or audit mismatches; 2
+usage/ingest errors.
 """
 
 from __future__ import annotations
@@ -42,10 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro analyze",
         description="campaign analytics: memoized aggregation, confidence "
         "intervals, trajectory regression detection",
-    )
-    parser.add_argument(
-        "--self-check", action="store_true",
-        help="run the analysis acceptance matrix (the CI analyze job)",
     )
     parser.add_argument(
         "--sink", action="append", default=[], metavar="PATH",
@@ -173,10 +169,6 @@ def _run_regression(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if args.self_check:
-        from .selfcheck import self_check
-
-        return 0 if self_check() else 1
     try:
         code = 0
         if args.sink:

@@ -12,7 +12,10 @@ applies two rules to each tracked series:
   bound of the one-new-observation prediction interval of the historical
   values (:func:`repro.analyze.stats.prediction_interval_lower`, 99% by
   default): a new point below it is statistically inconsistent with the
-  trajectory even when it clears the floor.
+  trajectory even when it clears the floor.  The interval is fitted on
+  log rates and exponentiated back, so the bound is always positive: on
+  raw rates one slow early entry widens it past zero, where it can never
+  fire.
 
 Only the series in :data:`repro.bench.TRAJECTORY_GATES` can produce
 findings — those are the stable, machine-comparable hot paths the bench
@@ -29,6 +32,7 @@ a human table naming the offending workload/axis and metric.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -209,12 +213,13 @@ def detect_regressions(
         value = latest[-1]
         best = max(history)
         ratio = value / best if best > 0 else None
-        acc = Accumulator().add_all(history)
-        pi_lower = (
-            prediction_interval_lower(acc, confidence)
-            if acc.count >= MIN_HISTORY
-            else None
-        )
+        pi_lower = None
+        if len(history) >= MIN_HISTORY and min(history) > 0:
+            log_lower = prediction_interval_lower(
+                Accumulator().add_all(math.log(v) for v in history), confidence
+            )
+            if log_lower is not None:
+                pi_lower = math.exp(log_lower)
         violated: List[str] = []
         if ratio is not None and ratio < floor:
             violated.append("floor")

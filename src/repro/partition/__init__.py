@@ -30,12 +30,4 @@ __all__ = [
     "plan_stripes",
     "run_partitioned_application",
     "run_partitioned_storm",
-    "self_check",
 ]
-
-
-def self_check(verbose: bool = True) -> bool:
-    """CI acceptance matrix; see :func:`repro.partition.selfcheck.self_check`."""
-    from .selfcheck import self_check as _impl
-
-    return _impl(verbose=verbose)

@@ -428,109 +428,3 @@ class FaultInjector:
         self.report.frames_corrupted += 1
         return dataclasses.replace(packet, payload=mangled)
 
-
-# -- CI self-check ----------------------------------------------------------------
-
-
-def self_check(verbose: bool = True) -> bool:
-    """Fault-injection matrix: kill leaders / partition / corrupt frames,
-    each under ``reliable`` on and off, asserting determinism and (in
-    reliable mode) recovery.  Run by the ``fault-matrix`` CI job via
-    ``python -m repro faults --self-check``.
-    """
-    from ..core import CountAggregation, VirtualArchitecture
-    from ..deployment import CellGrid, Terrain, build_network, ensure_coverage, uniform_random
-    from .stack import deploy
-
-    def say(msg: str) -> None:
-        if verbose:
-            print(msg)
-
-    failures: List[str] = []
-    side = 4
-
-    def build(seed: int):
-        terrain = Terrain(100.0)
-        cells = CellGrid(terrain, side)
-        rng = np.random.default_rng(seed)
-        positions = ensure_coverage(uniform_random(140, terrain, rng), cells, rng)
-        return build_network(positions, cells, tx_range=cells.cell_side * 2.3)
-
-    def run_once(seed: int, plan: FaultPlan, reliable: bool, wire: bool):
-        net = build(seed)
-        stack = deploy(net)
-        va = VirtualArchitecture(side)
-        spec = va.synthesize(CountAggregation(lambda c: True))
-        return stack.run_application(
-            spec,
-            loss_rate=0.05,
-            rng=np.random.default_rng(seed + 2),
-            reliable=reliable,
-            max_retries=8,
-            wire_format=wire,
-            fault_plan=plan,
-        )
-
-    def check(name: str, cond: bool) -> None:
-        mark = "ok" if cond else "FAIL"
-        say(f"  [{mark}] {name}")
-        if not cond:
-            failures.append(name)
-
-    seed = 7
-    net0 = build(seed)
-    stack0 = deploy(net0)
-    cells = sorted(stack0.binding.leaders)
-    expected = side * side
-
-    scenarios: List[Tuple[str, FaultPlan]] = [
-        ("kill-leaders", plan_leader_storm(cells, kills=2, at=0.5, seed=3)),
-        (
-            "partition+restore",
-            FaultPlan(
-                events=(
-                    FaultEvent(
-                        time=0.4,
-                        action="partition_links",
-                        links=((0, 1), (0, 2), (0, 3)),
-                    ),
-                    FaultEvent(time=6.0, action="restore"),
-                )
-            ),
-        ),
-        (
-            "corrupt-frames",
-            FaultPlan(events=(FaultEvent(time=0.0, action="corrupt_frame", count=6),)),
-        ),
-    ]
-
-    for name, plan in scenarios:
-        for reliable in (True, False):
-            for wire in (False, True):
-                label = f"{name} reliable={reliable} wire={wire}"
-                say(f"fault-matrix: {label}")
-                r1 = run_once(seed, plan, reliable, wire)
-                r2 = run_once(seed, plan, reliable, wire)
-                check(f"{label}: deterministic fingerprint", r1.fingerprint() == r2.fingerprint())
-                check(f"{label}: fault report present", r1.fault_report is not None)
-                if name == "kill-leaders" and reliable:
-                    check(f"{label}: query completes", r1.root_payload == expected)
-                    check(
-                        f"{label}: failovers observed",
-                        len(r1.fault_report.failovers) >= 1,
-                    )
-                if name == "corrupt-frames":
-                    # a corrupted frame can itself be lost on the medium
-                    # (loss_rate > 0), so rejected <= corrupted
-                    check(
-                        f"{label}: corrupted frames rejected",
-                        1
-                        <= r1.fault_report.frames_rejected
-                        <= r1.fault_report.frames_corrupted,
-                    )
-
-    if failures:
-        say(f"fault-matrix self-check: {len(failures)} FAILURES")
-        return False
-    say("fault-matrix self-check: all scenarios passed")
-    return True

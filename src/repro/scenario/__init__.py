@@ -23,7 +23,6 @@ from .link import (
     link_model_from_dict,
 )
 from .mobility import MobilityModel, Move, plan_cell_hops
-from .selfcheck import self_check
 from .sources import SourcePeriodModel
 from .spec import Scenario, ScenarioReport, merge_scenario_reports
 
@@ -44,5 +43,4 @@ __all__ = [
     "link_model_from_dict",
     "merge_scenario_reports",
     "plan_cell_hops",
-    "self_check",
 ]

@@ -28,8 +28,8 @@ workload of grid-cell query serving:
   ``healing`` configured the engine keeps serving across leader failover
   (:mod:`repro.serve.chaos` is the acceptance campaign).
 
-``python -m repro serve --self-check`` runs the CI acceptance matrix
-(:mod:`repro.serve.selfcheck`).
+The acceptance contracts are pinned by ``tests/test_serve_engine.py``
+and ``tests/test_serve_resilience.py``.
 """
 
 from .admission import (
@@ -50,7 +50,6 @@ from .engine import (
     ServeConfig,
     ServeReport,
 )
-from .selfcheck import self_check
 
 __all__ = [
     "AdmissionController",
@@ -67,6 +66,5 @@ __all__ = [
     "TenantPolicy",
     "batch_rounds",
     "chaos_soak",
-    "self_check",
     "synthesize_arrivals",
 ]

@@ -14,7 +14,8 @@ checks the liveness invariant:
 The whole soak — gather round included — is a pure function of its
 arguments, so its fingerprint must be byte-identical across repeat runs,
 wire codec on/off, and serial vs space-partitioned gather execution
-(``partitions=K``); the self-check asserts all three.
+(``partitions=K``); ``tests/test_serve_resilience.py`` asserts all
+three.
 """
 
 from __future__ import annotations

@@ -14,8 +14,7 @@ high-throughput experiment platform:
   resume-from-partial-results and the cross-shard determinism audit;
 * :mod:`repro.sweep.aggregate` — collapse to ``BENCH_*.json`` schema-2
   trajectory summaries;
-* :mod:`repro.sweep.cli` / :mod:`repro.sweep.selfcheck` — the
-  ``python -m repro sweep`` subcommand and the CI smoke gate.
+* :mod:`repro.sweep.cli` — the ``python -m repro sweep`` subcommand.
 
 Quick use::
 
@@ -30,7 +29,6 @@ Quick use::
 
 from .aggregate import make_entry, point_key, summarize, write_summary
 from .scheduler import ShardStatus, SweepProgress, print_progress, run_sweep
-from .selfcheck import self_check
 from .sink import (
     AuditReport,
     append_record,
@@ -71,7 +69,6 @@ __all__ = [
     "print_progress",
     "public_workloads",
     "run_sweep",
-    "self_check",
     "summarize",
     "workload",
     "write_summary",

@@ -14,7 +14,8 @@ Examples::
     python -m repro sweep --workload churn --grid churn=0.0,0.25,0.5,1.0 \\
         --grid rotate=false,true --fixed side=4 --replicates 5 --audit 4
 
-    python -m repro sweep --self-check          # the CI smoke gate
+The serial-vs-sharded, resume and crash-recovery guarantees are pinned
+by ``tests/test_sweep_scheduler.py``.
 
 Exit codes: 0 on success, 1 on a determinism-audit mismatch, 3 when
 ``--strict`` is set and any run ended as a structured failure.
@@ -123,10 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-workloads", action="store_true", help="print registered workloads and exit"
     )
-    parser.add_argument(
-        "--self-check", action="store_true",
-        help="run the serial-vs-sharded / resume / crash-recovery smoke check",
-    )
     return parser
 
 
@@ -157,10 +154,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for name in public_workloads():
             print(name)
         return 0
-    if args.self_check:
-        from .selfcheck import self_check
-
-        return self_check(workers=args.workers or 2, quiet=args.quiet)
     try:
         spec = build_spec(args)
     except (ValueError, OSError) as exc:

@@ -174,15 +174,18 @@ class TestTornTailThroughAnalyze:
 
 class TestMemoization:
     def test_unchanged_campaign_reads_zero_records(self, tmp_path):
-        sinks = []
+        sinks, written = [], 0
         for shard in range(2):
             sink = tmp_path / f"shard{shard}.jsonl"
-            write_sink(sink, ok_records(make_spec(f"memo-{shard}"), shard=shard))
+            records = ok_records(make_spec(f"memo-{shard}"), shard=shard)
+            write_sink(sink, records)
             sinks.append(str(sink))
+            written += len(records)
         cache = str(tmp_path / "cache")
         query = GroupQuery(by=("loss",))
         cold = MemoizedAggregator(cache_dir=cache).aggregate(sinks, query)
-        assert cold.stats.misses == 2 and cold.stats.records_read > 0
+        # the cold pass reads every record exactly once
+        assert cold.stats.misses == 2 and cold.stats.records_read == written
         warm = MemoizedAggregator(cache_dir=cache).aggregate(sinks, query)
         assert warm.stats.hits == 2
         assert warm.stats.misses == 0
@@ -206,6 +209,19 @@ class TestMemoization:
         )
         assert grown.stats.hits == 1 and grown.stats.misses == 1
         assert grown.stats.records_read == len(new_records)
+        # the memoized group-by over both shards matches a hand computation
+        by_loss = {}
+        for record in ok_records(make_spec("grow-0")) + new_records:
+            if not record["audit"]:
+                key = f"loss={record['params']['loss']}"
+                by_loss.setdefault(key, []).append(record["metrics"]["deliveries"])
+        assert set(grown.groups) == set(by_loss)
+        for key, values in by_loss.items():
+            acc = grown.groups[key].metrics["deliveries"]
+            assert (acc.count, acc.min, acc.max) == (
+                len(values), min(values), max(values)
+            )
+            assert acc.mean == pytest.approx(sum(values) / len(values))
 
     def test_appending_to_a_file_invalidates_its_memo(self, tmp_path):
         sink = tmp_path / "appended.jsonl"

@@ -10,6 +10,7 @@ pass clean over the real committed ``BENCH_*.json`` artifacts.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -24,6 +25,8 @@ from repro.analyze.tables import regression_table
 from repro.bench import NO_REGRESSION_FLOOR, TRAJECTORY_GATES
 
 GATED_WORKLOAD, GATED_METRIC = TRAJECTORY_GATES[0]
+
+REPO = os.path.join(os.path.dirname(__file__), "..")
 
 
 def trajectory(values, workload=GATED_WORKLOAD, metric=GATED_METRIC):
@@ -72,6 +75,8 @@ class TestDetection:
         values = [1000.0, 400.0, 1600.0, 700.0, 1300.0, 800.0]
         (check,) = detect_regressions(trajectory(values), "micro")
         assert check.rules_violated == ("floor",)
+        # fitted on log rates, the bound of a wide history stays positive
+        assert 0 < check.pi_lower < min(values)
 
     def test_ungated_series_degrades_to_drift(self):
         values = [1000.0, 1010.0, 990.0, 1005.0, 995.0, 500.0]
@@ -162,18 +167,35 @@ class TestReport:
 
     def test_committed_artifacts_pass_clean(self):
         """The real BENCH_*.json trajectories must not trip the gates."""
-        import os
-
-        from repro.analyze.ingest import ingest_trajectory
-
-        root = os.path.join(os.path.dirname(__file__), "..")
-        docs = []
-        for filename, bench in (("BENCH_micro.json", "micro"), ("BENCH_e1.json", "e1")):
-            path = os.path.join(root, filename)
-            if os.path.exists(path):
-                doc = ingest_trajectory(path, expect_bench=bench)
-                docs.append((doc.bench, doc.runs))
-        if not docs:
-            pytest.skip("no committed BENCH_*.json artifacts")
-        report = analyze_trajectories(docs)
+        report = analyze_trajectories(committed_docs())
         assert report.ok, [c.to_dict() for c in report.findings]
+        assert len(report.checked) >= 4
+
+    def test_committed_storm_bound_can_fire(self):
+        """One slow early storm entry spreads the raw-rate history so far
+        that its 99% bound was negative (about -413k deliveries/s): no
+        measurement could ever fall below it.  Every fitted bound on the
+        committed trajectories must be a rate a regression can undercut."""
+        checks = analyze_trajectories(committed_docs()).checked
+        (storm,) = [
+            c for c in checks
+            if (c.workload, c.metric) == ("medium_broadcast_storm", "deliveries_per_s")
+        ]
+        assert storm.gated and storm.pi_lower > 0
+        bounds = [c.pi_lower for c in checks if c.pi_lower is not None]
+        assert bounds and min(bounds) > 0
+
+
+def committed_docs():
+    """The repository's own ``(bench, runs)`` trajectories."""
+    from repro.analyze.ingest import ingest_trajectory
+
+    docs = []
+    for filename, bench in (("BENCH_micro.json", "micro"), ("BENCH_e1.json", "e1")):
+        path = os.path.join(REPO, filename)
+        if os.path.exists(path):
+            doc = ingest_trajectory(path, expect_bench=bench)
+            docs.append((doc.bench, doc.runs))
+    if not docs:
+        pytest.skip("no committed BENCH_*.json artifacts")
+    return docs

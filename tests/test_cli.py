@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import SUBCOMMANDS, main
 
 
 class TestCli:
@@ -36,6 +36,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert "power of two" in err
         assert f"got {side}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bogus"], ["8", "abc"], ["faults"]],
+        ids=["unknown-subcommand", "non-numeric-threshold", "removed-subcommand"],
+    )
+    def test_unknown_input_prints_one_usage_line(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: python -m repro") and err.count("\n") == 1
+        for name in SUBCOMMANDS:
+            assert name in err
+
+    @pytest.mark.parametrize(
+        "argv", [["serve", "x"], ["partition", "8", "two"]], ids=["serve", "partition"]
+    )
+    def test_subcommand_rejects_non_numeric_argument(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: python -m repro {argv[0]}")
+
+    def test_scenario_demo_matches_across_modes(self, capsys):
+        assert main(["scenario"]) == 0
+        assert "serial == partitioned: MATCH" in capsys.readouterr().out
+
+    def test_partition_demo_matches_across_modes(self, capsys):
+        assert main(["partition", "8", "2"]) == 0
+        assert "serial == partitioned: MATCH" in capsys.readouterr().out
 
     def test_sweep_subcommand_dispatches(self, capsys):
         assert main(["sweep", "--list-workloads"]) == 0

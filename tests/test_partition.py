@@ -19,6 +19,8 @@ The subsystem's contract, pinned here:
 
 from __future__ import annotations
 
+import multiprocessing as mp
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,13 @@ def test_serial_equals_worker_processes(partitions, wire):
     assert serial == parallel
 
 
+@pytest.mark.parametrize("partitions", [2, 4])
+def test_lossless_serial_equals_one_process_per_shard(partitions):
+    serial = _app_fingerprint(8, partitions, procs=1)
+    parallel = _app_fingerprint(8, partitions, procs=partitions)
+    assert serial == parallel
+
+
 def test_boundary_cell_fault_replays_identically():
     serial = _app_fingerprint(8, 4, procs=1, loss=0.05, wire=True, fault=True)
     parallel = _app_fingerprint(8, 4, procs=2, loss=0.05, wire=True, fault=True)
@@ -234,6 +243,22 @@ def test_storm_fingerprint_procs_invariant():
     ]
     assert len({r.fingerprint for r in runs}) == 1
     assert runs[0].windows > 0
+
+
+def test_quiet_border_storm_terminates_under_the_watchdog():
+    """A radio range under one cell side leaves little traffic crossing
+    each shard cut; the windowed driver must still finish (the wall-clock
+    watchdog raises on a deadlock) and match the serial run."""
+    quiet = make_deployment(side=8, n_random=8 * 8 * 7, seed=11, range_cells=0.9)
+    serial = run_partitioned_storm(
+        quiet, rounds=4, partitions=1, rng=np.random.default_rng(11)
+    )
+    parallel = run_partitioned_storm(
+        quiet, rounds=4, partitions=4, procs=4,
+        rng=np.random.default_rng(11), wall_timeout_s=60.0,
+    )
+    assert parallel.fingerprint == serial.fingerprint
+    assert parallel.windows > 0
 
 
 def test_battery_writeback_composes_with_followup_round():
@@ -277,6 +302,14 @@ def test_effective_procs_clamps_pool_not_shards(monkeypatch):
     assert effective_procs(2, procs=64).procs == 2
     monkeypatch.delenv(SWEEP_WORKERS_ENV)
     assert effective_procs(1).procs == 1
+
+
+def test_daemonic_callers_are_pinned_to_one_worker():
+    """A pool worker cannot start shard workers of its own, so even an
+    explicit ``procs`` runs its shards in-process there."""
+    with mp.get_context("spawn").Pool(1) as pool:
+        budget = pool.apply_async(effective_procs, (4,), {"procs": 4}).get(timeout=60)
+    assert budget.procs == 1
 
 
 def test_default_lookahead_positive():

@@ -12,6 +12,8 @@ cases (deposed ex-leaders, route repair).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,32 @@ def run_with_plan(plan, seed=7, loss=0.05, reliable=True, wire_format=False, **k
         **kw,
     )
     return net, stack, result
+
+
+@functools.cache
+def fault_plan(kind: str) -> FaultPlan:
+    """One plan per fault kind of the acceptance matrix."""
+    if kind == "kill-leaders":
+        _, stack = fresh_stack()
+        return plan_leader_storm(sorted(stack.binding.leaders), kills=2, at=0.5, seed=3)
+    if kind == "partition-restore":
+        return FaultPlan(
+            events=(
+                FaultEvent(
+                    time=0.4, action="partition_links", links=((0, 1), (0, 2), (0, 3))
+                ),
+                FaultEvent(time=6.0, action="restore"),
+            )
+        )
+    return FaultPlan(events=(FaultEvent(time=0.0, action="corrupt_frame", count=6),))
+
+
+@functools.cache
+def first_round(kind: str, reliable: bool, wire_format: bool):
+    """The first seeded round of one matrix cell.  Cached because several
+    tests only read the same leader-storm rounds; a determinism check
+    compares it against a fresh :func:`run_with_plan` replay."""
+    return run_with_plan(fault_plan(kind), reliable=reliable, wire_format=wire_format)
 
 
 class TestPlanValidation:
@@ -145,11 +173,7 @@ class TestAcceptance:
     """The ISSUE acceptance scenario: >= 2 leader kills mid-round."""
 
     def run_storm(self, wire_format=False):
-        _, stack0 = fresh_stack()
-        plan = plan_leader_storm(
-            sorted(stack0.binding.leaders), kills=2, at=0.5, seed=3
-        )
-        return plan, run_with_plan(plan, wire_format=wire_format)
+        return fault_plan("kill-leaders"), first_round("kill-leaders", True, wire_format)
 
     def test_query_completes_with_correct_payload_and_failovers(self):
         plan, (net, stack, result) = self.run_storm()
@@ -168,7 +192,7 @@ class TestAcceptance:
 
     def test_fingerprint_reproduces_exactly(self):
         plan, (_, _, r1) = self.run_storm()
-        _, (_, _, r2) = self.run_storm()
+        _, _, r2 = run_with_plan(plan)
         assert r1.fingerprint() == r2.fingerprint()
         assert r1.fault_report.fingerprint() == r2.fault_report.fingerprint()
 
@@ -187,6 +211,33 @@ class TestAcceptance:
                 members, key=lambda m: (distance_to_center_metric(net, m), m)
             )
             assert new == best
+
+
+class TestFaultMatrix:
+    """Every fault kind under reliable on/off and the wire codec on/off,
+    over a 5%-lossy channel: the round replays byte-identically and
+    carries a fault report, ARQ recovers from leader kills, and corrupted
+    frames are rejected rather than raised."""
+
+    @pytest.mark.parametrize("wire_format", [False, True], ids=["plain", "wire"])
+    @pytest.mark.parametrize("reliable", [True, False], ids=["reliable", "unreliable"])
+    @pytest.mark.parametrize(
+        "kind", ["kill-leaders", "partition-restore", "corrupt-frames"]
+    )
+    def test_replays_identically(self, kind, reliable, wire_format):
+        _, _, first = first_round(kind, reliable, wire_format)
+        _, _, again = run_with_plan(
+            fault_plan(kind), reliable=reliable, wire_format=wire_format
+        )
+        assert first.fingerprint() == again.fingerprint()
+        report = first.fault_report
+        assert report is not None
+        if kind == "kill-leaders" and reliable:
+            assert first.root_payload == SIDE * SIDE
+            assert report.failovers
+        if kind == "corrupt-frames":
+            # a corrupted frame can itself be lost on the channel
+            assert 1 <= report.frames_rejected <= report.frames_corrupted
 
 
 class TestPartition:
@@ -278,12 +329,10 @@ class TestFrameCorruption:
 
 class TestDegradation:
     def test_unreliable_round_survives_leader_kill_without_crash(self):
-        _, stack0 = fresh_stack()
-        plan = plan_leader_storm(sorted(stack0.binding.leaders), kills=2, at=0.5, seed=3)
-        _, _, result = run_with_plan(plan, reliable=False)
+        _, _, result = first_round("kill-leaders", False, False)
         # no ARQ: deliveries into the dead window are lost, but the run
         # terminates cleanly and deterministically
-        _, _, again = run_with_plan(plan, reliable=False)
+        _, _, again = run_with_plan(fault_plan("kill-leaders"), reliable=False)
         assert result.fingerprint() == again.fingerprint()
 
     def test_healing_without_plan_keeps_result_identical(self):

@@ -9,6 +9,7 @@ codec on and off — plus the boundary-packet wire codec itself.
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -63,6 +64,7 @@ def run_round(
     wire: bool = False,
     plan=None,
     seed: int = SEED,
+    procs: int = 1,
 ):
     """One seeded round on a fresh stack; ``partitions=0`` = legacy path."""
     from repro.partition.runner import run_partitioned_application
@@ -83,7 +85,7 @@ def run_round(
         stack,
         spec,
         partitions=partitions,
-        procs=1,
+        procs=procs,
         rng=np.random.default_rng(seed + 1),
         reliable=True,
         max_retries=8,
@@ -92,6 +94,10 @@ def run_round(
         scenario=scenario,
         wall_timeout_s=120.0,
     )
+
+
+#: A leader kill inside the full scenario's round.
+KILL_PLAN = FaultPlan(events=(FaultEvent(time=0.7, action="kill_leader", cell=(1, 1)),))
 
 
 def full_scenario(seed: int = SEED) -> Scenario:
@@ -108,6 +114,13 @@ def full_scenario(seed: int = SEED) -> Scenario:
             dst_cell=(0, 0),
         ),
     )
+
+
+@functools.cache
+def serial_full_round(wire: bool):
+    """The serial reference run of the full scenario (seed-pure, so the
+    execution-mode tests share it)."""
+    return run_round(full_scenario(), wire=wire, plan=KILL_PLAN)
 
 
 class TestStableUnit:
@@ -291,6 +304,20 @@ class TestScenarioSpec:
         clone = Scenario.from_dict(json.loads(json.dumps(scn.to_dict())))
         assert clone.fingerprint() == scn.fingerprint()
 
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: PerPairFading(depth=1.5), "depth"),
+            (lambda: Move(time=-1.0, node=0, cell=(0, 0)), "move time"),
+            (lambda: SourcePeriodModel(cells=(), period=1.0), "source cell"),
+            (lambda: Attacker(start_cell=(0, 0), source_cells=()), "source cell"),
+        ],
+        ids=["fading-depth", "move-time", "no-source-cells", "attacker-sources"],
+    )
+    def test_malformed_models_rejected(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
 
 class TestPacketWireCodec:
     def test_round_trip(self):
@@ -327,20 +354,32 @@ class TestScenarioRuns:
         again = run_round(Scenario(link=model))
         assert first.fingerprint() == again.fingerprint()
         assert first.scenario_report.link_faded > 0
+        assert first.fingerprint() != run_round(None).fingerprint()
 
     @pytest.mark.parametrize("partitions", [1, 4])
     @pytest.mark.parametrize("wire", [False, True], ids=["pickle", "wire"])
     def test_full_scenario_is_execution_mode_invariant(self, partitions, wire):
-        scn = full_scenario()
-        plan = FaultPlan(
-            events=(FaultEvent(time=0.7, action="kill_leader", cell=(1, 1)),)
+        serial = serial_full_round(wire)
+        sharded = run_round(
+            full_scenario(), partitions=partitions, wire=wire, plan=KILL_PLAN
         )
-        serial = run_round(scn, wire=wire, plan=plan)
-        sharded = run_round(scn, partitions=partitions, wire=wire, plan=plan)
         assert sharded.fingerprint() == serial.fingerprint()
         assert (
             sharded.scenario_report.attacker.as_tuple()
             == serial.scenario_report.attacker.as_tuple()
+        )
+
+    def test_full_scenario_on_worker_processes(self):
+        sharded = run_round(
+            full_scenario(), partitions=4, procs=4, wire=True, plan=KILL_PLAN
+        )
+        assert sharded.fingerprint() == serial_full_round(True).fingerprint()
+
+    def test_dict_form_drives_the_identical_run(self):
+        as_dict = json.loads(json.dumps(full_scenario().to_dict()))
+        assert (
+            run_round(as_dict, plan=KILL_PLAN).fingerprint()
+            == serial_full_round(False).fingerprint()
         )
 
     def test_report_accounting(self):
@@ -349,6 +388,8 @@ class TestScenarioRuns:
         rep = result.scenario_report
         assert len(rep.relocations) == len(scn.mobility.moves)
         assert rep.source_emissions + rep.source_skipped == 2
+        assert rep.source_emissions >= 1
+        assert rep.attacker is not None
         metrics = rep.metrics()
         for key in ("relocations", "link_faded", "attacker_moves"):
             assert key in metrics

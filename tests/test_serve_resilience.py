@@ -324,8 +324,11 @@ class TestFaultThenRecover:
 
 
 class TestChaosSoak:
-    def test_liveness_invariant_holds(self):
-        soak = chaos_soak()
+    @pytest.fixture(scope="class")
+    def soak(self):
+        return chaos_soak()
+
+    def test_liveness_invariant_holds(self, soak):
         assert soak.liveness_ok
         assert sum(soak.counts.values()) == soak.queries
         assert soak.lost == 0 and soak.leftover_active == 0
@@ -333,6 +336,38 @@ class TestChaosSoak:
         # leaders failed over — and the engine still answers afterwards
         assert soak.shed > 0 and soak.expired > 0 and soak.failovers > 0
         assert soak.probe_complete
+
+    @pytest.mark.parametrize(
+        "variant",
+        [{}, {"wire": True}, {"partitions": 4}],
+        ids=["repeat", "wire", "partitioned"],
+    )
+    def test_fingerprint_is_invariant(self, soak, variant):
+        """Byte-identical on repeat, with the wire codec, and with the
+        gather round run space-partitioned."""
+        assert chaos_soak(**variant).fingerprint == soak.fingerprint
+
+
+class TestServeBenchGates:
+    def test_warm_and_failover_energy_gates(self):
+        """The seed-deterministic energy gates of the two serve bench
+        rows; their wall-clock ratios stay in ``repro.bench``."""
+        from repro.bench import (
+            SERVE_CACHE_SPEEDUP_TARGET,
+            SERVE_DEGRADED_SPEEDUP_TARGET,
+            query_serve,
+            serve_degraded,
+        )
+
+        degraded = serve_degraded()
+        assert degraded["failovers"] >= 1, "armed leader kill never failed over"
+        assert degraded["recovered_complete"] == degraded["queries"] / 3
+        assert (
+            degraded["cold_energy"]
+            >= SERVE_DEGRADED_SPEEDUP_TARGET * degraded["recovered_energy"]
+        )
+        serve = query_serve()
+        assert serve["cold_energy"] >= SERVE_CACHE_SPEEDUP_TARGET * serve["warm_energy"]
 
 
 class TestSweepAndIngest:

@@ -128,16 +128,3 @@ class TestMain:
         assert "FAILED" not in capsys.readouterr().out  # quiet stays quiet
         # without --strict the failure is recorded but exit stays 0
         assert main(argv + ["--no-resume"]) == 0
-
-    def test_self_check_flag_routes_to_selfcheck(self, monkeypatch):
-        calls = {}
-
-        def fake_check(workers, quiet):
-            calls["args"] = (workers, quiet)
-            return 0
-
-        import repro.sweep.selfcheck as selfcheck
-
-        monkeypatch.setattr(selfcheck, "self_check", fake_check)
-        assert main(["--self-check", "--workers", "3", "--quiet"]) == 0
-        assert calls["args"] == (3, True)

@@ -131,6 +131,8 @@ class TestResume:
         half = len(serial) // 2
         for record in serial[:half]:
             append_record(path, record)
+        with open(path, "a") as fh:  # the orchestrator died mid-write
+            fh.write('{"schema": 1, "kind": "run", "run_id": "torn')
         resumed = run_sweep(TINY_STORM, out_path=path, workers=2,
                             timeout_s=120, retries=1)
         assert fingerprints(resumed) == fingerprints(serial)
