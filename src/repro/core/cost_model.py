@@ -20,7 +20,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Mapping, Optional, Sequence, Tuple
 
 
 class CostModel(abc.ABC):
@@ -191,6 +191,27 @@ class EnergyLedger:
             raise ValueError(f"cannot charge negative energy ({amount})")
         self._consumed[node] = self._consumed.get(node, 0.0) + amount
         self._by_category[category] = self._by_category.get(category, 0.0) + amount
+
+    def charge_many(
+        self, nodes: Sequence[Hashable], amount: float, category: str = "other"
+    ) -> None:
+        """Charge ``amount`` to each of ``nodes`` in order (batched receive).
+
+        Records exactly what one :meth:`charge` per node would, float for
+        float: the category total takes one addition per node rather than
+        one ``len(nodes) * amount`` step, because a sum of k equal terms
+        is not k times the term.  An empty ``nodes`` records nothing.
+        """
+        if amount < 0:
+            raise ValueError(f"cannot charge negative energy ({amount})")
+        if not nodes:
+            return
+        consumed = self._consumed
+        total = self._by_category.get(category, 0.0)
+        for node in nodes:
+            consumed[node] = consumed.get(node, 0.0) + amount
+            total += amount
+        self._by_category[category] = total
 
     def consumed(self, node: Hashable) -> float:
         """Total energy consumed by ``node`` (0 if never charged)."""

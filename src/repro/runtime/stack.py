@@ -381,7 +381,10 @@ class DeployedStack:
                 scenario, self.network, self.binding, host, scenario_report
             )
             scenario_injector.arm(sim, medium)
-        sim.run(max_events=max_events)
+        try:
+            sim.run(max_events=max_events)
+        finally:
+            host.teardown()
         if report is not None:
             report.orphaned_deliveries = counters["orphaned"]
         if scenario_injector is not None:

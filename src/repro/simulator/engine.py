@@ -223,6 +223,16 @@ class Simulator:
             self._events_processed += fired
         return self._now
 
+    def clear(self) -> None:
+        """Drop every queued event, live or cancelled (the run is over).
+
+        The clock and :attr:`events_processed` keep their values.
+        """
+        if self._running:
+            raise RuntimeError("cannot clear a running simulator")
+        self._queue.clear()
+        self._cancelled_pending = 0
+
     def next_event_time(self) -> Optional[float]:
         """Timestamp of the earliest queued heap entry (None if empty).
 

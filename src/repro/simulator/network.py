@@ -219,7 +219,7 @@ class WirelessMedium:
         packet: Packet,
         survivors: List[int],
         delay: float,
-        extras: "np.ndarray | List[float] | None",
+        extras: Optional[List[float]],
     ) -> None:
         """Partition-aware broadcast fan-out.
 
@@ -236,7 +236,7 @@ class WirelessMedium:
         else:
             buckets = {}
             for nbr, extra in zip(survivors, extras):
-                time = delay + float(extra)
+                time = delay + extra
                 group = buckets.get(time)
                 if group is None:
                     buckets[time] = [nbr]
@@ -376,15 +376,22 @@ class WirelessMedium:
                 # with chunked vectorized draws
                 survivors, extras = self._draw_loss_and_jitter(receivers)
             else:
-                draws = self.rng.random(len(receivers))
-                survivors = [r for r, d in zip(receivers, draws) if d >= self.loss_rate]
+                # Python floats, not numpy scalars: the filter compares
+                # the same doubles several times faster
+                draws = self.rng.random(len(receivers)).tolist()
+                loss_rate = self.loss_rate
+                survivors = [r for r, d in zip(receivers, draws) if d >= loss_rate]
                 extras = None
             dropped = len(receivers) - len(survivors)
             if dropped:
                 self.stats.record_drops(kind, dropped)
         else:
             survivors = list(receivers)
-            extras = self.rng.uniform(0.0, jitter, len(survivors)) if jitter > 0.0 else None
+            extras = (
+                self.rng.uniform(0.0, jitter, len(survivors)).tolist()
+                if jitter > 0.0
+                else None
+            )
         delay = self.cost_model.tx_latency(size_units)
         if survivors:
             if self._partition is not None:
@@ -462,7 +469,7 @@ class WirelessMedium:
         n = len(receivers)
         survivors: List[int] = []
         extras: List[float] = []
-        buf = rng.random(n)
+        buf = rng.random(n).tolist()
         avail = n
         pos = 0
         i = 0
@@ -470,13 +477,13 @@ class WirelessMedium:
         while i < n or pending_jitter:
             if pos == avail:
                 need = (n - i) + (1 if pending_jitter else 0)
-                buf = rng.random(need)
+                buf = rng.random(need).tolist()
                 avail = need
                 pos = 0
             draw = buf[pos]
             pos += 1
             if pending_jitter:
-                extras.append(jitter * float(draw))
+                extras.append(jitter * draw)
                 pending_jitter = False
             elif draw < loss_rate:
                 i += 1
@@ -491,7 +498,7 @@ class WirelessMedium:
         packet: Packet,
         survivors: List[int],
         delay: float,
-        extras: "np.ndarray | List[float]",
+        extras: List[float],
     ) -> None:
         """Time-bucketed fan-out for jittered deliveries.
 
@@ -504,7 +511,7 @@ class WirelessMedium:
         """
         buckets: Dict[float, List[int]] = {}
         for nbr, extra in zip(survivors, extras):
-            time = delay + float(extra)
+            time = delay + extra
             group = buckets.get(time)
             if group is None:
                 buckets[time] = [nbr]
@@ -552,11 +559,56 @@ class WirelessMedium:
             handler(packet)
 
     def _arrive_many(self, packet: Packet, receivers: List[int]) -> None:
-        """Batched arrival: one event delivers to every receiver in order.
+        """Batched arrival: one event delivers ``packet`` to every receiver.
 
-        Receiver order matches the per-receiver path's event order, so
-        handler side effects (and anything they schedule) sequence
-        identically.
+        The receive kernel.  What every receiver shares is worked out once
+        per packet: the rx energy, the ledger category, and whether the
+        delivery tap records this kind.  Per receiver, in :meth:`_arrive`'s
+        order, stays only what can differ between receivers: the liveness
+        check, the tap, the battery draw (it can kill the node) and the
+        handler call.  Receivers without a handler are charged to the
+        ledger and channel counters in one run through their batch entry
+        points; the run is flushed before the next handler call, which
+        charges its own receiver just before it runs.  So a handler
+        observes exactly the counters the per-receiver path would have
+        left, and every float total takes the same additions in the same
+        order.  Receiver order matches the per-receiver path's event
+        order, so handler side effects (and anything they schedule)
+        sequence identically.
         """
+        kind = packet.kind
+        size_units = packet.size_units
+        energy = self.cost_model.rx_energy(size_units)
+        category = f"rx:{kind}"
+        tap = (
+            self.delivery_log.append
+            if self.tap_kinds and kind in self.tap_kinds
+            else None
+        )
+        now = self.sim.now
+        src = packet.src
+        nodes = self.network.nodes
+        handlers = self._handlers
+        ledger, stats = self.ledger, self.stats
+        pending: List[int] = []  # charged to the battery, not yet counted
         for receiver in receivers:
-            self._arrive(packet, receiver)
+            node = nodes[receiver]
+            if not node.alive:  # died in flight
+                continue
+            if tap is not None:
+                tap((now, src, receiver))
+            node.draw(energy)
+            handler = handlers.get(receiver)
+            if handler is None:
+                pending.append(receiver)
+                continue
+            if pending:
+                ledger.charge_many(pending, energy, category)
+                stats.record_rx_many(kind, size_units, len(pending))
+                pending = []
+            ledger.charge(receiver, energy, category)
+            stats.record_rx(kind, size_units)
+            handler(packet)
+        if pending:
+            ledger.charge_many(pending, energy, category)
+            stats.record_rx_many(kind, size_units, len(pending))

@@ -159,6 +159,21 @@ class ProcessHost:
         for i, (nid, proc) in enumerate(sorted(self.processes.items())):
             self.sim.schedule_fire_and_forget(stagger * i, self._boot, nid, proc)
 
+    def teardown(self) -> None:
+        """End the run: detach every hosted process and drop queued events.
+
+        The medium holds each process's handler and each process holds the
+        medium; a run cut off at ``max_events`` also leaves queued events
+        holding both.  Breaking those cycles lets a finished world be freed
+        by reference counting instead of waiting for a full garbage
+        collection.  :attr:`processes` stays readable for post-run
+        inspection.
+        """
+        detach = self.medium.detach
+        for node_id in self.processes:
+            detach(node_id)
+        self.sim.clear()
+
     def _boot(self, node_id: int, process: Process) -> None:
         if self.medium.network.node(node_id).alive:
             process.on_start()

@@ -51,6 +51,21 @@ class MediumStats:
         self.data_units_received += size_units
         self.by_kind_rx[kind] = self.by_kind_rx.get(kind, 0) + 1
 
+    def record_rx_many(self, kind: str, size_units: float, count: int) -> None:
+        """``count`` arrivals of one packet (batched receive).
+
+        Equal to ``count`` :meth:`record_rx` calls, float for float: the
+        received total takes one addition per arrival, because a sum of
+        k equal terms is not k times the term.
+        """
+        if count <= 0:
+            return
+        received = self.data_units_received
+        for _ in range(count):
+            received += size_units
+        self.data_units_received = received
+        self.by_kind_rx[kind] = self.by_kind_rx.get(kind, 0) + count
+
     def record_drop(self, kind: str) -> None:
         """One lost packet."""
         self.drops += 1

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -172,3 +175,57 @@ class TestDeployedApplication:
         )
         # under heavy loss the round may not complete, but must terminate
         assert len(run.exfiltrated) <= 1
+
+
+class TestRoundTeardown:
+    """A finished round's world is freed by reference counting alone,
+    not left as cyclic garbage for the next full collection."""
+
+    @pytest.mark.parametrize("max_events", [10_000_000, 60], ids=["drained", "cut_off"])
+    def test_round_world_dies_without_the_collector(self, max_events):
+        stack = deploy(make_deployment(side=4, seed=3))
+        spec = VirtualArchitecture(4).synthesize(CountAggregation(lambda c: True))
+        media = []
+        build = stack.make_harness
+
+        def capture(*args, **kwargs):
+            sim, medium, host = build(*args, **kwargs)
+            media.append(weakref.ref(medium))
+            return sim, medium, host
+
+        stack.make_harness = capture
+        gc.collect()
+        gc.disable()
+        try:
+            run = stack.run_application(
+                spec, loss_rate=0.05, rng=np.random.default_rng(1),
+                reliable=True, wire_format=True, max_events=max_events,
+            )
+            assert len(media) == 1
+            assert media[0]() is None, "the round's medium outlived run_application"
+        finally:
+            gc.enable()
+        if max_events == 60:
+            assert run.events_processed == max_events, "the round was not cut off"
+
+    def test_hosted_processes_stay_readable(self, stack4):
+        _, stack = stack4
+        spec = VirtualArchitecture(4).synthesize(CountAggregation(lambda c: True))
+        hosts = []
+        build = stack.make_harness
+
+        def capture(*args, **kwargs):
+            sim, medium, host = build(*args, **kwargs)
+            hosts.append(host)
+            return sim, medium, host
+
+        stack.make_harness = capture
+        try:
+            run = stack.run_application(spec, reliable=True)
+        finally:
+            del stack.make_harness
+        processes = hosts[0].processes.values()
+        assert run.root_payload == 16
+        assert sum(p.transport_stats()["forwarded"] for p in processes) > 0
+        assert any(p.program is not None and p.program.firing_log for p in processes)
+

@@ -163,6 +163,24 @@ class TestCancellation:
         assert sim.run_until_quiet() >= 1.0
 
 
+    def test_clear_drops_queue_but_keeps_clock(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(3.0, lambda: None).cancel()
+        sim.schedule(5.0, lambda: None)
+        sim.run(max_events=1)
+        sim.clear()
+        assert sim.pending == 0
+        assert sim.next_event_time() is None
+        assert (sim.now, sim.events_processed) == (1.0, 1)
+
+    def test_clear_refused_while_running(self):
+        sim = Simulator()
+        sim.schedule(1.0, sim.clear)
+        with pytest.raises(RuntimeError, match="running"):
+            sim.run()
+
+
 class TestRunUntilClock:
     """Regression tests for the run(until=...) clock bugs."""
 

@@ -285,6 +285,24 @@ class TestProcessHost:
         sim.run()
         assert proc.fired == []
 
+    def test_teardown_detaches_and_drops_queued_events(self, sim, medium):
+        class TimerProc(Recorder):
+            def on_start(self):
+                self.set_timer(2.0, "ping")
+
+        host = ProcessHost(sim, medium)
+        host.add_all(lambda nid: TimerProc())
+        host.start()
+        medium.broadcast(0, "k", None)
+        sim.run(max_events=3)  # boots only: arrivals and timers still queued
+        assert sim.pending > 0
+        host.teardown()
+        assert sim.pending == 0
+        assert sorted(host.processes) == [0, 1, 2]  # still readable
+        medium.broadcast(0, "k", None)
+        sim.run()
+        assert all(proc.packets == [] for proc in host.processes.values())
+
     def test_packets_to_dead_node_not_handled(self, sim, medium):
         host = ProcessHost(sim, medium)
         host.add_all(lambda nid: Recorder())

@@ -1,7 +1,14 @@
 """The batched broadcast fan-out must be observationally identical to the
 legacy per-receiver path: same :class:`MediumStats`, same energy ledger,
 same handler invocation order — only ``Simulator.events_processed`` may
-(and should) shrink."""
+(and should) shrink.
+
+The receive kernel (``WirelessMedium._arrive_many``) hoists per-packet
+work out of the receiver loop, so the oracle also drives it through the
+receiver-side effects that could expose a reordering: receivers dying
+from their own rx draw mid-batch, handlers transmitting mid-batch,
+handlers reading the counters mid-batch, and the scenario delivery tap.
+"""
 
 from __future__ import annotations
 
@@ -16,39 +23,114 @@ from repro.simulator.network import WirelessMedium
 from conftest import make_deployment
 
 
-def run_storm(batch_fanout, loss_rate=0.0, jitter=0.0, rounds=3, seed=5):
-    """Every alive node broadcasts each round; capture all observables."""
+#: receiver-side effects ``run_storm`` can add to the plain storm
+CASES = ("energy", "unicast", "snapshot", "tap")
+
+REGIMES = pytest.mark.parametrize(
+    "loss_rate,jitter",
+    [(0.0, 0.0), (0.25, 0.0), (0.0, 0.4), (0.25, 0.4)],
+    ids=["clean", "loss", "jitter", "loss+jitter"],
+)
+
+
+def run_storm(batch_fanout, loss_rate=0.0, jitter=0.0, rounds=3, seed=5, case=None):
+    """Every alive node broadcasts each round; capture all observables.
+
+    ``case`` adds one receiver-side effect (None = plain storm):
+
+    * ``"energy"`` — finite batteries, so receivers die from their own rx
+      draw mid-batch.  Handlers skip dead receivers as a hosted process
+      does; the ledger is still charged.  ``observed`` lists the handler
+      calls that found their receiver dead;
+    * ``"unicast"`` — every receiver of a broadcast unicasts an echo back
+      to its sender from inside the handler;
+    * ``"snapshot"`` — every handler call records the channel and ledger
+      fingerprints and the (addition-order sensitive) ledger total;
+    * ``"tap"`` — the scenario delivery tap records one of two kinds;
+      ``observed`` is the tap log.
+
+    Case runs attach handlers to every third node only, so receivers
+    without one sit between handler calls, and send fractional packet
+    sizes, whose repeated sums differ from their products: a batched
+    counter that multiplies instead of adding one term per receiver shows
+    up.
+
+    Returns ``(stats, ledger, arrivals, events, observed)``.
+    """
     net = make_deployment(side=4, seed=5)
     sim = Simulator()
     medium = WirelessMedium(
         sim, net, loss_rate=loss_rate, jitter=jitter,
         rng=np.random.default_rng(seed), batch_fanout=batch_fanout,
     )
-    arrivals = []  # (time, receiver, src) in handler order
+    observed = None if case in (None, "unicast") else []
+    if case == "energy":
+        # ~33 receptions of ~0.2 units per node and round: batteries run
+        # out in rounds 1-2
+        for nid, node in net.nodes.items():
+            node.initial_energy = 4.0 + nid % 20 / 2
+    elif case == "tap":
+        medium.tap_kinds = frozenset({"storm"})
+        medium.delivery_log = observed
+    arrivals = []  # (time, receiver, src, kind) in handler order
+
+    def handler(pkt, nid):
+        if case == "energy" and not net.node(nid).alive:
+            observed.append((sim.now, nid, pkt.src))
+            return
+        arrivals.append((sim.now, nid, pkt.src, pkt.kind))
+        if case == "unicast" and pkt.kind == "storm":
+            medium.unicast(nid, pkt.src, "echo", pkt.payload, 0.3)
+        elif case == "snapshot":
+            ledger = medium.ledger
+            observed.append(
+                (medium.stats.fingerprint(), ledger.fingerprint(), ledger.total)
+            )
+
     for nid in net.alive_ids():
-        medium.attach(
-            nid, lambda pkt, nid=nid: arrivals.append((sim.now, nid, pkt.src))
-        )
+        if case is None or nid % 3 == 0:
+            medium.attach(nid, lambda pkt, nid=nid: handler(pkt, nid))
     for r in range(rounds):
         for nid in net.alive_ids():
-            medium.broadcast(nid, "storm", r)
+            kind = "beacon" if case == "tap" and nid % 2 == 0 else "storm"
+            size = 1.0 if case is None else 0.1 * (1 + nid % 3)
+            medium.broadcast(nid, kind, r, size)
         sim.run()
     stats = medium.stats.fingerprint()
     ledger = medium.ledger.fingerprint()
-    return stats, ledger, arrivals, sim.events_processed
+    return stats, ledger, arrivals, sim.events_processed, observed
 
 
-@pytest.mark.parametrize(
-    "loss_rate,jitter",
-    [(0.0, 0.0), (0.25, 0.0), (0.0, 0.4), (0.25, 0.4)],
-    ids=["clean", "loss", "jitter", "loss+jitter"],
-)
+@REGIMES
 def test_batch_fanout_matches_legacy_path(loss_rate, jitter):
     batched = run_storm(True, loss_rate, jitter)
     legacy = run_storm(False, loss_rate, jitter)
     assert batched[0] == legacy[0], "MediumStats diverged"
     assert batched[1] == legacy[1], "energy ledger diverged"
     assert batched[2] == legacy[2], "handler order/timing diverged"
+
+
+@REGIMES
+@pytest.mark.parametrize("case", CASES)
+def test_receive_kernel_matches_legacy_path_under_receiver_effects(
+    case, loss_rate, jitter
+):
+    batched = run_storm(True, loss_rate, jitter, case=case)
+    legacy = run_storm(False, loss_rate, jitter, case=case)
+    assert batched[0] == legacy[0], "MediumStats diverged"
+    assert batched[1] == legacy[1], "energy ledger diverged"
+    assert batched[2] == legacy[2], "handler order/timing diverged"
+    assert batched[4] == legacy[4], "mid-batch observations diverged"
+    # each case really exercises its effect
+    assert batched[2], "no handler ran"
+    if case == "energy":
+        assert batched[4], "no receiver died from its own rx draw"
+    elif case == "unicast":
+        assert any(kind == "echo" for *_, kind in batched[2]), "no echo arrived"
+    elif case == "snapshot":
+        assert len(batched[4]) == len(batched[2])
+    elif case == "tap":  # even senders broadcast the untapped kind
+        assert batched[4] and all(src % 2 for _, src, _ in batched[4])
 
 
 def test_batch_fanout_processes_fewer_events():
