@@ -23,15 +23,9 @@ duty-cycled sources; DESIGN.md §14) serially and space-partitioned,
 printing the matching fingerprints and the scenario report;
 ``tests/test_scenario.py`` holds the acceptance matrix.
 
-``python -m repro bench ...`` forwards to the perf-regression harness
-(:mod:`repro.bench`), flags included — ``--check``, ``--workers N``,
-``--profile``.
-
 ``python -m repro analyze ...`` runs the campaign-analytics pipeline
 (:mod:`repro.analyze`): memoized aggregation of sweep JSONL sinks with
-confidence intervals (``--sink``/``--by``), plus trajectory regression
-detection over the committed ``BENCH_*.json`` artifacts, writing
-``ANALYZE_report.json``.
+confidence intervals (``--sink``/``--by``).
 
 An unknown subcommand or a non-numeric ``side``/``threshold`` prints one
 usage line naming the subcommands and exits 2.
@@ -70,26 +64,12 @@ def _serve_demo(args: list[str]) -> int:
         return 2
     side, n_queries = parsed
 
-    import numpy as np
-
     from .core import CountAggregation
-    from .deployment import (
-        CellGrid,
-        Terrain,
-        build_network,
-        ensure_coverage,
-        uniform_random,
-    )
+    from .deployment import covered_deployment
     from .runtime import deploy
     from .serve import QueryEngine, ServeConfig, synthesize_arrivals
 
-    terrain = Terrain(100.0)
-    cells = CellGrid(terrain, side)
-    rng = np.random.default_rng(7)
-    positions = ensure_coverage(
-        uniform_random(side * side * 9, terrain, rng), cells, rng
-    )
-    net = build_network(positions, cells, tx_range=cells.cell_side * 2.3)
+    net = covered_deployment(side, side * side * 9, seed=7)
     stack = deploy(net)
     va = VirtualArchitecture(side)
     gather = stack.run_application(
@@ -136,11 +116,11 @@ def _partition_demo(args: list[str]) -> int:
 
     import numpy as np
 
-    from .bench import make_deployment
+    from .deployment import covered_deployment
     from .partition import effective_procs, run_partitioned_storm
 
     seed = 11
-    net = make_deployment(side=side, n_random=side * side * 6, seed=seed)
+    net = covered_deployment(side, side * side * 6, seed)
     budget = effective_procs(partitions)
     print(f"deployment           : {side}x{side} cells, {len(net)} nodes")
     print(f"partitions           : {partitions} shards on {budget.procs} "
@@ -180,7 +160,7 @@ def _count_all(cell: object) -> bool:
 
 def demo_scenario():
     """The reference full-composition scenario the demo runs."""
-    from .bench import make_deployment
+    from .deployment import covered_deployment
     from .scenario import (
         Attacker,
         LogNormalShadowing,
@@ -190,7 +170,7 @@ def demo_scenario():
     )
 
     side, seed = SCENARIO_SIDE, SCENARIO_SEED
-    net = make_deployment(side=side, n_random=140, seed=seed)
+    net = covered_deployment(side, 140, seed)
     cells = [(x, y) for x in range(side) for y in range(side)]
     return Scenario(
         link=LogNormalShadowing(sigma=3.0, seed=seed),
@@ -212,14 +192,12 @@ def _scenario_round(scenario, plan, partitions: int = 0):
     """One seeded round on a fresh stack; ``partitions=0`` = serial path."""
     import numpy as np
 
-    from .bench import make_deployment
     from .core import CountAggregation
+    from .deployment import covered_deployment
     from .partition import run_partitioned_application
     from .runtime import deploy
 
-    stack = deploy(
-        make_deployment(side=SCENARIO_SIDE, n_random=140, seed=SCENARIO_SEED)
-    )
+    stack = deploy(covered_deployment(SCENARIO_SIDE, 140, SCENARIO_SEED))
     spec = VirtualArchitecture(SCENARIO_SIDE).synthesize(CountAggregation(_count_all))
     kwargs = dict(
         rng=np.random.default_rng(SCENARIO_SEED + 1),
@@ -276,7 +254,6 @@ def _forward(module: str) -> Callable[[list[str]], int]:
 #: ``python -m repro <name> ...`` -> the handler of its remaining arguments.
 SUBCOMMANDS: dict[str, Callable[[list[str]], int]] = {
     "analyze": _forward(".analyze.cli"),
-    "bench": _forward(".bench"),
     "partition": _partition_demo,
     "scenario": _scenario_demo,
     "serve": _serve_demo,

@@ -1,9 +1,8 @@
 """``repro.analyze`` — campaign analytics: from JSONL sinks to conclusions.
 
 The results pipeline that pairs the :mod:`repro.sweep` runner (DESIGN.md
-§15): million-run campaigns land as append-only JSONL sinks and
-``BENCH_*.json`` trajectories, and this package turns them into checked,
-publishable answers —
+§15): million-run campaigns land as append-only JSONL sinks, and this
+package turns them into checked, publishable answers —
 
 * :mod:`repro.analyze.ingest` — typed, schema-validated records through
   the sink layer's torn-tail repair, with resume-duplicate deduplication
@@ -14,9 +13,6 @@ publishable answers —
   over grid axes with mergeable summaries, disk-memoized per
   ``(file sha256, query)`` so an unchanged campaign re-analyzes with
   zero record re-reads;
-* :mod:`repro.analyze.regression` — trajectory regression detection
-  (the bench 0.85x floor plus a prediction-interval CI-overlap rule)
-  emitting ``ANALYZE_report.json``;
 * :mod:`repro.analyze.tables` — deterministic text/markdown tables;
 * :mod:`repro.analyze.cli` — the ``python -m repro analyze`` subcommand.
 
@@ -48,33 +44,20 @@ from .ingest import (
     DuplicateRecordError,
     IngestReport,
     RunRecord,
-    TrajectoryDoc,
     UnknownSchemaError,
     ingest_jsonl,
-    ingest_trajectory,
-)
-from .regression import (
-    RegressionReport,
-    SeriesCheck,
-    analyze_trajectories,
-    detect_regressions,
-    write_report,
 )
 from .stats import (
     Accumulator,
     ConfidenceInterval,
     confidence_interval,
-    prediction_interval_lower,
     t_critical,
     z_critical,
 )
 from .tables import (
     campaign_table,
-    e1_table,
     format_table,
     markdown_table,
-    micro_table,
-    regression_table,
 )
 
 __all__ = [
@@ -88,27 +71,16 @@ __all__ = [
     "GroupQuery",
     "IngestReport",
     "MemoizedAggregator",
-    "RegressionReport",
     "RunRecord",
-    "SeriesCheck",
-    "TrajectoryDoc",
     "UnknownSchemaError",
     "aggregate_records",
-    "analyze_trajectories",
     "campaign_table",
     "confidence_interval",
-    "detect_regressions",
-    "e1_table",
     "file_sha256",
     "format_table",
     "ingest_jsonl",
-    "ingest_trajectory",
     "markdown_table",
     "merge_groups",
-    "micro_table",
-    "prediction_interval_lower",
-    "regression_table",
     "t_critical",
-    "write_report",
     "z_critical",
 ]

@@ -1,18 +1,14 @@
-"""Ingest: sweep JSONL sinks and trajectory JSON into typed records.
+"""Ingest: sweep JSONL sinks into typed records.
 
 The boundary between "files a campaign left on disk" and "data the
 analysis math is allowed to touch".  Everything downstream of this module
-sees only validated, deduplicated, typed values:
-
-* :func:`ingest_jsonl` reads one sweep sink through the sink layer's
-  torn-tail repair (:func:`repro.sweep.iter_records`), **rejects unknown
-  record schema versions loudly** (:class:`UnknownSchemaError` naming the
-  file and line), deduplicates resumed/re-run ``(point, replicate)``
-  records so nothing is double-counted (reported, never silent), and
-  checks every ``#audit`` duplicate's fingerprint against its primary;
-* :func:`ingest_trajectory` reads a ``BENCH_*.json`` / ``SWEEP_*.json``
-  schema-2 trajectory document (schema-1 bench snapshots are migrated
-  through :func:`repro.bench.load_trajectory`).
+sees only validated, deduplicated, typed values: :func:`ingest_jsonl`
+reads one sweep sink through the sink layer's torn-tail repair
+(:func:`repro.sweep.iter_records`), **rejects unknown record schema
+versions loudly** (:class:`UnknownSchemaError` naming the file and line),
+deduplicates resumed/re-run ``(point, replicate)`` records so nothing is
+double-counted (reported, never silent), and checks every ``#audit``
+duplicate's fingerprint against its primary.
 
 A record that fails validation is an error, not a skip: a sink full of
 records this code cannot interpret must never be summarized as if it had
@@ -21,8 +17,6 @@ been empty.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -242,57 +236,3 @@ def ingest_jsonl(path: str) -> IngestReport:
     report.records, report.duplicates = _dedupe(raw)
     report.audit_mismatches = _check_audits(report.records)
     return report
-
-
-#: Trajectory-document schema versions this code can read (2 = current;
-#: 1 = the pre-PR2 single-snapshot layout, migrated on load).
-TRAJECTORY_SCHEMAS = (1, 2)
-
-
-@dataclass(frozen=True)
-class TrajectoryDoc:
-    """One loaded ``BENCH_*.json`` / ``SWEEP_*.json`` trajectory document."""
-
-    path: str
-    bench: str
-    schema: int
-    runs: Tuple[Dict[str, Any], ...]
-
-
-def ingest_trajectory(path: str, expect_bench: Optional[str] = None) -> TrajectoryDoc:
-    """Load and validate one trajectory document.
-
-    Unknown schema versions raise :class:`UnknownSchemaError`; a
-    ``bench`` name mismatch against ``expect_bench`` is likewise an error
-    — pointing the analyzer at the wrong artifact must not produce a
-    quietly empty answer (the silent-partial lesson of PR 6).
-    """
-    if not os.path.exists(path):
-        raise AnalyzeError(f"trajectory file not found: {path}")
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise AnalyzeError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "bench" not in doc:
-        raise UnknownSchemaError(f"{path}: not a trajectory document (no 'bench')")
-    schema = doc.get("schema", 1)
-    if schema not in TRAJECTORY_SCHEMAS:
-        raise UnknownSchemaError(
-            f"{path}: trajectory schema {schema!r} is not a supported "
-            f"version {TRAJECTORY_SCHEMAS}"
-        )
-    bench = str(doc["bench"])
-    if expect_bench is not None and bench != expect_bench:
-        raise AnalyzeError(
-            f"{path}: bench {bench!r} does not match expected {expect_bench!r}"
-        )
-    if schema >= 2:
-        runs = doc.get("runs")
-        if not isinstance(runs, list):
-            raise UnknownSchemaError(f"{path}: schema-2 document without a runs list")
-    else:
-        from ..bench import load_trajectory
-
-        runs = load_trajectory(path, bench)
-    return TrajectoryDoc(path=path, bench=bench, schema=int(schema), runs=tuple(runs))

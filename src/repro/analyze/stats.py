@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, Tuple
 
 #: Degrees of freedom pinned in the t tables (interpolated in 1/df between).
 _T_DFS: Tuple[int, ...] = tuple(range(1, 31)) + (40, 60, 120)
@@ -247,24 +247,3 @@ def confidence_interval(
         confidence=confidence, n=acc.count, method=method,
     )
 
-
-def prediction_interval_lower(
-    acc: Accumulator, confidence: float = 0.99
-) -> Optional[float]:
-    """Lower bound of the one-new-observation prediction interval.
-
-    The regression detector's CI-overlap rule: a *new* trajectory point
-    consistent with the recorded history should land above
-    ``mean - t * s * sqrt(1 + 1/n)``.  ``None`` when the history is too
-    short (< 2 samples) or has zero spread — a degenerate history cannot
-    support a statistical verdict and the caller falls back to the floor
-    rule alone.
-    """
-    if acc.count < 2 or acc.std == 0.0:
-        return None
-    crit = (
-        z_critical(confidence)
-        if acc.count >= NORMAL_CUTOVER_N
-        else t_critical(acc.count - 1, confidence)
-    )
-    return acc.mean - crit * acc.std * math.sqrt(1.0 + 1.0 / acc.count)

@@ -235,8 +235,8 @@ class EnergyLedger:
 
         Node keys are stringified before sorting so heterogeneous keys
         (int ids, grid-coordinate tuples) stay comparable; category totals
-        ride along.  Determinism tests and ``repro.bench`` compare these
-        instead of hand-rolled sorted-dict copies.
+        ride along.  Determinism tests and the benchmark's replay digests
+        compare these instead of hand-rolled sorted-dict copies.
         """
         return (
             tuple(sorted((str(node), amount) for node, amount in self._consumed.items())),

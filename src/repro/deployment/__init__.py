@@ -19,7 +19,7 @@ from .placement import (
     uniform_random,
 )
 from .terrain import CellGrid, Point, Terrain, max_cell_side_for_range
-from .topology import RealNetwork, build_network
+from .topology import RealNetwork, build_network, covered_deployment
 
 __all__ = [
     "CellGrid",
@@ -30,6 +30,7 @@ __all__ = [
     "Terrain",
     "build_network",
     "clustered",
+    "covered_deployment",
     "density_per_cell",
     "ensure_coverage",
     "max_cell_side_for_range",

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..core.coords import GridCoord
 from .node import SensorNode
+from .placement import ensure_coverage, uniform_random
 from .terrain import CellGrid, Point, Terrain
 
 
@@ -395,3 +396,20 @@ def build_network(
         for i, p in enumerate(positions)
     ]
     return RealNetwork(nodes, cells)
+
+
+def covered_deployment(side: int, n_nodes: int, seed: int) -> RealNetwork:
+    """The standard seeded world: ``n_nodes`` uniform-random nodes on a
+    100-unit terrain cut into ``side x side`` cells, plus one node in each
+    cell left empty (:func:`~repro.deployment.placement.ensure_coverage`),
+    with a radio range of 2.3 cell sides.
+
+    The demos, the sweep workloads and the chaos soak all deploy through
+    this one builder; both placement steps draw from one
+    ``default_rng(seed)``.
+    """
+    terrain = Terrain(100.0)
+    cells = CellGrid(terrain, side)
+    rng = np.random.default_rng(seed)
+    positions = ensure_coverage(uniform_random(n_nodes, terrain, rng), cells, rng)
+    return build_network(positions, cells, tx_range=cells.cell_side * 2.3)

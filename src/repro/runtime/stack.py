@@ -385,6 +385,9 @@ class DeployedStack:
             sim.run(max_events=max_events)
         finally:
             host.teardown()
+            # a corrupting fault plan's transform is the injector's bound
+            # method, and the injector holds the medium: break that cycle too
+            medium.tx_transform = None
         if report is not None:
             report.orphaned_deliveries = counters["orphaned"]
         if scenario_injector is not None:

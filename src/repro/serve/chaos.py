@@ -49,21 +49,10 @@ def build_serving_stack(
     partitioned while the serving engine itself stays serial.
     """
     from ..core import CountAggregation, VirtualArchitecture
-    from ..deployment import (
-        CellGrid,
-        Terrain,
-        build_network,
-        ensure_coverage,
-        uniform_random,
-    )
+    from ..deployment import covered_deployment
     from ..runtime.stack import deploy
 
-    terrain = Terrain(100.0)
-    cells = CellGrid(terrain, side)
-    rng = np.random.default_rng(seed)
-    positions = ensure_coverage(uniform_random(n_nodes, terrain, rng), cells, rng)
-    net = build_network(positions, cells, tx_range=cells.cell_side * 2.3)
-    stack = deploy(net)
+    stack = deploy(covered_deployment(side, n_nodes, seed))
     va = VirtualArchitecture(side)
     spec = va.synthesize(CountAggregation(_count_all), max_level=1)
     if partitions > 1:

@@ -114,8 +114,9 @@ class MediumStats:
         """Canonical, order-stable serialization of every counter.
 
         Two runs are observationally identical at the channel level iff
-        their fingerprints compare equal; the determinism tests and
-        ``repro.bench`` compare these instead of hand-rolled dicts.
+        their fingerprints compare equal; the determinism tests and the
+        benchmark's replay digests compare these instead of hand-rolled
+        dicts.
         """
         return (
             self.transmissions,

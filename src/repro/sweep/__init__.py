@@ -6,14 +6,14 @@ high-throughput experiment platform:
 * :mod:`repro.sweep.spec` — declarative :class:`SweepSpec` grids with
   deterministic per-run seed derivation (``spec_hash x point x replicate``);
 * :mod:`repro.sweep.workloads` — the registry of seed-pure experiment
-  kernels (``e1``, ``storm``, ``regions``, ``churn``);
+  kernels (``e1``, ``storm``, ``regions``, ``churn``, ``serve``);
 * :mod:`repro.sweep.scheduler` — the multiprocess shard scheduler with
   per-run timeouts, bounded retry of crashed/hung workers, and structured
   failure records;
 * :mod:`repro.sweep.sink` — the append-only JSONL result sink with
   resume-from-partial-results and the cross-shard determinism audit;
-* :mod:`repro.sweep.aggregate` — collapse to ``BENCH_*.json`` schema-2
-  trajectory summaries;
+* :mod:`repro.sweep.aggregate` — collapse to schema-2 per-commit
+  ``SWEEP_*.json`` summaries;
 * :mod:`repro.sweep.cli` — the ``python -m repro sweep`` subcommand.
 
 Quick use::

@@ -1,13 +1,11 @@
-"""Aggregation of sweep records into ``BENCH_*.json``-style summaries.
+"""Aggregation of sweep records into per-commit ``SWEEP_*.json`` summaries.
 
 One sweep's JSONL records collapse into a per-grid-point summary dict
 (count, failures, min/mean/max of every numeric metric, distinct
 fingerprints across replicates), and that summary is appended as one
-per-commit entry to a schema-2 trajectory document — the same
-``{"bench": ..., "schema": 2, "runs": [{"commit", "date", "workloads"}]}``
-shape :mod:`repro.bench` maintains for ``BENCH_micro.json`` /
-``BENCH_e1.json``, so sweep summaries accumulate across commits and can be
-diffed by the same tooling.
+per-commit entry to a schema-2 trajectory document,
+``{"bench": ..., "schema": 2, "runs": [{"commit", "date", "workloads"}]}``,
+so sweep summaries accumulate across commits and can be diffed.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from typing import Any, Dict, List, Optional
 
 from .spec import SweepSpec
 
-#: Version tag of the summary-document layout (shared with repro.bench).
+#: Version tag of the summary-document layout (2 = per-commit entries).
 SUMMARY_SCHEMA = 2
 
 

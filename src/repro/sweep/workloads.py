@@ -39,8 +39,7 @@ from typing import Any, Callable, Dict, List
 import numpy as np
 
 from ..core import CountAggregation, VirtualArchitecture
-from ..deployment import CellGrid, Terrain, build_network, ensure_coverage, uniform_random
-from ..deployment.topology import RealNetwork
+from ..deployment import covered_deployment
 from ..partition import effective_procs
 from ..runtime import (
     FaultPlan,
@@ -93,17 +92,6 @@ def get_workload(name: str) -> WorkloadFn:
 def public_workloads() -> List[str]:
     """The user-facing workload names (internal ``_``-prefixed ones hidden)."""
     return sorted(k for k in WORKLOADS if not k.startswith("_"))
-
-
-def _make_deployment(
-    side: int, n_random: int, seed: int, range_cells: float = 2.3
-) -> RealNetwork:
-    """A covered deployment over ``side x side`` cells (the bench layout)."""
-    terrain = Terrain(100.0)
-    cells = CellGrid(terrain, side)
-    rng = np.random.default_rng(seed)
-    positions = ensure_coverage(uniform_random(n_random, terrain, rng), cells, rng)
-    return build_network(positions, cells, tx_range=cells.cell_side * range_cells)
 
 
 def _count_all_cells(cell: Any) -> bool:
@@ -164,7 +152,7 @@ def e1_scaling(params: Dict[str, Any], seed: int) -> WorkloadOutcome:
     max_retries = int(
         params.get("max_retries", 8 if (plan is not None or scenario is not None) else 3)
     )
-    net = _make_deployment(side, n_random, seed)
+    net = covered_deployment(side, n_random, seed)
     stack = deploy(net)
     va = VirtualArchitecture(side)
     spec = va.synthesize(CountAggregation(_count_all_cells))
@@ -228,7 +216,7 @@ def broadcast_storm(params: Dict[str, Any], seed: int) -> WorkloadOutcome:
     rounds = int(params.get("rounds", 10))
     loss = float(params.get("loss", 0.0))
     jitter = float(params.get("jitter", 0.0))
-    net = _make_deployment(side, n_random, seed)
+    net = covered_deployment(side, n_random, seed)
     sim = Simulator()
     medium = WirelessMedium(
         sim, net, loss_rate=loss, jitter=jitter, rng=np.random.default_rng(seed)
@@ -322,7 +310,7 @@ def leader_churn(params: Dict[str, Any], seed: int) -> WorkloadOutcome:
     midrun_kill = int(params.get("midrun_kill", 0))
     if not 0.0 <= churn <= 1.0:
         raise ValueError(f"churn must be in [0, 1], got {churn}")
-    net = _make_deployment(side, n_random, seed)
+    net = covered_deployment(side, n_random, seed)
     stack = deploy(net)
     rng = np.random.default_rng(seed)
     cells = sorted(stack.binding.leaders)
@@ -429,7 +417,7 @@ def query_serving(params: Dict[str, Any], seed: int) -> WorkloadOutcome:
     max_staleness = int(params.get("max_staleness", 0))
     overload = str(params.get("overload", "shed"))
     kill_leaders = int(params.get("kill_leaders", 0))
-    net = _make_deployment(side, n_random, seed)
+    net = covered_deployment(side, n_random, seed)
     stack = deploy(net)
     va = VirtualArchitecture(side)
     gather = stack.run_application(
@@ -520,63 +508,6 @@ def query_serving(params: Dict[str, Any], seed: int) -> WorkloadOutcome:
     return WorkloadOutcome(
         metrics=metrics,
         fingerprint=stable_digest(tuple(fp_parts)),
-    )
-
-
-@workload("timer_storm")
-def timer_storm_churn(params: Dict[str, Any], seed: int) -> WorkloadOutcome:
-    """The ``repro.bench`` timer-churn workload behind the shard scheduler."""
-    from .. import bench
-
-    ops = int(params.get("ops", 100_000))
-    legacy = bool(params.get("legacy_handles", False))
-    row = bench.timer_storm(ops=ops, seed=seed, legacy_handles=legacy)
-    return WorkloadOutcome(
-        metrics={k: float(v) for k, v in row.items()},
-        fingerprint=stable_digest(
-            (row["timer_ops"], row["events_processed"], row["transmissions"])
-        ),
-    )
-
-
-@workload("pingpong")
-def unicast_pingpong(params: Dict[str, Any], seed: int) -> WorkloadOutcome:
-    """The ``repro.bench`` neighbour ping-pong behind the shard scheduler."""
-    from .. import bench
-
-    count = int(params.get("count", 20_000))
-    row = bench.unicast_pingpong(count=count, seed=seed)
-    return WorkloadOutcome(
-        metrics={k: float(v) for k, v in row.items()},
-        fingerprint=stable_digest(
-            (row["transmissions"], row["deliveries"], row["events_processed"])
-        ),
-    )
-
-
-@workload("bench_micro")
-def bench_micro(params: Dict[str, Any], seed: int) -> WorkloadOutcome:
-    """One variant of the full ``repro.bench`` micro suite.
-
-    ``python -m repro.bench --workers N`` expands the whole suite as a
-    grid over ``variant`` and shards it through the scheduler — the
-    ROADMAP item of parallelizing full bench runs.  Fingerprints cover
-    only the deterministic counters (never wall times), so serial and
-    sharded dispatch of the same variant must fingerprint-match.
-    """
-    from .. import bench
-
-    variant = str(params.get("variant", ""))
-    scale = float(params.get("scale", 1.0))
-    variants = bench.micro_variants(scale)
-    if variant not in variants:
-        raise KeyError(
-            f"unknown bench_micro variant {variant!r} (known: {sorted(variants)})"
-        )
-    row = variants[variant](seed)
-    return WorkloadOutcome(
-        metrics={k: float(v) for k, v in row.items()},
-        fingerprint=bench.micro_fingerprint(variant, row),
     )
 
 

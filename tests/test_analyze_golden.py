@@ -1,19 +1,16 @@
-"""Golden fixtures for the analyze pipeline output formats.
+"""Golden fixture for the analyze pipeline output format.
 
-Byte-pins the two publishable artifacts of `repro.analyze` against
-fixtures committed under ``tests/data/analyze_fixtures/``:
+Byte-pins the publishable artifact of `repro.analyze` against fixtures
+committed under ``tests/data/analyze_fixtures/``: ``golden_table.txt`` is
+the campaign table for a fixed synthetic sweep sink (``campaign.jsonl``),
+aggregated by ``loss`` at 95% confidence.
 
-* ``golden_table.txt`` — the campaign table for a fixed synthetic sweep
-  sink (``campaign.jsonl``), aggregated by ``loss`` at 95% confidence;
-* ``golden_report.json`` — ``ANALYZE_report.json`` for a fixed
-  ``bench_micro.json`` trajectory containing one deliberate regression.
-
-Any formatting or statistics change trips these byte comparisons; the
-fix is a conscious regeneration —
+Any formatting or statistics change trips this byte comparison; the fix
+is a conscious regeneration —
 
     python tests/test_analyze_golden.py --regen
 
-— which rebuilds the fixture *inputs* and the pinned *outputs* from the
+— which rebuilds the fixture *input* and the pinned *output* from the
 same deterministic builders, never a silent drift (the same contract as
 ``tests/test_runtime_wire.py --regen`` for the wire format).
 """
@@ -29,11 +26,8 @@ import pytest
 from repro.analyze import (
     GroupQuery,
     MemoizedAggregator,
-    analyze_trajectories,
     campaign_table,
-    ingest_trajectory,
     markdown_table,
-    write_report,
 )
 from repro.sweep.sink import append_record
 from repro.sweep.spec import SweepSpec
@@ -41,9 +35,7 @@ from repro.sweep.worker import base_record
 
 FIXTURES_DIR = os.path.join(os.path.dirname(__file__), "data", "analyze_fixtures")
 CAMPAIGN_PATH = os.path.join(FIXTURES_DIR, "campaign.jsonl")
-BENCH_PATH = os.path.join(FIXTURES_DIR, "bench_micro.json")
 GOLDEN_TABLE = os.path.join(FIXTURES_DIR, "golden_table.txt")
-GOLDEN_REPORT = os.path.join(FIXTURES_DIR, "golden_report.json")
 
 REGEN_HINT = (
     "the analyze output format changed: if intentional, regenerate the "
@@ -85,39 +77,11 @@ def campaign_records():
     return records
 
 
-def bench_trajectory():
-    """A 6-commit micro trajectory whose last commit regresses one gate."""
-    gated = [1.00e6, 1.02e6, 0.99e6, 1.01e6, 1.00e6, 0.50e6]
-    steady = [2.00e6, 1.98e6, 2.02e6, 2.01e6, 1.99e6, 2.00e6]
-    return {
-        "bench": "micro",
-        "schema": 2,
-        "runs": [
-            {
-                "commit": f"fixture{i}",
-                "date": f"2026-01-{i + 1:02d}",
-                "workloads": {
-                    "medium_broadcast_storm": {
-                        "deliveries_per_s": g, "wall_s": 1.0,
-                    },
-                    "wire_codec": {"roundtrips_per_s": s, "wall_s": 1.0},
-                },
-            }
-            for i, (g, s) in enumerate(zip(gated, steady))
-        ],
-    }
-
-
 def build_table() -> str:
     result = MemoizedAggregator(cache_dir=None).aggregate(
         [CAMPAIGN_PATH], GroupQuery(by=("loss",))
     )
     return campaign_table(result, confidence=0.95)
-
-
-def build_report() -> dict:
-    doc = ingest_trajectory(BENCH_PATH, expect_bench="micro")
-    return analyze_trajectories([(doc.bench, doc.runs)])
 
 
 def regenerate_fixtures() -> None:
@@ -127,12 +91,8 @@ def regenerate_fixtures() -> None:
             os.unlink(stale)
     for record in campaign_records():
         append_record(CAMPAIGN_PATH, record)
-    with open(BENCH_PATH, "w") as fh:
-        json.dump(bench_trajectory(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
     with open(GOLDEN_TABLE, "w") as fh:
         fh.write(build_table())
-    write_report(GOLDEN_REPORT, build_report())
     print(f"regenerated fixtures under {FIXTURES_DIR}")
 
 
@@ -142,42 +102,14 @@ def regenerate_fixtures() -> None:
 
 class TestGoldenFixtures:
     def test_fixture_inputs_match_their_builders(self):
-        """The committed inputs regenerate identically from the builders."""
+        """The committed input regenerates identically from its builder."""
         with open(CAMPAIGN_PATH) as fh:
             committed = [json.loads(line) for line in fh]
         assert committed == campaign_records(), REGEN_HINT
-        with open(BENCH_PATH) as fh:
-            assert json.load(fh) == bench_trajectory(), REGEN_HINT
 
     def test_campaign_table_bytes(self):
         with open(GOLDEN_TABLE) as fh:
             assert build_table() == fh.read(), REGEN_HINT
-
-    def test_analyze_report_bytes(self, tmp_path):
-        out = tmp_path / "ANALYZE_report.json"
-        write_report(str(out), build_report())
-        with open(GOLDEN_REPORT, "rb") as fh:
-            assert out.read_bytes() == fh.read(), REGEN_HINT
-
-    def test_report_byte_stable_across_two_runs(self, tmp_path):
-        first, second = tmp_path / "a.json", tmp_path / "b.json"
-        write_report(str(first), build_report())
-        write_report(str(second), build_report())
-        assert first.read_bytes() == second.read_bytes()
-        assert build_table() == build_table()
-
-    def test_golden_report_names_the_planted_regression(self):
-        with open(GOLDEN_REPORT) as fh:
-            doc = json.load(fh)
-        assert doc["ok"] is False
-        (finding,) = doc["findings"]
-        assert finding["workload"] == "medium_broadcast_storm"
-        assert finding["metric"] == "deliveries_per_s"
-        # the steady wire_codec series stays clean in the same report
-        clean = [
-            c for c in doc["checked"] if c["workload"] == "wire_codec"
-        ]
-        assert clean and clean[0]["status"] == "ok"
 
     def test_markdown_rendering_row_count(self):
         """Markdown mirrors the text table row-for-row (format-only diff)."""

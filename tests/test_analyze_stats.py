@@ -31,7 +31,6 @@ from repro.analyze.stats import (
     SUPPORTED_CONFIDENCES,
     Accumulator,
     confidence_interval,
-    prediction_interval_lower,
     t_critical,
     z_critical,
 )
@@ -163,16 +162,6 @@ class TestConfidenceIntervals:
                             m2=float(NORMAL_CUTOVER_N - 1), min=-1.0, max=1.0)
         assert confidence_interval(small).method == "t"
         assert confidence_interval(large).method == "normal"
-
-    @given(samples)
-    @settings(max_examples=50, deadline=None)
-    def test_prediction_interval_below_mean(self, xs):
-        acc = single_pass(xs)
-        lower = prediction_interval_lower(acc)
-        if acc.count < 2 or acc.std == 0.0:
-            assert lower is None
-        else:
-            assert lower < acc.mean
 
 
 class TestTTable:

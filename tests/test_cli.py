@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 
 from repro.__main__ import SUBCOMMANDS, main
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 class TestCli:
@@ -39,8 +43,13 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "argv",
-        [["bogus"], ["8", "abc"], ["faults"]],
-        ids=["unknown-subcommand", "non-numeric-threshold", "removed-subcommand"],
+        [["bogus"], ["8", "abc"], ["faults"], ["bench"]],
+        ids=[
+            "unknown-subcommand",
+            "non-numeric-threshold",
+            "removed-subcommand",
+            "removed-bench-subcommand",
+        ],
     )
     def test_unknown_input_prints_one_usage_line(self, argv, capsys):
         assert main(argv) == 2
@@ -68,8 +77,19 @@ class TestCli:
     def test_sweep_subcommand_dispatches(self, capsys):
         assert main(["sweep", "--list-workloads"]) == 0
         out = capsys.readouterr().out
-        assert "e1" in out
-        assert "storm" in out
+        assert sorted(out.split()) == ["churn", "e1", "regions", "serve", "storm"]
+
+    def test_analyze_without_a_sink_has_nothing_to_do(self, capsys):
+        assert main(["analyze"]) == 2
+        err = capsys.readouterr().err
+        assert err == "nothing to do: no --sink given\n"
+
+    def test_analyze_subcommand_prints_the_campaign_table(self, capsys):
+        sink = REPO / "tests" / "data" / "analyze_fixtures" / "campaign.jsonl"
+        assert main(["analyze", "--sink", str(sink), "--by", "loss", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "deliveries_per_s" in out
+        assert "campaign: 2 group(s) from 1 file(s)" in out
 
     def test_serve_subcommand_runs_demo(self, capsys):
         assert main(["serve", "4", "6"]) == 0

@@ -10,7 +10,7 @@ import pytest
 from repro.deployment.node import SensorNode
 from repro.deployment.placement import one_per_cell, uniform_random, ensure_coverage
 from repro.deployment.terrain import CellGrid, Terrain
-from repro.deployment.topology import RealNetwork, build_network
+from repro.deployment.topology import RealNetwork, build_network, covered_deployment
 
 from conftest import make_deployment
 
@@ -212,3 +212,17 @@ class TestPaths:
     def test_distance(self):
         net = line_network([(0.0, 0.0), (3.0, 4.0)], tx_range=10.0)
         assert net.distance(0, 1) == pytest.approx(5.0)
+
+
+class TestCoveredDeployment:
+    @pytest.mark.parametrize("side,n_nodes,seed", [(4, 140, 7), (8, 384, 11), (8, 5, 3)])
+    def test_is_the_standard_covered_world(self, side, n_nodes, seed):
+        """Same draws as the hand-built world: uniform placement, then
+        coverage patches from one rng; 100-unit terrain, range 2.3 cells."""
+        net = covered_deployment(side, n_nodes, seed)
+        ref = make_deployment(side=side, n_random=n_nodes, seed=seed)
+        assert [n.position for n in net.nodes.values()] == [
+            n.position for n in ref.nodes.values()
+        ]
+        assert {n.tx_range for n in net.nodes.values()} == {100.0 / side * 2.3}
+        assert net.all_cells_covered()

@@ -19,7 +19,7 @@ from repro.core import (
     VirtualArchitecture,
 )
 from repro.core.coords import Direction
-from repro.runtime import deploy, next_direction, trace_route
+from repro.runtime import deploy, next_direction, plan_leader_storm, trace_route
 from repro.runtime.stack import DeployedStack
 
 from conftest import make_deployment
@@ -181,10 +181,21 @@ class TestRoundTeardown:
     """A finished round's world is freed by reference counting alone,
     not left as cyclic garbage for the next full collection."""
 
-    @pytest.mark.parametrize("max_events", [10_000_000, 60], ids=["drained", "cut_off"])
-    def test_round_world_dies_without_the_collector(self, max_events):
+    @pytest.mark.parametrize(
+        "max_events,corrupt_frames",
+        [(10_000_000, 0), (60, 0), (10_000_000, 2)],
+        ids=["drained", "cut_off", "corrupting"],
+    )
+    def test_round_world_dies_without_the_collector(self, max_events, corrupt_frames):
         stack = deploy(make_deployment(side=4, seed=3))
         spec = VirtualArchitecture(4).synthesize(CountAggregation(lambda c: True))
+        plan = None
+        if corrupt_frames:
+            # the injector's frame-mangling transform holds the medium
+            plan = plan_leader_storm(
+                sorted(stack.binding.leaders), kills=1, at=0.5, seed=3,
+                corrupt_frames=corrupt_frames,
+            )
         media = []
         build = stack.make_harness
 
@@ -200,6 +211,7 @@ class TestRoundTeardown:
             run = stack.run_application(
                 spec, loss_rate=0.05, rng=np.random.default_rng(1),
                 reliable=True, wire_format=True, max_events=max_events,
+                fault_plan=plan,
             )
             assert len(media) == 1
             assert media[0]() is None, "the round's medium outlived run_application"
@@ -207,6 +219,8 @@ class TestRoundTeardown:
             gc.enable()
         if max_events == 60:
             assert run.events_processed == max_events, "the round was not cut off"
+        if corrupt_frames:
+            assert run.fault_report.frames_corrupted == corrupt_frames
 
     def test_hosted_processes_stay_readable(self, stack4):
         _, stack = stack4

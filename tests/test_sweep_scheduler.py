@@ -62,6 +62,21 @@ class TestShardedPath:
         sharded = run_sweep(TINY_STORM, workers=2, timeout_s=120, retries=1)
         assert fingerprints(sharded) == fingerprints(serial)
 
+    def test_lossy_jittered_storm_matches_serial(self):
+        """The loss-and-jitter regime draws per receiver, interleaved: it
+        must shard as deterministically as the loss-only one."""
+        spec = SweepSpec(
+            name="sched-storm-jitter",
+            workload="storm",
+            grid={},
+            fixed={"side": 4, "n_random": 70, "rounds": 2, "loss": 0.1, "jitter": 0.3},
+            replicates=2,
+        )
+        serial = run_sweep(spec, workers=1)
+        assert all(r["status"] == "ok" for r in serial)
+        sharded = run_sweep(spec, workers=2, timeout_s=180, retries=1)
+        assert fingerprints(sharded) == fingerprints(serial)
+
     def test_audit_duplicates_land_on_a_different_shard(self):
         sharded = run_sweep(TINY_STORM, workers=2, timeout_s=120, retries=1)
         by_id = {r["run_id"]: r for r in sharded}
