@@ -28,7 +28,7 @@ from repro.core import (
     synthesize_quadtree_program,
 )
 
-from conftest import print_table
+from paper_helpers import print_table
 
 SIDE = 16
 

@@ -24,7 +24,7 @@ from repro.core import (
     synthesize_tree_program,
 )
 
-from conftest import print_table
+from paper_helpers import print_table
 
 #: (grid side, matching 4-ary tree depth) at equal leaf count side**2 = 4**depth
 PAIRS = [(4, 2), (8, 3), (16, 4), (32, 5)]

@@ -22,7 +22,7 @@ from repro.core import (
     simulate_event_activations,
 )
 
-from conftest import print_table
+from paper_helpers import print_table
 
 SIDE = 8
 CAPACITY = 1_500.0

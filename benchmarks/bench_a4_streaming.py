@@ -23,7 +23,7 @@ from repro.core import (
 )
 from repro.core.process_network import ProcessNetwork
 
-from conftest import print_table
+from paper_helpers import print_table
 
 SIDE = 4
 ROUNDS = 8

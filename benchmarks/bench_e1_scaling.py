@@ -14,7 +14,7 @@ import pytest
 from repro.core import CountAggregation, VirtualArchitecture
 from repro.core.analysis import quadtree_step_count
 
-from conftest import print_table
+from paper_helpers import print_table
 
 SIDES = [4, 8, 16, 32, 64]
 

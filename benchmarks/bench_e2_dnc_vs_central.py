@@ -14,7 +14,7 @@ from repro.apps import compare_designs, random_feature_matrix, run_centralized
 from repro.core import VirtualArchitecture
 from repro.core.analysis import crossover_side, estimate_centralized, estimate_quadtree
 
-from conftest import print_table
+from paper_helpers import print_table
 
 SIDES = [4, 8, 16, 32]
 

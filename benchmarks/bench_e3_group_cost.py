@@ -15,7 +15,7 @@ from repro.core import HierarchicalGroups, OrientedGrid, UniformCostModel
 from repro.core.analysis import group_communication_cost_table
 from repro.core.primitives import PrimitiveEnvironment
 
-from conftest import print_table
+from paper_helpers import print_table
 
 SIDE = 16
 

@@ -15,7 +15,7 @@ import pytest
 from repro.core.coords import ALL_DIRECTIONS
 from repro.runtime import emulate_topology, max_intra_cell_path_length
 
-from conftest import make_deployment, print_table
+from paper_helpers import make_deployment, print_table
 
 
 @pytest.mark.parametrize("n_random", [60, 120, 240])

@@ -12,7 +12,7 @@ import pytest
 
 from repro.runtime import bind_processes, oracle_binding, residual_energy_metric
 
-from conftest import make_deployment, print_table
+from paper_helpers import make_deployment, print_table
 
 
 @pytest.mark.parametrize("n_random", [60, 120, 240])

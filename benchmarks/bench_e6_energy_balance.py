@@ -19,7 +19,7 @@ from repro.core import (
 )
 from repro.core.cost_model import system_lifetime
 
-from conftest import print_table
+from paper_helpers import print_table
 
 SIDE = 16
 

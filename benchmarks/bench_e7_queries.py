@@ -22,7 +22,7 @@ from repro.apps import (
 )
 from repro.core import VirtualArchitecture
 
-from conftest import print_table
+from paper_helpers import print_table
 
 SIDE = 16
 LEVEL = 2

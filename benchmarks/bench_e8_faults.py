@@ -18,7 +18,7 @@ from repro.apps import (
 from repro.core import VirtualArchitecture
 from repro.runtime import deploy, kill_leaders, kill_random_nodes, recover
 
-from conftest import make_deployment, print_table
+from paper_helpers import make_deployment, print_table
 
 SIDE = 4
 

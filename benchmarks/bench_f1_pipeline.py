@@ -18,7 +18,7 @@ from repro.core import (
 )
 from repro.runtime import deploy
 
-from conftest import make_deployment, print_table
+from paper_helpers import make_deployment, print_table
 
 SIDE = 8
 FIELD = GaussianBlobField([(0.3, 0.3, 0.12, 1.0), (0.75, 0.7, 0.08, 1.0)])

@@ -12,7 +12,7 @@ import pytest
 from repro.core import OrientedGrid, build_quadtree, quadtree_ascii
 from repro.core.taskgraph import TaskId
 
-from conftest import print_table
+from paper_helpers import print_table
 
 
 def test_figure2_regeneration(benchmark):

@@ -19,7 +19,7 @@ from repro.core import (
 )
 from repro.core.taskgraph import TaskId
 
-from conftest import print_table
+from paper_helpers import print_table
 
 
 def test_figure3_regeneration(benchmark):

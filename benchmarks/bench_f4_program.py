@@ -15,7 +15,7 @@ from repro.core import VirtualArchitecture
 from repro.core.executor import execute_round
 from repro.runtime import deploy
 
-from conftest import make_deployment, print_table
+from paper_helpers import make_deployment, print_table
 
 
 def test_figure4_text_regeneration(benchmark):

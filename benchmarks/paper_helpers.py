@@ -1,10 +1,16 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the paper-artifact benchmarks.
 
 Each ``bench_*`` module regenerates one paper artifact (figure) or claim
 (experiment id in DESIGN.md).  Benchmarks both *time* the relevant stage
 with pytest-benchmark and *print* the regenerated table/series (visible
-with ``pytest benchmarks/ --benchmark-only -s``); shape assertions keep the
-regeneration honest even when output is captured.
+with ``pytest benchmarks/ --benchmark-only --benchmark-enable -s``); shape
+assertions keep the regeneration honest even when output is captured.
+The tier-1 suite collects these modules with timing disabled, so every
+claim's assertions run on every test run.
+
+Not a ``conftest.py``: ``tests/`` has one too, and two conftest modules
+collected by one pytest run share the module name ``conftest``, so a
+test's ``from conftest import ...`` could resolve to the wrong file.
 """
 
 from __future__ import annotations

@@ -76,6 +76,18 @@ class CorruptedFrame:
         return f"CorruptedFrame({self.original!r})"
 
 
+_MASK64 = (1 << 64) - 1
+_SPLITMIX_SEED = 0x9E3779B97F4A7C15
+_UNIT_SCALE = float(1 << 53)
+
+
+def _mix(x: int, part: int) -> int:
+    """One splitmix64 round: absorb ``part`` into the 64-bit state ``x``."""
+    x = ((x ^ (part & _MASK64)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
 def _stable_unit(*parts: int) -> float:
     """Deterministic hash of integers to ``[0, 1)`` (splitmix64-style).
 
@@ -83,18 +95,13 @@ def _stable_unit(*parts: int) -> float:
     medium RNG (that would perturb the loss/jitter stream of every other
     transmission), so it is derived purely from ``(node, uid, attempt)``.
     """
-    mask = (1 << 64) - 1
-    x = 0x9E3779B97F4A7C15
+    x = _SPLITMIX_SEED
     for p in parts:
-        x = (x ^ (p & mask)) & mask
-        x = (x * 0xBF58476D1CE4E5B9) & mask
-        x ^= x >> 27
-        x = (x * 0x94D049BB133111EB) & mask
-        x ^= x >> 31
-    return (x >> 11) / float(1 << 53)
+        x = _mix(x, p)
+    return (x >> 11) / _UNIT_SCALE
 
 
-@dataclass
+@dataclass(slots=True)
 class TransportEnvelope:
     """A cell-addressed message in flight.
 
@@ -206,6 +213,10 @@ class TransportProcess(Process):
         fault_report: "Optional[FaultReport]" = None,
     ):
         super().__init__()
+        if ack_timeout <= 0:
+            raise ValueError(f"ack_timeout must be > 0, got {ack_timeout}")
+        if max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         if dedup_window < 1:
             raise ValueError(f"dedup_window must be >= 1, got {dedup_window}")
         if backoff_factor < 1.0:
@@ -256,6 +267,10 @@ class TransportProcess(Process):
         # healing state
         self._last_hb = 0.0
         self._takeover_seen: Set[Tuple[GridCoord, int]] = set()
+        # origin -> splitmix state with this node's id and the origin
+        # folded in, made on the first retry delay of each origin (the host
+        # assigns node_id after construction)
+        self._backoff_states: Dict[int, int] = {}
 
     # -- API used by the application layer ---------------------------------------
 
@@ -328,16 +343,31 @@ class TransportProcess(Process):
         key: Hashable,
         seq: int,
     ) -> None:
-        seen = recent.setdefault(key, set())
+        """Record ``seq`` as seen; a new high-water mark evicts every seq
+        at or below ``seq - window``.
+
+        Callers mark only what :meth:`_window_seen` reports unseen, so
+        every remembered seq lies in ``(top - window, top]``.  Eviction
+        therefore walks whichever is smaller: the seqs the floor passes
+        over, or the set itself.
+        """
+        seen = recent.get(key)
+        if seen is None:
+            seen = recent[key] = set()
         top = high.get(key, -1)
         if seq > top:
             high[key] = seq
-            floor = seq - window
             if seen:
-                seen.difference_update([s for s in seen if s <= floor])
+                floor = seq - window
+                if floor - (top - window) < len(seen):
+                    seen.difference_update(range(top - window + 1, floor + 1))
+                else:
+                    seen.difference_update([s for s in seen if s <= floor])
         seen.add(seq)
 
     def _uid_seen(self, origin: Hashable, seq: int) -> bool:
+        """The forwarding dedup's answer for ``(origin, seq)``; ``on_packet``
+        keys it by ``(origin, previous hop)``."""
         return self._window_seen(
             self._seen_high, self._seen_recent, self.dedup_window, origin, seq
         )
@@ -355,64 +385,83 @@ class TransportProcess(Process):
             self.fault_report.frames_rejected += 1
 
     def on_packet(self, packet: Packet) -> None:
-        if isinstance(packet.payload, CorruptedFrame):
-            # object-passing analogue of an undecodable wire frame
-            self._reject_frame()
-            return
-        if packet.kind == ACK_KIND:
+        """Dispatch one arrival by kind: envelopes (the hot path) first,
+        then acknowledgements, then the healing floods.  A payload mangled
+        in flight (:class:`CorruptedFrame`) is rejected whatever its kind.
+        """
+        kind = packet.kind
+        if kind == TRANSPORT_KIND:
+            envelope: TransportEnvelope = packet.payload
+            if isinstance(envelope, CorruptedFrame):
+                # object-passing analogue of an undecodable wire frame
+                self._reject_frame()
+                return
+            if self.wire_format and isinstance(envelope, (bytes, bytearray, memoryview)):
+                try:
+                    envelope = self._wire.decode_envelope(envelope)
+                except self._wire.WireDecodeError:
+                    # corrupted/truncated frame: count and drop, never crash
+                    # the simulation; the upstream ARQ (if any) retransmits
+                    self._reject_frame()
+                    return
+            uid = envelope.uid
+            if self.reliable and uid is not None:
+                # acknowledge receipt to the previous hop (even duplicates:
+                # the original ack may have been the lost packet)
+                src = packet.src
+                self.medium.unicast(
+                    self.node_id,
+                    src,
+                    ACK_KIND,
+                    self._wire.encode_ack(uid) if self.wire_format else uid,
+                    self.ack_size_units,
+                )
+                origin, seq = uid
+                key = (origin, src)
+                high, recent, window = self._seen_high, self._seen_recent, self.dedup_window
+                if self._window_seen(high, recent, window, key, seq):
+                    self.duplicates_suppressed += 1
+                    return
+                self._window_mark(high, recent, window, key, seq)
+            self._route(envelope)
+        elif kind == ACK_KIND:
             uid = packet.payload
+            if isinstance(uid, CorruptedFrame):
+                self._reject_frame()
+                return
             if self.wire_format and isinstance(uid, (bytes, bytearray, memoryview)):
                 try:
                     uid = self._wire.decode_ack(uid)
                 except self._wire.WireDecodeError:
                     self._reject_frame()
                     return
-            self._on_ack(uid)
-            return
-        if packet.kind == HEARTBEAT_KIND:
+            self._pending.pop(uid, None)
+            self.cancel_timer(uid)
+        elif isinstance(packet.payload, CorruptedFrame):
+            self._reject_frame()
+        elif kind == HEARTBEAT_KIND:
             self._on_heartbeat(packet)
-            return
-        if packet.kind == TAKEOVER_KIND:
+        elif kind == TAKEOVER_KIND:
             self._on_takeover(packet)
-            return
-        if packet.kind != TRANSPORT_KIND:
-            return
-        envelope: TransportEnvelope = packet.payload
-        if self.wire_format and isinstance(envelope, (bytes, bytearray, memoryview)):
-            try:
-                envelope = self._wire.decode_envelope(envelope)
-            except self._wire.WireDecodeError:
-                # corrupted/truncated frame: count and drop, never crash
-                # the simulation; the upstream ARQ (if any) retransmits
-                self._reject_frame()
-                return
-        if self.reliable and envelope.uid is not None:
-            # acknowledge receipt to the previous hop (even duplicates:
-            # the original ack may have been the lost packet)
-            ack = (
-                self._wire.encode_ack(envelope.uid)
-                if self.wire_format
-                else envelope.uid
-            )
-            self.unicast(packet.src, ACK_KIND, ack, self.ack_size_units)
-            origin, seq = envelope.uid
-            if self._uid_seen((origin, packet.src), seq):
-                self.duplicates_suppressed += 1
-                return
-            self._uid_mark((origin, packet.src), seq)
-        self._route(envelope)
-
-    def _on_ack(self, uid: Tuple[int, int]) -> None:
-        self._pending.pop(uid, None)
-        self.cancel_timer(uid)
 
     def _retry_delay(self, uid: Tuple[int, int], attempt: int) -> float:
-        """Wait before retry ``attempt`` of ``uid`` (seeded backoff)."""
+        """Wait before retry ``attempt`` of ``uid`` (seeded backoff).
+
+        The jitter is :func:`_stable_unit` of ``(node, uid, attempt)``.
+        The node and the uid's origin are folded into the hash state once
+        per origin, so each timer hashes only ``(seq, attempt)``.
+        """
         delay = self.ack_timeout * (self.backoff_factor ** attempt)
         if delay > self.backoff_max:
             delay = self.backoff_max
         if self.backoff_jitter > 0.0:
-            u = _stable_unit(self.node_id, uid[0], uid[1], attempt)
+            origin, seq = uid
+            state = self._backoff_states.get(origin)
+            if state is None:
+                state = self._backoff_states[origin] = _mix(
+                    _mix(_SPLITMIX_SEED, self.node_id), origin
+                )
+            u = (_mix(_mix(state, seq), attempt) >> 11) / _UNIT_SCALE
             delay *= 1.0 + self.backoff_jitter * u
         return delay
 
@@ -434,15 +483,13 @@ class TransportProcess(Process):
             self._drop(envelope, f"no ack from {nxt} after {attempts} retries")
             return
         if self.healing is not None:
-            if (
-                self.my_cell == envelope.dst_cell
-                and self.binding.is_leader(self.node_id)
-            ):
+            cell = self.my_cell
+            if cell == envelope.dst_cell and self.binding.is_leader(self.node_id):
                 # this node became the leader while the envelope waited
                 del self._pending[tag]
                 self._deliver_once(envelope)
                 return
-            new_nxt, _reason = self._resolve_next_hop(envelope)
+            new_nxt, _reason = self._resolve_next_hop(envelope, cell)
             if new_nxt is None:
                 # still unroutable (failover/repair not done yet): burn an
                 # attempt and back off without transmitting
@@ -462,56 +509,70 @@ class TransportProcess(Process):
         self.set_timer(self._retry_delay(tag, attempts + 1), tag)
 
     def _resolve_next_hop(
-        self, envelope: TransportEnvelope
+        self, envelope: TransportEnvelope, cell: GridCoord
     ) -> Tuple[Optional[int], str]:
-        """The current next hop for ``envelope``, repairing routes on
-        demand (healing mode) when the recorded hop is dead or missing."""
+        """The current next hop from this node, in ``cell``, for
+        ``envelope``, repairing routes on demand (healing mode) when the
+        recorded hop is dead, missing or out of range."""
         net = self.medium.network
-        cell = self.my_cell
+        node_id = self.node_id
+        healing = self.healing
         if cell == envelope.dst_cell:
-            nxt = self.binding.toward_leader.get(self.node_id)
-            if self.healing is not None and (
+            nxt = self.binding.toward_leader.get(node_id)
+            if healing is not None and (
                 nxt is None
-                or not net.node(nxt).alive
-                or nxt not in net.neighbor_set(self.node_id)
+                or not net.nodes[nxt].alive
+                or nxt not in net.neighbor_set(node_id)
             ):
                 # dead, or moved out of radio range (mobility): repair
                 if self.binding.repair_gradient(cell) and self.fault_report is not None:
                     self.fault_report.reroutes += 1
-                nxt = self.binding.toward_leader.get(self.node_id)
+                nxt = self.binding.toward_leader.get(node_id)
             if nxt is None:
                 return None, "no gradient pointer toward leader"
         else:
             direction = next_direction(cell, envelope.dst_cell)
-            nxt = self.topology.entry(self.node_id, direction)
-            if self.healing is not None and (
+            nxt = self.topology.entry(node_id, direction)
+            if healing is not None and (
                 nxt is None
-                or not net.node(nxt).alive
-                or nxt not in net.neighbor_set(self.node_id)
+                or not net.nodes[nxt].alive
+                or nxt not in net.neighbor_set(node_id)
             ):
                 if self.topology.repair(cell, direction) and self.fault_report is not None:
                     self.fault_report.reroutes += 1
-                nxt = self.topology.entry(self.node_id, direction)
+                nxt = self.topology.entry(node_id, direction)
             if nxt is None:
                 return None, f"no routing entry {direction.name}"
-        if not net.node(nxt).alive:
+        if not net.nodes[nxt].alive:
             return None, f"next hop {nxt} dead"
-        if nxt not in net.neighbor_set(self.node_id):
+        if nxt not in net.neighbor_set(node_id):
             return None, f"next hop {nxt} out of range"
         return nxt, ""
 
     def _route(self, envelope: TransportEnvelope) -> None:
-        if (
-            self.my_cell == envelope.dst_cell
-            and self.binding.is_leader(self.node_id)
-        ):
+        """Deliver ``envelope`` here, or forward it one hop.
+
+        One step per hop: this node's cell is looked up once, and the next
+        hop's liveness and range are checked once, by
+        :meth:`_resolve_next_hop`.
+        """
+        node_id = self.node_id
+        cell = self.medium.network.cell_of(node_id)
+        if cell == envelope.dst_cell and self.binding.leaders.get(cell) == node_id:
             self._deliver_once(envelope)
             return
-        nxt, reason = self._resolve_next_hop(envelope)
+        nxt, reason = self._resolve_next_hop(envelope, cell)
         if nxt is None:
             self._unroutable(envelope, reason)
             return
-        self._forward(envelope, nxt)
+        envelope.hops += 1
+        self.forwarded += 1
+        self._tx_envelope(nxt, envelope)
+        uid = envelope.uid
+        if self.reliable and uid is not None:
+            # snapshot hops as transmitted: retransmissions resend this value
+            self._pending[uid] = (envelope, nxt, 0, envelope.hops)
+            self.set_timer(self._retry_delay(uid, 0), uid)
 
     def _unroutable(self, envelope: TransportEnvelope, reason: str) -> None:
         if (
@@ -539,24 +600,13 @@ class TransportProcess(Process):
 
     def _tx_envelope(self, nxt: int, envelope: TransportEnvelope) -> None:
         """One physical transmission of ``envelope`` (encoding if wired)."""
-        payload: Any = (
-            self._wire.encode_envelope(envelope) if self.wire_format else envelope
+        self.medium.unicast(
+            self.node_id,
+            nxt,
+            TRANSPORT_KIND,
+            self._wire.encode_envelope(envelope) if self.wire_format else envelope,
+            envelope.size_units,
         )
-        self.unicast(nxt, TRANSPORT_KIND, payload, envelope.size_units)
-
-    def _forward(self, envelope: TransportEnvelope, nxt: int) -> None:
-        if not self.medium.network.node(nxt).alive:
-            # unreachable without healing: _resolve_next_hop pre-checks
-            # liveness, so this only guards direct callers in tests
-            self._unroutable(envelope, f"next hop {nxt} dead")
-            return
-        envelope.hops += 1
-        self.forwarded += 1
-        self._tx_envelope(nxt, envelope)
-        if self.reliable and envelope.uid is not None:
-            # snapshot hops as transmitted: retransmissions resend this value
-            self._pending[envelope.uid] = (envelope, nxt, 0, envelope.hops)
-            self.set_timer(self._retry_delay(envelope.uid, 0), envelope.uid)
 
     def _deliver_once(self, envelope: TransportEnvelope) -> None:
         """Deliver to the bound program at most once per uid.

@@ -61,6 +61,8 @@ import struct
 import zlib
 from typing import Any, Callable, Dict, Optional, Tuple, Type
 
+from ..core.program import Message
+from ..simulator.network import Packet
 from .routing import TransportEnvelope
 
 #: Version byte of the frame layout.  Bump consciously: the golden
@@ -336,8 +338,6 @@ def _encode_message(message: Any) -> bytes:
 
 
 def _decode_message(raw: bytes) -> Any:
-    from ..core.program import Message
-
     view = memoryview(raw)
     kind, pos = _read_value(view, 0)
     sender, pos = _read_value(view, pos)
@@ -365,8 +365,6 @@ def encode_payload(inner: Any) -> Tuple[int, bytes]:
     value codec, and finally — the documented fallback for unregistered
     types — pickle under :data:`PAYLOAD_PICKLE`.
     """
-    from ..core.program import Message
-
     tag = _CODECS_BY_TYPE.get(type(inner))
     if tag is not None:
         return tag, _CODECS_BY_TAG[tag][1](inner)
@@ -597,8 +595,6 @@ def encode_packet(packet: Any) -> bytes:
 def decode_packet(buf: bytes) -> Any:
     """Inverse of :func:`encode_packet`; raises :class:`WireDecodeError`
     on anything that is not a well-formed packet frame of this version."""
-    from ..simulator.network import Packet
-
     view = memoryview(buf)
     if len(view) < 3:
         raise WireDecodeError("packet frame shorter than its header")

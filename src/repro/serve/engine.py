@@ -122,8 +122,8 @@ class ServeConfig:
     healing_headroom: float = 24.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.loss_rate <= 1.0:
-            raise ValueError(f"loss_rate must be in [0, 1], got {self.loss_rate}")
+        if not 0.0 <= self.loss_rate < 1.0:
+            raise ValueError(f"loss_rate must be in [0, 1), got {self.loss_rate}")
         if self.ack_timeout <= 0:
             raise ValueError(f"ack_timeout must be > 0, got {self.ack_timeout}")
         if self.max_retries < 0:

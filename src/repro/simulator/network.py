@@ -20,12 +20,13 @@ an :class:`EnergyLedger` keyed by node id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
 from ..core.cost_model import CostModel, EnergyLedger, UniformCostModel
+from ..deployment.node import SensorNode
 from ..deployment.topology import RealNetwork
 from .engine import Simulator
 from .trace import MediumStats
@@ -49,7 +50,7 @@ class PartitionSlice:
     lookahead: float
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """One radio packet.
 
@@ -63,6 +64,23 @@ class Packet:
     payload: Any
     size_units: float = 1.0
     dst: Optional[int] = None
+
+
+class _Categories(dict):
+    """Packet kind -> ledger category ``"<direction>:<kind>"``.
+
+    Each category string is formatted on the first packet of its kind and
+    looked up afterwards, so the per-packet paths pay a dict subscript
+    instead of a string format.
+    """
+
+    def __init__(self, direction: str):
+        super().__init__()
+        self.direction = direction
+
+    def __missing__(self, kind: str) -> str:
+        category = self[kind] = f"{self.direction}:{kind}"
+        return category
 
 
 class WirelessMedium:
@@ -123,6 +141,8 @@ class WirelessMedium:
             self.rng = np.random.default_rng(rng)
         self.ledger = EnergyLedger()
         self.stats = MediumStats()
+        self._tx_category = _Categories("tx")
+        self._rx_category = _Categories("rx")
         self._handlers: Dict[int, Callable[[Packet], None]] = {}
         # (src, dst) pairs whose radio link is administratively severed
         # (fault injection); empty in normal operation so the hot paths
@@ -277,7 +297,7 @@ class WirelessMedium:
         each shard generator sees is a pure function of its own nodes'
         transmissions.
         """
-        if not self.network.node(dst).alive:
+        if not self.network.nodes[dst].alive:
             return False
         if self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
             self.stats.record_drop(packet.kind)
@@ -334,11 +354,11 @@ class WirelessMedium:
         runs are byte-for-byte reproducible across the fast and legacy
         paths.
         """
-        node = self.network.node(src)
+        node = self.network.nodes[src]
         if not node.alive:
             return 0
-        self._charge_tx(src, size_units, kind)
-        packet = Packet(src=src, kind=kind, payload=payload, size_units=size_units)
+        self._charge_tx(node, size_units, kind)
+        packet = Packet(src, kind, payload, size_units)
         if self.tx_transform is not None:
             packet = self.tx_transform(packet)
         receivers = self.network.alive_neighbors(src)
@@ -413,33 +433,37 @@ class WirelessMedium:
         ``src`` — multi-hop forwarding is a protocol concern
         (``repro.runtime.routing``), not a radio capability.  Returns
         whether delivery was scheduled (False = lost or dead receiver).
+
+        The per-hop transmit step of the transport: the sender is looked
+        up once, and the packet is built positionally (keyword
+        construction of the dataclass costs about twice as much).
         """
-        node = self.network.node(src)
+        network = self.network
+        node = network.nodes[src]
         if not node.alive:
             return False
-        if dst not in self.network.neighbor_set(src):
+        if dst not in network.neighbor_set(src):
             raise ValueError(f"{dst} is not a one-hop neighbour of {src}")
-        self._charge_tx(src, size_units, kind)
+        self._charge_tx(node, size_units, kind)
+        stats = self.stats
         if self._blocked_links and (src, dst) in self._blocked_links:
             # partitioned link: energy is spent, nothing arrives
-            self.stats.record_drop(kind)
-            self.stats.record_tx(kind, size_units, 0)
+            stats.record_drop(kind)
+            stats.record_tx(kind, size_units, 0)
             return False
         if self.link_gate is not None and not self.link_gate.admit(src, dst):
             # faded by the link model: energy is spent, nothing arrives
-            self.stats.record_drop(kind)
-            self.stats.record_tx(kind, size_units, 0)
+            stats.record_drop(kind)
+            stats.record_tx(kind, size_units, 0)
             return False
-        packet = Packet(
-            src=src, kind=kind, payload=payload, size_units=size_units, dst=dst
-        )
+        packet = Packet(src, kind, payload, size_units, dst)
         if self.tx_transform is not None:
             packet = self.tx_transform(packet)
         if self._partition is not None and dst not in self._partition.local:
             ok = self._deliver_remote(packet, dst)
         else:
             ok = self._deliver(packet, dst)
-        self.stats.record_tx(kind, size_units, 1 if ok else 0)
+        stats.record_tx(kind, size_units, 1 if ok else 0)
         return ok
 
     # -- internals ---------------------------------------------------------------
@@ -526,15 +550,19 @@ class WirelessMedium:
             else:
                 schedule(time, arrive_many, packet, group)
 
-    def _charge_tx(self, src: int, size_units: float, kind: str) -> None:
+    def _charge_tx(self, node: SensorNode, size_units: float, kind: str) -> None:
         energy = self.cost_model.tx_energy(size_units)
-        self.network.node(src).draw(energy)
-        self.ledger.charge(src, energy, f"tx:{kind}")
+        node.draw(energy)
+        self.ledger.charge(node.node_id, energy, self._tx_category[kind])
 
     def _deliver(self, packet: Packet, receiver: int) -> bool:
-        if not self.network.node(receiver).alive:
+        """Loss and latency of one receiver's copy: the unicast delivery
+        step, and the per-receiver step of the ``batch_fanout=False``
+        broadcast oracle."""
+        if not self.network.nodes[receiver].alive:
             return False
-        if self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
+        loss_rate = self.loss_rate
+        if loss_rate > 0.0 and self.rng.random() < loss_rate:
             self.stats.record_drop(packet.kind)
             return False
         delay = self.cost_model.tx_latency(packet.size_units)
@@ -544,16 +572,20 @@ class WirelessMedium:
         return True
 
     def _arrive(self, packet: Packet, receiver: int) -> None:
-        node = self.network.node(receiver)
+        """One receiver's arrival: every unicast, and the per-receiver
+        step of the ``batch_fanout=False`` broadcast oracle."""
+        node = self.network.nodes[receiver]
         if not node.alive:  # died in flight
             return
-        if self.tap_kinds and packet.kind in self.tap_kinds:
+        kind = packet.kind
+        if self.tap_kinds and kind in self.tap_kinds:
             # passive adversary tap (repro.scenario): record, never perturb
             self.delivery_log.append((self.sim.now, packet.src, receiver))
-        energy = self.cost_model.rx_energy(packet.size_units)
+        size_units = packet.size_units
+        energy = self.cost_model.rx_energy(size_units)
         node.draw(energy)
-        self.ledger.charge(receiver, energy, f"rx:{packet.kind}")
-        self.stats.record_rx(packet.kind, packet.size_units)
+        self.ledger.charge(receiver, energy, self._rx_category[kind])
+        self.stats.record_rx(kind, size_units)
         handler = self._handlers.get(receiver)
         if handler is not None:
             handler(packet)
@@ -579,7 +611,7 @@ class WirelessMedium:
         kind = packet.kind
         size_units = packet.size_units
         energy = self.cost_model.rx_energy(size_units)
-        category = f"rx:{kind}"
+        category = self._rx_category[kind]
         tap = (
             self.delivery_log.append
             if self.tap_kinds and kind in self.tap_kinds

@@ -30,6 +30,7 @@ from repro.core import CountAggregation, VirtualArchitecture
 from repro.deployment import covered_deployment
 from repro.runtime import FaultEvent, FaultPlan, deploy
 from repro.runtime.faults import HealingConfig
+from repro.runtime.routing import TransportProcess
 from repro.serve import (
     OUTCOMES,
     Arrival,
@@ -115,6 +116,51 @@ class TestBoundaryValidation:
             "max_staleness > 0 requires cache=True (default policy sets max_staleness=1)"
         ):
             ServeConfig(cache=False, default_policy=TenantPolicy(max_staleness=1))
+
+    def test_config_rejects_certain_loss(self):
+        # the medium's own bound: a config it would refuse is refused here
+        with raises_exact("loss_rate must be in [0, 1), got 1.0"):
+            ServeConfig(loss_rate=1.0)
+
+
+class TestTransportValidation:
+    """The transport and ``run_application`` refuse the ARQ settings
+    ``ServeConfig`` refuses, with the same messages."""
+
+    def test_process_rejects_nonpositive_ack_timeout(self, served_stack):
+        stack, _ = served_stack
+        with raises_exact("ack_timeout must be > 0, got 0.0"):
+            TransportProcess(stack.topology, stack.binding, ack_timeout=0.0)
+
+    def test_process_rejects_negative_max_retries(self, served_stack):
+        stack, _ = served_stack
+        with raises_exact("max_retries must be >= 0, got -1"):
+            TransportProcess(stack.topology, stack.binding, max_retries=-1)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"ack_timeout": 0}, "ack_timeout must be > 0, got 0"),
+            ({"ack_timeout": -4.0}, "ack_timeout must be > 0, got -4.0"),
+            ({"max_retries": -1}, "max_retries must be >= 0, got -1"),
+        ],
+        ids=["zero-timeout", "negative-timeout", "negative-retries"],
+    )
+    def test_run_application_rejects(self, served_stack, kwargs, message):
+        stack, _ = served_stack
+        spec = VirtualArchitecture(4).synthesize(CountAggregation(lambda c: True))
+        with raises_exact(message):
+            stack.run_application(
+                spec, loss_rate=0.05, rng=np.random.default_rng(1), reliable=True,
+                **kwargs,
+            )
+
+    def test_boundary_values_accepted(self, served_stack):
+        stack, _ = served_stack
+        proc = TransportProcess(
+            stack.topology, stack.binding, max_retries=0, ack_timeout=1e-9
+        )
+        assert proc.max_retries == 0 and proc.ack_timeout == 1e-9
 
 
 class TestOverloadControl:
