@@ -1,28 +1,18 @@
 """Micro-benchmarks of the core data structures and kernels.
 
-Not a paper artifact — the throughput baseline a performance regression
-would show up against: Morton indexing, the boundary merge, the rule
-engine, the executor's event rate, and the unit-disk graph construction.
+Not a paper artifact: Morton indexing, the boundary merge and the
+recursive region labeling, timed by pytest-benchmark when it is enabled
+and run once as plain checks otherwise.  The rule-engine, executor and
+unit-disk checks that used to sit here now live in `tests/`.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.apps import label_regions_quadtree, random_feature_matrix
 from repro.apps.boundary import MergeAccumulator, cell_summary
-from repro.core import (
-    CountAggregation,
-    HierarchicalGroups,
-    OrientedGrid,
-    execute_round,
-    morton_decode,
-    morton_encode,
-    synthesize_quadtree_program,
-)
-from repro.core.program import Message
-from repro.deployment import CellGrid, Terrain, build_network, uniform_random
+from repro.core import morton_decode, morton_encode
 
 
 def test_morton_encode_throughput(benchmark):
@@ -60,43 +50,3 @@ def test_recursive_labeling_scales(benchmark, side):
     feat = random_feature_matrix(side, 0.4, rng=1)
     summary = benchmark(label_regions_quadtree, feat)
     assert summary.total_regions() > 0
-
-
-def test_rule_engine_delivery_rate(benchmark):
-    groups = HierarchicalGroups(OrientedGrid(4))
-    spec = synthesize_quadtree_program(groups, CountAggregation(lambda c: True))
-
-    def run():
-        prog = spec.program_for((0, 0))
-        prog.start()
-        for s in ((1, 0), (0, 1), (1, 1)):
-            prog.deliver(Message("mGraph", s, payload=1, level=1))
-        return prog
-
-    prog = benchmark(run)
-    assert prog.state["recLevel"] == 2
-
-
-def test_executor_event_rate(benchmark):
-    groups = HierarchicalGroups(OrientedGrid(32))
-    agg = CountAggregation(lambda c: True)
-
-    def run():
-        return execute_round(
-            synthesize_quadtree_program(groups, agg), charge_compute=False
-        )
-
-    result = benchmark(run)
-    assert result.root_payload == 1024
-
-
-def test_unit_disk_graph_construction(benchmark):
-    terrain = Terrain(100.0)
-    cells = CellGrid(terrain, 8)
-    positions = uniform_random(1000, terrain, rng=3)
-
-    def run():
-        return build_network(positions, cells, tx_range=8.0)
-
-    net = benchmark(run)
-    assert len(net) == 1000

@@ -28,7 +28,7 @@ of dying with the original route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 from ..core.coords import Direction, GridCoord
@@ -36,6 +36,15 @@ from ..simulator.network import Packet
 from ..simulator.process import Process
 from .binding import Binding
 from .topology_emulation import EmulatedTopology
+from .wire import (
+    EncodedPayload,
+    TransportEnvelope,
+    WireDecodeError,
+    decode_ack,
+    decode_envelope,
+    encode_ack,
+    encode_envelope,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults imports us)
     from .faults import FaultReport, HealingConfig
@@ -101,24 +110,6 @@ def _stable_unit(*parts: int) -> float:
     return (x >> 11) / _UNIT_SCALE
 
 
-@dataclass(slots=True)
-class TransportEnvelope:
-    """A cell-addressed message in flight.
-
-    ``hops`` counts physical transmissions so far (diagnostics); ``inner``
-    is the application payload delivered to the destination cell's bound
-    process.  ``uid`` identifies the envelope end to end in reliable mode
-    (origin node id, origin-local sequence number).
-    """
-
-    src_cell: GridCoord
-    dst_cell: GridCoord
-    inner: Any
-    size_units: float = 1.0
-    hops: int = 0
-    uid: Optional[Tuple[int, int]] = None
-
-
 def next_direction(src_cell: GridCoord, dst_cell: GridCoord) -> Direction:
     """XY routing decision: first fix x (east/west), then y (north/south)."""
     if src_cell == dst_cell:
@@ -176,12 +167,16 @@ class TransportProcess(Process):
     wire_format:
         Encode every hop through the compact binary codec of
         :mod:`repro.runtime.wire`: envelopes (and, in reliable mode,
-        acknowledgements) travel the medium as ``bytes`` frames and the
-        receive path decodes them back.  Observable behaviour — stats,
-        energy, delivery order, fingerprints — is identical to object
-        passing.  Undecodable frames (corruption, truncation) are counted
-        in :attr:`rejected_frames` and dropped; in reliable mode the
-        upstream hop never sees an acknowledgement and retransmits.
+        acknowledgements) travel the medium as ``bytes`` frames.  Every
+        node validates each frame it receives; relays forward it with only
+        ``hops`` and the CRC re-packed, and the delivering leader alone
+        decodes the payload.  Observable behaviour — stats, energy,
+        delivery order, fingerprints — is identical to object passing.
+        Undecodable frames (corruption, truncation) are counted in
+        :attr:`rejected_frames` and dropped; in reliable mode the upstream
+        hop never sees an acknowledgement and retransmits.  A frame whose
+        header and CRC are valid but whose payload body is not is
+        forwarded, and rejected where the payload is decoded.
     healing:
         A :class:`~repro.runtime.faults.HealingConfig` enables the
         self-healing machinery (heartbeats, failover, route repair,
@@ -192,9 +187,30 @@ class TransportProcess(Process):
         Shared :class:`~repro.runtime.faults.FaultReport` receiving the
         observability counters (detections, failovers, reroutes,
         redirects, rejected frames).
+
+    The constructor takes these arguments and passes them to :meth:`arm`.
     """
 
-    def __init__(
+    __slots__ = (
+        "topology", "binding", "on_deliver", "on_drop", "reliable",
+        "max_retries", "ack_timeout", "ack_size_units", "dedup_window",
+        "wire_format", "backoff_factor", "backoff_jitter", "backoff_max",
+        "healing", "fault_report", "drops", "forwarded", "retransmissions",
+        "duplicates_suppressed", "rejected_frames", "_seq", "_pending",
+        "_seen_high", "_seen_recent", "_dlv_high", "_dlv_recent", "_last_hb",
+        "_takeover_seen", "_backoff_states",
+    )
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__()
+        # origin -> splitmix state with this node's id and the origin
+        # folded in, made on the first retry delay of each origin (the host
+        # assigns node_id after construction).  A pure function of the node
+        # and the origin, so unlike the per-round state it outlives rounds
+        self._backoff_states: Dict[int, int] = {}
+        self.arm(*args, **kwargs)
+
+    def arm(
         self,
         topology: EmulatedTopology,
         binding: Binding,
@@ -211,8 +227,14 @@ class TransportProcess(Process):
         backoff_max: Optional[float] = None,
         healing: "Optional[HealingConfig]" = None,
         fault_report: "Optional[FaultReport]" = None,
-    ):
-        super().__init__()
+    ) -> None:
+        """Set every per-round field: the configuration, the counters, and
+        the sequence, custody, dedup, timer and healing state.
+
+        The constructor runs it; a stack that keeps its processes across
+        rounds runs it again before each round, which leaves the process
+        equal to a freshly constructed one (DESIGN.md §7, "Round reuse").
+        """
         if ack_timeout <= 0:
             raise ValueError(f"ack_timeout must be > 0, got {ack_timeout}")
         if max_retries < 0:
@@ -223,6 +245,9 @@ class TransportProcess(Process):
             raise ValueError(f"backoff_factor must be >= 1.0, got {backoff_factor}")
         if backoff_jitter < 0.0:
             raise ValueError(f"backoff_jitter must be >= 0, got {backoff_jitter}")
+        if backoff_max is not None and backoff_max <= 0:
+            raise ValueError(f"backoff_max must be > 0, got {backoff_max}")
+        self._reset_timers()
         self.topology = topology
         self.binding = binding
         self.on_deliver = on_deliver
@@ -240,10 +265,6 @@ class TransportProcess(Process):
         )
         self.healing = healing
         self.fault_report = fault_report
-        if wire_format:
-            from . import wire  # deferred: wire imports TransportEnvelope
-
-            self._wire = wire
         self.drops = 0
         self.forwarded = 0
         self.retransmissions = 0
@@ -251,9 +272,10 @@ class TransportProcess(Process):
         self.rejected_frames = 0
         self._seq = 0
         # uid -> (envelope, next hop, attempts, hops snapshot at send time);
-        # next hop -1 means "deferred, never transmitted" (healing mode).
-        # The ack timer of each pending uid is the tag-indexed process
-        # timer keyed by the uid itself
+        # in wire mode the envelope as sent, its inner the frame.  Next hop
+        # -1 means "deferred, never transmitted" (healing mode).  The ack
+        # timer of each pending uid is the tag-indexed process timer keyed
+        # by the uid itself
         self._pending: Dict[Tuple[int, int], Tuple[TransportEnvelope, int, int, int]] = {}
         # forwarding dedup: highest seq seen + seen seqs within the window,
         # keyed by (origin, previous hop) so ARQ echoes are suppressed
@@ -267,10 +289,6 @@ class TransportProcess(Process):
         # healing state
         self._last_hb = 0.0
         self._takeover_seen: Set[Tuple[GridCoord, int]] = set()
-        # origin -> splitmix state with this node's id and the origin
-        # folded in, made on the first retry delay of each origin (the host
-        # assigns node_id after construction)
-        self._backoff_states: Dict[int, int] = {}
 
     # -- API used by the application layer ---------------------------------------
 
@@ -398,8 +416,10 @@ class TransportProcess(Process):
                 return
             if self.wire_format and isinstance(envelope, (bytes, bytearray, memoryview)):
                 try:
-                    envelope = self._wire.decode_envelope(envelope)
-                except self._wire.WireDecodeError:
+                    # the payload stays encoded: a relay forwards the frame
+                    # and only the delivering leader decodes it
+                    envelope = decode_envelope(envelope, payload=False)
+                except WireDecodeError:
                     # corrupted/truncated frame: count and drop, never crash
                     # the simulation; the upstream ARQ (if any) retransmits
                     self._reject_frame()
@@ -413,7 +433,7 @@ class TransportProcess(Process):
                     self.node_id,
                     src,
                     ACK_KIND,
-                    self._wire.encode_ack(uid) if self.wire_format else uid,
+                    encode_ack(uid) if self.wire_format else uid,
                     self.ack_size_units,
                 )
                 origin, seq = uid
@@ -431,8 +451,8 @@ class TransportProcess(Process):
                 return
             if self.wire_format and isinstance(uid, (bytes, bytearray, memoryview)):
                 try:
-                    uid = self._wire.decode_ack(uid)
-                except self._wire.WireDecodeError:
+                    uid = decode_ack(uid)
+                except WireDecodeError:
                     self._reject_frame()
                     return
             self._pending.pop(uid, None)
@@ -480,7 +500,7 @@ class TransportProcess(Process):
         envelope, nxt, attempts, hops_at_send = entry
         if attempts >= self.max_retries:
             del self._pending[tag]
-            self._drop(envelope, f"no ack from {nxt} after {attempts} retries")
+            self._give_up(envelope, f"no ack from {nxt} after {attempts} retries")
             return
         if self.healing is not None:
             cell = self.my_cell
@@ -503,7 +523,8 @@ class TransportProcess(Process):
         self._pending[tag] = (envelope, nxt, attempts + 1, hops_at_send)
         # retransmit a snapshot, not the live envelope: downstream hops may
         # have incremented ``hops`` on the shared object since the first
-        # attempt, and re-sending it would carry the inflated count
+        # attempt, and re-sending it would carry the inflated count.  In
+        # wire mode the snapshot re-packs the frame sent the first time
         clone = replace(envelope, hops=hops_at_send)
         self._tx_envelope(nxt, clone)
         self.set_timer(self._retry_delay(tag, attempts + 1), tag)
@@ -567,11 +588,11 @@ class TransportProcess(Process):
             return
         envelope.hops += 1
         self.forwarded += 1
-        self._tx_envelope(nxt, envelope)
+        sent = self._tx_envelope(nxt, envelope)
         uid = envelope.uid
         if self.reliable and uid is not None:
             # snapshot hops as transmitted: retransmissions resend this value
-            self._pending[uid] = (envelope, nxt, 0, envelope.hops)
+            self._pending[uid] = (sent, nxt, 0, envelope.hops)
             self.set_timer(self._retry_delay(uid, 0), uid)
 
     def _unroutable(self, envelope: TransportEnvelope, reason: str) -> None:
@@ -583,7 +604,7 @@ class TransportProcess(Process):
             # hold custody: a failover or repair may open a route shortly
             self._defer(envelope, reason)
         else:
-            self._drop(envelope, reason)
+            self._give_up(envelope, reason)
 
     def _defer(self, envelope: TransportEnvelope, reason: str) -> None:
         uid = envelope.uid
@@ -593,20 +614,47 @@ class TransportProcess(Process):
         hops_at_send = entry[3] if entry is not None else envelope.hops + 1
         if attempts >= self.max_retries:
             self._pending.pop(uid, None)
-            self._drop(envelope, reason)
+            self._give_up(envelope, reason)
             return
         self._pending[uid] = (envelope, -1, attempts + 1, hops_at_send)
         self.set_timer(self._retry_delay(uid, attempts + 1), uid)
 
-    def _tx_envelope(self, nxt: int, envelope: TransportEnvelope) -> None:
-        """One physical transmission of ``envelope`` (encoding if wired)."""
-        self.medium.unicast(
-            self.node_id,
-            nxt,
-            TRANSPORT_KIND,
-            self._wire.encode_envelope(envelope) if self.wire_format else envelope,
-            envelope.size_units,
-        )
+    def _tx_envelope(self, nxt: int, envelope: TransportEnvelope) -> TransportEnvelope:
+        """One physical transmission of ``envelope``; returns it as sent.
+
+        In wire mode that is the envelope with its inner in the frame just
+        sent (:class:`~repro.runtime.wire.EncodedPayload`), so an origin's
+        retransmissions, like a relay's, re-pack that frame instead of
+        running the payload codec again.
+        """
+        if not self.wire_format:
+            self.medium.unicast(
+                self.node_id, nxt, TRANSPORT_KIND, envelope, envelope.size_units
+            )
+            return envelope
+        frame = encode_envelope(envelope)
+        self.medium.unicast(self.node_id, nxt, TRANSPORT_KIND, frame, envelope.size_units)
+        if type(envelope.inner) is EncodedPayload:
+            return envelope
+        return replace(envelope, inner=EncodedPayload(frame))
+
+    def _decode_inner(self, envelope: TransportEnvelope) -> bool:
+        """Decode a wire-mode envelope's inner in place, where it is first
+        needed; False, counted in :attr:`rejected_frames`, if its payload
+        body does not decode (relays forward such a frame unchecked)."""
+        inner = envelope.inner
+        if type(inner) is EncodedPayload:
+            try:
+                envelope.inner = decode_envelope(inner.frame).inner
+            except WireDecodeError:
+                self._reject_frame()
+                return False
+        return True
+
+    def _give_up(self, envelope: TransportEnvelope, reason: str) -> None:
+        """Drop ``envelope``: the drop hooks see its decoded inner."""
+        if self._decode_inner(envelope):
+            self._drop(envelope, reason)
 
     def _deliver_once(self, envelope: TransportEnvelope) -> None:
         """Deliver to the bound program at most once per uid.
@@ -626,7 +674,8 @@ class TransportProcess(Process):
             self._window_mark(
                 self._dlv_high, self._dlv_recent, self.dedup_window, origin, seq
             )
-        self._deliver(envelope)
+        if self._decode_inner(envelope):
+            self._deliver(envelope)
 
     def _deliver(self, envelope: TransportEnvelope) -> None:
         if self.on_deliver is not None:

@@ -112,9 +112,15 @@ class DeployedRunResult:
 
 
 class _AppProcess(TransportProcess):
-    """Transport engine plus (on leaders) the synthesized rule program."""
+    """Transport engine plus (on leaders) the synthesized rule program.
 
-    def __init__(
+    A :class:`DeployedStack` keeps one per node and re-arms it before each
+    round; the constructor takes the same arguments as :meth:`arm`.
+    """
+
+    __slots__ = ("program", "result_sink", "counters", "spec")
+
+    def arm(
         self,
         topology: EmulatedTopology,
         binding: Binding,
@@ -130,8 +136,8 @@ class _AppProcess(TransportProcess):
         healing: Optional[HealingConfig] = None,
         fault_report: Optional[FaultReport] = None,
         spec: Optional[SynthesizedProgram] = None,
-    ):
-        super().__init__(
+    ) -> None:
+        super().arm(
             topology,
             binding,
             on_deliver=None,
@@ -195,7 +201,9 @@ class DeployedStack:
     Construct via :func:`deploy`, which runs the setup protocols; then
     call :meth:`run_application` any number of times (each round uses a
     fresh simulator but drains the same node batteries, so lifetime
-    studies can loop rounds until death).
+    studies can loop rounds until death).  The stack builds each node's
+    process on its first round and re-arms it for every later one; the
+    processes are not part of its pickled state.
     """
 
     def __init__(
@@ -211,6 +219,18 @@ class DeployedStack:
         self.binding = binding
         self.setup = setup
         self.cost_model = cost_model or UniformCostModel()
+        self._processes: Dict[int, _AppProcess] = {}
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # a hosted rule program may hold closures, and a process is cheap
+        # to rebuild: partitioned runs pickle the stack without them
+        state = self.__dict__.copy()
+        del state["_processes"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._processes = {}
 
     def make_harness(
         self,
@@ -342,8 +362,18 @@ class DeployedStack:
         sim, medium, host = self.make_harness(loss_rate=loss_rate, rng=rng)
         results: Dict[GridCoord, Any] = {}
         counters = {"delivered": 0, "dropped": 0, "orphaned": 0}
-        processes: List[_AppProcess] = []
-
+        config = dict(
+            reliable=reliable,
+            max_retries=max_retries,
+            ack_timeout=ack_timeout,
+            wire_format=wire_format,
+            backoff_factor=backoff_factor,
+            backoff_jitter=backoff_jitter,
+            healing=healing,
+            fault_report=report,
+            spec=spec,
+        )
+        processes = self._processes
         for nid in self.network.alive_ids():
             cell = self.network.cell_of(nid)
             program = (
@@ -351,23 +381,12 @@ class DeployedStack:
                 if self.binding.leaders.get(cell) == nid
                 else None
             )
-            proc = _AppProcess(
-                self.topology,
-                self.binding,
-                program,
-                results,
-                counters,
-                reliable=reliable,
-                max_retries=max_retries,
-                ack_timeout=ack_timeout,
-                wire_format=wire_format,
-                backoff_factor=backoff_factor,
-                backoff_jitter=backoff_jitter,
-                healing=healing,
-                fault_report=report,
-                spec=spec,
-            )
-            processes.append(proc)
+            args = (self.topology, self.binding, program, results, counters)
+            proc = processes.get(nid)
+            if proc is None:
+                proc = processes[nid] = _AppProcess(*args, **config)
+            else:
+                proc.arm(*args, **config)
             host.add(nid, proc)
         host.start()
         if fault_plan:
@@ -400,7 +419,7 @@ class DeployedStack:
             drops=counters["dropped"],
             delivered_envelopes=counters["delivered"],
             events_processed=sim.events_processed,
-            rejected_frames=sum(p.rejected_frames for p in processes),
+            rejected_frames=sum(p.rejected_frames for p in host.processes.values()),
             fault_report=report,
             scenario_report=scenario_report,
         )

@@ -1,10 +1,10 @@
 """Compact, versioned wire format for the deployed transport.
 
-The runtime protocols move :class:`~repro.runtime.routing.TransportEnvelope`
-objects across cell boundaries hop by hop; until this module existed they
-travelled as live Python objects on a shared heap, which is exactly what
-blocks cross-process and networked simulation backends (and hence
-intra-run parallelism in ``repro.sweep``).  This module defines the packet
+The runtime protocols move :class:`TransportEnvelope` objects (defined
+here, beside their frame layout) across cell boundaries hop by hop; until
+this module existed they travelled as live Python objects on a shared
+heap, which is exactly what blocks cross-process and networked simulation
+backends (and hence intra-run parallelism in ``repro.sweep``).  This module defines the packet
 format those backends need: a struct-packed fixed header plus a tagged,
 registry-driven encoding of the inner application payloads.
 
@@ -28,6 +28,13 @@ Frame layout (all integers big-endian / network order)::
 
 Acknowledgement frames (``IS_ACK``) always carry a uid and stop after the
 header + uid block: cells, hops, and size are zero and there is no payload.
+
+A relay never needs the inner payload, only the header: with
+``decode_envelope(frame, payload=False)`` the frame is validated in full
+but the payload is left encoded (:class:`EncodedPayload`), and
+:func:`encode_envelope` forwards such an envelope by re-packing only the
+``hops`` field and the CRC.  The node that delivers the envelope decodes
+the payload, once.
 
 Inner payloads are encoded through a **tag registry**:
 
@@ -59,11 +66,12 @@ from __future__ import annotations
 import pickle
 import struct
 import zlib
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple, Type
 
+from ..core.coords import GridCoord
 from ..core.program import Message
 from ..simulator.network import Packet
-from .routing import TransportEnvelope
 
 #: Version byte of the frame layout.  Bump consciously: the golden
 #: vectors in ``tests/data/wire_vectors.json`` pin the current encoding.
@@ -81,6 +89,10 @@ _HEADER = struct.Struct("!2sBBIHHHHHd")
 _UID = struct.Struct("!IQ")
 _PAYLOAD_PREFIX = struct.Struct("!BI")
 _F64 = struct.Struct("!d")
+_CRC = struct.Struct("!I")
+_CRC_OFFSET = 4
+_HOPS = struct.Struct("!H")
+_HOPS_OFFSET = 16
 
 _U16_MAX = 0xFFFF
 _U32_MAX = 0xFFFFFFFF
@@ -97,6 +109,45 @@ class WireEncodeError(WireError):
 
 class WireDecodeError(WireError):
     """The buffer is not a well-formed frame of this version."""
+
+
+@dataclass(slots=True)
+class TransportEnvelope:
+    """A cell-addressed message in flight.
+
+    ``hops`` counts physical transmissions so far (diagnostics); ``inner``
+    is the application payload delivered to the destination cell's bound
+    process.  ``uid`` identifies the envelope end to end in reliable mode
+    (origin node id, origin-local sequence number).  In wire mode a
+    relay's envelope carries its inner still encoded, as an
+    :class:`EncodedPayload`.
+    """
+
+    src_cell: GridCoord
+    dst_cell: GridCoord
+    inner: Any
+    size_units: float = 1.0
+    hops: int = 0
+    uid: Optional[Tuple[int, int]] = None
+
+
+class EncodedPayload:
+    """An envelope's inner payload left in the validated frame it came in.
+
+    ``decode_envelope(frame, payload=False)`` puts it where the decoded
+    inner would go.  :func:`encode_envelope` sends such an envelope as a
+    copy of ``frame`` with only ``hops`` and the CRC re-packed, so a relay
+    never runs the payload codec; the other fields of the envelope must
+    be left as decoded.
+    """
+
+    __slots__ = ("frame",)
+
+    def __init__(self, frame: bytes):
+        self.frame = frame
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"EncodedPayload({len(self.frame)} bytes)"
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +337,7 @@ def _read_value(buf: memoryview, pos: int) -> Tuple[Any, int]:
 PAYLOAD_VALUE = 0x01
 PAYLOAD_MESSAGE = 0x02
 PAYLOAD_PICKLE = 0x7F
+_BUILTIN_TAGS = frozenset((PAYLOAD_VALUE, PAYLOAD_MESSAGE, PAYLOAD_PICKLE))
 
 #: First / last tag available to :func:`register_payload_codec` users.
 USER_TAG_FIRST = 0x10
@@ -415,74 +467,83 @@ def _check_u16(name: str, value: Any) -> int:
     return value
 
 
-def _pack_frame(
-    flags: int,
-    src_cell: Tuple[int, int],
-    dst_cell: Tuple[int, int],
-    hops: int,
-    size_units: float,
-    uid: Optional[Tuple[int, int]],
-    payload: Optional[Tuple[int, bytes]],
-) -> bytes:
-    sx = _check_u16("src cell x", src_cell[0])
-    sy = _check_u16("src cell y", src_cell[1])
-    dx = _check_u16("dst cell x", dst_cell[0])
-    dy = _check_u16("dst cell y", dst_cell[1])
-    hops = _check_u16("hops", hops)
-    try:
-        size = float(size_units)
-    except (TypeError, ValueError):
-        raise WireEncodeError(f"size_units must be a float, got {size_units!r}") from None
-    tail = bytearray()
-    if uid is not None:
-        flags |= _FLAG_HAS_UID
-        origin, seq = uid
-        if not isinstance(origin, int) or not 0 <= origin <= _U32_MAX:
-            raise WireEncodeError(f"uid origin must be a uint32, got {origin!r}")
-        if not isinstance(seq, int) or not 0 <= seq <= _U64_MAX:
-            raise WireEncodeError(f"uid seq must be a uint64, got {seq!r}")
-        tail += _UID.pack(origin, seq)
-    if payload is not None:
-        tag, raw = payload
-        if len(raw) > _U32_MAX:
-            raise WireEncodeError(f"payload of {len(raw)} bytes exceeds uint32 length")
-        tail += _PAYLOAD_PREFIX.pack(tag, len(raw))
-        tail += raw
-    head = _HEADER.pack(MAGIC, WIRE_VERSION, flags, 0, sx, sy, dx, dy, hops, size)
-    frame = bytearray(head + bytes(tail))
-    crc = zlib.crc32(frame)
-    struct.pack_into("!I", frame, 4, crc)
+def _pack_uid(uid: Tuple[int, int]) -> bytes:
+    origin, seq = uid
+    if not isinstance(origin, int) or not 0 <= origin <= _U32_MAX:
+        raise WireEncodeError(f"uid origin must be a uint32, got {origin!r}")
+    if not isinstance(seq, int) or not 0 <= seq <= _U64_MAX:
+        raise WireEncodeError(f"uid seq must be a uint64, got {seq!r}")
+    return _UID.pack(origin, seq)
+
+
+def _seal(frame: bytearray) -> bytes:
+    """Write the CRC of ``frame`` (taken with the CRC field zeroed)."""
+    _CRC.pack_into(frame, _CRC_OFFSET, 0)
+    _CRC.pack_into(frame, _CRC_OFFSET, zlib.crc32(frame))
     return bytes(frame)
 
 
 def encode_envelope(envelope: TransportEnvelope) -> bytes:
-    """Serialize one :class:`TransportEnvelope` into a wire frame."""
-    return _pack_frame(
-        flags=0,
-        src_cell=envelope.src_cell,
-        dst_cell=envelope.dst_cell,
-        hops=envelope.hops,
-        size_units=envelope.size_units,
-        uid=envelope.uid,
-        payload=encode_payload(envelope.inner),
-    )
+    """Serialize one :class:`TransportEnvelope` into a wire frame.
+
+    An envelope whose inner is an :class:`EncodedPayload` is forwarded: the
+    frame it came in is copied with the envelope's ``hops`` and a new CRC,
+    and the payload codec does not run.
+    """
+    inner = envelope.inner
+    if type(inner) is EncodedPayload:
+        frame = bytearray(inner.frame)
+        _HOPS.pack_into(frame, _HOPS_OFFSET, _check_u16("hops", envelope.hops))
+        return _seal(frame)
+    tag, raw = encode_payload(inner)
+    src_cell, dst_cell = envelope.src_cell, envelope.dst_cell
+    sx = _check_u16("src cell x", src_cell[0])
+    sy = _check_u16("src cell y", src_cell[1])
+    dx = _check_u16("dst cell x", dst_cell[0])
+    dy = _check_u16("dst cell y", dst_cell[1])
+    hops = _check_u16("hops", envelope.hops)
+    try:
+        size = float(envelope.size_units)
+    except (TypeError, ValueError):
+        raise WireEncodeError(
+            f"size_units must be a float, got {envelope.size_units!r}"
+        ) from None
+    flags = 0
+    uid_block = b""
+    if envelope.uid is not None:
+        flags = _FLAG_HAS_UID
+        uid_block = _pack_uid(envelope.uid)
+    if len(raw) > _U32_MAX:
+        raise WireEncodeError(f"payload of {len(raw)} bytes exceeds uint32 length")
+    frame = bytearray(_HEADER.pack(MAGIC, WIRE_VERSION, flags, 0, sx, sy, dx, dy, hops, size))
+    frame += uid_block
+    frame += _PAYLOAD_PREFIX.pack(tag, len(raw))
+    frame += raw
+    return _seal(frame)
+
+
+#: Every acknowledgement has this header (zero cells, hops and size; CRC
+#: field zeroed); only the uid block after it and the CRC vary.
+_ACK_HEADER = _HEADER.pack(
+    MAGIC, WIRE_VERSION, _FLAG_IS_ACK | _FLAG_HAS_UID, 0, 0, 0, 0, 0, 0, 0.0
+)
+_ACK_HEADER_CRC = zlib.crc32(_ACK_HEADER)
+_ACK_LEAD = _ACK_HEADER[:_CRC_OFFSET]
+_ACK_REST = _ACK_HEADER[_CRC_OFFSET + _CRC.size :]
 
 
 def encode_ack(uid: Tuple[int, int]) -> bytes:
     """Serialize a hop-by-hop acknowledgement of ``uid``."""
-    return _pack_frame(
-        flags=_FLAG_IS_ACK,
-        src_cell=(0, 0),
-        dst_cell=(0, 0),
-        hops=0,
-        size_units=0.0,
-        uid=uid,
-        payload=None,
-    )
+    block = _pack_uid(uid)
+    crc = _CRC.pack(zlib.crc32(block, _ACK_HEADER_CRC))
+    return b"".join((_ACK_LEAD, crc, _ACK_REST, block))
 
 
-def _unpack_frame(buf: bytes) -> Tuple[int, Tuple[Any, ...], Optional[Tuple[int, int]], bytes]:
-    """Shared validation: returns (flags, header fields, uid, payload bytes)."""
+def _unpack_frame(
+    buf: bytes,
+) -> Tuple[bytes, int, Tuple[Any, ...], Optional[Tuple[int, int]], int]:
+    """Shared validation: returns (frame, flags, header fields, uid,
+    payload offset)."""
     if not isinstance(buf, (bytes, bytearray, memoryview)):
         raise WireDecodeError(f"frame must be bytes, got {type(buf).__name__}")
     buf = bytes(buf)
@@ -500,7 +561,7 @@ def _unpack_frame(buf: bytes) -> Tuple[int, Tuple[Any, ...], Optional[Tuple[int,
     if flags & ~_KNOWN_FLAGS:
         raise WireDecodeError(f"unknown flag bits 0x{flags & ~_KNOWN_FLAGS:02x}")
     zeroed = bytearray(buf)
-    struct.pack_into("!I", zeroed, 4, 0)
+    _CRC.pack_into(zeroed, _CRC_OFFSET, 0)
     if zlib.crc32(zeroed) != crc:
         raise WireDecodeError("CRC mismatch: frame corrupted or truncated")
     pos = _HEADER.size
@@ -508,15 +569,14 @@ def _unpack_frame(buf: bytes) -> Tuple[int, Tuple[Any, ...], Optional[Tuple[int,
     if flags & _FLAG_HAS_UID:
         if pos + _UID.size > len(buf):
             raise WireDecodeError("truncated uid block")
-        origin, seq = _UID.unpack_from(buf, pos)
-        uid = (origin, seq)
+        uid = _UID.unpack_from(buf, pos)
         pos += _UID.size
     if flags & _FLAG_IS_ACK:
         if uid is None:
             raise WireDecodeError("ack frame without a uid")
         if pos != len(buf):
             raise WireDecodeError(f"{len(buf) - pos} trailing bytes after ack frame")
-        return flags, (sx, sy, dx, dy, hops, size), uid, b""
+        return buf, flags, (sx, sy, dx, dy, hops, size), uid, pos
     if pos + _PAYLOAD_PREFIX.size > len(buf):
         raise WireDecodeError("truncated payload prefix")
     tag, length = _PAYLOAD_PREFIX.unpack_from(buf, pos)
@@ -526,20 +586,32 @@ def _unpack_frame(buf: bytes) -> Tuple[int, Tuple[Any, ...], Optional[Tuple[int,
             f"payload length {length} does not match the {len(buf) - pos} "
             f"bytes present"
         )
-    return flags, (sx, sy, dx, dy, hops, size, tag), uid, buf[pos:]
+    return buf, flags, (sx, sy, dx, dy, hops, size, tag), uid, pos
 
 
-def decode_envelope(buf: bytes) -> TransportEnvelope:
+def decode_envelope(buf: bytes, *, payload: bool = True) -> TransportEnvelope:
     """Inverse of :func:`encode_envelope`; raises :class:`WireDecodeError`
-    on anything that is not a well-formed envelope frame of this version."""
-    flags, fields, uid, raw = _unpack_frame(buf)
+    on anything that is not a well-formed envelope frame of this version.
+
+    ``payload=False`` validates the frame exactly as the default does —
+    magic, version, flags, CRC, lengths and a known payload tag — but
+    leaves the inner payload encoded: the envelope's ``inner`` is then an
+    :class:`EncodedPayload` of ``buf``, ready to be forwarded.
+    """
+    frame, flags, fields, uid, pos = _unpack_frame(buf)
     if flags & _FLAG_IS_ACK:
         raise WireDecodeError("frame is an acknowledgement, not an envelope")
     sx, sy, dx, dy, hops, size, tag = fields
+    if payload:
+        inner = decode_payload(tag, frame[pos:])
+    elif tag in _BUILTIN_TAGS or tag in _CODECS_BY_TAG:
+        inner = EncodedPayload(frame)
+    else:
+        raise WireDecodeError(f"unknown payload tag 0x{tag:02x}")
     return TransportEnvelope(
         src_cell=(sx, sy),
         dst_cell=(dx, dy),
-        inner=decode_payload(tag, raw),
+        inner=inner,
         size_units=size,
         hops=hops,
         uid=uid,
@@ -548,7 +620,7 @@ def decode_envelope(buf: bytes) -> TransportEnvelope:
 
 def decode_ack(buf: bytes) -> Tuple[int, int]:
     """Inverse of :func:`encode_ack`: the acknowledged ``(origin, seq)``."""
-    flags, _fields, uid, _raw = _unpack_frame(buf)
+    _frame, flags, _fields, uid, _pos = _unpack_frame(buf)
     if not flags & _FLAG_IS_ACK:
         raise WireDecodeError("frame is an envelope, not an acknowledgement")
     assert uid is not None  # _unpack_frame enforces HAS_UID on acks

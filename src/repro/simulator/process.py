@@ -29,11 +29,19 @@ class Process(abc.ABC):
     freely use the transmission and timer helpers.
     """
 
+    __slots__ = ("sim", "medium", "node_id", "_armed_timers", "_timer_stamp")
+
     sim: Simulator
     medium: WirelessMedium
     node_id: int
 
     def __init__(self) -> None:
+        self._reset_timers()
+
+    def _reset_timers(self) -> None:
+        """Start an empty timer registry, for a process about to be hosted
+        in a new world (the previous world's queued events are gone, so
+        unlike :meth:`cancel_timers` this leaves every simulator alone)."""
         # tag -> stamp of the currently armed timer; stamps come from a
         # per-process monotone counter so a stale queued event can never
         # alias a later re-arm of the same tag
@@ -160,18 +168,22 @@ class ProcessHost:
             self.sim.schedule_fire_and_forget(stagger * i, self._boot, nid, proc)
 
     def teardown(self) -> None:
-        """End the run: detach every hosted process and drop queued events.
+        """End the run: detach and unbind every hosted process and drop
+        queued events.
 
         The medium holds each process's handler and each process holds the
         medium; a run cut off at ``max_events`` also leaves queued events
         holding both.  Breaking those cycles lets a finished world be freed
         by reference counting instead of waiting for a full garbage
-        collection.  :attr:`processes` stays readable for post-run
+        collection.  A process can outlive its run (a deployed stack hosts
+        the same ones every round), so its ``sim`` and ``medium`` are
+        unbound too.  :attr:`processes` stays readable for post-run
         inspection.
         """
         detach = self.medium.detach
-        for node_id in self.processes:
+        for node_id, process in self.processes.items():
             detach(node_id)
+            del process.sim, process.medium
         self.sim.clear()
 
     def _boot(self, node_id: int, process: Process) -> None:

@@ -28,6 +28,10 @@ class TestExecutionBasics:
         assert result.root_payload == 16
         assert list(result.exfiltrated) == [(0, 0)]
 
+    def test_root_payload_side32(self):
+        result = execute_round(make_spec(32), charge_compute=False)
+        assert result.root_payload == 1024
+
     def test_message_count_matches_tree(self):
         # 3 external messages per group: 4 groups at level 1 + 1 at level 2
         result = execute_round(make_spec(4))

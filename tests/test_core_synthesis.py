@@ -100,6 +100,13 @@ class TestLeaderBehaviour:
         assert sends[0].message.payload == 4  # quadrant count
         assert prog.state["done"]
 
+    def test_root_advances_to_level2_after_its_level1_children(self, spec4):
+        prog = spec4.program_for((0, 0))
+        prog.start()
+        for s in ((1, 0), (0, 1), (1, 1)):
+            prog.deliver(Message(MGRAPH, s, payload=1, level=1))
+        assert prog.state["recLevel"] == 2
+
     def test_out_of_order_levels_buffered(self, spec4):
         # The root receives a level-2 message before completing level 1
         # ("A level i leader can receive messages from other level i+1

@@ -52,6 +52,18 @@ class TestAdjacency:
             )
             assert net.neighbors(i) == tuple(expected)
 
+    def test_thousand_node_build_matches_brute_force(self):
+        terrain = Terrain(100.0)
+        pts = uniform_random(1000, terrain, rng=3)
+        net = build_network(pts, CellGrid(terrain, 8), tx_range=8.0)
+        assert len(net) == 1000
+        xy = np.asarray(pts)
+        dist = np.hypot(*(xy[:, None, :] - xy[None, :, :]).transpose(2, 0, 1))
+        np.fill_diagonal(dist, np.inf)
+        assert net.edge_count() == int((dist <= 8.0).sum()) // 2
+        for i in range(0, 1000, 97):
+            assert net.neighbors(i) == tuple(np.flatnonzero(dist[i] <= 8.0).tolist())
+
     def test_duplicate_ids_rejected(self):
         cells = CellGrid(Terrain(10.0), 2)
         nodes = [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import pickle
 import weakref
 
 import numpy as np
@@ -20,7 +21,7 @@ from repro.core import (
 )
 from repro.core.coords import Direction
 from repro.runtime import deploy, next_direction, plan_leader_storm, trace_route
-from repro.runtime.stack import DeployedStack
+from repro.runtime.stack import _AppProcess
 
 from conftest import make_deployment
 
@@ -243,3 +244,90 @@ class TestRoundTeardown:
         assert sum(p.transport_stats()["forwarded"] for p in processes) > 0
         assert any(p.program is not None and p.program.firing_log for p in processes)
 
+
+class TestRoundReuse:
+    """A stack hosts the same process on a node every round and re-arms it
+    in between; a re-armed process must equal a freshly built one."""
+
+    #: not per-round state: the per-origin backoff hash cache (a pure
+    #: function of the node and the origin) and the host's bindings
+    KEPT = {"_backoff_states", "sim", "medium", "node_id"}
+
+    @staticmethod
+    def fields(proc):
+        return [name for cls in type(proc).__mro__ for name in cls.__dict__.get("__slots__", ())]
+
+    def dirty_stack(self):
+        """A stack whose processes carry every kind of per-round state: a
+        lossy healing round with a failover and corrupted frames, cut off
+        with envelopes still in custody and timers armed."""
+        stack = deploy(make_deployment(side=4, n_random=100, seed=5))
+        spec = VirtualArchitecture(4).synthesize(CountAggregation(lambda c: True))
+        plan = plan_leader_storm(
+            sorted(stack.binding.leaders), kills=1, at=0.5, seed=3, corrupt_frames=2
+        )
+        run = stack.run_application(
+            spec, loss_rate=0.2, rng=np.random.default_rng(1), reliable=True,
+            max_retries=8, wire_format=True, fault_plan=plan, max_events=1500,
+        )
+        assert run.events_processed == 1500 and run.fault_report.failovers
+        return stack, spec
+
+    def test_rearmed_process_equals_a_fresh_one(self):
+        stack, spec = self.dirty_stack()
+        processes = stack._processes
+        assert processes
+        dirty = set()
+        for nid, proc in sorted(processes.items()):
+            assert not hasattr(proc, "__dict__"), "per-round state outside the slots"
+            cell = stack.network.cell_of(nid)
+            args = (
+                stack.topology,
+                stack.binding,
+                spec.program_for(cell) if stack.binding.leaders.get(cell) == nid else None,
+                {},
+                {"delivered": 0, "dropped": 0, "orphaned": 0},
+            )
+            config = dict(
+                reliable=False, max_retries=2, ack_timeout=3.0, wire_format=False,
+                backoff_factor=1.5, backoff_jitter=0.25, spec=spec,
+            )
+            fresh = _AppProcess(*args, **config)
+            per_round = [name for name in self.fields(fresh) if name not in self.KEPT]
+            dirty.update(
+                name for name in per_round if getattr(proc, name) != getattr(fresh, name)
+            )
+            proc.arm(*args, **config)
+            for name in per_round:
+                assert getattr(proc, name) == getattr(fresh, name), f"node {nid}: {name}"
+        # the dirty rounds really exercised the state the re-arm must reset
+        assert {
+            "_seq", "_pending", "_seen_high", "_seen_recent", "_dlv_high", "_dlv_recent",
+            "_last_hb", "_takeover_seen", "_armed_timers", "_timer_stamp", "forwarded",
+            "retransmissions", "duplicates_suppressed", "rejected_frames", "program",
+            "healing", "fault_report",
+        } <= dirty
+
+    def test_processes_are_built_once_and_unbound_between_rounds(self, stack4):
+        _, stack = stack4
+        spec = VirtualArchitecture(4).synthesize(CountAggregation(lambda c: True))
+        first = stack.run_application(spec, reliable=True, wire_format=True)
+        kept = dict(stack._processes)
+        second = stack.run_application(spec, reliable=True, wire_format=True)
+        assert first.fingerprint() == second.fingerprint()
+        assert stack._processes == kept
+        assert all(a is b for a, b in zip(kept.values(), stack._processes.values()))
+        for proc in kept.values():
+            assert not hasattr(proc, "sim") and not hasattr(proc, "medium")
+
+    def test_processes_stay_out_of_the_pickled_stack(self, stack4):
+        _, stack = stack4
+        # the count predicate is a lambda: its node programs do not pickle
+        spec = VirtualArchitecture(4).synthesize(CountAggregation(lambda c: True))
+        stack.run_application(spec)
+        assert stack._processes
+        copy = pickle.loads(pickle.dumps(stack))
+        assert copy._processes == {}
+        assert copy.run_application(
+            VirtualArchitecture(4).synthesize(CountAggregation(lambda c: True))
+        ).root_payload == 16

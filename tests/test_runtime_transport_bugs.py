@@ -5,9 +5,13 @@
 2. Retransmission re-sent the *same mutable* envelope object after
    downstream hops had already incremented ``hops`` — the retransmitted
    copy must carry the hop count as of its first transmission.
+3. A non-positive ``backoff_max`` was accepted; the first reliable
+   forward then failed mid-run in ``Simulator.schedule_timer``.
 """
 
 from __future__ import annotations
+
+import re
 
 import pytest
 
@@ -69,6 +73,25 @@ class TestDedupWindow:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             make_transport(reliable=True, dedup_window=0)
+
+
+class TestBackoffMaxValidation:
+    """The retry-delay cap is checked like ``ack_timeout``: at construction
+    and at every re-arm, not by a timer failing mid-run."""
+
+    @pytest.mark.parametrize("cap", [-1.0, 0.0, 0])
+    def test_non_positive_cap_rejected_at_construction(self, cap):
+        with pytest.raises(ValueError, match=re.escape(f"backoff_max must be > 0, got {cap}")):
+            make_transport(reliable=True, backoff_max=cap)
+
+    def test_non_positive_cap_rejected_at_rearm(self):
+        tp = make_transport(reliable=True, backoff_max=2.0)
+        with pytest.raises(ValueError, match=re.escape("backoff_max must be > 0, got -1.0")):
+            tp.arm(None, None, reliable=True, backoff_max=-1.0)
+
+    def test_positive_cap_caps_the_retry_delay(self):
+        tp = make_transport(reliable=True, backoff_max=5.0, backoff_jitter=0.0)
+        assert tp._retry_delay((1, 0), 10) == 5.0
 
 
 class TestDedupWindowBoundary:

@@ -14,14 +14,23 @@ Three layers, in increasing integration depth:
    regions aggregation, churn workload, query round) produce identical
    fingerprints and transport stats with ``wire_format`` on and off, in
    process and across sweep shards.
+4. **Pass-through forwarding** — relays re-pack only ``hops`` and the CRC
+   of the frame they received, the payload codec runs once at the origin
+   and once at the delivering leader, and a frame whose body does not
+   decode is rejected there rather than at the first relay.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import json
 import os
+import struct
+import subprocess
 import sys
+import zlib
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -35,7 +44,8 @@ except ImportError:  # pragma: no cover - baked into the test image
 from repro.core import CountAggregation, VirtualArchitecture
 from repro.core.program import Message
 from repro.runtime import deploy, run_deployed_query, wire
-from repro.runtime.routing import TransportEnvelope
+from repro.runtime.routing import TRANSPORT_KIND, TransportEnvelope, TransportProcess
+from repro.simulator import ProcessHost, Simulator, WirelessMedium
 
 from conftest import make_deployment
 
@@ -581,6 +591,247 @@ class TestDifferentialConformance:
             f"codec-on vs codec-off runs diverged across shards: {records}"
         )
         assert sum(r["audit"] for r in records) == 2
+
+
+# ---------------------------------------------------------------------------
+# pass-through forwarding
+# ---------------------------------------------------------------------------
+
+
+#: header and uid-block sizes of the frame layout documented in wire.py
+HEADER_SIZE, UID_SIZE = 26, 12
+
+
+def _reseal(frame):
+    """``frame`` with its CRC field recomputed."""
+    frame = bytearray(frame)
+    frame[4:8] = bytes(4)
+    frame[4:8] = struct.pack("!I", zlib.crc32(frame))
+    return bytes(frame)
+
+
+def _payload_offset(frame):
+    """Offset of the payload tag byte (after the uid block, if any)."""
+    return HEADER_SIZE + (UID_SIZE if frame[3] & 0x01 else 0)
+
+
+def _with_malformed_body(frame):
+    """``frame`` with its payload body swapped for a byte no value codec
+    accepts, and a valid CRC: the header checks pass, the payload does not
+    decode.  (Flipping one byte cannot produce this: CRC32 catches it.)"""
+    at = _payload_offset(frame)
+    body = b"\xff"
+    return _reseal(frame[:at] + struct.pack("!BI", frame[at], len(body)) + body)
+
+
+def _wire_round(stack, tx_transform=None, loss=0.1):
+    """A reliable wire-mode count round; returns (result, host).  With
+    ``tx_transform`` every transmitted packet passes through it."""
+    built = []
+    build = stack.make_harness
+
+    def make_harness(**kwargs):
+        sim, medium, host = build(**kwargs)
+        medium.tx_transform = tx_transform
+        built.append(host)
+        return sim, medium, host
+
+    stack.make_harness = make_harness
+    try:
+        result = stack.run_application(
+            VirtualArchitecture(4).synthesize(CountAggregation(lambda c: True)),
+            loss_rate=loss,
+            rng=np.random.default_rng(4),
+            reliable=True,
+            max_retries=8,
+            wire_format=True,
+        )
+    finally:
+        del stack.make_harness
+    return result, built[0]
+
+
+class TestPassThroughForwarding:
+    @pytest.fixture(scope="class")
+    def stack4(self):
+        return deploy(make_deployment(side=4, n_random=100, seed=5))
+
+    def test_relay_form_validates_like_the_full_decode(self):
+        frame = TestDecodeHardening().frame()
+        relay = wire.decode_envelope(frame, payload=False)
+        assert isinstance(relay.inner, wire.EncodedPayload)
+        assert relay.inner.frame == frame
+        assert dataclasses.replace(relay, inner=("x", 9)) == wire.decode_envelope(frame)
+        for i in range(len(frame)):
+            corrupt = bytearray(frame)
+            corrupt[i] ^= 0x41
+            with pytest.raises(wire.WireDecodeError):
+                wire.decode_envelope(bytes(corrupt), payload=False)
+        for cut in range(len(frame)):
+            with pytest.raises(wire.WireDecodeError):
+                wire.decode_envelope(frame[:cut], payload=False)
+
+    def test_relay_form_rejects_an_unknown_payload_tag(self):
+        frame = bytearray(TestDecodeHardening().frame())
+        frame[_payload_offset(frame)] = wire.USER_TAG_LAST
+        with pytest.raises(wire.WireDecodeError, match="payload tag"):
+            wire.decode_envelope(_reseal(frame), payload=False)
+
+    def test_malformed_body_passes_the_relay_checks_only(self):
+        frame = _with_malformed_body(TestDecodeHardening().frame())
+        assert isinstance(
+            wire.decode_envelope(frame, payload=False).inner, wire.EncodedPayload
+        )
+        with pytest.raises(wire.WireDecodeError):
+            wire.decode_envelope(frame)
+
+    def test_forwarded_frame_is_the_full_encoding_with_one_more_hop(self):
+        env = TransportEnvelope(
+            (1, 2), (3, 0), inner=Message("mGraph", (1, 2), payload=5, level=1),
+            hops=2, uid=(9, 4),
+        )
+        frame = wire.encode_envelope(env)
+        relay = wire.decode_envelope(frame, payload=False)
+        relay.hops += 1
+        assert wire.encode_envelope(relay) == wire.encode_envelope(
+            dataclasses.replace(env, hops=3)
+        )
+
+    def test_every_relay_in_a_round_forwards_the_full_encoding(self, stack4):
+        """Each uid's frames, in hop order, are one full encoding re-packed
+        hop by hop; retransmissions resend the same bytes."""
+        frames = defaultdict(set)
+
+        def record(packet):
+            if packet.kind == TRANSPORT_KIND:
+                env = wire.decode_envelope(packet.payload)
+                frames[env.uid].add((env.hops, packet.payload))
+            return packet
+
+        result, host = _wire_round(stack4, record)
+        assert result.root_payload == 16
+        retransmissions = sum(p.retransmissions for p in host.processes.values())
+        assert retransmissions > 0
+        relayed = 0
+        for sent in frames.values():
+            by_hops = dict(sent)
+            assert len(by_hops) == len(sent), "a retransmission changed the bytes"
+            hops = sorted(by_hops)
+            assert hops == list(range(1, len(hops) + 1))
+            for h in hops[1:]:
+                previous = wire.decode_envelope(by_hops[h - 1])
+                assert by_hops[h] == wire.encode_envelope(
+                    dataclasses.replace(previous, hops=h)
+                )
+                relayed += 1
+        assert relayed > 0
+
+    def test_payload_codec_runs_at_the_origin_and_the_leader_only(
+        self, stack4, monkeypatch
+    ):
+        calls = {"originate": 0, "encode": 0, "decode": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            TransportProcess, "originate", counted("originate", TransportProcess.originate)
+        )
+        monkeypatch.setattr(wire, "encode_payload", counted("encode", wire.encode_payload))
+        monkeypatch.setattr(wire, "decode_payload", counted("decode", wire.decode_payload))
+        result, host = _wire_round(stack4)
+        stats = [p.transport_stats() for p in host.processes.values()]
+        assert result.root_payload == 16
+        assert sum(s["retransmissions"] for s in stats) > 0
+        assert sum(s["forwarded"] for s in stats) > calls["originate"]
+        assert calls["encode"] == calls["originate"]
+        assert calls["decode"] == result.delivered_envelopes
+
+    def test_on_drop_receives_the_decoded_inner(self):
+        net = make_deployment(side=4, seed=9)
+        stack = deploy(net)
+        sim = Simulator()
+        medium = WirelessMedium(sim, net, loss_rate=0.4, rng=np.random.default_rng(2))
+        host = ProcessHost(sim, medium)
+        dropped = []
+        for nid in net.alive_ids():
+            host.add(
+                nid,
+                TransportProcess(
+                    stack.topology,
+                    stack.binding,
+                    on_drop=lambda p, env, reason: dropped.append((p.node_id, env)),
+                    reliable=True,
+                    max_retries=0,
+                    wire_format=True,
+                ),
+            )
+        host.start()
+        cells = sorted(stack.binding.leaders)
+        origins = {}
+        for i, src_cell in enumerate(cells):
+            origin = stack.binding.leader_of(src_cell)
+            origins[f"msg-{i}"] = origin
+            sim.schedule(0.1 * i, host.get(origin).originate, cells[-1 - i], f"msg-{i}")
+        sim.run_until_quiet()
+        assert dropped
+        assert all(env.inner in origins for _, env in dropped)
+        assert any(nid != origins[env.inner] for nid, env in dropped), "no relay dropped"
+
+    def test_malformed_body_is_forwarded_and_rejected_at_the_leader(
+        self, stack4, monkeypatch
+    ):
+        """The behaviour pass-through forwarding moves: relays forward a
+        CRC-valid frame whose payload does not decode, and the delivering
+        leader rejects it (DESIGN.md §9)."""
+        mangled = {}
+        frames = defaultdict(set)
+
+        def mangle(packet):
+            if packet.kind != TRANSPORT_KIND:
+                return packet
+            env = wire.decode_envelope(packet.payload, payload=False)
+            far = abs(env.dst_cell[0] - env.src_cell[0]) + abs(env.dst_cell[1] - env.src_cell[1])
+            if not mangled and env.hops == 1 and far >= 2:
+                mangled["uid"] = env.uid
+                packet = dataclasses.replace(packet, payload=_with_malformed_body(packet.payload))
+            frames[env.uid].add(env.hops)
+            return packet
+
+        delivered = []
+        deliver = TransportProcess._deliver_once
+
+        def record(self, envelope):
+            delivered.append(envelope.uid)
+            return deliver(self, envelope)
+
+        monkeypatch.setattr(TransportProcess, "_deliver_once", record)
+        result, host = _wire_round(stack4, mangle, loss=0.0)
+        uid = mangled["uid"]
+        assert max(frames[uid]) >= 2, "no relay forwarded the malformed frame"
+        rejecting = [p for p in host.processes.values() if p.rejected_frames]
+        assert result.rejected_frames == 1
+        assert len(rejecting) == 1
+        assert stack4.binding.is_leader(rejecting[0].node_id)
+        assert delivered.count(uid) == 1  # reached the leader's delivery gate
+        assert result.delivered_envelopes == len(delivered) - 1
+        assert result.exfiltrated == {}  # the lost count never completes the round
+
+
+class TestImportOrder:
+    @pytest.mark.parametrize("first", ["repro.runtime.wire", "repro.runtime.routing"])
+    def test_either_module_imports_first(self, first):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        code = f"import {first}; import repro.runtime.wire, repro.runtime.routing"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
 
 
 if __name__ == "__main__":

@@ -14,8 +14,10 @@ intended behaviour change — a conscious regeneration::
 Cases: the 12 fault-matrix rounds of ``test_runtime_faults``; side-4 count
 rounds over reliable x wire x {no loss, loss, loss + jitter}; one
 link-model scenario round; one reliable round split into two shards
-(cross-shard unicasts); the chaos-soak fingerprint; and a reliable lossy
-query stream with a deferring tenant.
+(cross-shard unicasts); the chaos-soak fingerprint; a reliable lossy
+query stream with a deferring tenant; and four sequences of rounds run
+back to back on one stack (``multiround-*``), which pin that a round's
+outputs do not depend on the rounds run before it on the same stack.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 import pytest
 
 from repro.core import CountAggregation, VirtualArchitecture
-from repro.runtime import deploy
+from repro.runtime import deploy, kill_random_nodes, plan_leader_storm
 from repro.scenario import LogNormalShadowing, Scenario
 from repro.serve import QueryEngine, ServeConfig, TenantPolicy
 from repro.serve.admission import synthesize_arrivals
@@ -65,6 +67,16 @@ def fault_matrix_case(kind: str, reliable: bool, wire: bool) -> str:
     return first_round(kind, reliable, wire)[2].fingerprint()
 
 
+def digest_round(result, medium, host) -> str:
+    """A round's fingerprint, channel counters and every node's transport
+    counters."""
+    transport = tuple(
+        (nid, tuple(sorted(proc.transport_stats().items())))
+        for nid, proc in sorted(host.processes.items())
+    )
+    return stable_digest((result.fingerprint(), medium.stats.fingerprint(), transport))
+
+
 def count_round_case(reliable: bool, wire: bool, loss: float, jitter: float) -> str:
     """A side-4 count round, digested with the channel counters and every
     node's transport counters.
@@ -91,11 +103,86 @@ def count_round_case(reliable: bool, wire: bool, loss: float, jitter: float) -> 
         wire_format=wire,
     )
     _, medium, host = built[0]
-    transport = tuple(
-        (nid, tuple(sorted(proc.transport_stats().items())))
-        for nid, proc in sorted(host.processes.items())
+    return digest_round(result, medium, host)
+
+
+def multiround_case(rounds) -> str:
+    """Run ``rounds`` back to back on one stack and digest every round.
+
+    Each entry is ``(before, kwargs)``: ``before(net, stack)`` runs first
+    (to kill or revive nodes) and returns extra ``run_application``
+    keywords, merged over ``kwargs``.
+    """
+    net = make_deployment(side=SIDE, n_random=100, seed=5)
+    stack = deploy(net)
+    spec = count_spec()
+    built = []
+    build = stack.make_harness
+
+    def make_harness(**kwargs):
+        harness = build(**kwargs)
+        built.append(harness)
+        return harness
+
+    stack.make_harness = make_harness
+    digests = []
+    for i, (before, kwargs) in enumerate(rounds):
+        extra = before(net, stack) if before is not None else {}
+        result = stack.run_application(
+            spec, rng=np.random.default_rng(40 + i), max_retries=8, **kwargs, **extra
+        )
+        _, medium, host = built[-1]
+        digests.append(digest_round(result, medium, host))
+    return stable_digest(tuple(digests))
+
+
+def _mode(reliable: bool, wire: bool, loss: float):
+    return None, {"reliable": reliable, "wire_format": wire, "loss_rate": loss}
+
+
+def _leader_storm(net, stack):
+    plan = plan_leader_storm(
+        sorted(stack.binding.leaders), kills=1, at=0.5, seed=3, corrupt_frames=3
     )
-    return stable_digest((result.fingerprint(), medium.stats.fingerprint(), transport))
+    return {"fault_plan": plan}
+
+
+def _kill_relays(net, stack):
+    kill_random_nodes(net, 0.05, rng=3, spare=stack.binding.leaders.values())
+    return {}
+
+
+def _revive_all(net, stack):
+    for node in net.nodes.values():
+        if not node.alive:
+            node.revive()
+    return {}
+
+
+MULTIROUND = {
+    "alternating": [
+        _mode(True, True, 0.1),
+        _mode(False, False, 0.0),
+        _mode(True, False, 0.1),
+        _mode(False, True, 0.0),
+        _mode(True, True, 0.0),
+        _mode(False, False, 0.1),
+    ],
+    "corrupting-storm-between-clean": [
+        _mode(True, True, 0.1),
+        (_leader_storm, {"reliable": True, "wire_format": True, "loss_rate": 0.1}),
+        _mode(True, True, 0.1),
+    ],
+    "cut-off-then-full": [
+        (None, {"reliable": True, "wire_format": True, "loss_rate": 0.1, "max_events": 150}),
+        _mode(True, True, 0.1),
+    ],
+    "after-kill": [
+        _mode(True, True, 0.1),
+        (_kill_relays, {"reliable": True, "wire_format": True, "loss_rate": 0.1}),
+        (_revive_all, {"reliable": True, "wire_format": True, "loss_rate": 0.1}),
+    ],
+}
 
 
 def link_model_case() -> str:
@@ -180,6 +267,8 @@ def _cases() -> Dict[str, Callable[[], str]]:
     cases["partitioned-2-reliable"] = partitioned_case
     cases["chaos-soak"] = lambda: chaos_soak().fingerprint
     cases["serve-stream-defer"] = serve_stream_case
+    for name, rounds in MULTIROUND.items():
+        cases[f"multiround-{name}"] = functools.partial(multiround_case, rounds)
     return cases
 
 
