@@ -159,8 +159,8 @@ class TransportProcess(Process):
         post-failover reroute through an old relay is not mistaken for an
         ARQ echo).  Instead of remembering every uid ever seen (unbounded
         memory over long maintenance/churn runs), each key keeps a
-        high-water mark plus the set of seen sequence numbers within
-        ``dedup_window`` below it; anything older is treated as seen.
+        high-water mark plus a ``dedup_window``-bit mask of the sequence
+        numbers seen below it; anything older is treated as seen.
         Origins emit sequence numbers monotonically, so a *new* uid can
         only be mistaken for old if it is displaced by more than the
         window — far beyond any ARQ reordering the simulator produces.
@@ -197,9 +197,18 @@ class TransportProcess(Process):
         "wire_format", "backoff_factor", "backoff_jitter", "backoff_max",
         "healing", "fault_report", "drops", "forwarded", "retransmissions",
         "duplicates_suppressed", "rejected_frames", "_seq", "_pending",
-        "_seen_high", "_seen_recent", "_dlv_high", "_dlv_recent", "_last_hb",
+        "_seen", "_delivered", "_next_hops", "_next_hops_stamp", "_last_hb",
         "_takeover_seen", "_backoff_states",
     )
+
+    #: Count of rewrites of a binding or routing table by healing
+    #: processes (failover, takeover, on-demand repair).  Those happen
+    #: without a liveness-generation bump, and a healing round may share
+    #: its stack with a process that keeps its next-hop memo across
+    #: rounds (a serving engine), so the memo's stamp counts them too.
+    #: Process-wide on purpose: it only ever invalidates memos, so its
+    #: value never changes an output.
+    _rewrites = 0
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__()
@@ -277,15 +286,17 @@ class TransportProcess(Process):
         # timer of each pending uid is the tag-indexed process timer keyed
         # by the uid itself
         self._pending: Dict[Tuple[int, int], Tuple[TransportEnvelope, int, int, int]] = {}
-        # forwarding dedup: highest seq seen + seen seqs within the window,
-        # keyed by (origin, previous hop) so ARQ echoes are suppressed
-        # while a rerouted envelope arriving from a new relay is not
-        self._seen_high: Dict[Hashable, int] = {}
-        self._seen_recent: Dict[Hashable, Set[int]] = {}
-        # delivery dedup (at the destination leader): keyed by origin only,
-        # enforcing at-most-once delivery regardless of the path taken
-        self._dlv_high: Dict[Hashable, int] = {}
-        self._dlv_recent: Dict[Hashable, Set[int]] = {}
+        # forwarding dedup window, [top, mask] per key (_window_hit), keyed
+        # by (origin, previous hop) so ARQ echoes are suppressed while a
+        # rerouted envelope arriving from a new relay is not
+        self._seen: Dict[Hashable, List[int]] = {}
+        # delivery dedup window (at the destination leader): keyed by
+        # origin only, enforcing at-most-once delivery whatever the path
+        self._delivered: Dict[Hashable, List[int]] = {}
+        # destination cell -> next hop of healing-off forwards, valid while
+        # the network and the shared routes are as stamped (see _route)
+        self._next_hops: Dict[GridCoord, int] = {}
+        self._next_hops_stamp = -1
         # healing state
         self._last_hb = 0.0
         self._takeover_seen: Set[Tuple[GridCoord, int]] = set()
@@ -339,61 +350,46 @@ class TransportProcess(Process):
     # -- duplicate suppression ----------------------------------------------------
 
     @staticmethod
-    def _window_seen(
-        high: Dict[Hashable, int],
-        recent: Dict[Hashable, Set[int]],
-        window: int,
-        key: Hashable,
-        seq: int,
+    def _window_hit(
+        states: Dict[Hashable, List[int]], window: int, key: Hashable, seq: int
     ) -> bool:
-        top = high.get(key, -1)
-        if seq > top:
-            return False
-        if seq <= top - window:
-            return True  # older than the window: assumed already seen
-        return seq in recent.get(key, ())
+        """Check ``seq`` against ``key``'s dedup window and mark it seen;
+        True if it was seen already (a duplicate).
 
-    @staticmethod
-    def _window_mark(
-        high: Dict[Hashable, int],
-        recent: Dict[Hashable, Set[int]],
-        window: int,
-        key: Hashable,
-        seq: int,
-    ) -> None:
-        """Record ``seq`` as seen; a new high-water mark evicts every seq
-        at or below ``seq - window``.
-
-        Callers mark only what :meth:`_window_seen` reports unseen, so
-        every remembered seq lies in ``(top - window, top]``.  Eviction
-        therefore walks whichever is smaller: the seqs the floor passes
-        over, or the set itself.
+        A key's state is ``[top, mask]``: ``top`` is the highest seq seen
+        (seqs count up from 0) and bit ``d`` of ``mask`` means ``top - d``
+        was seen.  A seq above ``top`` is new: it becomes ``top``, and the
+        mask shifts left and keeps its low ``window`` bits, which forgets
+        every seq at or below ``seq - window``.  A seq at or below
+        ``top - window`` counts as seen; any other seq reads its bit.
         """
-        seen = recent.get(key)
-        if seen is None:
-            seen = recent[key] = set()
-        top = high.get(key, -1)
+        state = states.get(key)
+        if state is None:
+            states[key] = [seq, 1]
+            return False
+        top, mask = state
         if seq > top:
-            high[key] = seq
-            if seen:
-                floor = seq - window
-                if floor - (top - window) < len(seen):
-                    seen.difference_update(range(top - window + 1, floor + 1))
-                else:
-                    seen.difference_update([s for s in seen if s <= floor])
-        seen.add(seq)
+            state[0] = seq
+            state[1] = ((mask << (seq - top)) | 1) & ((1 << window) - 1)
+            return False
+        d = top - seq
+        if d >= window or mask >> d & 1:
+            return True
+        state[1] = mask | 1 << d
+        return False
 
     def _uid_seen(self, origin: Hashable, seq: int) -> bool:
-        """The forwarding dedup's answer for ``(origin, seq)``; ``on_packet``
-        keys it by ``(origin, previous hop)``."""
-        return self._window_seen(
-            self._seen_high, self._seen_recent, self.dedup_window, origin, seq
-        )
+        """The forwarding window's answer for ``(origin, seq)``, without
+        marking it; ``on_packet`` keys the window by ``(origin, previous
+        hop)``."""
+        state = self._seen.get(origin)
+        if state is None or seq > state[0]:
+            return False
+        d = state[0] - seq
+        return d >= self.dedup_window or bool(state[1] >> d & 1)
 
     def _uid_mark(self, origin: Hashable, seq: int) -> None:
-        self._window_mark(
-            self._seen_high, self._seen_recent, self.dedup_window, origin, seq
-        )
+        self._window_hit(self._seen, self.dedup_window, origin, seq)
 
     # -- forwarding ----------------------------------------------------------------
 
@@ -437,12 +433,9 @@ class TransportProcess(Process):
                     self.ack_size_units,
                 )
                 origin, seq = uid
-                key = (origin, src)
-                high, recent, window = self._seen_high, self._seen_recent, self.dedup_window
-                if self._window_seen(high, recent, window, key, seq):
+                if self._window_hit(self._seen, self.dedup_window, (origin, src), seq):
                     self.duplicates_suppressed += 1
                     return
-                self._window_mark(high, recent, window, key, seq)
             self._route(envelope)
         elif kind == ACK_KIND:
             uid = packet.payload
@@ -546,8 +539,8 @@ class TransportProcess(Process):
                 or nxt not in net.neighbor_set(node_id)
             ):
                 # dead, or moved out of radio range (mobility): repair
-                if self.binding.repair_gradient(cell) and self.fault_report is not None:
-                    self.fault_report.reroutes += 1
+                if self.binding.repair_gradient(cell):
+                    self._rerouted()
                 nxt = self.binding.toward_leader.get(node_id)
             if nxt is None:
                 return None, "no gradient pointer toward leader"
@@ -559,8 +552,8 @@ class TransportProcess(Process):
                 or not net.nodes[nxt].alive
                 or nxt not in net.neighbor_set(node_id)
             ):
-                if self.topology.repair(cell, direction) and self.fault_report is not None:
-                    self.fault_report.reroutes += 1
+                if self.topology.repair(cell, direction):
+                    self._rerouted()
                 nxt = self.topology.entry(node_id, direction)
             if nxt is None:
                 return None, f"no routing entry {direction.name}"
@@ -570,22 +563,47 @@ class TransportProcess(Process):
             return None, f"next hop {nxt} out of range"
         return nxt, ""
 
+    def _rerouted(self) -> None:
+        """A repair just rewrote a gradient or a routing table."""
+        TransportProcess._rewrites += 1
+        if self.fault_report is not None:
+            self.fault_report.reroutes += 1
+
     def _route(self, envelope: TransportEnvelope) -> None:
         """Deliver ``envelope`` here, or forward it one hop.
 
-        One step per hop: this node's cell is looked up once, and the next
-        hop's liveness and range are checked once, by
-        :meth:`_resolve_next_hop`.
+        :meth:`_resolve_next_hop` alone computes a next hop; this node's
+        cell is looked up once, and the hop's liveness and range are
+        checked once, by it.  With healing off its answer for a
+        destination cell moves only with the network's liveness generation
+        (kills, revivals, battery deaths, moves) or with a healing rewrite
+        of the shared binding or tables, so each successful forward is
+        memoized per destination cell, stamped with the sum of the two
+        counters (both only grow).  Deliveries and unroutable envelopes
+        are not memoized.  With healing on, repair and failover rewrite
+        routes between hops, so every hop resolves afresh.
         """
-        node_id = self.node_id
-        cell = self.medium.network.cell_of(node_id)
-        if cell == envelope.dst_cell and self.binding.leaders.get(cell) == node_id:
-            self._deliver_once(envelope)
-            return
-        nxt, reason = self._resolve_next_hop(envelope, cell)
+        dst = envelope.dst_cell
+        memo = nxt = None
+        if self.healing is None:
+            stamp = self.medium.network.liveness_generation + TransportProcess._rewrites
+            memo = self._next_hops
+            if stamp != self._next_hops_stamp:
+                memo.clear()
+                self._next_hops_stamp = stamp
+            nxt = memo.get(dst)
         if nxt is None:
-            self._unroutable(envelope, reason)
-            return
+            node_id = self.node_id
+            cell = self.medium.network.cell_of(node_id)
+            if cell == dst and self.binding.leaders.get(cell) == node_id:
+                self._deliver_once(envelope)
+                return
+            nxt, reason = self._resolve_next_hop(envelope, cell)
+            if nxt is None:
+                self._unroutable(envelope, reason)
+                return
+            if memo is not None:
+                memo[dst] = nxt
         envelope.hops += 1
         self.forwarded += 1
         sent = self._tx_envelope(nxt, envelope)
@@ -666,14 +684,9 @@ class TransportProcess(Process):
         """
         if self.reliable and envelope.uid is not None:
             origin, seq = envelope.uid
-            if self._window_seen(
-                self._dlv_high, self._dlv_recent, self.dedup_window, origin, seq
-            ):
+            if self._window_hit(self._delivered, self.dedup_window, origin, seq):
                 self.duplicates_suppressed += 1
                 return
-            self._window_mark(
-                self._dlv_high, self._dlv_recent, self.dedup_window, origin, seq
-            )
         if self._decode_inner(envelope):
             self._deliver(envelope)
 
@@ -766,6 +779,7 @@ class TransportProcess(Process):
             )
         self.binding.leaders[cell] = self.node_id
         self.binding.toward_leader[self.node_id] = None
+        TransportProcess._rewrites += 1
         self._takeover_seen.add((cell, self.node_id))
         self.cancel_timer(_WATCH_TIMER)
         # the takeover flood rebuilds the cell's gradient tree (first-heard
@@ -787,6 +801,7 @@ class TransportProcess(Process):
         if key in self._takeover_seen:
             return
         self._takeover_seen.add(key)
+        TransportProcess._rewrites += 1
         net = self.medium.network
         current = self.binding.leaders.get(cell)
         if (

@@ -40,7 +40,7 @@ one-shot wrapper over this engine) the persistent design adds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -506,7 +506,12 @@ class QueryEngine:
         config: Optional[ServeConfig] = None,
     ):
         self.stack = stack
-        self.config = config or ServeConfig()
+        config = config or ServeConfig()
+        if config.healing is not None:
+            # every round moves the healing horizon: move a copy, not the
+            # caller's HealingConfig, which may drive other runs too
+            config = replace(config, healing=replace(config.healing))
+        self.config = config
         self.stats = EngineStats()
         self.sim, self.medium, self._host = stack.make_harness(
             loss_rate=self.config.loss_rate, rng=self.config.rng

@@ -66,13 +66,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"usage: python -m repro {argv[0]}")
 
+    # The demos' printed fingerprints are pinned: between them they run
+    # the mobility, failover, link-model and shard paths end to end.
+
     def test_scenario_demo_matches_across_modes(self, capsys):
         assert main(["scenario"]) == 0
-        assert "serial == partitioned: MATCH" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "serial == partitioned: MATCH" in out
+        assert "scenario fingerprint : def854d1bd349f28" in out
+        assert out.count("1747 tx, 9648 events") == 2
+        assert out.count("fingerprint 2f6a7f71044ac41a") == 2
 
     def test_partition_demo_matches_across_modes(self, capsys):
         assert main(["partition", "8", "2"]) == 0
-        assert "serial == partitioned: MATCH" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "serial == partitioned: MATCH" in out
+        assert out.count("fingerprint 0a323378113feba4") == 2
+
+    def test_serve_demo_fingerprint(self, capsys):
+        assert main(["serve"]) == 0
+        out = capsys.readouterr().out
+        assert "served 12 queries (12 complete) over 6 rounds" in out
+        assert "engine fingerprint   : 3f1591fb130b1e0b" in out
 
     def test_sweep_subcommand_dispatches(self, capsys):
         assert main(["sweep", "--list-workloads"]) == 0

@@ -1,17 +1,18 @@
-"""The dedup window's eviction, held to the version it replaced.
+"""The bitmask dedup window, held to the set-based window it replaced.
 
-``TransportProcess._window_mark`` evicts the seqs a new high-water mark
-passes over by walking whichever is smaller: the jump range or the set.
-:func:`reference_window_mark` is the version it replaced, kept verbatim:
-it rebuilds a list over the whole set on every new high-water mark.
+``TransportProcess._window_hit`` keeps one ``[top, mask]`` state per key
+and checks and marks a seq in one step.  The reference model is the
+window it replaced, kept here verbatim: a high-water mark plus the set of
+seen seqs above ``top - window`` (:func:`window_seen`), where a seq is
+marked only when it is unseen and a new high-water mark evicts every seq
+at or below ``seq - window`` (:func:`reference_window_mark`).
 
-Both are driven the way the two call sites drive them: a seq is marked
-only when ``_window_seen`` reports it unseen.  ``on_packet`` keys the
-forwarding state by ``(origin, previous hop)``; ``_deliver_once`` keys the
-delivery state by origin.  The generated streams mix duplicates,
-reordering within the window, jumps of a full window or more, and several
-keys.  After every step the answers, the high-water marks and the recent
-sets must be equal.
+``on_packet`` keys the forwarding window by ``(origin, previous hop)``;
+``_deliver_once`` keys the delivery window by origin.  The generated
+streams mix duplicates, reordering within the window, jumps of a full
+window or more, and several keys.  After every step the answers must be
+equal, and every key's ``(top, mask)`` must decode to exactly the
+reference's high-water mark and recent set.
 """
 
 from __future__ import annotations
@@ -35,7 +36,13 @@ pytestmark = pytest.mark.skipif(
     not HAVE_HYPOTHESIS, reason="hypothesis not installed"
 )
 
-window_seen = TransportProcess._window_seen
+def window_seen(high, recent, window, key, seq):
+    top = high.get(key, -1)
+    if seq > top:
+        return False
+    if seq <= top - window:
+        return True  # older than the window: assumed already seen
+    return seq in recent.get(key, ())
 
 
 def reference_window_mark(high, recent, window, key, seq):
@@ -84,6 +91,18 @@ def next_seq(top: int, move: str, magnitude: int, window: int) -> int:
     return top + window + magnitude  # a full window or more
 
 
+def decode(states, window):
+    """``[top, mask]`` states as the reference's high-water marks and
+    recent sets; a bit the window should have shifted out decodes to a
+    seq the reference has evicted."""
+    high = {key: top for key, (top, _) in states.items()}
+    recent = {
+        key: {top - d for d in range(mask.bit_length()) if mask >> d & 1}
+        for key, (top, mask) in states.items()
+    }
+    return high, recent
+
+
 @given(window=st.integers(min_value=1, max_value=12), steps=steps)
 @example(window=1, steps=[(True, 0, "next", 0)] * 3 + [(True, 0, "back", 1)])
 @example(window=4, steps=[(False, 1, "skip", 2), (False, 1, "jump", 0), (False, 1, "back", 3)])
@@ -93,24 +112,17 @@ def test_window_mark_matches_the_reference(window, steps):
     tp = TransportProcess(
         stack.topology, stack.binding, reliable=True, dedup_window=window
     )
-    ref_seen_high, ref_seen_recent = {}, {}
-    ref_dlv_high, ref_dlv_recent = {}, {}
+    reference = {True: ({}, {}), False: ({}, {})}
     for forward, index, move, magnitude in steps:
         if forward:
-            key = FORWARD_KEYS[index]
-            high, recent = tp._seen_high, tp._seen_recent
-            ref_high, ref_recent = ref_seen_high, ref_seen_recent
+            key, states = FORWARD_KEYS[index], tp._seen
         else:
-            key = DELIVER_KEYS[index % len(DELIVER_KEYS)]
-            high, recent = tp._dlv_high, tp._dlv_recent
-            ref_high, ref_recent = ref_dlv_high, ref_dlv_recent
+            key, states = DELIVER_KEYS[index % len(DELIVER_KEYS)], tp._delivered
+        ref_high, ref_recent = reference[forward]
         seq = next_seq(ref_high.get(key, -1), move, magnitude, window)
-        answer = window_seen(high, recent, window, key, seq)
-        assert answer == window_seen(ref_high, ref_recent, window, key, seq)
-        if not answer:
-            tp._window_mark(high, recent, window, key, seq)
+        expected = window_seen(ref_high, ref_recent, window, key, seq)
+        if not expected:
             reference_window_mark(ref_high, ref_recent, window, key, seq)
-        assert tp._seen_high == ref_seen_high
-        assert tp._seen_recent == ref_seen_recent
-        assert tp._dlv_high == ref_dlv_high
-        assert tp._dlv_recent == ref_dlv_recent
+        assert tp._window_hit(states, window, key, seq) == expected
+        assert decode(tp._seen, window) == reference[True]
+        assert decode(tp._delivered, window) == reference[False]

@@ -20,7 +20,14 @@ from repro.core import (
     VirtualArchitecture,
 )
 from repro.core.coords import Direction
-from repro.runtime import deploy, next_direction, plan_leader_storm, trace_route
+from repro.runtime import (
+    HealingConfig,
+    TransportProcess,
+    deploy,
+    next_direction,
+    plan_leader_storm,
+    trace_route,
+)
 from repro.runtime.stack import _AppProcess
 
 from conftest import make_deployment
@@ -257,27 +264,43 @@ class TestRoundReuse:
     def fields(proc):
         return [name for cls in type(proc).__mro__ for name in cls.__dict__.get("__slots__", ())]
 
-    def dirty_stack(self):
-        """A stack whose processes carry every kind of per-round state: a
-        lossy healing round with a failover and corrupted frames, cut off
-        with envelopes still in custody and timers armed."""
-        stack = deploy(make_deployment(side=4, n_random=100, seed=5))
+    def dirty_stacks(self):
+        """Stacks whose processes carry every kind of per-round state: a
+        lossy healing round with a failover and corrupted frames, and a
+        lossy round without healing (which memoizes next hops), both cut
+        off with envelopes still in custody and timers armed."""
         spec = VirtualArchitecture(4).synthesize(CountAggregation(lambda c: True))
-        plan = plan_leader_storm(
-            sorted(stack.binding.leaders), kills=1, at=0.5, seed=3, corrupt_frames=2
-        )
-        run = stack.run_application(
-            spec, loss_rate=0.2, rng=np.random.default_rng(1), reliable=True,
-            max_retries=8, wire_format=True, fault_plan=plan, max_events=1500,
-        )
-        assert run.events_processed == 1500 and run.fault_report.failovers
-        return stack, spec
+        for healing, max_events in ((True, 1500), (False, 150)):
+            stack = deploy(make_deployment(side=4, n_random=100, seed=5))
+            plan = plan_leader_storm(
+                sorted(stack.binding.leaders), kills=1, at=0.5, seed=3, corrupt_frames=2
+            )
+            run = stack.run_application(
+                spec, loss_rate=0.2, rng=np.random.default_rng(1), reliable=True,
+                max_retries=8, wire_format=True, fault_plan=plan if healing else None,
+                max_events=max_events,
+            )
+            assert run.events_processed == max_events
+            assert bool(run.fault_report and run.fault_report.failovers) == healing
+            yield stack, spec
 
     def test_rearmed_process_equals_a_fresh_one(self):
-        stack, spec = self.dirty_stack()
+        dirty = set()
+        for stack, spec in self.dirty_stacks():
+            self.rearm_every_process(stack, spec, dirty)
+        # the dirty rounds really exercised the state the re-arm must reset
+        assert {
+            "_seq", "_pending", "_seen", "_delivered", "_next_hops", "_next_hops_stamp",
+            "_last_hb", "_takeover_seen", "_armed_timers", "_timer_stamp", "forwarded",
+            "retransmissions", "duplicates_suppressed", "rejected_frames", "program",
+            "healing", "fault_report",
+        } <= dirty
+
+    def rearm_every_process(self, stack, spec, dirty):
+        """Re-arm each of ``stack``'s processes, check it equals a fresh
+        one, and add the slots the round left dirty to ``dirty``."""
         processes = stack._processes
         assert processes
-        dirty = set()
         for nid, proc in sorted(processes.items()):
             assert not hasattr(proc, "__dict__"), "per-round state outside the slots"
             cell = stack.network.cell_of(nid)
@@ -300,13 +323,6 @@ class TestRoundReuse:
             proc.arm(*args, **config)
             for name in per_round:
                 assert getattr(proc, name) == getattr(fresh, name), f"node {nid}: {name}"
-        # the dirty rounds really exercised the state the re-arm must reset
-        assert {
-            "_seq", "_pending", "_seen_high", "_seen_recent", "_dlv_high", "_dlv_recent",
-            "_last_hb", "_takeover_seen", "_armed_timers", "_timer_stamp", "forwarded",
-            "retransmissions", "duplicates_suppressed", "rejected_frames", "program",
-            "healing", "fault_report",
-        } <= dirty
 
     def test_processes_are_built_once_and_unbound_between_rounds(self, stack4):
         _, stack = stack4
@@ -331,3 +347,82 @@ class TestRoundReuse:
         assert copy.run_application(
             VirtualArchitecture(4).synthesize(CountAggregation(lambda c: True))
         ).root_payload == 16
+
+
+class TestNextHopMemo:
+    """With healing off, a transport answers a destination cell it has
+    forwarded toward from memory; a kill or a revival of the remembered
+    hop must still reach the very next envelope."""
+
+    @staticmethod
+    def hosted(stack, **kwargs):
+        """A started harness with a transport on every alive node."""
+        sim, _medium, host = stack.make_harness()
+        for nid in stack.network.alive_ids():
+            host.add(nid, TransportProcess(stack.topology, stack.binding, **kwargs))
+        host.start()
+        return sim, host
+
+    @pytest.mark.parametrize("reliable", [False, True], ids=["unreliable", "reliable"])
+    def test_killed_hop_drops_and_revived_hop_forwards(self, reliable):
+        net = make_deployment(side=4, seed=9)
+        stack = deploy(net)
+        delivered, dropped = [], []
+        sim, host = self.hosted(
+            stack,
+            on_deliver=lambda p, env: delivered.append(env.inner),
+            on_drop=lambda p, env, reason: dropped.append((p.node_id, env.inner, reason)),
+            reliable=reliable,
+        )
+        dst = (3, 0)
+        path = trace_route(stack.topology, stack.binding, (0, 0), dst)
+        origin, hop = host.get(path[0]), path[1]
+        assert len(path) > 3
+
+        def send(inner):
+            origin.originate(dst, inner)
+            sim.run_until_quiet()
+
+        send("first")
+        send("memoized")
+        assert delivered == ["first", "memoized"]
+        assert host.get(hop).forwarded == 2
+        net.node(hop).kill()
+        send("killed")
+        assert dropped == [(origin.node_id, "killed", f"next hop {hop} dead")]
+        assert (origin.forwarded, origin.drops) == (2, 1)
+        net.node(hop).revive()
+        send("revived")
+        assert delivered == ["first", "memoized", "revived"]
+        assert (origin.forwarded, origin.drops) == (3, 1)
+        assert host.get(hop).forwarded == 3
+
+    def test_failover_on_a_shared_stack_reaches_the_memo(self):
+        """A healing round on the same stack fails a dead leader's cell
+        over without moving the liveness generation; a memo filled after
+        the kill must not outlive the rewritten gradient.  A short radio
+        range makes the cell's gradient several hops deep, so the takeover
+        flood changes the pointers of relays that memoized the old ones."""
+        net = make_deployment(side=4, n_random=500, seed=5, range_cells=0.5)
+        stack = deploy(net)
+        delivered, dropped = [], []
+        sim, host = self.hosted(
+            stack,
+            on_deliver=lambda p, env: delivered.append((p.node_id, env.hops)),
+            on_drop=lambda p, env, reason: dropped.append(reason),
+        )
+        src, dst = (0, 0), (0, 3)
+        old = stack.binding.leader_of(dst)
+        net.node(old).kill()
+        origin = host.get(stack.binding.leader_of(src))
+        origin.originate(dst, "before")
+        sim.run_until_quiet()
+        assert dropped == [f"next hop {old} dead"] and not delivered
+        spec = VirtualArchitecture(4).synthesize(CountAggregation(lambda c: True))
+        stack.run_application(spec, healing=HealingConfig())
+        new = stack.binding.leader_of(dst)
+        assert new != old
+        origin.originate(dst, "after")
+        sim.run_until_quiet()
+        path = trace_route(stack.topology, stack.binding, src, dst)
+        assert delivered == [(new, len(path) - 1)]

@@ -46,9 +46,11 @@ class TestDedupWindow:
         tp = make_transport(reliable=True, dedup_window=64)
         for seq in range(10_000):
             tp._uid_mark(3, seq)
-        # the seed kept one set entry per uid ever seen (10k here)
-        assert len(tp._seen_recent[3]) <= 64
-        assert tp._seen_high[3] == 9_999
+        # the seed kept one set entry per uid ever seen (10k here); the
+        # window keeps a high-water mark and a mask of at most 64 bits
+        top, mask = tp._seen[3]
+        assert mask.bit_length() <= 64
+        assert top == 9_999
 
     def test_new_uid_within_window_not_suppressed(self):
         tp = make_transport(reliable=True, dedup_window=16)
@@ -125,8 +127,8 @@ class TestDedupWindowBoundary:
         tp = make_transport(reliable=True, dedup_window=window)
         tp._uid_mark(5, 0)
         assert tp._uid_seen(5, 0)
-        tp._uid_mark(5, window + 1)  # evicts 0 from the recent set
-        assert 0 not in tp._seen_recent[5]
+        tp._uid_mark(5, window + 1)  # shifts 0 out of the mask
+        assert tp._seen[5] == [window + 1, 1]
         assert tp._uid_seen(5, 0)
 
     def test_long_churn_run_keeps_per_origin_state_bounded(self):
@@ -149,14 +151,14 @@ class TestDedupWindowBoundary:
                 if not tp._uid_seen(origin, seq):
                     tp._uid_mark(origin, seq)
                     accepted.add(seq)
-                assert len(tp._seen_recent[origin]) <= window + 1, (
-                    f"recent set exceeded the dedup window at seq {seq}"
+                assert tp._seen[origin][1].bit_length() <= window, (
+                    f"mask exceeded the dedup window at seq {seq}"
                 )
             # reordering stays inside the window, so acceptance is
             # *exactly* once per seq — no duplicates, no false positives
             assert accepted == set(range(5_000))
-        assert set(tp._seen_high) == {1, 2}
-        assert tp._seen_high[1] == tp._seen_high[2] == 4_999
+        assert set(tp._seen) == {1, 2}
+        assert tp._seen[1][0] == tp._seen[2][0] == 4_999
 
 
 class AckDroppingMedium(WirelessMedium):

@@ -369,6 +369,27 @@ class TestFaultThenRecover:
         fp, _, _, _ = _recover_run(wire=False, partitions=4)
         assert fp == baseline[0]
 
+    def test_engine_leaves_the_callers_healing_config_alone(self):
+        """The engine moves its healing horizon every round; it must move
+        its own copy, or a later round given the caller's config runs to
+        the engine's horizon instead of its own."""
+        hc = HealingConfig()
+        stack, storage = build_serving_stack(side=4, seed=7)
+        engine = QueryEngine(stack, storage, ServeConfig(reliable=True, healing=hc))
+        engine.run_batch([], at=500.0)
+        assert hc.horizon == HealingConfig().horizon
+        assert engine.config.healing.horizon == 500.0 + engine.config.healing_headroom
+        spec = VirtualArchitecture(4).synthesize(CountAggregation(lambda c: True))
+        reused, fresh = (
+            stack.run_application(
+                spec, reliable=True, healing=healing, loss_rate=0.05,
+                rng=np.random.default_rng(1),
+            )
+            for healing in (hc, HealingConfig())
+        )
+        assert reused.latency == fresh.latency
+        assert reused.fingerprint() == fresh.fingerprint()
+
 
 class TestChaosSoak:
     @pytest.fixture(scope="class")

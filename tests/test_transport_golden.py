@@ -18,6 +18,9 @@ link-model scenario round; one reliable round split into two shards
 query stream with a deferring tenant; and four sequences of rounds run
 back to back on one stack (``multiround-*``), which pin that a round's
 outputs do not depend on the rounds run before it on the same stack.
+Two cases change the network under a transport that has already routed
+through it: a serving stream whose relay is killed and later revived
+between bursts, and a round in which relays run out of battery.
 """
 
 from __future__ import annotations
@@ -32,7 +35,14 @@ import numpy as np
 import pytest
 
 from repro.core import CountAggregation, VirtualArchitecture
-from repro.runtime import deploy, kill_random_nodes, plan_leader_storm
+from repro.runtime import (
+    FaultEvent,
+    FaultPlan,
+    deploy,
+    kill_random_nodes,
+    plan_leader_storm,
+    trace_route,
+)
 from repro.scenario import LogNormalShadowing, Scenario
 from repro.serve import QueryEngine, ServeConfig, TenantPolicy
 from repro.serve.admission import synthesize_arrivals
@@ -239,6 +249,64 @@ def serve_stream_case() -> str:
     return stable_digest((engine.fingerprint(), first.fingerprint(), second.fingerprint()))
 
 
+def serve_relay_kill_case() -> str:
+    """A reliable lossy stream on one engine without healing.  Between
+    bursts ``arm_faults`` kills the relay in front of a storage leader;
+    it fires inside the next burst, and a later plan revives it the same
+    way, so a transport's remembered next hops must follow both.  The
+    cache is off, so every query crosses the radio."""
+    stack, storage = build_serving_stack(side=SIDE, seed=7)
+    engine = QueryEngine(
+        stack,
+        storage,
+        ServeConfig(
+            loss_rate=0.1, rng=np.random.default_rng(11), reliable=True, cache=False
+        ),
+    )
+    queriers = sorted(stack.binding.leaders)
+    relay = trace_route(stack.topology, stack.binding, queriers[-1], sorted(storage)[0])[-2]
+    assert relay not in stack.binding.leaders.values()
+    bursts = []
+    for seed, fault in ((21, None), (22, "kill_node"), (23, "restore")):
+        if fault is not None:
+            engine.arm_faults(FaultPlan((FaultEvent(time=3.0, action=fault, node=relay),)))
+        bursts.append(
+            engine.serve(
+                synthesize_arrivals(queriers, 10, seed=seed, mean_interarrival=2.0),
+                round_interval=8.0,
+                reduce_fn=sum,
+            ).fingerprint()
+        )
+    return stable_digest((relay, engine.fingerprint(), tuple(bursts)))
+
+
+def battery_deaths_case() -> str:
+    """A reliable lossy round without healing in which relays run out of
+    battery mid-round: every other non-leader is left a few hops of
+    energy, so ``SensorNode.draw`` kills it inside the round."""
+    net = make_deployment(side=SIDE, n_random=100, seed=5)
+    stack = deploy(net)
+    leaders = set(stack.binding.leaders.values())
+    for nid, node in sorted(net.nodes.items()):
+        if nid % 2 == 0 and nid not in leaders:
+            node.initial_energy = node.consumed_energy + 4.0 + 3.0 * (nid % 5)
+    built = []
+    build = stack.make_harness
+
+    def make_harness(**kwargs):
+        harness = build(**kwargs)
+        built.append(harness)
+        return harness
+
+    stack.make_harness = make_harness
+    result = stack.run_application(
+        count_spec(), loss_rate=0.1, rng=np.random.default_rng(31), reliable=True, max_retries=8
+    )
+    _, medium, host = built[0]
+    dead = tuple(nid for nid, node in sorted(net.nodes.items()) if not node.alive)
+    return stable_digest((dead, digest_round(result, medium, host)))
+
+
 def _cases() -> Dict[str, Callable[[], str]]:
     cases: Dict[str, Callable[[], str]] = {}
     for kind in ("kill-leaders", "partition-restore", "corrupt-frames"):
@@ -267,6 +335,8 @@ def _cases() -> Dict[str, Callable[[], str]]:
     cases["partitioned-2-reliable"] = partitioned_case
     cases["chaos-soak"] = lambda: chaos_soak().fingerprint
     cases["serve-stream-defer"] = serve_stream_case
+    cases["serve-relay-kill-restore"] = serve_relay_kill_case
+    cases["battery-deaths-reliable"] = battery_deaths_case
     for name, rounds in MULTIROUND.items():
         cases[f"multiround-{name}"] = functools.partial(multiround_case, rounds)
     return cases
