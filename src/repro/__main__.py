@@ -24,7 +24,7 @@ printing the matching fingerprints and the scenario report;
 ``tests/test_scenario.py`` holds the acceptance matrix.
 
 ``python -m repro analyze ...`` runs the campaign-analytics pipeline
-(:mod:`repro.analyze`): memoized aggregation of sweep JSONL sinks with
+(:mod:`repro.analyze`): one-pass aggregation of sweep JSONL sinks with
 confidence intervals (``--sink``/``--by``).
 
 An unknown subcommand or a non-numeric ``side``/``threshold`` prints one

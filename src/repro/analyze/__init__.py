@@ -7,37 +7,28 @@ package turns them into checked, publishable answers —
 * :mod:`repro.analyze.ingest` — typed, schema-validated records through
   the sink layer's torn-tail repair, with resume-duplicate deduplication
   and audit-fingerprint verification;
-* :mod:`repro.analyze.stats` — Welford-style combinable accumulators and
+* :mod:`repro.analyze.stats` — Welford running accumulators and
   t/normal confidence intervals over replicates (no SciPy at runtime);
-* :mod:`repro.analyze.aggregate` / :mod:`repro.analyze.cache` — group-by
-  over grid axes with mergeable summaries, disk-memoized per
-  ``(file sha256, query)`` so an unchanged campaign re-analyzes with
-  zero record re-reads;
+* :mod:`repro.analyze.aggregate` — one-pass group-by over grid axes
+  across every sink of a campaign;
 * :mod:`repro.analyze.tables` — deterministic text/markdown tables;
 * :mod:`repro.analyze.cli` — the ``python -m repro analyze`` subcommand.
 
 Quick use::
 
-    from repro.analyze import GroupQuery, MemoizedAggregator
+    from repro.analyze import GroupQuery, aggregate_sinks
 
-    result = MemoizedAggregator().aggregate(
-        ["loss.jsonl"], GroupQuery(by=("loss",))
-    )
+    result = aggregate_sinks(["loss.jsonl"], GroupQuery(by=("loss",)))
     for key, group in sorted(result.groups.items()):
         print(key, group.intervals(0.95)["latency"])
 """
 
 from .aggregate import (
+    AggregateResult,
     GroupAggregate,
     GroupQuery,
     aggregate_records,
-    merge_groups,
-)
-from .cache import (
-    AggregateResult,
-    CacheStats,
-    MemoizedAggregator,
-    file_sha256,
+    aggregate_sinks,
 )
 from .ingest import (
     AnalyzeError,
@@ -64,23 +55,20 @@ __all__ = [
     "Accumulator",
     "AggregateResult",
     "AnalyzeError",
-    "CacheStats",
     "ConfidenceInterval",
     "DuplicateRecordError",
     "GroupAggregate",
     "GroupQuery",
     "IngestReport",
-    "MemoizedAggregator",
     "RunRecord",
     "UnknownSchemaError",
     "aggregate_records",
+    "aggregate_sinks",
     "campaign_table",
     "confidence_interval",
-    "file_sha256",
     "format_table",
     "ingest_jsonl",
     "markdown_table",
-    "merge_groups",
     "t_critical",
     "z_critical",
 ]

@@ -1,26 +1,28 @@
-"""Cross-sweep group-by aggregation with mergeable summaries.
+"""Cross-sweep group-by aggregation: one pass over every sink.
 
 A :class:`GroupQuery` names the question ("group the ``storm`` records by
-``loss`` and summarize every metric"); :func:`aggregate_records` folds a
-batch of typed records into one :class:`GroupAggregate` per group.  The
-aggregates are *mergeable* — per-metric :class:`~repro.analyze.stats.Accumulator`
-moments, failure counts, and fingerprint digests all combine associatively
-— which is what lets the disk memo (:mod:`repro.analyze.cache`) keep one
-partial per sink file and combine partials instead of re-reading records.
+``loss`` and summarize every metric"); :func:`aggregate_sinks` ingests
+each sweep sink, refuses runs that two sinks both contain, and folds
+every record into one :class:`GroupAggregate` per group in a single pass
+(:func:`aggregate_records`).
 
 Audit duplicates are excluded from the statistics (they exist to check
-determinism, not to bias it — same rule as :func:`repro.sweep.summarize`);
-their fingerprint verdicts travel in the ingest report instead.
+determinism, not to bias it); their fingerprint verdicts travel in the
+ingest reports instead.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .ingest import AnalyzeError, RunRecord
+from .ingest import (
+    AnalyzeError,
+    DuplicateRecordError,
+    IngestReport,
+    RunRecord,
+    ingest_jsonl,
+)
 from .stats import Accumulator, ConfidenceInterval, confidence_interval
 
 
@@ -31,8 +33,7 @@ class GroupQuery:
     ``by`` lists the grid axes to group on (``None`` = every parameter,
     i.e. one group per grid point); ``metrics`` restricts which numeric
     metrics are summarized (``None`` = all); ``workload`` filters records
-    to one workload kernel.  The canonical form is part of the memo key,
-    so two processes asking "the same question" share cache entries.
+    to one workload kernel.
     """
 
     by: Optional[Tuple[str, ...]] = None
@@ -47,22 +48,6 @@ class GroupQuery:
             ):
                 raise AnalyzeError(f"GroupQuery.{name} must be a tuple of axis names")
 
-    def canonical_json(self) -> str:
-        """Canonical serialization (the memo-key half the query owns)."""
-        return json.dumps(
-            {
-                "by": sorted(self.by) if self.by is not None else None,
-                "metrics": sorted(self.metrics) if self.metrics is not None else None,
-                "workload": self.workload,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-
-    def query_hash(self) -> str:
-        """Stable 16-hex-digit identity of the question."""
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
-
     def group_key(self, record: RunRecord) -> str:
         """The group label one record lands in (sorted ``k=v`` pairs)."""
         params = record.param_dict()
@@ -76,13 +61,12 @@ class GroupQuery:
 
 @dataclass
 class GroupAggregate:
-    """The mergeable summary of one group: counts, moments, fingerprints."""
+    """The summary of one group: run counts and per-metric moments."""
 
     key: str
     runs: int = 0
     failed: int = 0
     metrics: Dict[str, Accumulator] = field(default_factory=dict)
-    fingerprints: List[str] = field(default_factory=list)
 
     def fold(self, record: RunRecord, wanted: Optional[Tuple[str, ...]]) -> None:
         """Fold one non-audit record in."""
@@ -90,32 +74,10 @@ class GroupAggregate:
             self.failed += 1
             return
         self.runs += 1
-        if record.fingerprint and record.fingerprint not in self.fingerprints:
-            self.fingerprints.append(record.fingerprint)
-            self.fingerprints.sort()
         for name, value in record.metrics:
             if wanted is not None and name not in wanted:
                 continue
             self.metrics.setdefault(name, Accumulator()).add(value)
-
-    def merge(self, other: "GroupAggregate") -> "GroupAggregate":
-        """Fold another group's summary in (returns self)."""
-        if other.key != self.key:
-            raise AnalyzeError(
-                f"cannot merge group {other.key!r} into {self.key!r}"
-            )
-        self.runs += other.runs
-        self.failed += other.failed
-        self.fingerprints = sorted(set(self.fingerprints) | set(other.fingerprints))
-        for name, acc in other.metrics.items():
-            self.metrics.setdefault(name, Accumulator()).merge(acc)
-        return self
-
-    @property
-    def fingerprint_digest(self) -> str:
-        """Stable digest of the distinct run fingerprints in the group."""
-        material = "\n".join(self.fingerprints).encode()
-        return hashlib.sha256(material).hexdigest()[:16]
 
     def intervals(self, confidence: float = 0.95) -> Dict[str, ConfidenceInterval]:
         """Per-metric CIs over the replicates (skips empty accumulators)."""
@@ -124,32 +86,6 @@ class GroupAggregate:
             for name, acc in sorted(self.metrics.items())
             if acc.count > 0
         }
-
-    # -- persistence (the disk memo stores one partial per sink file) ----
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready dict; round-trips through :meth:`from_dict`."""
-        return {
-            "key": self.key,
-            "runs": self.runs,
-            "failed": self.failed,
-            "fingerprints": list(self.fingerprints),
-            "metrics": {k: acc.to_dict() for k, acc in sorted(self.metrics.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "GroupAggregate":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            key=str(doc["key"]),
-            runs=int(doc["runs"]),
-            failed=int(doc["failed"]),
-            fingerprints=sorted(str(f) for f in doc.get("fingerprints", [])),
-            metrics={
-                str(k): Accumulator.from_dict(v)
-                for k, v in dict(doc.get("metrics", {})).items()
-            },
-        )
 
 
 def aggregate_records(
@@ -168,13 +104,55 @@ def aggregate_records(
     return groups
 
 
-def merge_groups(
-    into: Dict[str, GroupAggregate], other: Dict[str, GroupAggregate]
-) -> Dict[str, GroupAggregate]:
-    """Merge one partial group dict into another (returns ``into``)."""
-    for key, group in other.items():
-        if key in into:
-            into[key].merge(group)
-        else:
-            into[key] = GroupAggregate.from_dict(group.to_dict())
-    return into
+@dataclass
+class AggregateResult:
+    """One campaign aggregation: the groups and the ingest reports behind them."""
+
+    query: GroupQuery
+    groups: Dict[str, GroupAggregate]
+    sources: List[IngestReport]
+
+    @property
+    def duplicates(self) -> List[Dict[str, Any]]:
+        """Within-file duplicate reports from every ingested source."""
+        return [d for src in self.sources for d in src.duplicates]
+
+    @property
+    def audit_mismatches(self) -> List[Dict[str, Any]]:
+        """Audit-fingerprint mismatches from every ingested source."""
+        return [m for src in self.sources for m in src.audit_mismatches]
+
+    @property
+    def torn_lines(self) -> int:
+        """Torn JSONL lines repaired across every ingested source."""
+        return sum(src.torn_lines for src in self.sources)
+
+
+def aggregate_sinks(paths: Sequence[str], query: GroupQuery) -> AggregateResult:
+    """Group-by over every sweep sink in ``paths``, in one pass.
+
+    The same ok run in two different files is a
+    :class:`DuplicateRecordError`: the overlap means the same campaign
+    file was passed twice or two sinks overlap, and counting it twice
+    would bias every moment.  Within one file, resume/retry duplicates
+    are deduplicated (and reported) by the ingest layer.
+    """
+    sources: List[IngestReport] = []
+    seen_runs: Dict[str, str] = {}
+    for path in paths:
+        report = ingest_jsonl(path)
+        run_ids = [r.run_id for r in report.records if r.ok and not r.audit]
+        overlap = sorted(run_id for run_id in run_ids if run_id in seen_runs)
+        if overlap:
+            head = ", ".join(overlap[:5])
+            raise DuplicateRecordError(
+                f"{path}: {len(overlap)} run(s) already ingested from "
+                f"{seen_runs[overlap[0]]} (e.g. {head}) — the same "
+                f"campaign file was passed twice or two sinks overlap"
+            )
+        seen_runs.update(dict.fromkeys(run_ids, path))
+        sources.append(report)
+    groups = aggregate_records(
+        [record for src in sources for record in src.records], query
+    )
+    return AggregateResult(query=query, groups=groups, sources=sources)

@@ -1,14 +1,13 @@
 """The ``python -m repro analyze`` subcommand.
 
-``--sink results.jsonl`` (repeatable) runs the memoized group-by over
-the named sweep sinks and prints the campaign table with replicate
-confidence intervals (``--by loss,side`` picks the axes,
-``--workload``/``--metrics`` filter, ``--markdown`` switches the
-rendering).
+``--sink results.jsonl`` (repeatable) runs the group-by over the named
+sweep sinks and prints the campaign table with replicate confidence
+intervals (``--by loss,side`` picks the axes, ``--workload``/``--metrics``
+filter, ``--markdown`` switches the rendering).
 
 The acceptance contracts are pinned by ``tests/test_analyze_*.py``.
 Exit codes: 0 ok; 1 audit mismatches; 2 usage/ingest errors (including
-no ``--sink``).
+no ``--sink`` and a ``--sink`` path that does not exist).
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ import argparse
 import sys
 from typing import Optional, Sequence, Tuple
 
-from .aggregate import GroupQuery
-from .cache import MemoizedAggregator
+from .aggregate import GroupQuery, aggregate_sinks
 from .ingest import AnalyzeError
 from .stats import SUPPORTED_CONFIDENCES
 from .tables import campaign_table
@@ -28,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The ``repro analyze`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="python -m repro analyze",
-        description="campaign analytics: memoized aggregation and "
+        description="campaign analytics: aggregation and "
         "confidence intervals over sweep sinks",
     )
     parser.add_argument(
@@ -50,15 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="CI level for the campaign table (default 0.95)",
     )
     parser.add_argument(
-        "--cache-dir", default=".analyze_cache", metavar="DIR",
-        help="memo directory keyed by (file sha256, query) "
-        "(default .analyze_cache)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the disk memo (every record re-read)",
-    )
-    parser.add_argument(
         "--markdown", action="store_true", help="render markdown tables"
     )
     parser.add_argument("--quiet", action="store_true", help="suppress tables")
@@ -76,17 +65,13 @@ def _run_campaign(args: argparse.Namespace) -> int:
     query = GroupQuery(
         by=_split(args.by), metrics=_split(args.metrics), workload=args.workload
     )
-    aggregator = MemoizedAggregator(
-        cache_dir=None if args.no_cache else args.cache_dir
-    )
-    result = aggregator.aggregate(args.sink, query)
+    result = aggregate_sinks(args.sink, query)
     if not args.quiet:
         print(campaign_table(result, args.confidence, markdown=args.markdown))
-        stats = result.stats
+        records = sum(len(src.records) for src in result.sources)
         print(
-            f"campaign: {len(result.groups)} group(s) from {stats.files} "
-            f"file(s) — {stats.hits} memo hit(s), {stats.misses} miss(es), "
-            f"{stats.records_read} record(s) read, "
+            f"campaign: {len(result.groups)} group(s) from "
+            f"{len(result.sources)} file(s) — {records} record(s) read, "
             f"{result.torn_lines} torn line(s) repaired"
         )
         for dup in result.duplicates:

@@ -17,6 +17,7 @@ been empty.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -77,7 +78,7 @@ class RunRecord:
         return dict(self.metrics)
 
     @classmethod
-    def from_dict(
+    def parse(
         cls, doc: Mapping[str, Any], source: str = "<memory>", lineno: int = 0
     ) -> "RunRecord":
         """Validate and type one raw JSONL record.
@@ -153,19 +154,6 @@ class IngestReport:
         """True iff no audit fingerprint disagreed with its primary."""
         return not self.audit_mismatches
 
-    def meta_dict(self) -> Dict[str, Any]:
-        """The bookkeeping counters as a JSON-ready dict."""
-        return {
-            "path": self.path,
-            "records": len(self.records),
-            "ok": len(self.ok_records),
-            "failed": len(self.records) - len(self.ok_records),
-            "torn_lines": self.torn_lines,
-            "skipped_kinds": self.skipped_kinds,
-            "duplicates": list(self.duplicates),
-            "audit_mismatches": list(self.audit_mismatches),
-        }
-
 
 def _dedupe(records: List[RunRecord]) -> Tuple[List[RunRecord], List[Dict[str, Any]]]:
     """Collapse repeated run ids to one record each, reporting the repeats.
@@ -221,18 +209,23 @@ def _check_audits(records: List[RunRecord]) -> List[Dict[str, Any]]:
 
 
 def ingest_jsonl(path: str) -> IngestReport:
-    """One sweep sink file -> validated, deduplicated typed records."""
+    """One sweep sink file -> validated, deduplicated typed records.
+
+    A missing file is an :class:`AnalyzeError`, not an empty campaign.
+    """
+    if not os.path.exists(path):
+        raise AnalyzeError(f"{path}: no such sink file")
     report = IngestReport(path=path)
 
     def count_torn(lineno: int, line: str) -> None:
         report.torn_lines += 1
 
     raw: List[RunRecord] = []
-    for lineno, doc in enumerate(iter_records(path, on_torn=count_torn), start=1):
+    for lineno, doc in iter_records(path, on_torn=count_torn):
         if doc.get("kind", "run") != "run":
             report.skipped_kinds += 1
             continue
-        raw.append(RunRecord.from_dict(doc, source=path, lineno=lineno))
+        raw.append(RunRecord.parse(doc, source=path, lineno=lineno))
     report.records, report.duplicates = _dedupe(raw)
     report.audit_mismatches = _check_audits(report.records)
     return report

@@ -1,12 +1,9 @@
-"""Combinable summary statistics and confidence intervals.
+"""Running summary statistics and confidence intervals.
 
 The analysis pipeline never holds a campaign's raw samples in memory: every
 metric of every group collapses into an :class:`Accumulator` — a
-Welford-style running summary (count / mean / M2 / min / max) with an exact
-pairwise :meth:`Accumulator.merge` (Chan, Golub & LeVeque).  Merging is the
-property the disk memo relies on: one partial accumulator per sink file,
-combined in any grouping or order, equals the single-pass computation over
-the concatenated records (to float rounding; count/min/max exactly).
+Welford-style running summary (count / mean / M2 / min / max) updated one
+sample at a time.
 
 Confidence intervals over replicates use the Student-t critical value for
 small samples and fall back to the normal value for large ones — the
@@ -21,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Tuple
+from typing import Dict, Iterable, Tuple
 
 #: Degrees of freedom pinned in the t tables (interpolated in 1/df between).
 _T_DFS: Tuple[int, ...] = tuple(range(1, 31)) + (40, 60, 120)
@@ -92,12 +89,9 @@ def t_critical(df: int, confidence: float = 0.95) -> float:
 
 @dataclass
 class Accumulator:
-    """Mergeable count/mean/variance/min/max summary of one sample stream.
+    """Running count/mean/variance/min/max summary of one sample stream.
 
-    ``add`` is Welford's online update; ``merge`` is the parallel
-    combination, so any partition of the samples into accumulators folds
-    to the same summary as a single pass (count/min/max exactly, moments
-    to float rounding).
+    ``add`` is Welford's online update, numerically stable in one pass.
     """
 
     count: int = 0
@@ -125,32 +119,6 @@ class Accumulator:
             self.add(x)
         return self
 
-    def merge(self, other: "Accumulator") -> "Accumulator":
-        """Fold another accumulator in (returns self).
-
-        Chan/Golub/LeVeque pairwise combination; merging an empty side is
-        an exact no-op, so identity elements are safe everywhere.
-        """
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            self.count = other.count
-            self.mean = other.mean
-            self.m2 = other.m2
-            self.min = other.min
-            self.max = other.max
-            return self
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self.m2 += other.m2 + delta * delta * self.count * other.count / total
-        self.mean += delta * other.count / total
-        self.count = total
-        if other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
-        return self
-
     @property
     def variance(self) -> float:
         """Unbiased sample variance (0.0 below two samples)."""
@@ -160,30 +128,6 @@ class Accumulator:
     def std(self) -> float:
         """Unbiased sample standard deviation."""
         return math.sqrt(max(0.0, self.variance))
-
-    # -- persistence (the disk memo stores partials as JSON) -------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready dict; round-trips through :meth:`from_dict`."""
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "m2": self.m2,
-            "min": None if self.count == 0 else self.min,
-            "max": None if self.count == 0 else self.max,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "Accumulator":
-        """Inverse of :meth:`to_dict`."""
-        count = int(doc["count"])
-        return cls(
-            count=count,
-            mean=float(doc["mean"]),
-            m2=float(doc["m2"]),
-            min=math.inf if count == 0 else float(doc["min"]),
-            max=-math.inf if count == 0 else float(doc["max"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -203,18 +147,6 @@ class ConfidenceInterval:
     confidence: float
     n: int
     method: str
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready dict (report/table serialization)."""
-        return {
-            "mean": self.mean,
-            "lo": self.lo,
-            "hi": self.hi,
-            "half_width": self.half_width,
-            "confidence": self.confidence,
-            "n": self.n,
-            "method": self.method,
-        }
 
 
 #: Sample count at and above which the normal value replaces Student-t.

@@ -1,8 +1,8 @@
 """Publishable text/markdown tables: from aggregates to conclusions.
 
-The last rung of the pipeline: a memoized :class:`AggregateResult`
-renders as an aligned plain-text table (terminal) or a markdown table
-(docs/PR bodies).  Formatting is deliberately deterministic
+The last rung of the pipeline: an :class:`AggregateResult` renders as
+an aligned plain-text table (terminal) or a markdown table (docs/PR
+bodies).  Formatting is deliberately deterministic
 — sorted groups, fixed float formats — so golden-fixture tests can
 byte-pin the output and tables regenerate identically across runs.
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, List, Sequence
 
-from .cache import AggregateResult
+from .aggregate import AggregateResult
 
 
 def _fmt(value: Any) -> str:
@@ -113,7 +113,7 @@ def campaign_rows(
 def campaign_table(
     result: AggregateResult, confidence: float = 0.95, markdown: bool = False
 ) -> str:
-    """The grid-aggregate table of one memoized campaign aggregation."""
+    """The grid-aggregate table of one campaign aggregation."""
     render = markdown_table if markdown else format_table
     return render(CAMPAIGN_HEADERS, campaign_rows(result, confidence))
 

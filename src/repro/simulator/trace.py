@@ -129,10 +129,6 @@ class MediumStats:
             tuple(sorted(self.by_kind_drop.items())),
         )
 
-    def fingerprint_digest(self) -> str:
-        """JSON-friendly digest of :meth:`fingerprint` for result records."""
-        return stable_digest(self.fingerprint())
-
 
 @dataclass
 class TraceRecord:

@@ -12,8 +12,6 @@ high-throughput experiment platform:
   failure records;
 * :mod:`repro.sweep.sink` — the append-only JSONL result sink with
   resume-from-partial-results and the cross-shard determinism audit;
-* :mod:`repro.sweep.aggregate` — collapse to schema-2 per-commit
-  ``SWEEP_*.json`` summaries;
 * :mod:`repro.sweep.cli` — the ``python -m repro sweep`` subcommand.
 
 Quick use::
@@ -27,7 +25,6 @@ Quick use::
     assert audit_determinism(records).ok
 """
 
-from .aggregate import make_entry, point_key, summarize, write_summary
 from .scheduler import ShardStatus, SweepProgress, print_progress, run_sweep
 from .sink import (
     AuditReport,
@@ -64,12 +61,8 @@ __all__ = [
     "get_workload",
     "iter_records",
     "load_records",
-    "make_entry",
-    "point_key",
     "print_progress",
     "public_workloads",
     "run_sweep",
-    "summarize",
     "workload",
-    "write_summary",
 ]

@@ -3,13 +3,13 @@
 Builds a :class:`~repro.sweep.spec.SweepSpec` from a JSON file
 (``--spec``) or inline flags (``--workload`` + repeated ``--grid``/
 ``--fixed``), runs it through the shard scheduler with live per-shard
-progress, audits the cross-shard determinism duplicates, and optionally
-writes the aggregated trajectory summary.
+progress, and audits the cross-shard determinism duplicates.  The sink
+it writes is what ``python -m repro analyze`` turns into tables.
 
 Examples::
 
     python -m repro sweep --workload e1 --grid side=4,8,16 \\
-        --replicates 3 --workers 4 --out sweep_e1.jsonl --summary SWEEP_e1.json
+        --replicates 3 --workers 4 --out sweep_e1.jsonl
 
     python -m repro sweep --workload churn --grid churn=0.0,0.25,0.5,1.0 \\
         --grid rotate=false,true --fixed side=4 --replicates 5 --audit 4
@@ -27,7 +27,6 @@ import argparse
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
-from .aggregate import write_summary
 from .scheduler import print_progress, run_sweep
 from .sink import audit_determinism
 from .spec import SweepSpec
@@ -95,10 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--out", default="sweep_results.jsonl", metavar="PATH",
         help="JSONL result sink (default sweep_results.jsonl)",
-    )
-    parser.add_argument(
-        "--summary", metavar="PATH",
-        help="also append an aggregated entry to this trajectory JSON",
     )
     parser.add_argument(
         "--workers", type=int, default=None,
@@ -186,10 +181,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         for record in failed:
             print(f"  FAILED {record['run_id']}: {record['error']}", file=sys.stderr)
-    if args.summary:
-        write_summary(args.summary, records, spec)
-        if not args.quiet:
-            print(f"summary appended to {args.summary}")
     if not audit.ok:
         for mismatch in audit.mismatches:
             print(f"AUDIT MISMATCH: {mismatch}", file=sys.stderr)

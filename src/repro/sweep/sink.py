@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import IO, Any, Callable, Dict, Iterator, List, Optional, Set
+from typing import IO, Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from .spec import AUDIT_SUFFIX
 
@@ -52,17 +52,19 @@ def append_record(path_or_fh: "str | IO[str]", record: Dict[str, Any]) -> None:
 
 def iter_records(
     path: str, on_torn: Optional[Callable[[int, str], None]] = None
-) -> Iterator[Dict[str, Any]]:
-    """Stream the intact records of a sink file (nothing if missing).
+) -> Iterator[Tuple[int, Dict[str, Any]]]:
+    """Stream ``(line_number, record)`` for each intact line of a sink file.
 
-    The read half of the sink's durability contract, exported for the
-    :mod:`repro.analyze` ingest layer: torn lines (a killed writer's
-    truncated tail) are skipped, not fatal, and each one is reported to
-    ``on_torn(line_number, line)`` so callers can account for the repair
-    instead of silently absorbing it.  Completeness is judged by run ids
-    against the spec, never by line count, so dropping an unparseable
-    line can only cause a run to be re-executed — exactly the safe
-    direction.
+    Yields nothing if the file is missing.  The read half of the sink's
+    durability contract, exported for the :mod:`repro.analyze` ingest
+    layer: torn lines (a killed writer's truncated tail) are skipped, not
+    fatal, and each one is reported to ``on_torn(line_number, line)`` so
+    callers can account for the repair instead of silently absorbing it.
+    Line numbers count every line of the file, blank and torn ones
+    included, so an error can name the line an editor shows.
+    Completeness is judged by run ids against the spec, never by line
+    count, so dropping an unparseable line can only cause a run to be
+    re-executed — exactly the safe direction.
     """
     if not os.path.exists(path):
         return
@@ -71,7 +73,7 @@ def iter_records(
             if not line.strip():
                 continue
             try:
-                yield json.loads(line)
+                yield lineno, json.loads(line)
             except json.JSONDecodeError:
                 # torn write from a killed orchestrator
                 if on_torn is not None:
@@ -84,7 +86,7 @@ def load_records(path: str) -> List[Dict[str, Any]]:
     Materialized :func:`iter_records` with torn-tail lines silently
     repaired — the resume path's historical interface.
     """
-    return list(iter_records(path))
+    return [record for _, record in iter_records(path)]
 
 
 def completed_ok_ids(records: List[Dict[str, Any]], spec_hash: Optional[str] = None) -> Set[str]:

@@ -25,7 +25,7 @@ import pytest
 
 from repro.analyze import (
     GroupQuery,
-    MemoizedAggregator,
+    aggregate_sinks,
     campaign_table,
     markdown_table,
 )
@@ -78,9 +78,7 @@ def campaign_records():
 
 
 def build_table() -> str:
-    result = MemoizedAggregator(cache_dir=None).aggregate(
-        [CAMPAIGN_PATH], GroupQuery(by=("loss",))
-    )
+    result = aggregate_sinks([CAMPAIGN_PATH], GroupQuery(by=("loss",)))
     return campaign_table(result, confidence=0.95)
 
 
@@ -113,9 +111,7 @@ class TestGoldenFixtures:
 
     def test_markdown_rendering_row_count(self):
         """Markdown mirrors the text table row-for-row (format-only diff)."""
-        result = MemoizedAggregator(cache_dir=None).aggregate(
-            [CAMPAIGN_PATH], GroupQuery(by=("loss",))
-        )
+        result = aggregate_sinks([CAMPAIGN_PATH], GroupQuery(by=("loss",)))
         text = campaign_table(result).strip().splitlines()
         rows = [
             [c for c in line.split("  ") if c.strip()] for line in text[2:]

@@ -9,6 +9,7 @@ import pytest
 from repro.__main__ import SUBCOMMANDS, main
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
+CAMPAIGN = REPO / "tests" / "data" / "analyze_fixtures" / "campaign.jsonl"
 
 
 class TestCli:
@@ -100,11 +101,36 @@ class TestCli:
         assert err == "nothing to do: no --sink given\n"
 
     def test_analyze_subcommand_prints_the_campaign_table(self, capsys):
-        sink = REPO / "tests" / "data" / "analyze_fixtures" / "campaign.jsonl"
-        assert main(["analyze", "--sink", str(sink), "--by", "loss", "--no-cache"]) == 0
+        assert main(["analyze", "--sink", str(CAMPAIGN), "--by", "loss"]) == 0
         out = capsys.readouterr().out
         assert "deliveries_per_s" in out
-        assert "campaign: 2 group(s) from 1 file(s)" in out
+        assert (
+            "campaign: 2 group(s) from 1 file(s) — 9 record(s) read, "
+            "0 torn line(s) repaired\n"
+        ) in out
+        assert "memo" not in out
+
+    def test_analyze_missing_sink_is_a_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "nope.jsonl"
+        assert main(["analyze", "--sink", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {missing}: no such sink file\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--summary", "X"],
+            ["analyze", "--sink", str(CAMPAIGN), "--no-cache"],
+            ["analyze", "--sink", str(CAMPAIGN), "--cache-dir", "D"],
+        ],
+        ids=["sweep-summary", "analyze-no-cache", "analyze-cache-dir"],
+    )
+    def test_removed_flags_are_unrecognized(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_serve_subcommand_runs_demo(self, capsys):
         assert main(["serve", "4", "6"]) == 0

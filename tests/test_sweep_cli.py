@@ -89,21 +89,16 @@ class TestMain:
 
     def test_tiny_sweep_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "runs.jsonl"
-        summary = tmp_path / "summary.json"
         code = main([
             "--workload", "storm", "--grid", "loss=0.0",
             "--fixed", "side=4", "--fixed", "n_random=70",
             "--fixed", "rounds=2", "--audit", "0",
-            "--workers", "1", "--out", str(out),
-            "--summary", str(summary), "--quiet",
+            "--workers", "1", "--out", str(out), "--quiet",
         ])
         assert code == 0
         lines = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(lines) == 1
         assert lines[0]["status"] == "ok"
-        doc = json.loads(summary.read_text())
-        assert doc["bench"] == "sweep:storm"
-        assert doc["schema"] == 2
 
     def test_resume_short_circuits_a_completed_sweep(self, tmp_path, capsys):
         out = tmp_path / "runs.jsonl"

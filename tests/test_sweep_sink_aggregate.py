@@ -1,18 +1,12 @@
-"""Unit tests for the JSONL sink, determinism audit, and aggregation."""
+"""Unit tests for the JSONL sink and the determinism audit."""
 
 from __future__ import annotations
 
-import json
-
 from repro.sweep import (
-    SweepSpec,
     append_record,
     audit_determinism,
     completed_ok_ids,
     load_records,
-    point_key,
-    summarize,
-    write_summary,
 )
 
 
@@ -87,40 +81,3 @@ class TestAudit:
         assert report.pairs_checked == 0
         assert report.ok
 
-
-class TestAggregate:
-    def test_point_key_is_sorted_and_canonical(self):
-        assert point_key({"side": 4, "loss": 0.1}) == "loss=0.1,side=4"
-
-    def test_summarize_groups_and_excludes_audits(self):
-        records = [
-            record("h/p0000/r0", params={"side": 4}, metrics={"wall_s": 1.0}),
-            record("h/p0000/r1", params={"side": 4}, metrics={"wall_s": 3.0},
-                   fingerprint="f1"),
-            record("h/p0000/r0#audit", params={"side": 4}, audit=True),
-            record("h/p0001/r0", params={"side": 8}, status="failed"),
-        ]
-        summary = summarize(records)
-        side4 = summary["side=4"]
-        assert side4["runs"] == 2
-        assert side4["failed"] == 0
-        assert side4["distinct_fingerprints"] == 2
-        assert side4["metrics"]["wall_s"] == {"mean": 2.0, "min": 1.0, "max": 3.0}
-        assert summary["side=8"] == {
-            "runs": 0, "failed": 1, "distinct_fingerprints": 0, "metrics": {},
-        }
-
-    def test_write_summary_appends_schema2_trajectory(self, tmp_path):
-        spec = SweepSpec(name="t", workload="storm", grid={"side": [4]})
-        path = str(tmp_path / "SWEEP_t.json")
-        doc = write_summary(path, [record("h/p0000/r0")], spec)
-        assert doc["bench"] == "sweep:t"
-        assert doc["schema"] == 2
-        assert len(doc["runs"]) == 1
-        entry = doc["runs"][0]
-        assert set(entry) >= {"commit", "date", "spec_hash", "workloads"}
-        # same-commit rerun replaces, never duplicates
-        doc2 = write_summary(path, [record("h/p0000/r0")], spec)
-        assert len(doc2["runs"]) == 1
-        on_disk = json.loads((tmp_path / "SWEEP_t.json").read_text())
-        assert on_disk == doc2
