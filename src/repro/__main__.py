@@ -19,9 +19,8 @@ holds the acceptance matrix.
 
 ``python -m repro scenario`` runs one seeded round under the full
 scenario composition (log-normal shadowing, mobility, pursuit adversary,
-duty-cycled sources; DESIGN.md §14) serially and space-partitioned,
-printing the matching fingerprints and the scenario report;
-``tests/test_scenario.py`` holds the acceptance matrix.
+duty-cycled sources; DESIGN.md §14), printing its fingerprint and the
+scenario report; ``tests/test_scenario.py`` holds the acceptance matrix.
 
 ``python -m repro analyze ...`` runs the campaign-analytics pipeline
 (:mod:`repro.analyze`): one-pass aggregation of sweep JSONL sinks with
@@ -153,11 +152,6 @@ SCENARIO_SIDE = 4
 SCENARIO_SEED = 11
 
 
-def _count_all(cell: object) -> bool:
-    """Module-level predicate: the program spec is pickled into shards."""
-    return True
-
-
 def demo_scenario():
     """The reference full-composition scenario the demo runs."""
     from .deployment import covered_deployment
@@ -188,34 +182,13 @@ def demo_scenario():
     )
 
 
-def _scenario_round(scenario, plan, partitions: int = 0):
-    """One seeded round on a fresh stack; ``partitions=0`` = serial path."""
+def _scenario_demo(args: list[str]) -> int:
+    """``python -m repro scenario``."""
     import numpy as np
 
     from .core import CountAggregation
     from .deployment import covered_deployment
-    from .partition import run_partitioned_application
-    from .runtime import deploy
-
-    stack = deploy(covered_deployment(SCENARIO_SIDE, 140, SCENARIO_SEED))
-    spec = VirtualArchitecture(SCENARIO_SIDE).synthesize(CountAggregation(_count_all))
-    kwargs = dict(
-        rng=np.random.default_rng(SCENARIO_SEED + 1),
-        reliable=True,
-        max_retries=8,
-        fault_plan=plan,
-        scenario=scenario,
-    )
-    if partitions == 0:
-        return stack.run_application(spec, **kwargs)
-    return run_partitioned_application(
-        stack, spec, partitions=partitions, procs=1, wall_timeout_s=120.0, **kwargs
-    )
-
-
-def _scenario_demo(args: list[str]) -> int:
-    """``python -m repro scenario``."""
-    from .runtime import FaultEvent, FaultPlan
+    from .runtime import FaultEvent, FaultPlan, deploy
 
     scn = demo_scenario()
     plan = FaultPlan(events=(FaultEvent(time=0.7, action="kill_leader", cell=(1, 1)),))
@@ -223,15 +196,19 @@ def _scenario_demo(args: list[str]) -> int:
           f"{len(scn.mobility.moves)} moves + attacker at "
           f"{scn.attacker.start_cell} + {len(scn.sources.cells)} sources")
     print(f"scenario fingerprint : {scn.fingerprint()}")
-    serial = _scenario_round(scn, plan)
-    partitioned = _scenario_round(scn, plan, partitions=4)
-    rep = serial.scenario_report
-    print(f"serial run           : {serial.transmissions} tx, "
-          f"{serial.events_processed} events, "
-          f"fingerprint {serial.fingerprint()}")
-    print(f"partitioned (K=4)    : {partitioned.transmissions} tx, "
-          f"{partitioned.events_processed} events, "
-          f"fingerprint {partitioned.fingerprint()}")
+    stack = deploy(covered_deployment(SCENARIO_SIDE, 140, SCENARIO_SEED))
+    run = stack.run_application(
+        VirtualArchitecture(SCENARIO_SIDE).synthesize(CountAggregation(lambda c: True)),
+        rng=np.random.default_rng(SCENARIO_SEED + 1),
+        reliable=True,
+        max_retries=8,
+        fault_plan=plan,
+        scenario=scn,
+    )
+    rep = run.scenario_report
+    print(f"run                  : {run.transmissions} tx, "
+          f"{run.events_processed} events, "
+          f"fingerprint {run.fingerprint()}")
     print(f"scenario report      : {len(rep.relocations)} relocations, "
           f"{rep.link_faded} frames faded, "
           f"{rep.source_emissions} source emissions")
@@ -241,9 +218,7 @@ def _scenario_demo(args: list[str]) -> int:
         else f"evaded (distance {atk.distance:.1f})"
     )
     print(f"pursuit adversary    : {atk.moves} moves, {outcome}")
-    match = partitioned.fingerprint() == serial.fingerprint()
-    print(f"serial == partitioned: {'MATCH' if match else 'MISMATCH'}")
-    return 0 if match else 1
+    return 0
 
 
 def _forward(module: str) -> Callable[[list[str]], int]:

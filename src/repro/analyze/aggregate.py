@@ -127,6 +127,11 @@ class AggregateResult:
         """Torn JSONL lines repaired across every ingested source."""
         return sum(src.torn_lines for src in self.sources)
 
+    @property
+    def skipped_kinds(self) -> int:
+        """Non-``run`` records skipped across every ingested source."""
+        return sum(src.skipped_kinds for src in self.sources)
+
 
 def aggregate_sinks(paths: Sequence[str], query: GroupQuery) -> AggregateResult:
     """Group-by over every sweep sink in ``paths``, in one pass.

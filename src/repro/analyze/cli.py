@@ -7,7 +7,8 @@ filter, ``--markdown`` switches the rendering).
 
 The acceptance contracts are pinned by ``tests/test_analyze_*.py``.
 Exit codes: 0 ok; 1 audit mismatches; 2 usage/ingest errors (including
-no ``--sink`` and a ``--sink`` path that does not exist).
+no ``--sink`` and a ``--sink`` path that is not an existing regular
+file).
 """
 
 from __future__ import annotations
@@ -69,10 +70,12 @@ def _run_campaign(args: argparse.Namespace) -> int:
     if not args.quiet:
         print(campaign_table(result, args.confidence, markdown=args.markdown))
         records = sum(len(src.records) for src in result.sources)
+        skipped = result.skipped_kinds
         print(
             f"campaign: {len(result.groups)} group(s) from "
             f"{len(result.sources)} file(s) — {records} record(s) read, "
             f"{result.torn_lines} torn line(s) repaired"
+            + (f", {skipped} non-run record(s) skipped" if skipped else "")
         )
         for dup in result.duplicates:
             print(

@@ -211,10 +211,13 @@ def _check_audits(records: List[RunRecord]) -> List[Dict[str, Any]]:
 def ingest_jsonl(path: str) -> IngestReport:
     """One sweep sink file -> validated, deduplicated typed records.
 
-    A missing file is an :class:`AnalyzeError`, not an empty campaign.
+    A missing file is an :class:`AnalyzeError`, not an empty campaign, and
+    so is any path that is not a regular file (a directory, say).
     """
     if not os.path.exists(path):
         raise AnalyzeError(f"{path}: no such sink file")
+    if not os.path.isfile(path):
+        raise AnalyzeError(f"{path}: not a regular file")
     report = IngestReport(path=path)
 
     def count_torn(lineno: int, line: str) -> None:

@@ -74,26 +74,13 @@ class RegionAggregation(Aggregation):
         return payload.size_units
 
 
-class _FeatureMatrixPredicate:
-    """``coord -> feat[y, x]`` as a picklable callable: space-partitioned
-    runs ship the aggregation spec to shard worker processes, which a
-    closure over the matrix could not survive."""
-
-    def __init__(self, feat: np.ndarray):
-        self.feat = feat
-
-    def __call__(self, coord: GridCoord) -> bool:
-        x, y = coord
-        return bool(self.feat[y, x])
-
-
 def feature_matrix_aggregation(feature_matrix: np.ndarray) -> RegionAggregation:
     """Build a :class:`RegionAggregation` from a boolean matrix indexed
     ``[y, x]`` (the output of ``repro.apps.fields``)."""
     feat = np.asarray(feature_matrix, dtype=bool)
     if feat.ndim != 2 or feat.shape[0] != feat.shape[1]:
         raise ValueError(f"feature matrix must be square 2-D, got {feat.shape}")
-    return RegionAggregation(_FeatureMatrixPredicate(feat))
+    return RegionAggregation(lambda coord: bool(feat[coord[1], coord[0]]))
 
 
 def label_regions_quadtree(feature_matrix: np.ndarray) -> RegionSummary:

@@ -1,11 +1,8 @@
 """Shard planning for the space-partitioned simulator (DESIGN.md §12).
 
 The deployment grid is cut into ``K`` contiguous, cell-aligned vertical
-stripes (equal widths, so ``K`` must divide the side).  Cell alignment is
-what makes partitioning compose with the rest of the runtime: a cell's
-members — and therefore its leader, its candidate failover successors,
-and every EXFILTRATE sink — all live on one shard, so only *radio*
-traffic ever crosses a boundary, never protocol ownership.
+stripes (equal widths, so ``K`` must divide the side), so every cell's
+members live on one shard and only radio traffic crosses a boundary.
 
 The plan is a pure function of the deployment geometry (not of liveness
 or traffic), so the same seeded configuration always yields the same
@@ -18,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ..core.coords import GridCoord
 from ..deployment.topology import RealNetwork
 
 
@@ -27,23 +23,13 @@ class ShardPlan:
     """The static decomposition of one deployment into ``partitions`` shards.
 
     ``local_nodes[k]`` is the sorted tuple of node ids shard ``k`` owns;
-    ``shard_of_node`` maps every node to its owner.  ``neighbor_shards[k]``
-    lists the shards that share at least one radio edge with ``k`` (with a
-    long radio range and narrow stripes this can reach beyond ``k±1``);
-    ``boundary_cells`` are the cells containing at least one node with a
-    remote radio neighbour — where cross-shard egress can originate.
+    ``shard_of_node`` maps every node to its owner.
     """
 
     partitions: int
     side: int
     shard_of_node: Dict[int, int]
     local_nodes: Tuple[Tuple[int, ...], ...]
-    neighbor_shards: Tuple[Tuple[int, ...], ...]
-    boundary_cells: Tuple[GridCoord, ...]
-
-    def shard_of_cell(self, cell: GridCoord) -> int:
-        """Owning shard of a cell: equal-width stripes along the x axis."""
-        return cell[0] * self.partitions // self.side
 
 
 def plan_stripes(network: RealNetwork, partitions: int) -> ShardPlan:
@@ -67,24 +53,9 @@ def plan_stripes(network: RealNetwork, partitions: int) -> ShardPlan:
         shard = network.cell_of(nid)[0] * partitions // side
         shard_of_node[nid] = shard
         local[shard].append(nid)
-    neighbors: List[set] = [set() for _ in range(partitions)]
-    boundary: List[GridCoord] = []
-    boundary_seen = set()
-    for nid in sorted(network.nodes):
-        shard = shard_of_node[nid]
-        for nbr in network.neighbor_set(nid):
-            other = shard_of_node[nbr]
-            if other != shard:
-                neighbors[shard].add(other)
-                cell = network.cell_of(nid)
-                if cell not in boundary_seen:
-                    boundary_seen.add(cell)
-                    boundary.append(cell)
     return ShardPlan(
         partitions=partitions,
         side=side,
         shard_of_node=shard_of_node,
         local_nodes=tuple(tuple(ids) for ids in local),
-        neighbor_shards=tuple(tuple(sorted(s)) for s in neighbors),
-        boundary_cells=tuple(sorted(boundary)),
     )

@@ -24,8 +24,11 @@ each shard world is built from the *same pickled bytes* whether it runs
 in-process or in a worker; per-shard RNG streams are ``spawn``-ed from
 the root generator once, in shard order; boundary arrivals are injected
 in ``(time, src_shard, emit_seq)`` order; and merged observables are
-either commutative sums (stats, energy, counters) or owner-resolved
-(exfiltrated values, fault logs, battery write-back).
+commutative sums (stats, energy, event counts).
+
+The one workload is the timer-driven broadcast storm.  Deployed
+application rounds run serially: building every shard from the whole
+world costs more than splitting their event run saves (DESIGN.md §12).
 """
 
 from __future__ import annotations
@@ -34,50 +37,23 @@ import multiprocessing as mp
 import os
 import pickle
 import time as wall_time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.coords import GridCoord
 from ..core.cost_model import CostModel, EnergyLedger, UniformCostModel
 from ..simulator.engine import Simulator
 from ..simulator.network import Packet, PartitionSlice, WirelessMedium
 from ..simulator.process import Process, ProcessHost
 from ..simulator.trace import MediumStats, stable_digest
-from ..runtime.faults import FaultEvent, FaultInjector, FaultPlan, FaultReport, HealingConfig
-from ..runtime.wire import decode_packet, encode_packet
-from ..scenario import Scenario, ScenarioInjector, ScenarioReport, merge_scenario_reports
 from .plan import ShardPlan, plan_stripes
 
 #: Packet kind used by the synthetic broadcast-storm workload.
 STORM_KIND = "storm"
 
-#: Environment variable the sweep scheduler exports to its workers so
-#: nested partitioned runs can see how many siblings share the machine.
-SWEEP_WORKERS_ENV = "REPRO_SWEEP_WORKERS"
 
-
-# -- lookahead and core budgeting --------------------------------------------------
-
-
-def default_lookahead(
-    cost_model: Optional[CostModel] = None,
-    healing: Optional[HealingConfig] = None,
-) -> float:
-    """The conservative per-hop latency bound for a configuration.
-
-    The medium's delay for a frame of ``s`` data units is
-    ``tx_latency(s)``, monotone in ``s``, so the lookahead is the latency
-    of the *smallest* frame the runtime can emit: heartbeats/takeovers
-    (``heartbeat_size_units``) when healing is enabled, else the unit
-    frame (application messages and acks default to 1.0 data units).  The
-    medium re-checks the bound on every egress, so an exotic workload
-    sending sub-unit frames fails loudly instead of dropping causality.
-    """
-    cost_model = cost_model or UniformCostModel()
-    min_units = healing.heartbeat_size_units if healing is not None else 1.0
-    return cost_model.tx_latency(min_units)
+# -- core budgeting ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -85,20 +61,17 @@ class ProcBudget:
     """Resolved worker-process count for a partitioned run.
 
     ``procs`` is what the run will actually use; ``requested`` is what the
-    caller asked for (defaulting to one process per shard).  When a sweep
-    campaign is driving (``REPRO_SWEEP_WORKERS`` exported by the
-    scheduler), the per-run budget is ``cpus // sweep_workers`` so K-way
-    runs inside an N-way sweep cannot oversubscribe the machine.
+    caller asked for (defaulting to one process per shard); ``cpu_budget``
+    is the machine's cpu count, the cap on an auto-resolved pool.
     """
 
     procs: int
     requested: int
     cpu_budget: int
-    sweep_workers: int
 
     @property
     def clamped(self) -> bool:
-        """Whether nested-parallelism clamping reduced the requested count."""
+        """Whether the cpu budget or the daemon pin reduced the requested count."""
         return self.procs < self.requested
 
 
@@ -118,50 +91,19 @@ def effective_procs(partitions: int, procs: Optional[int] = None) -> ProcBudget:
     same fingerprint, no fork.
     """
     cpus = os.cpu_count() or 1
-    try:
-        sweep_workers = max(1, int(os.environ.get(SWEEP_WORKERS_ENV, "1")))
-    except ValueError:
-        sweep_workers = 1
-    budget = max(1, cpus // sweep_workers)
     requested = partitions if procs is None else max(1, min(partitions, int(procs)))
-    allowed = min(requested, budget) if procs is None else requested
+    allowed = min(requested, cpus) if procs is None else requested
     if mp.current_process().daemon:
         allowed = 1
-    return ProcBudget(
-        procs=max(1, allowed),
-        requested=requested,
-        cpu_budget=budget,
-        sweep_workers=sweep_workers,
-    )
+    return ProcBudget(procs=max(1, allowed), requested=requested, cpu_budget=cpus)
 
 
-# -- shard jobs (the pickled construction recipe) ----------------------------------
-
-
-@dataclass
-class _AppJob:
-    """Everything a worker needs to build one application-round shard."""
-
-    stack: Any
-    spec: Any
-    plan: ShardPlan
-    lookahead: float
-    loss_rate: float
-    jitter: float
-    reliable: bool
-    max_retries: int
-    ack_timeout: float
-    wire_format: bool
-    backoff_factor: float
-    backoff_jitter: float
-    fault_plan: Optional[FaultPlan]
-    healing: Optional[HealingConfig]
-    scenario: Optional[Scenario]
+# -- the shard job (the pickled construction recipe) -------------------------------
 
 
 @dataclass
 class _StormJob:
-    """Construction recipe for the synthetic broadcast-storm workload."""
+    """Everything a worker needs to build one shard of a broadcast storm."""
 
     network: Any
     cost_model: Any
@@ -209,27 +151,15 @@ class _StormProcess(Process):
 class _ShardResult:
     """Final observables of one shard, shipped back at the last barrier."""
 
-    shard_id: int
     ledger: EnergyLedger
     stats: MediumStats
     latency: float
     events: int
     overhead: int
-    exfiltrated: Dict[GridCoord, Any]
-    counters: Dict[str, int]
-    rejected_frames: int
-    report: Optional[FaultReport]
-    # owner-authoritative write-back state: node_id -> (alive, consumed,
-    # initial_energy, position), and cell -> leader for cells this shard owns
-    node_state: Dict[int, Tuple[bool, float, float, Tuple[float, float]]]
-    leaders: Dict[GridCoord, int]
-    scenario_report: Optional[ScenarioReport] = None
-    # owner-shard slice of the attacker's delivery tap (time, src, receiver)
-    delivery_log: Tuple[Tuple[float, int, int], ...] = ()
 
 
 class _ShardWorld:
-    """One shard's simulator, medium, and resident processes."""
+    """One shard's simulator, medium, and resident storm processes."""
 
     def __init__(self, job_blob: bytes, shard_id: int, rng: np.random.Generator):
         # Unpickling here — even when the world runs in the parent process
@@ -237,163 +167,34 @@ class _ShardWorld:
         # gives every shard a private replica of the deployment and makes
         # serial and multiprocess construction literally the same code
         # path on the same bytes.
-        job = pickle.loads(job_blob)
-        self.job = job
-        self.shard_id = shard_id
+        job: _StormJob = pickle.loads(job_blob)
         plan: ShardPlan = job.plan
-        self.plan = plan
-        part = None
+        self.sim = Simulator()
+        self.medium = WirelessMedium(
+            self.sim,
+            job.network,
+            cost_model=job.cost_model,
+            loss_rate=job.loss_rate,
+            rng=rng,
+            jitter=job.jitter,
+        )
         if plan.partitions > 1:
-            part = PartitionSlice(
-                shard_id=shard_id,
-                local=frozenset(plan.local_nodes[shard_id]),
-                shard_of=plan.shard_of_node,
-                lookahead=job.lookahead,
+            self.medium.configure_partition(
+                PartitionSlice(
+                    shard_id=shard_id,
+                    local=frozenset(plan.local_nodes[shard_id]),
+                    shard_of=plan.shard_of_node,
+                    lookahead=job.lookahead,
+                )
             )
-        if isinstance(job, _StormJob):
-            self.network = job.network
-            self.sim = Simulator()
-            self.medium = WirelessMedium(
-                self.sim,
-                job.network,
-                cost_model=job.cost_model,
-                loss_rate=job.loss_rate,
-                rng=rng,
-                jitter=job.jitter,
-            )
-            if part is not None:
-                self.medium.configure_partition(part)
-            self.host = ProcessHost(self.sim, self.medium)
-        else:
-            # application rounds go through the stack's single harness
-            # construction point, same as the legacy path
-            self.network = job.stack.network
-            self.sim, self.medium, self.host = job.stack.make_harness(
-                loss_rate=job.loss_rate,
-                rng=rng,
-                jitter=job.jitter,
-                partition=part,
-            )
-        self.results: Dict[GridCoord, Any] = {}
-        self.counters = {"delivered": 0, "dropped": 0, "orphaned": 0}
-        self.processes: List[Any] = []
-        self.report: Optional[FaultReport] = None
-        if isinstance(job, _StormJob):
-            self._populate_storm(job)
-        else:
-            self._populate_app(job)
+        self.host = ProcessHost(self.sim, self.medium)
+        owned = set(plan.local_nodes[shard_id])
+        for nid in job.network.alive_ids():
+            if nid in owned:
+                self.host.add(
+                    nid, _StormProcess(job.rounds, job.interval, job.size_units)
+                )
         self.host.start()
-        if isinstance(job, _AppJob) and job.fault_plan:
-            self._arm_faults(job)
-        self.scenario_injector: Optional[ScenarioInjector] = None
-        self.scenario_report: Optional[ScenarioReport] = None
-        if isinstance(job, _AppJob) and job.scenario is not None:
-            self._arm_scenario(job)
-        # boundary packets cross shards as wire-codec bytes when the run
-        # exercises the wire format end to end
-        self.wire_boundary = isinstance(job, _AppJob) and job.wire_format
-
-    # -- construction ------------------------------------------------------------
-
-    def _local_alive_ids(self) -> List[int]:
-        owned = set(self.plan.local_nodes[self.shard_id])
-        return [nid for nid in self.network.alive_ids() if nid in owned]
-
-    def _populate_storm(self, job: _StormJob) -> None:
-        for nid in self._local_alive_ids():
-            proc = _StormProcess(job.rounds, job.interval, job.size_units)
-            self.processes.append(proc)
-            self.host.add(nid, proc)
-
-    def _populate_app(self, job: _AppJob) -> None:
-        from ..runtime.stack import _AppProcess
-
-        if job.fault_plan is not None or job.healing is not None:
-            self.report = FaultReport()
-        stack = job.stack
-        for nid in self._local_alive_ids():
-            cell = stack.network.cell_of(nid)
-            program = (
-                job.spec.program_for(cell)
-                if stack.binding.leaders.get(cell) == nid
-                else None
-            )
-            proc = _AppProcess(
-                stack.topology,
-                stack.binding,
-                program,
-                self.results,
-                self.counters,
-                reliable=job.reliable,
-                max_retries=job.max_retries,
-                ack_timeout=job.ack_timeout,
-                wire_format=job.wire_format,
-                backoff_factor=job.backoff_factor,
-                backoff_jitter=job.backoff_jitter,
-                healing=job.healing,
-                fault_report=self.report,
-                spec=job.spec,
-            )
-            self.processes.append(proc)
-            self.host.add(nid, proc)
-
-    def _owns_event(self, event: FaultEvent) -> bool:
-        plan, sid = self.plan, self.shard_id
-        if event.action == "kill_node":
-            return plan.shard_of_node[event.node] == sid
-        if event.action == "kill_leader":
-            return plan.shard_of_cell(event.cell) == sid
-        if event.action == "partition_links":
-            return plan.shard_of_node[event.links[0][0]] == sid
-        # corrupt_frame / restore act on shared state replicated
-        # everywhere; shard 0 reports them
-        return sid == 0
-
-    def _arm_faults(self, job: _AppJob) -> None:
-        medium = self.medium
-
-        def count_overhead() -> None:
-            medium.partition_overhead += 1
-
-        single = self.plan.partitions == 1
-        injector = FaultInjector(
-            job.fault_plan,
-            job.stack.network,
-            job.stack.binding,
-            self.report,
-            owns=None if single else self._owns_event,
-            overhead=None if single else count_overhead,
-            # shard 0 owns the (globally shared) corruption budget; other
-            # shards still fire the event but install no transform
-            install_transform=single or self.shard_id == 0,
-        )
-        injector.arm(self.sim, medium)
-
-    def _owns_node(self, nid: int) -> bool:
-        return self.plan.shard_of_node[nid] == self.shard_id
-
-    def _owns_cell(self, cell: GridCoord) -> bool:
-        return self.plan.shard_of_cell(cell) == self.shard_id
-
-    def _arm_scenario(self, job: _AppJob) -> None:
-        medium = self.medium
-
-        def count_overhead() -> None:
-            medium.partition_overhead += 1
-
-        single = self.plan.partitions == 1
-        self.scenario_report = ScenarioReport()
-        self.scenario_injector = ScenarioInjector(
-            job.scenario,
-            job.stack.network,
-            job.stack.binding,
-            self.host,
-            self.scenario_report,
-            owns_node=None if single else self._owns_node,
-            owns_cell=None if single else self._owns_cell,
-            overhead=None if single else count_overhead,
-        )
-        self.scenario_injector.arm(self.sim, medium)
 
     # -- window protocol ---------------------------------------------------------
 
@@ -406,66 +207,24 @@ class _ShardWorld:
         report ``(fired, pending, next_event_time, egress)``."""
         if records:
             records.sort(key=lambda rec: (rec[1], rec[2], rec[3]))
-            wire = self.wire_boundary
             inject = self.medium.inject_boundary
             for _, time, _, _, packet, receivers in records:
-                if wire:
-                    packet = decode_packet(packet)
                 inject(time, packet, receivers)
         fired = self.sim.run_until_lookahead(horizon)
-        egress = self.medium.drain_egress()
-        if self.wire_boundary and egress:
-            # ship boundary packets as codec bytes, not pickled objects:
-            # the same frames the wire-format run puts on the air
-            egress = [
-                (rec[0], rec[1], rec[2], rec[3], encode_packet(rec[4]), rec[5])
-                for rec in egress
-            ]
         return (
             fired,
             self.sim.pending,
             self.sim.next_event_time(),
-            egress,
+            self.medium.drain_egress(),
         )
 
     def finalize(self) -> _ShardResult:
-        if self.report is not None:
-            self.report.orphaned_deliveries = self.counters["orphaned"]
-        delivery_log: Tuple[Tuple[float, int, int], ...] = ()
-        if self.scenario_injector is not None:
-            # no pursuit here: the parent replays it once over the merged tap
-            self.scenario_injector.finalize(pursue=False)
-            delivery_log = tuple(self.scenario_injector.delivery_log())
-        network = self.network
-        node_state = {
-            nid: (node.alive, node.consumed_energy, node.initial_energy, node.position)
-            for nid in self.plan.local_nodes[self.shard_id]
-            for node in (network.nodes[nid],)
-        }
-        leaders: Dict[GridCoord, int] = {}
-        if isinstance(self.job, _AppJob):
-            leaders = {
-                cell: leader
-                for cell, leader in self.job.stack.binding.leaders.items()
-                if self.plan.shard_of_cell(cell) == self.shard_id
-            }
         return _ShardResult(
-            shard_id=self.shard_id,
             ledger=self.medium.ledger,
             stats=self.medium.stats,
             latency=self.sim.now,
             events=self.sim.events_processed,
             overhead=self.medium.partition_overhead,
-            exfiltrated=self.results,
-            counters=self.counters,
-            rejected_frames=sum(
-                getattr(p, "rejected_frames", 0) for p in self.processes
-            ),
-            report=self.report,
-            node_state=node_state,
-            leaders=leaders,
-            scenario_report=self.scenario_report,
-            delivery_log=delivery_log,
         )
 
 
@@ -481,7 +240,7 @@ class _SerialShards:
         ]
 
     def advance_all(self, horizon: float, inbox: Dict[int, List]) -> List[Tuple]:
-        return [w.advance(horizon, inbox[w.shard_id]) for w in self.worlds]
+        return [w.advance(horizon, inbox[sid]) for sid, w in enumerate(self.worlds)]
 
     def finalize_all(self) -> List[_ShardResult]:
         return [w.finalize() for w in self.worlds]
@@ -672,9 +431,8 @@ def _pickle_job(job) -> bytes:
         return pickle.dumps(job)
     except Exception as exc:
         raise TypeError(
-            "partitioned runs ship the deployment and program spec to shard "
-            "workers, so every ingredient must pickle — use module-level "
-            f"functions instead of lambdas/closures in aggregation specs ({exc})"
+            "partitioned runs ship the deployment and cost model to shard "
+            f"workers, so both must pickle ({exc})"
         ) from None
 
 
@@ -700,207 +458,7 @@ def _spawn_rngs(
     return list(root.spawn(partitions))
 
 
-def merge_fault_reports(
-    reports: List[FaultReport], shard_count: int
-) -> FaultReport:
-    """Fold per-shard fault reports into one deterministic record.
-
-    Counters sum; the event log is the shard-order concatenation stably
-    re-sorted by ``(time, action)`` (matching the arming order of a
-    whole-world run); failovers sort by ``(time, cell)``.
-    """
-    merged = FaultReport()
-    for report in reports:
-        merged.injected.extend(report.injected)
-        merged.failovers.extend(report.failovers)
-        merged.detected_failures += report.detected_failures
-        merged.reroutes += report.reroutes
-        merged.redirected_retransmissions += report.redirected_retransmissions
-        merged.frames_corrupted += report.frames_corrupted
-        merged.frames_rejected += report.frames_rejected
-        merged.orphaned_deliveries += report.orphaned_deliveries
-    if shard_count > 1:
-        merged.injected.sort(key=lambda entry: (entry[0], entry[1]))
-        merged.failovers.sort(key=lambda entry: (entry[0], entry[1]))
-    return merged
-
-
-# -- public entry points -----------------------------------------------------------
-
-
-def run_partitioned_application(
-    stack,
-    spec,
-    partitions: int,
-    procs: Optional[int] = None,
-    loss_rate: float = 0.0,
-    rng: "np.random.Generator | int | None" = None,
-    max_events: int = 10_000_000,
-    reliable: bool = False,
-    max_retries: int = 3,
-    ack_timeout: float = 4.0,
-    wire_format: bool = False,
-    backoff_factor: float = 2.0,
-    backoff_jitter: float = 0.5,
-    fault_plan: Optional[FaultPlan] = None,
-    healing: Optional[HealingConfig] = None,
-    scenario: Any = None,
-    jitter: float = 0.0,
-    lookahead: Optional[float] = None,
-    wall_timeout_s: Optional[float] = None,
-):
-    """Space-partitioned equivalent of ``DeployedStack.run_application``.
-
-    Splits the grid into ``partitions`` cell-aligned stripes and runs the
-    application round under the conservative window protocol, on
-    ``procs`` worker processes (``None`` = one per shard, clamped to the
-    core budget; ``1`` = in-process serial execution of the identical
-    shard protocol).  Returns a ``DeployedRunResult`` whose fingerprint
-    is invariant to ``procs`` and — for K=1 — byte-identical to the
-    legacy path.
-
-    Shard count is part of the seeded configuration: runs with different
-    ``partitions`` draw loss/jitter from different per-shard RNG streams,
-    exactly as sweep shards do.  After the run, owner-shard node state
-    (batteries, liveness) and cell leadership are written back to
-    ``stack``, preserving the multi-round "same batteries" contract.
-    """
-    from ..runtime.stack import DeployedRunResult
-
-    side = stack.network.cells.cells_per_side
-    grid = spec.groups.grid
-    if (grid.width, grid.height) != (side, side):
-        raise ValueError(
-            f"program grid {grid.width}x{grid.height} does not match "
-            f"the {side}x{side} cell decomposition"
-        )
-    scenario = Scenario.coerce(scenario)
-    if scenario is not None and scenario.is_trivial():
-        scenario = None
-    if healing is None and (
-        fault_plan is not None or (scenario is not None and scenario.mobility)
-    ):
-        healing = HealingConfig()
-    plan = plan_stripes(stack.network, partitions)
-    if lookahead is None:
-        lookahead = default_lookahead(stack.cost_model, healing)
-    job = _AppJob(
-        stack=stack,
-        spec=spec,
-        plan=plan,
-        lookahead=lookahead,
-        loss_rate=loss_rate,
-        jitter=jitter,
-        reliable=reliable,
-        max_retries=max_retries,
-        ack_timeout=ack_timeout,
-        wire_format=wire_format,
-        backoff_factor=backoff_factor,
-        backoff_jitter=backoff_jitter,
-        fault_plan=fault_plan,
-        healing=healing,
-        scenario=scenario,
-    )
-    job_blob = _pickle_job(job)
-    rngs = _spawn_rngs(rng, partitions)
-    budget = effective_procs(partitions, procs)
-    shards = _make_shards(job_blob, rngs, budget.procs, wall_timeout_s)
-    try:
-        _drive_windows(shards, partitions, lookahead, max_events, wall_timeout_s)
-        results = shards.finalize_all()
-    finally:
-        shards.close()
-
-    ledger = EnergyLedger()
-    stats = MediumStats()
-    exfiltrated: Dict[GridCoord, Any] = {}
-    counters = {"delivered": 0, "dropped": 0, "orphaned": 0}
-    events = 0
-    latency = 0.0
-    rejected = 0
-    for res in results:
-        ledger.merge(res.ledger)
-        stats.merge(res.stats)
-        exfiltrated.update(res.exfiltrated)
-        for key in counters:
-            counters[key] += res.counters[key]
-        events += res.events - res.overhead
-        latency = max(latency, res.latency)
-        rejected += res.rejected_frames
-    report = None
-    if any(res.report is not None for res in results):
-        report = merge_fault_reports(
-            [res.report for res in results if res.report is not None], partitions
-        )
-    scenario_report = None
-    if scenario is not None:
-        scenario_report = merge_scenario_reports(
-            res.scenario_report for res in results if res.scenario_report is not None
-        )
-    # pursuit endpoints resolve against the *arm-time* binding (what every
-    # shard replica saw), so capture them before the post-run write-back
-    # replaces leaderships
-    attacker_start: Optional[int] = None
-    attacker_sources: Tuple[int, ...] = ()
-    if scenario is not None and scenario.attacker is not None:
-        leaders = stack.binding.leaders
-        attacker_start = leaders.get(scenario.attacker.start_cell)
-        attacker_sources = tuple(
-            sorted(
-                {
-                    leaders[c]
-                    for c in scenario.attacker.source_cells
-                    if leaders.get(c) is not None
-                }
-            )
-        )
-    _write_back(stack, results)
-    if scenario is not None and scenario.attacker is not None:
-        # one pursuit over the merged tap, on post-write-back positions —
-        # exactly what the serial injector's finalize() computes
-        tap = sorted(rec for res in results for rec in res.delivery_log)
-        scenario_report.attacker = scenario.attacker.pursue(
-            tap, attacker_start, attacker_sources, stack.network
-        )
-    return DeployedRunResult(
-        exfiltrated=exfiltrated,
-        ledger=ledger,
-        latency=latency,
-        transmissions=stats.transmissions,
-        drops=counters["dropped"],
-        delivered_envelopes=counters["delivered"],
-        events_processed=events,
-        rejected_frames=rejected,
-        fault_report=report,
-        scenario_report=scenario_report,
-    )
-
-
-def _write_back(stack, results: List[_ShardResult]) -> None:
-    """Copy owner-shard replica state onto the parent stack.
-
-    Batteries drained (and kills suffered) inside shard replicas must
-    land on the parent ``RealNetwork`` so successive rounds on one stack
-    keep draining the same batteries, and post-failover leadership must
-    land on the parent binding so the next round hosts programs where the
-    healed run left them.  Gradient/topology healing state intentionally
-    stays per-run (a fresh round re-heals), mirroring how each legacy
-    round gets a fresh simulator.
-    """
-    network = stack.network
-    for res in results:
-        for nid, (alive, consumed, initial, position) in res.node_state.items():
-            node = network.nodes[nid]
-            if node.position != position:
-                # mobility re-homed this node inside its owner replica:
-                # replay the move so parent adjacency/cell state match
-                network.move_node(nid, position)
-            node.initial_energy = initial
-            node._consumed = consumed
-            node.alive = alive
-        if res.leaders:
-            stack.binding.leaders.update(res.leaders)
-    network._bump_liveness_generation()
+# -- public entry point ------------------------------------------------------------
 
 
 @dataclass

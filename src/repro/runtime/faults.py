@@ -312,15 +312,6 @@ class FaultInjector:
     frames — under ``wire_format`` by flipping one byte (the CRC check in
     the receiver rejects the frame), otherwise by wrapping the payload in
     :class:`~repro.runtime.routing.CorruptedFrame`.
-
-    In a space-partitioned run (``repro.partition``) every shard arms the
-    full plan against its own replica — state mutations (kills, blocked
-    links) must happen everywhere — but exactly one shard *owns* each
-    event for reporting purposes: ``owns`` filters which firings log to
-    the report, ``install_transform`` restricts the frame-corrupting
-    ``tx_transform`` to the owning shard, and non-owned firings call
-    ``overhead`` so the merged run can subtract the duplicate events from
-    its ``events_processed`` count.
     """
 
     def __init__(
@@ -329,17 +320,11 @@ class FaultInjector:
         network: "RealNetwork",
         binding: Binding,
         report: FaultReport,
-        owns: Optional[Callable[[FaultEvent], bool]] = None,
-        overhead: Optional[Callable[[], None]] = None,
-        install_transform: bool = True,
     ):
         self.plan = plan
         self.network = network
         self.binding = binding
         self.report = report
-        self._owns = owns
-        self._overhead = overhead
-        self._install_transform = install_transform
         self._corrupt_budget = 0
         self._blocked: List[Tuple[int, int]] = []
         self._medium: "Optional[WirelessMedium]" = None
@@ -347,9 +332,7 @@ class FaultInjector:
     def arm(self, sim: "Simulator", medium: "WirelessMedium") -> None:
         """Schedule every event; call after processes boot, before run."""
         self._medium = medium
-        if self._install_transform and any(
-            e.action == "corrupt_frame" for e in self.plan.events
-        ):
+        if any(e.action == "corrupt_frame" for e in self.plan.events):
             medium.tx_transform = self._maybe_corrupt
         for event in self.plan.events:
             # pre-run now == 0, so relative delay == absolute fire time
@@ -358,18 +341,10 @@ class FaultInjector:
     # -- event execution ---------------------------------------------------------
 
     def _fire(self, event: FaultEvent) -> None:
-        if self._owns is not None and not self._owns(event):
-            # replicated (non-owned) firing: mutate state, skip the report,
-            # and tell the partition runner this event is bookkeeping the
-            # whole-world run would not have fired
-            if self._overhead is not None:
-                self._overhead()
-        handler = getattr(self, f"_do_{event.action}")
-        handler(event)
+        getattr(self, f"_do_{event.action}")(event)
 
     def _log(self, event: FaultEvent, target: Any) -> None:
-        if self._owns is None or self._owns(event):
-            self.report.injected.append((event.time, event.action, target))
+        self.report.injected.append((event.time, event.action, target))
 
     def _kill(self, nid: int) -> None:
         node = self.network.node(nid)

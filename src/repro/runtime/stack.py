@@ -28,7 +28,7 @@ from ..core.program import EXFILTRATE, SEND, Effect, Message, NodeProgram
 from ..core.synthesis import SynthesizedProgram
 from ..deployment.topology import RealNetwork
 from ..simulator.engine import Simulator
-from ..simulator.network import PartitionSlice, WirelessMedium
+from ..simulator.network import WirelessMedium
 from ..simulator.process import ProcessHost
 from .binding import Binding, BindingResult, Metric, bind_processes, distance_to_center_metric
 from .faults import FaultInjector, FaultPlan, FaultReport, HealingConfig
@@ -202,8 +202,7 @@ class DeployedStack:
     call :meth:`run_application` any number of times (each round uses a
     fresh simulator but drains the same node batteries, so lifetime
     studies can loop rounds until death).  The stack builds each node's
-    process on its first round and re-arms it for every later one; the
-    processes are not part of its pickled state.
+    process on its first round and re-arms it for every later one.
     """
 
     def __init__(
@@ -221,23 +220,11 @@ class DeployedStack:
         self.cost_model = cost_model or UniformCostModel()
         self._processes: Dict[int, _AppProcess] = {}
 
-    def __getstate__(self) -> Dict[str, Any]:
-        # a hosted rule program may hold closures, and a process is cheap
-        # to rebuild: partitioned runs pickle the stack without them
-        state = self.__dict__.copy()
-        del state["_processes"]
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._processes = {}
-
     def make_harness(
         self,
         loss_rate: float = 0.0,
         rng: "np.random.Generator | int | None" = None,
         jitter: float = 0.0,
-        partition: "Optional[PartitionSlice]" = None,
     ) -> Tuple[Simulator, WirelessMedium, ProcessHost]:
         """A fresh simulator/medium/host triple over this deployment.
 
@@ -246,19 +233,12 @@ class DeployedStack:
         (:class:`~repro.serve.engine.QueryEngine`, which keeps one harness
         alive across queries) — builds its radio world through here, so
         medium wiring and cost accounting stay identical everywhere.
-
-        ``partition`` is the space-partitioned construction path
-        (``repro.partition``): the medium then owns only the slice's
-        nodes, diverting boundary-crossing deliveries into egress records
-        for the shard runner to exchange at window barriers.
         """
         sim = Simulator()
         medium = WirelessMedium(
             sim, self.network, cost_model=self.cost_model,
             loss_rate=loss_rate, rng=rng, jitter=jitter,
         )
-        if partition is not None:
-            medium.configure_partition(partition)
         return sim, medium, ProcessHost(sim, medium)
 
     def run_application(
@@ -275,8 +255,6 @@ class DeployedStack:
         backoff_jitter: float = 0.5,
         fault_plan: Optional[FaultPlan] = None,
         healing: Optional[HealingConfig] = None,
-        partitions: int = 1,
-        partition_procs: Optional[int] = None,
         scenario: Any = None,
     ) -> DeployedRunResult:
         """Execute one round of the synthesized application.
@@ -300,14 +278,6 @@ class DeployedStack:
         :class:`~repro.runtime.faults.FaultReport` and folds it into
         :meth:`DeployedRunResult.fingerprint`.
 
-        ``partitions=K`` (K > 1) hands the round to the space-partitioned
-        runner (:mod:`repro.partition`): K cell-aligned shards advanced
-        under conservative lookahead on up to ``partition_procs`` worker
-        processes.  K is part of the seeded configuration (per-shard RNG
-        streams); the worker count is a pure perf knob — fingerprints are
-        identical for any ``partition_procs``, and ``partitions=1`` is
-        byte-identical to this legacy path.
-
         ``scenario`` plugs in the world models of :mod:`repro.scenario`
         (DESIGN.md §14) — a :class:`~repro.scenario.Scenario` or its dict
         form: radio link model, mobility schedule, pursuit adversary, and
@@ -323,27 +293,6 @@ class DeployedStack:
         scenario = Scenario.coerce(scenario)
         if scenario is not None and scenario.is_trivial():
             scenario = None
-        if partitions > 1:
-            from ..partition import run_partitioned_application
-
-            return run_partitioned_application(
-                self,
-                spec,
-                partitions=partitions,
-                procs=partition_procs,
-                loss_rate=loss_rate,
-                rng=rng,
-                max_events=max_events,
-                reliable=reliable,
-                max_retries=max_retries,
-                ack_timeout=ack_timeout,
-                wire_format=wire_format,
-                backoff_factor=backoff_factor,
-                backoff_jitter=backoff_jitter,
-                fault_plan=fault_plan,
-                healing=healing,
-                scenario=scenario,
-            )
         side = self.network.cells.cells_per_side
         grid = spec.groups.grid
         if (grid.width, grid.height) != (side, side):

@@ -71,7 +71,6 @@ from typing import Any, Callable, Dict, Optional, Tuple, Type
 
 from ..core.coords import GridCoord
 from ..core.program import Message
-from ..simulator.network import Packet
 
 #: Version byte of the frame layout.  Bump consciously: the golden
 #: vectors in ``tests/data/wire_vectors.json`` pin the current encoding.
@@ -625,83 +624,3 @@ def decode_ack(buf: bytes) -> Tuple[int, int]:
         raise WireDecodeError("frame is an envelope, not an acknowledgement")
     assert uid is not None  # _unpack_frame enforces HAS_UID on acks
     return uid
-
-
-# ---------------------------------------------------------------------------
-# partition boundary packets (repro.partition, wire=True)
-# ---------------------------------------------------------------------------
-
-#: First two bytes of a boundary-packet mini-frame ("Repro Packet").
-PACKET_MAGIC = b"RP"
-
-
-def encode_packet(packet: Any) -> bytes:
-    """Encode a radio :class:`~repro.simulator.network.Packet` for the
-    shard pipes.
-
-    The space-partitioned runner ships boundary-crossing packets between
-    worker processes; under ``wire_format=True`` they travel as this
-    mini-frame instead of a pickle, so cross-shard traffic is byte-framed
-    end to end.  Layout: magic(2) version(1), uvarint src, uvarint
-    dst + 1 (0 encodes the broadcast ``None``), uvarint-length UTF-8
-    kind, f64 size_units, payload tag byte + uvarint length + payload
-    bytes (via :func:`encode_payload`, so wire-mode transport frames —
-    already ``bytes`` — nest without re-encoding).
-    """
-    out = bytearray()
-    out += PACKET_MAGIC
-    out.append(WIRE_VERSION)
-    _write_uvarint(out, packet.src)
-    _write_uvarint(out, 0 if packet.dst is None else packet.dst + 1)
-    kind_raw = packet.kind.encode("utf-8")
-    _write_uvarint(out, len(kind_raw))
-    out += kind_raw
-    out += _F64.pack(packet.size_units)
-    tag, raw = encode_payload(packet.payload)
-    out.append(tag)
-    _write_uvarint(out, len(raw))
-    out += raw
-    return bytes(out)
-
-
-def decode_packet(buf: bytes) -> Any:
-    """Inverse of :func:`encode_packet`; raises :class:`WireDecodeError`
-    on anything that is not a well-formed packet frame of this version."""
-    view = memoryview(buf)
-    if len(view) < 3:
-        raise WireDecodeError("packet frame shorter than its header")
-    if bytes(view[:2]) != PACKET_MAGIC:
-        raise WireDecodeError(f"bad packet magic {bytes(view[:2])!r}")
-    if view[2] != WIRE_VERSION:
-        raise WireDecodeError(
-            f"unsupported wire version {view[2]} (this build speaks {WIRE_VERSION})"
-        )
-    src, pos = _read_uvarint(view, 3)
-    dst_plus1, pos = _read_uvarint(view, pos)
-    kind_len, pos = _read_uvarint(view, pos)
-    if pos + kind_len > len(view):
-        raise WireDecodeError("truncated packet kind")
-    kind = bytes(view[pos:pos + kind_len]).decode("utf-8")
-    pos += kind_len
-    if pos + 8 > len(view):
-        raise WireDecodeError("truncated packet size_units")
-    size_units = _F64.unpack_from(view, pos)[0]
-    pos += 8
-    if pos >= len(view):
-        raise WireDecodeError("truncated payload tag")
-    tag = view[pos]
-    pos += 1
-    length, pos = _read_uvarint(view, pos)
-    if pos + length != len(view):
-        raise WireDecodeError(
-            f"payload length {length} does not match the {len(view) - pos} "
-            f"bytes present"
-        )
-    payload = decode_payload(tag, bytes(view[pos:]))
-    return Packet(
-        src=src,
-        kind=kind,
-        payload=payload,
-        size_units=size_units,
-        dst=None if dst_plus1 == 0 else dst_plus1 - 1,
-    )

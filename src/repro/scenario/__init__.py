@@ -7,9 +7,9 @@ declarative :class:`Scenario` composes a radio :class:`LinkModel`
 a :class:`MobilityModel` of scheduled node relocations, an eavesdropping
 pursuit :class:`Attacker` (source-location privacy), and a duty-cycled
 :class:`SourcePeriodModel` — all seed-deterministic, fingerprinted, and
-dict-round-trippable, so scenarios ride sweeps, partition job blobs, and
-serve configs exactly like ``FaultPlan``\\ s do.  See DESIGN.md §14 for
-the interfaces, the RNG stream discipline, and the fingerprint contract.
+dict-round-trippable, so scenarios ride sweeps and serve configs exactly
+like ``FaultPlan``\\ s do.  See DESIGN.md §14 for the interfaces, the RNG
+stream discipline, and the fingerprint contract.
 """
 
 from .attacker import Attacker, AttackerOutcome
@@ -24,7 +24,7 @@ from .link import (
 )
 from .mobility import MobilityModel, Move, plan_cell_hops
 from .sources import SourcePeriodModel
-from .spec import Scenario, ScenarioReport, merge_scenario_reports
+from .spec import Scenario, ScenarioReport
 
 __all__ = [
     "Attacker",
@@ -41,6 +41,5 @@ __all__ = [
     "SourcePeriodModel",
     "UnitDisk",
     "link_model_from_dict",
-    "merge_scenario_reports",
     "plan_cell_hops",
 ]

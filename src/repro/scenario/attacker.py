@@ -11,10 +11,9 @@ Our adversary is *passive and post-hoc*: it must not perturb the run it
 observes, or fingerprints would stop matching across execution modes.
 The medium keeps a delivery tap — ``(time, transmitter, receiver)``
 triples for packet kinds the attacker listens to — and the pursuit is
-replayed over the time-sorted tap after the run ends.  Each delivery is
-logged exactly once on the receiver's owning shard, so the merged
-partitioned tap equals the serial tap and the resulting
-:class:`AttackerOutcome` is byte-identical in every execution mode.
+replayed over the time-sorted tap after the run ends, so the resulting
+:class:`AttackerOutcome` is byte-identical with the wire codec on or off
+and in any sweep worker.
 
 Cells name positions declaratively: the attacker starts at the arm-time
 leader of ``start_cell`` (typically the quad-tree root) and captures when
@@ -136,9 +135,8 @@ class Attacker:
         """Replay the pursuit over a time-sorted delivery tap.
 
         ``deliveries`` must already be sorted by ``(time, src, receiver)``
-        — the canonical order both the serial and the merged partitioned
-        tap are put in, which is what makes the outcome execution-mode
-        independent.
+        — the canonical order the injector puts the tap in, which makes
+        the outcome independent of same-instant event order.
         """
         sources = set(source_nodes)
         if start_node is None or not sources:

@@ -7,23 +7,11 @@ and source emission as a fire-and-forget simulator timer *before* the run
 starts — pre-run ``now == 0``, so relative delay equals absolute fire
 time and every scenario event occupies a deterministic position in the
 event order without consuming medium RNG draws.
-
-Partitioned-run discipline (mirrors the fault injector):
-
-* Mobility moves are *replicated physics* — every shard replays every
-  move against its own network replica — but only the shard owning the
-  moved node logs the relocation; non-owners call ``overhead`` so the
-  merged ``events_processed`` reconciles with the serial run.
-* Source emissions arm only on the shard owning the source cell (that is
-  where the emitting leader lives), matching serial event counts exactly.
-* The link gate and delivery tap install on every shard; gating decisions
-  are counter-hashes and each delivery lands on exactly one shard, so
-  summed ``faded`` counters and the merged tap equal their serial twins.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..core.coords import GridCoord
 from ..core.program import Message
@@ -49,22 +37,16 @@ class ScenarioInjector:
         binding: "Binding",
         host: "ProcessHost",
         report: ScenarioReport,
-        owns_node: Optional[Callable[[int], bool]] = None,
-        owns_cell: Optional[Callable[[GridCoord], bool]] = None,
-        overhead: Optional[Callable[[], None]] = None,
     ):
         self.scenario = scenario
         self.network = network
         self.binding = binding
         self.host = host
         self.report = report
-        self._owns_node = owns_node
-        self._owns_cell = owns_cell
-        self._overhead = overhead
         self._gate: Optional[LinkGate] = None
         self._medium: "Optional[WirelessMedium]" = None
         # pursuit endpoints, resolved at arm time (the initial election's
-        # leaders — identical on every shard replica)
+        # leaders, before any failover or move re-binds a cell)
         self.start_node: Optional[int] = None
         self.source_nodes: Tuple[int, ...] = ()
 
@@ -98,17 +80,11 @@ class ScenarioInjector:
                 sim.schedule_fire_and_forget(move.time, self._fire_move, move)
         if scn.sources is not None:
             for time, cell, k in scn.sources.events():
-                if self._owns_cell is None or self._owns_cell(cell):
-                    sim.schedule_fire_and_forget(time, self._fire_source, cell, k)
+                sim.schedule_fire_and_forget(time, self._fire_source, cell, k)
 
     # -- event execution ---------------------------------------------------------
 
     def _fire_move(self, move: Move) -> None:
-        owned = self._owns_node is None or self._owns_node(move.node)
-        if not owned and self._overhead is not None:
-            # replicated (non-owned) firing: mutate the replica's physics,
-            # skip the report, count partition bookkeeping
-            self._overhead()
         position = (
             move.position
             if move.position is not None
@@ -118,8 +94,7 @@ class ScenarioInjector:
         # the node's cached route toward its (possibly new) leader is
         # stale; healing rebuilds it on demand via the repair path
         self.binding.toward_leader[move.node] = None
-        if owned:
-            self.report.relocations.append((move.time, move.node, old_cell, new_cell))
+        self.report.relocations.append((move.time, move.node, old_cell, new_cell))
 
     def _fire_source(self, cell: GridCoord, k: int) -> None:
         scn = self.scenario
@@ -146,16 +121,12 @@ class ScenarioInjector:
             return []
         return sorted(self._medium.delivery_log)
 
-    def finalize(self, pursue: bool = True) -> None:
-        """Fold gate counters into the report; optionally run the pursuit.
-
-        Partition shards call this with ``pursue=False`` — the pursuit
-        runs once in the parent over the merged tap.
-        """
+    def finalize(self) -> None:
+        """Fold gate counters into the report and run the pursuit."""
         if self._gate is not None:
             self.report.link_faded = self._gate.faded
         scn = self.scenario
-        if pursue and scn.attacker is not None:
+        if scn.attacker is not None:
             self.report.attacker = scn.attacker.pursue(
                 self.delivery_log(), self.start_node, self.source_nodes, self.network
             )

@@ -9,17 +9,15 @@ shadowing.  This module supplies that as an optional admission gate on
 builds a :class:`LinkGate` that decides, per directed link and per packet,
 whether the receiver hears the frame at all.
 
-Determinism contract (the part that keeps serial == partitioned):
+Determinism contract:
 
 * Per-packet admission NEVER consumes the medium RNG — that would shift
   the loss/jitter stream of every other transmission.  Decisions derive
   from (a) link parameters drawn **once** at gate-build time from the
-  model's own declarative ``seed`` (identical on every shard replica,
-  iterated in sorted adjacency order), and (b) a splitmix64-style counter
-  hash per directed link, so the *n*-th packet on link ``(u, v)`` gets
-  the same verdict in every execution mode.
-* A node's transmissions happen only on its owning shard, so the per-link
-  packet counters observe identical sequences serial vs partitioned.
+  model's own declarative ``seed`` (iterated in sorted adjacency order),
+  and (b) a splitmix64-style counter hash per directed link, so the
+  *n*-th packet on link ``(u, v)`` gets the same verdict in every
+  process and with the wire codec on or off.
 * :class:`UnitDisk` builds no gate: selecting it explicitly is
   byte-identical to running without a scenario.
 """
@@ -133,7 +131,8 @@ class LinkModel:
 
     Subclasses are frozen dataclasses: dict-round-trippable, fingerprinted,
     and pure functions of their fields (the ``seed`` field included), so a
-    model pickled into a partition shard builds the identical gate there.
+    model rebuilt from its dict form in a sweep worker builds the
+    identical gate there.
     """
 
     kind: str = "abstract"

@@ -16,11 +16,6 @@ consequences then flow through the PR 5 self-healing path — a leader that
 wandered off stops heartbeating in its old cell, the watchers time out,
 the deterministic successor takes over, and the gradient repairs — which
 is exactly why mobility runs force a :class:`HealingConfig` on.
-
-In a partitioned run every shard replays every move against its replica
-(positions are replicated physics), but only the shard owning the moved
-node logs the relocation; the rest count partition overhead so the merged
-event count reconciles with the serial run.
 """
 
 from __future__ import annotations

@@ -8,11 +8,8 @@ cycle: each listed cell's current leader originates one transport
 envelope per period toward ``dst_cell``, resolved at fire time so the
 traffic follows failovers, mobility re-homing, and takeovers.
 
-Emissions are armed as fire-and-forget timers before the run starts.  In
-a partitioned run each emission timer is armed only on the shard owning
-the source cell (the leader lives there, and transmissions must happen on
-the transmitter's owning shard), so event counts match the serial run
-one-for-one with no overhead accounting.  A fire whose cell currently has
+Emissions are armed as fire-and-forget timers before the run starts.  A
+fire whose cell currently has
 no live, bound leader is counted as ``source_skipped`` rather than
 silently dropped — duty-cycle accounting is part of the scenario report
 and therefore of the run fingerprint.

@@ -4,10 +4,11 @@ A :class:`Scenario` bundles the four pluggable models — radio
 (:mod:`~repro.scenario.link`), mobility, adversary, and traffic sources —
 into a single dict-round-trippable value that travels anywhere a
 ``FaultPlan`` travels: ``run_application(scenario=...)``, sweep grid
-axes, partition job blobs, serve configs.  Its fingerprint folds every
-sub-model's fingerprint, and the :class:`ScenarioReport` produced by a
-run folds what actually happened, so a seeded scenario run reproduces
-byte-identically across serial, sharded-sweep, and partitioned execution.
+axes, serve configs.  Its fingerprint folds every sub-model's
+fingerprint, and the :class:`ScenarioReport` produced by a run folds
+what actually happened, so a seeded scenario run reproduces
+byte-identically across serial and sharded-sweep execution and with the
+wire codec on or off.
 
 A scenario whose only content is the :class:`UnitDisk` link model is
 *trivial* — the stack drops it entirely, keeping the no-scenario fast
@@ -17,7 +18,7 @@ path (and its fingerprints) untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..core.coords import GridCoord
 from ..simulator.trace import stable_digest
@@ -138,23 +139,3 @@ class ScenarioReport:
         if self.attacker is not None:
             out.update(self.attacker.metrics())
         return out
-
-
-def merge_scenario_reports(
-    reports: Iterable[ScenarioReport],
-) -> ScenarioReport:
-    """Combine per-shard reports into the whole-world report.
-
-    Counters sum (each shard counted only what it owned); relocations
-    concatenate and re-sort into the canonical ``(time, node)`` order.
-    The attacker outcome is NOT merged here — the pursuit is computed
-    once, post-merge, over the combined delivery tap.
-    """
-    merged = ScenarioReport()
-    for rep in reports:
-        merged.relocations.extend(rep.relocations)
-        merged.link_faded += rep.link_faded
-        merged.source_emissions += rep.source_emissions
-        merged.source_skipped += rep.source_skipped
-    merged.relocations.sort(key=lambda r: (r[0], r[1]))
-    return merged

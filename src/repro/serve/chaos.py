@@ -12,10 +12,9 @@ checks the liveness invariant:
     lost, none hung, none silently partial.
 
 The whole soak — gather round included — is a pure function of its
-arguments, so its fingerprint must be byte-identical across repeat runs,
-wire codec on/off, and serial vs space-partitioned gather execution
-(``partitions=K``); ``tests/test_serve_resilience.py`` asserts all
-three.
+arguments, so its fingerprint must be byte-identical across repeat runs
+and with the wire codec on or off; ``tests/test_serve_resilience.py``
+asserts both.
 """
 
 from __future__ import annotations
@@ -32,33 +31,17 @@ from .admission import TenantPolicy, synthesize_arrivals
 from .engine import OUTCOMES, QueryEngine, ServeConfig, ServeReport
 
 
-def _count_all(cell) -> bool:
-    # module-level so the partitioned gather can pickle the spec
-    return True
-
-
-def build_serving_stack(
-    side: int = 4, seed: int = 7, n_nodes: int = 140, partitions: int = 1
-):
-    """A deployed stack plus gathered storage, ready to serve.
-
-    ``partitions=K`` runs the gather round on the space-partitioned
-    simulator (PR 7); with the default lossless gather no RNG is drawn,
-    so the resulting stack state and storage are K-invariant — which is
-    exactly what lets chaos fingerprints be compared serial vs
-    partitioned while the serving engine itself stays serial.
-    """
+def build_serving_stack(side: int = 4, seed: int = 7, n_nodes: int = 140):
+    """A deployed stack plus gathered storage, ready to serve."""
     from ..core import CountAggregation, VirtualArchitecture
     from ..deployment import covered_deployment
     from ..runtime.stack import deploy
 
     stack = deploy(covered_deployment(side, n_nodes, seed))
     va = VirtualArchitecture(side)
-    spec = va.synthesize(CountAggregation(_count_all), max_level=1)
-    if partitions > 1:
-        run = stack.run_application(spec, partitions=partitions)
-    else:
-        run = stack.run_application(spec)
+    run = stack.run_application(
+        va.synthesize(CountAggregation(lambda c: True), max_level=1)
+    )
     return stack, dict(run.exfiltrated)
 
 
@@ -125,7 +108,6 @@ def chaos_soak(
     n_queries: int = 18,
     seed: int = 7,
     wire: bool = False,
-    partitions: int = 1,
     loss: float = 0.08,
 ) -> ChaosSoakResult:
     """One full resilience campaign; see the module docstring.
@@ -134,9 +116,7 @@ def chaos_soak(
     arrival stream, and every retry/backoff delay derive from ``seed``
     and the arguments alone.
     """
-    stack, storage = build_serving_stack(
-        side=side, seed=seed, partitions=partitions
-    )
+    stack, storage = build_serving_stack(side=side, seed=seed)
     storage_cells = tuple(sorted(storage))
     query_cells = sorted(stack.binding.leaders)
     plan = plan_chaos(

@@ -156,8 +156,8 @@ class WirelessMedium:
         self._egress: List["tuple[int, float, int, int, Packet, tuple[int, ...]]"] = []
         self._emit_seq = 0
         # events a single-simulator run would NOT have fired: broadcast
-        # buckets split across shards, plus non-owned fault firings.  The
-        # merged run subtracts this so events_processed is K-invariant.
+        # buckets split across shards.  The merged run subtracts this so
+        # events_processed is K-invariant.
         self.partition_overhead = 0
         # scenario hooks (repro.scenario): an optional per-directed-link
         # admission gate (radio models) and a passive delivery tap the
@@ -172,12 +172,14 @@ class WirelessMedium:
     def configure_partition(self, part: PartitionSlice) -> None:
         """Attach this medium to one shard of a partitioned run.
 
-        From here on, deliveries to nodes outside ``part.local`` are not
-        scheduled on the local simulator; they are buffered as egress
-        records (drained at each window barrier) carrying the packet, its
-        absolute arrival time, and the receiver group — the shard runner
-        routes them to the owning shard, which injects them via
-        :meth:`inject_boundary`.
+        From here on, broadcast deliveries to nodes outside ``part.local``
+        are not scheduled on the local simulator; they are buffered as
+        egress records (drained at each window barrier) carrying the
+        packet, its absolute arrival time, and the receiver group — the
+        shard runner routes them to the owning shard, which injects them
+        via :meth:`inject_boundary`.  Only broadcasts cross shards: the
+        partitioned workload (the storm of :mod:`repro.partition`) sends
+        no unicasts.
         """
         if not self.batch_fanout:
             raise ValueError("partitioned media require batch_fanout=True")
@@ -212,28 +214,6 @@ class WirelessMedium:
         else:
             self.sim.inject_at(time, self._arrive_many, packet, list(receivers))
 
-    def _check_lookahead(self, delay: float) -> None:
-        part = self._partition
-        if part is not None and delay < part.lookahead:
-            raise RuntimeError(
-                f"cross-shard delivery delay {delay} beats the configured "
-                f"lookahead {part.lookahead}: the conservative window "
-                "protocol would miss it (lower the lookahead bound)"
-            )
-
-    def _emit(
-        self,
-        dst_shard: int,
-        arrival: float,
-        packet: Packet,
-        receivers: "tuple[int, ...]",
-    ) -> None:
-        part = self._partition
-        self._egress.append(
-            (dst_shard, arrival, part.shard_id, self._emit_seq, packet, receivers)
-        )
-        self._emit_seq += 1
-
     def _partition_dispatch(
         self,
         packet: Packet,
@@ -250,7 +230,13 @@ class WirelessMedium:
         causes — relative to the single event a whole-world medium would
         schedule — is tallied in :attr:`partition_overhead`.
         """
-        self._check_lookahead(delay)
+        part = self._partition
+        if delay < part.lookahead:
+            raise RuntimeError(
+                f"cross-shard delivery delay {delay} beats the configured "
+                f"lookahead {part.lookahead}: the conservative window "
+                "protocol would miss it (lower the lookahead bound)"
+            )
         if extras is None:
             buckets: Dict[float, List[int]] = {delay: survivors}
         else:
@@ -262,7 +248,6 @@ class WirelessMedium:
                     buckets[time] = [nbr]
                 else:
                     group.append(nbr)
-        part = self._partition
         local = part.local
         shard_of = part.shard_of
         now = self.sim.now
@@ -285,29 +270,12 @@ class WirelessMedium:
                 else:
                     schedule(time, self._arrive_many, packet, local_group)
             for dst_shard, remote_group in remote.items():
-                self._emit(dst_shard, now + time, packet, tuple(remote_group))
+                self._egress.append(
+                    (dst_shard, now + time, part.shard_id, self._emit_seq,
+                     packet, tuple(remote_group))
+                )
+                self._emit_seq += 1
             self.partition_overhead += (1 if local_group else 0) + len(remote) - 1
-
-    def _deliver_remote(self, packet: Packet, dst: int) -> bool:
-        """Unicast delivery to a node owned by another shard.
-
-        Loss and jitter draws happen *here*, on the source shard's RNG —
-        mirroring the whole-world medium, where every draw for a
-        transmission is consumed in the sender's context — so the stream
-        each shard generator sees is a pure function of its own nodes'
-        transmissions.
-        """
-        if not self.network.nodes[dst].alive:
-            return False
-        if self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
-            self.stats.record_drop(packet.kind)
-            return False
-        delay = self.cost_model.tx_latency(packet.size_units)
-        self._check_lookahead(delay)
-        if self.jitter > 0.0:
-            delay += float(self.rng.uniform(0.0, self.jitter))
-        self._emit(self._partition.shard_of[dst], self.sim.now + delay, packet, (dst,))
-        return True
 
     # -- link partitioning (fault injection) --------------------------------------
 
@@ -459,10 +427,7 @@ class WirelessMedium:
         packet = Packet(src, kind, payload, size_units, dst)
         if self.tx_transform is not None:
             packet = self.tx_transform(packet)
-        if self._partition is not None and dst not in self._partition.local:
-            ok = self._deliver_remote(packet, dst)
-        else:
-            ok = self._deliver(packet, dst)
+        ok = self._deliver(packet, dst)
         stats.record_tx(kind, size_units, 1 if ok else 0)
         return ok
 

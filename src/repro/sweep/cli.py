@@ -17,8 +17,10 @@ Examples::
 The serial-vs-sharded, resume and crash-recovery guarantees are pinned
 by ``tests/test_sweep_scheduler.py``.
 
-Exit codes: 0 on success, 1 on a determinism-audit mismatch, 3 when
-``--strict`` is set and any run ended as a structured failure.
+Exit codes: 0 on success, 1 on a determinism-audit mismatch, 2 on a
+usage error (including a parameter the workload does not read, caught
+before the first run), 3 when ``--strict`` is set and any run ended as
+a structured failure.
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ list; ``len(records) == len(spec.expand())`` always holds.
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import time
 from collections import deque
 from queue import Empty
@@ -165,34 +164,19 @@ def run_sweep(
     done_ids = {r["run_id"] for r in existing}
     pending = [r for r in all_runs if r.run_id not in done_ids]
 
-    # Advertise the sweep's own parallelism to the runs it launches:
-    # workloads that use intra-run partitioning (repro.partition) read
-    # this to clamp their worker-process count to cpus // sweep_workers,
-    # so an N-way sweep of K-way runs cannot oversubscribe the machine.
-    # Worker processes inherit the environment at spawn time.
-    from ..partition.runner import SWEEP_WORKERS_ENV
-
-    prior_env = os.environ.get(SWEEP_WORKERS_ENV)
-    os.environ[SWEEP_WORKERS_ENV] = str(max(1, workers))
-    try:
-        if workers <= 1:
-            records = _run_serial(pending, out_path, progress, progress_interval)
-        else:
-            records = _run_sharded(
-                pending,
-                out_path,
-                workers=workers,
-                timeout_s=timeout_s,
-                retries=retries,
-                progress=progress,
-                progress_interval=progress_interval,
-                max_respawns=max_respawns,
-            )
-    finally:
-        if prior_env is None:
-            os.environ.pop(SWEEP_WORKERS_ENV, None)
-        else:
-            os.environ[SWEEP_WORKERS_ENV] = prior_env
+    if workers <= 1:
+        records = _run_serial(pending, out_path, progress, progress_interval)
+    else:
+        records = _run_sharded(
+            pending,
+            out_path,
+            workers=workers,
+            timeout_s=timeout_s,
+            retries=retries,
+            progress=progress,
+            progress_interval=progress_interval,
+            max_respawns=max_respawns,
+        )
     return sorted(existing + records, key=lambda r: r["run_id"])
 
 

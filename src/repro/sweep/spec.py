@@ -29,6 +29,8 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Sequence
 
+from .workloads import check_params
+
 #: Suffix marking the cross-shard determinism duplicates of a run.
 AUDIT_SUFFIX = "#audit"
 
@@ -87,7 +89,8 @@ class SweepSpec:
     sorted-name order so point enumeration is canonical); ``fixed`` params
     are merged into every point.  A ``seed`` entry in either overrides the
     derived seed — useful for pinning a legacy benchmark seed, at the cost
-    of making replicates identical for seed-driven workloads.
+    of making replicates identical for seed-driven workloads.  Any other
+    parameter the workload does not read is rejected at construction.
     """
 
     name: str
@@ -108,6 +111,7 @@ class SweepSpec:
         for param, values in self.grid.items():
             if not isinstance(values, (list, tuple)) or not values:
                 raise ValueError(f"grid[{param!r}] must be a non-empty list")
+        check_params(self.workload, [*self.grid, *self.fixed])
 
     # -- identity --------------------------------------------------------
 

@@ -26,6 +26,10 @@ Registered workloads:
             stack, with optional mid-stream field updates exercising
             epoch-based cache invalidation.
 
+Each workload registers the parameter names it reads; a spec naming any
+other parameter is rejected before its first run (:func:`check_params`),
+so a misspelled or retired axis cannot quietly run at its default.
+
 Names starting with ``_`` are internal fault-injection workloads used by
 the scheduler's own tests.
 """
@@ -34,13 +38,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Tuple
 
 import numpy as np
 
 from ..core import CountAggregation, VirtualArchitecture
 from ..deployment import covered_deployment
-from ..partition import effective_procs
 from ..runtime import (
     FaultPlan,
     deploy,
@@ -69,15 +72,42 @@ WorkloadFn = Callable[[Dict[str, Any], int], WorkloadOutcome]
 #: Registry of named workloads; extend with :func:`workload`.
 WORKLOADS: Dict[str, WorkloadFn] = {}
 
+#: The parameter names each registered workload reads.
+WORKLOAD_PARAMS: Dict[str, FrozenSet[str]] = {}
 
-def workload(name: str) -> Callable[[WorkloadFn], WorkloadFn]:
-    """Decorator registering a sweep workload under ``name``."""
+
+def workload(
+    name: str, params: Tuple[str, ...] = ()
+) -> Callable[[WorkloadFn], WorkloadFn]:
+    """Decorator registering a sweep workload under ``name``.
+
+    ``params`` lists the parameter names the workload reads; ``seed`` is
+    accepted by every workload, because :meth:`SweepSpec.expand` reads it.
+    """
 
     def register(fn: WorkloadFn) -> WorkloadFn:
         WORKLOADS[name] = fn
+        WORKLOAD_PARAMS[name] = frozenset(params) | {"seed"}
         return fn
 
     return register
+
+
+def check_params(name: str, names: Iterable[str]) -> None:
+    """Raise :class:`ValueError` naming every parameter ``name`` does not read.
+
+    An unregistered workload passes here; each of its runs then fails
+    with the known names (:func:`get_workload`).
+    """
+    known = WORKLOAD_PARAMS.get(name)
+    if known is None:
+        return
+    unknown = sorted(set(names) - known)
+    if unknown:
+        raise ValueError(
+            f"workload {name!r} does not read parameter(s) {unknown} "
+            f"(it reads: {sorted(known)})"
+        )
 
 
 def get_workload(name: str) -> WorkloadFn:
@@ -94,13 +124,13 @@ def public_workloads() -> List[str]:
     return sorted(k for k in WORKLOADS if not k.startswith("_"))
 
 
-def _count_all_cells(cell: Any) -> bool:
-    """Module-level counting predicate: partitioned runs pickle the
-    program spec into shard workers, which a lambda would break."""
-    return True
-
-
-@workload("e1")
+@workload(
+    "e1",
+    params=(
+        "side", "n_random", "loss", "wire", "faultplan", "scenario",
+        "reliable", "max_retries",
+    ),
+)
 def e1_scaling(params: Dict[str, Any], seed: int) -> WorkloadOutcome:
     """One deployed quad-tree counting round at ``side`` (the E1 kernel).
 
@@ -117,14 +147,6 @@ def e1_scaling(params: Dict[str, Any], seed: int) -> WorkloadOutcome:
     With a plan the round defaults to ``reliable=True`` and
     ``max_retries=8`` (self-healing needs the ARQ to redirect).
 
-    ``partitions=K`` (K > 1) runs the round on the space-partitioned
-    simulator (``repro.partition``).  K is part of the configuration
-    identity (per-shard RNG streams), while the worker-process count is
-    resolved at run time — clamped against the sweep's own parallelism
-    via ``REPRO_SWEEP_WORKERS`` — and recorded in the metrics
-    (``partition_procs`` / ``partition_procs_clamped``) without touching
-    the fingerprint.
-
     ``scenario`` (the :meth:`~repro.scenario.Scenario.to_dict` shape)
     plugs in the world models of :mod:`repro.scenario` — radio link
     model, mobility schedule, pursuit adversary, duty-cycled sources —
@@ -140,7 +162,6 @@ def e1_scaling(params: Dict[str, Any], seed: int) -> WorkloadOutcome:
     n_random = int(params.get("n_random", side * side * 7))
     loss = float(params.get("loss", 0.0))
     wire = bool(params.get("wire", False))
-    partitions = int(params.get("partitions", 1))
     plan_spec = params.get("faultplan")
     plan = FaultPlan.from_dicts(plan_spec) if plan_spec else None
     scenario = Scenario.coerce(params.get("scenario"))
@@ -155,15 +176,12 @@ def e1_scaling(params: Dict[str, Any], seed: int) -> WorkloadOutcome:
     net = covered_deployment(side, n_random, seed)
     stack = deploy(net)
     va = VirtualArchitecture(side)
-    spec = va.synthesize(CountAggregation(_count_all_cells))
-    budget = effective_procs(partitions) if partitions > 1 else None
+    spec = va.synthesize(CountAggregation(lambda c: True))
     t0 = time.perf_counter()
     result = stack.run_application(
         spec, loss_rate=loss, rng=np.random.default_rng(seed),
         reliable=reliable, max_retries=max_retries, wire_format=wire,
-        fault_plan=plan, partitions=partitions,
-        partition_procs=None if budget is None else budget.procs,
-        scenario=scenario,
+        fault_plan=plan, scenario=scenario,
     )
     wall = time.perf_counter() - t0
     if scenario is None and result.root_payload != side * side:
@@ -179,10 +197,6 @@ def e1_scaling(params: Dict[str, Any], seed: int) -> WorkloadOutcome:
         "latency": result.latency,
         "events_processed": float(result.events_processed),
     }
-    if budget is not None:
-        metrics["partitions"] = float(partitions)
-        metrics["partition_procs"] = float(budget.procs)
-        metrics["partition_procs_clamped"] = 1.0 if budget.clamped else 0.0
     fp_parts: List[Any] = [
         result.ledger.fingerprint(),
         result.transmissions,
@@ -208,7 +222,7 @@ def e1_scaling(params: Dict[str, Any], seed: int) -> WorkloadOutcome:
     return WorkloadOutcome(metrics=metrics, fingerprint=stable_digest(tuple(fp_parts)))
 
 
-@workload("storm")
+@workload("storm", params=("side", "n_random", "rounds", "loss", "jitter"))
 def broadcast_storm(params: Dict[str, Any], seed: int) -> WorkloadOutcome:
     """Every alive node broadcasts once per round; pure medium hot path."""
     side = int(params.get("side", 8))
@@ -247,7 +261,7 @@ def broadcast_storm(params: Dict[str, Any], seed: int) -> WorkloadOutcome:
     )
 
 
-@workload("regions")
+@workload("regions", params=("side", "threshold", "blobs"))
 def topographic_regions(params: Dict[str, Any], seed: int) -> WorkloadOutcome:
     """The case study on the virtual architecture: sweep side x threshold."""
     from ..apps import GaussianBlobField, TopographicQueryApp
@@ -286,7 +300,13 @@ def topographic_regions(params: Dict[str, Any], seed: int) -> WorkloadOutcome:
     )
 
 
-@workload("churn")
+@workload(
+    "churn",
+    params=(
+        "side", "n_random", "churn", "node_churn", "rotate", "wire",
+        "midrun_kill",
+    ),
+)
 def leader_churn(params: Dict[str, Any], seed: int) -> WorkloadOutcome:
     """Failure/recovery cycle: kill leaders, recover, optionally rotate.
 
@@ -376,7 +396,15 @@ def leader_churn(params: Dict[str, Any], seed: int) -> WorkloadOutcome:
     return WorkloadOutcome(metrics=metrics, fingerprint=stable_digest(tuple(fp_parts)))
 
 
-@workload("serve")
+@workload(
+    "serve",
+    params=(
+        "side", "n_random", "n_queries", "tenants", "updates", "loss", "wire",
+        "reliable", "cache", "mean_interarrival", "round_interval",
+        "deadline", "tenant_budget", "max_staleness", "overload",
+        "kill_leaders",
+    ),
+)
 def query_serving(params: Dict[str, Any], seed: int) -> WorkloadOutcome:
     """Persistent query serving over one deployed stack.
 
@@ -511,7 +539,7 @@ def query_serving(params: Dict[str, Any], seed: int) -> WorkloadOutcome:
     )
 
 
-@workload("_sleep")
+@workload("_sleep", params=("sleep_s",))
 def _sleep(params: Dict[str, Any], seed: int) -> WorkloadOutcome:
     """Test-only: sleep for ``sleep_s`` (exercises the hang-timeout path)."""
     duration = float(params.get("sleep_s", 0.05))

@@ -73,10 +73,12 @@ class TestCli:
     def test_scenario_demo_matches_across_modes(self, capsys):
         assert main(["scenario"]) == 0
         out = capsys.readouterr().out
-        assert "serial == partitioned: MATCH" in out
         assert "scenario fingerprint : def854d1bd349f28" in out
-        assert out.count("1747 tx, 9648 events") == 2
-        assert out.count("fingerprint 2f6a7f71044ac41a") == 2
+        assert (
+            "run                  : 1747 tx, 9648 events, "
+            "fingerprint 2f6a7f71044ac41a\n"
+        ) in out
+        assert out.count("fingerprint 2f6a7f71044ac41a") == 1
 
     def test_partition_demo_matches_across_modes(self, capsys):
         assert main(["partition", "8", "2"]) == 0
@@ -110,12 +112,28 @@ class TestCli:
         ) in out
         assert "memo" not in out
 
-    def test_analyze_missing_sink_is_a_usage_error(self, tmp_path, capsys):
-        missing = tmp_path / "nope.jsonl"
-        assert main(["analyze", "--sink", str(missing)]) == 2
+    @pytest.mark.parametrize(
+        "name,reason",
+        [("nope.jsonl", "no such sink file"), (".", "not a regular file")],
+        ids=["missing", "directory"],
+    )
+    def test_analyze_missing_sink_is_a_usage_error(
+        self, tmp_path, capsys, name, reason
+    ):
+        sink = tmp_path / name
+        assert main(["analyze", "--sink", str(sink)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: {missing}: no such sink file\n"
+        assert captured.err == f"error: {sink}: {reason}\n"
         assert captured.out == ""
+
+    def test_analyze_discloses_skipped_non_run_records(self, tmp_path, capsys):
+        sink = tmp_path / "campaign.jsonl"
+        sink.write_text(CAMPAIGN.read_text() + '{"kind": "heartbeat"}\n')
+        assert main(["analyze", "--sink", str(sink), "--by", "loss"]) == 0
+        assert (
+            "campaign: 2 group(s) from 1 file(s) — 9 record(s) read, "
+            "0 torn line(s) repaired, 1 non-run record(s) skipped\n"
+        ) in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "argv",

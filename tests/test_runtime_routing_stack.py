@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import gc
-import pickle
 import weakref
 
 import numpy as np
@@ -335,18 +334,6 @@ class TestRoundReuse:
         assert all(a is b for a, b in zip(kept.values(), stack._processes.values()))
         for proc in kept.values():
             assert not hasattr(proc, "sim") and not hasattr(proc, "medium")
-
-    def test_processes_stay_out_of_the_pickled_stack(self, stack4):
-        _, stack = stack4
-        # the count predicate is a lambda: its node programs do not pickle
-        spec = VirtualArchitecture(4).synthesize(CountAggregation(lambda c: True))
-        stack.run_application(spec)
-        assert stack._processes
-        copy = pickle.loads(pickle.dumps(stack))
-        assert copy._processes == {}
-        assert copy.run_application(
-            VirtualArchitecture(4).synthesize(CountAggregation(lambda c: True))
-        ).root_payload == 16
 
 
 class TestNextHopMemo:

@@ -2,9 +2,9 @@
 
 Unit tests pin the declarative models' determinism, validation, and dict
 round-trips; integration tests pin the subsystem's reproducibility
-contract — identical fingerprints for a seeded scenario across serial,
-partitioned (K in {1, 4}), and sharded-sweep execution, with the wire
-codec on and off — plus the boundary-packet wire codec itself.
+contract — identical fingerprints for a seeded scenario with the wire
+codec on and off, on a fresh stack and over re-armed rounds, and across
+serial and sharded-sweep execution.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.deployment import (
 )
 from repro.runtime import deploy
 from repro.runtime.faults import FaultEvent, FaultPlan
-from repro.runtime.wire import WireDecodeError, decode_packet, encode_packet
 from repro.scenario import (
     Attacker,
     LogNormalShadowing,
@@ -39,7 +38,6 @@ from repro.scenario import (
     plan_cell_hops,
 )
 from repro.scenario.link import stable_unit
-from repro.simulator.network import Packet
 
 SIDE = 4
 SEED = 17
@@ -53,26 +51,12 @@ def make_network(seed: int = SEED, side: int = SIDE, n_random: int = 140):
     return build_network(positions, cells, tx_range=cells.cell_side * 2.3)
 
 
-def count_all(cell) -> bool:
-    """Module-level predicate (partitioned runs pickle the spec)."""
-    return True
-
-
-def run_round(
-    scenario,
-    partitions: int = 0,
-    wire: bool = False,
-    plan=None,
-    seed: int = SEED,
-    procs: int = 1,
-):
-    """One seeded round on a fresh stack; ``partitions=0`` = legacy path."""
-    from repro.partition.runner import run_partitioned_application
-
+def run_rounds(scenario, wire: bool = False, plan=None, seed: int = SEED, rounds: int = 1):
+    """``rounds`` consecutive seeded rounds on one fresh stack."""
     stack = deploy(make_network(seed))
-    spec = VirtualArchitecture(SIDE).synthesize(CountAggregation(count_all))
-    if partitions == 0:
-        return stack.run_application(
+    spec = VirtualArchitecture(SIDE).synthesize(CountAggregation(lambda c: True))
+    return [
+        stack.run_application(
             spec,
             rng=np.random.default_rng(seed + 1),
             reliable=True,
@@ -81,19 +65,13 @@ def run_round(
             fault_plan=plan,
             scenario=scenario,
         )
-    return run_partitioned_application(
-        stack,
-        spec,
-        partitions=partitions,
-        procs=procs,
-        rng=np.random.default_rng(seed + 1),
-        reliable=True,
-        max_retries=8,
-        wire_format=wire,
-        fault_plan=plan,
-        scenario=scenario,
-        wall_timeout_s=120.0,
-    )
+        for _ in range(rounds)
+    ]
+
+
+def run_round(scenario, wire: bool = False, plan=None, seed: int = SEED):
+    """One seeded round on a fresh stack."""
+    return run_rounds(scenario, wire=wire, plan=plan, seed=seed)[0]
 
 
 #: A leader kill inside the full scenario's round.
@@ -116,11 +94,22 @@ def full_scenario(seed: int = SEED) -> Scenario:
     )
 
 
+#: Fingerprints of four consecutive full-scenario rounds on one stack.
+#: Later rounds start from drained batteries, the killed leader and the
+#: moved nodes, so each round's digest differs from the last.
+FULL_ROUNDS = ("14ff35dda1f6bb15", "65a6f539f1f0f31f", "ef1eb48cc7185257", "3ad4eeb97ca18830")
+
+
 @functools.cache
+def full_rounds(rounds: int, wire: bool):
+    """``rounds`` full-scenario rounds on one stack (seed-pure, so the
+    tests share them)."""
+    return tuple(run_rounds(full_scenario(), wire=wire, plan=KILL_PLAN, rounds=rounds))
+
+
 def serial_full_round(wire: bool):
-    """The serial reference run of the full scenario (seed-pure, so the
-    execution-mode tests share it)."""
-    return run_round(full_scenario(), wire=wire, plan=KILL_PLAN)
+    """The reference run of the full scenario."""
+    return full_rounds(1, wire)[0]
 
 
 class TestStableUnit:
@@ -319,24 +308,6 @@ class TestScenarioSpec:
             build()
 
 
-class TestPacketWireCodec:
-    def test_round_trip(self):
-        for packet in (
-            Packet(src=3, kind="transport", payload=(1, "x", [2.5]), size_units=2.0),
-            Packet(src=0, kind="hb", payload=None, size_units=0.25, dst=7),
-        ):
-            assert decode_packet(encode_packet(packet)) == packet
-
-    def test_corruption_is_loud(self):
-        blob = encode_packet(Packet(src=1, kind="k", payload="p"))
-        with pytest.raises(WireDecodeError):
-            decode_packet(blob[:5])
-        with pytest.raises(WireDecodeError):
-            decode_packet(b"XX" + blob[2:])
-        with pytest.raises(WireDecodeError):
-            decode_packet(b"")
-
-
 class TestScenarioRuns:
     def test_unit_disk_is_byte_identical_to_no_scenario(self):
         base = run_round(None)
@@ -356,24 +327,16 @@ class TestScenarioRuns:
         assert first.scenario_report.link_faded > 0
         assert first.fingerprint() != run_round(None).fingerprint()
 
-    @pytest.mark.parametrize("partitions", [1, 4])
+    @pytest.mark.parametrize("rounds", [1, 4])
     @pytest.mark.parametrize("wire", [False, True], ids=["pickle", "wire"])
-    def test_full_scenario_is_execution_mode_invariant(self, partitions, wire):
-        serial = serial_full_round(wire)
-        sharded = run_round(
-            full_scenario(), partitions=partitions, wire=wire, plan=KILL_PLAN
-        )
-        assert sharded.fingerprint() == serial.fingerprint()
-        assert (
-            sharded.scenario_report.attacker.as_tuple()
-            == serial.scenario_report.attacker.as_tuple()
-        )
-
-    def test_full_scenario_on_worker_processes(self):
-        sharded = run_round(
-            full_scenario(), partitions=4, procs=4, wire=True, plan=KILL_PLAN
-        )
-        assert sharded.fingerprint() == serial_full_round(True).fingerprint()
+    def test_full_scenario_is_execution_mode_invariant(self, rounds, wire):
+        """Every frame through the wire codec or none, on a fresh stack or
+        one that re-arms its processes round after round: the same rounds."""
+        runs = full_rounds(rounds, wire)
+        assert tuple(r.fingerprint() for r in runs) == FULL_ROUNDS[:rounds]
+        assert [r.scenario_report.attacker.as_tuple() for r in runs] == [
+            r.scenario_report.attacker.as_tuple() for r in full_rounds(rounds, False)
+        ]
 
     def test_dict_form_drives_the_identical_run(self):
         as_dict = json.loads(json.dumps(full_scenario().to_dict()))

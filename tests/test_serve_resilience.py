@@ -12,8 +12,7 @@ The DESIGN.md §16 contracts behind ``repro.serve``'s resilience layer:
 * a serving leader killed by an armed :class:`FaultPlan` does not orphan
   the engine: after failover it re-resolves bindings, invalidates
   exactly the dirtied cache cells, and keeps answering — matching a
-  fresh-engine oracle, byte-identically across wire on/off and serial vs
-  space-partitioned gather;
+  fresh-engine oracle, byte-identically across wire on/off;
 * the chaos soak upholds the liveness invariant end to end;
 * shed/expired queries flow through sweep metrics and analyze ingest as
   named outcomes, never as run failures.
@@ -312,9 +311,9 @@ class TestStaleness:
         assert strict.value != stale.value
 
 
-def _recover_run(wire: bool, partitions: int):
+def _recover_run(wire: bool):
     """Kill a serving leader mid-campaign; return (engine fp, outcomes)."""
-    stack, storage = build_serving_stack(seed=9, partitions=partitions)
+    stack, storage = build_serving_stack(seed=9)
     engine = QueryEngine(
         stack,
         storage,
@@ -343,7 +342,7 @@ class TestFaultThenRecover:
 
     @pytest.fixture(scope="class")
     def baseline(self):
-        return _recover_run(wire=False, partitions=1)
+        return _recover_run(wire=False)
 
     def test_failover_keeps_serving_and_matches_oracle(self, baseline):
         _, cold, after, engine = baseline
@@ -362,11 +361,7 @@ class TestFaultThenRecover:
 
     @pytest.mark.parametrize("wire", [False, True])
     def test_wire_codec_is_invisible_to_recovery(self, baseline, wire):
-        fp, _, _, _ = _recover_run(wire=wire, partitions=1)
-        assert fp == baseline[0]
-
-    def test_partitioned_gather_is_invisible_to_recovery(self, baseline):
-        fp, _, _, _ = _recover_run(wire=False, partitions=4)
+        fp, _, _, _ = _recover_run(wire=wire)
         assert fp == baseline[0]
 
     def test_engine_leaves_the_callers_healing_config_alone(self):
@@ -406,13 +401,10 @@ class TestChaosSoak:
         assert soak.probe_complete
 
     @pytest.mark.parametrize(
-        "variant",
-        [{}, {"wire": True}, {"partitions": 4}],
-        ids=["repeat", "wire", "partitioned"],
+        "variant", [{}, {"wire": True}], ids=["repeat", "wire"]
     )
     def test_fingerprint_is_invariant(self, soak, variant):
-        """Byte-identical on repeat, with the wire codec, and with the
-        gather round run space-partitioned."""
+        """Byte-identical on repeat and with the wire codec."""
         assert chaos_soak(**variant).fingerprint == soak.fingerprint
 
 

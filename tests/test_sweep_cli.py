@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import inspect
 import json
+import re
 
 import pytest
 
 from repro.sweep.cli import build_parser, build_spec, main, parse_grid, parse_value
+from repro.sweep.workloads import WORKLOAD_PARAMS, WORKLOADS
 
 
 class TestParsing:
@@ -83,6 +86,34 @@ class TestMain:
         assert main(["--grid", "side=4"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags,keys",
+        [
+            (["--fixed", "los=0.2"], "['los']"),
+            (["--grid", "partitions=1,2", "--fixed", "wir=true"],
+             "['partitions', 'wir']"),
+        ],
+        ids=["los", "partitions"],
+    )
+    def test_parameter_the_workload_does_not_read_is_usage_error(
+        self, tmp_path, capsys, flags, keys
+    ):
+        out = tmp_path / "runs.jsonl"
+        argv = ["--workload", "e1", "--grid", "side=4", *flags,
+                "--workers", "1", "--audit", "0", "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: workload 'e1' does not read parameter(s) {keys}"
+        )
+        assert captured.out == "" and not out.exists()
+
+    def test_every_parameter_a_workload_reads_is_registered(self):
+        for name, fn in WORKLOADS.items():
+            read = set(re.findall(r'params\.get\(\s*"(\w+)"', inspect.getsource(fn)))
+            assert read <= WORKLOAD_PARAMS[name], (name, read - WORKLOAD_PARAMS[name])
+            assert WORKLOAD_PARAMS[name] - read <= {"seed"}, name
+
     def test_unreadable_spec_file_is_usage_error(self, tmp_path, capsys):
         assert main(["--spec", str(tmp_path / "missing.json")]) == 2
         assert "error:" in capsys.readouterr().err
@@ -115,7 +146,7 @@ class TestMain:
 
     def test_strict_flag_fails_on_structured_failures(self, tmp_path, capsys):
         argv = [
-            "--workload", "_fail", "--grid", "x=1", "--audit", "0",
+            "--workload", "_fail", "--audit", "0",
             "--workers", "1", "--retries", "0",
             "--out", str(tmp_path / "runs.jsonl"), "--quiet",
         ]

@@ -88,7 +88,7 @@ class TestShardedPath:
         assert audit_determinism(sharded).ok
 
     def test_workload_exception_becomes_structured_failure(self):
-        spec = SweepSpec(name="boom", workload="_fail", grid={"x": [1, 2, 3]})
+        spec = SweepSpec(name="boom", workload="_fail", replicates=3)
         records = run_sweep(spec, workers=2, retries=0)
         assert len(records) == 3
         assert all(r["status"] == "failed" for r in records)

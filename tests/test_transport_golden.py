@@ -63,13 +63,8 @@ REGEN_HINT = (
 SIDE = 4
 
 
-def count_every_cell(cell) -> bool:
-    """Module-level predicate: partitioned runs pickle the spec."""
-    return True
-
-
 def count_spec():
-    return VirtualArchitecture(SIDE).synthesize(CountAggregation(count_every_cell))
+    return VirtualArchitecture(SIDE).synthesize(CountAggregation(lambda c: True))
 
 
 def fault_matrix_case(kind: str, reliable: bool, wire: bool) -> str:
@@ -207,19 +202,6 @@ def link_model_case() -> str:
     ).fingerprint()
 
 
-def partitioned_case() -> str:
-    stack = deploy(make_deployment(side=SIDE, n_random=140, seed=7))
-    return stack.run_application(
-        count_spec(),
-        loss_rate=0.1,
-        rng=np.random.default_rng(9),
-        reliable=True,
-        max_retries=8,
-        partitions=2,
-        partition_procs=1,
-    ).fingerprint()
-
-
 def serve_stream_case() -> str:
     """A reliable lossy three-tenant stream; tenant 1 is budgeted with
     ``defer``, and a write between two bursts invalidates the cache."""
@@ -332,7 +314,6 @@ def _cases() -> Dict[str, Callable[[], str]]:
                     count_round_case, reliable, wire, loss, jitter
                 )
     cases["scenario-link-model"] = link_model_case
-    cases["partitioned-2-reliable"] = partitioned_case
     cases["chaos-soak"] = lambda: chaos_soak().fingerprint
     cases["serve-stream-defer"] = serve_stream_case
     cases["serve-relay-kill-restore"] = serve_relay_kill_case
