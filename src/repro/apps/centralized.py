@@ -11,7 +11,7 @@ quad-tree algorithm beats (experiment E2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 

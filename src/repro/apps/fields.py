@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 

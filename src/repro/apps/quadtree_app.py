@@ -13,10 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-import numpy as np
-
 from ..core.cost_model import PerformanceReport
-from ..core.executor import ExecutionResult, execute_round
+from ..core.executor import ExecutionResult
 from ..core.synthesis import SynthesizedProgram
 from ..core.virtual_architecture import VirtualArchitecture
 from .boundary import RegionSummary

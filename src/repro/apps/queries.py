@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.coords import GridCoord
-from ..core.cost_model import CostModel, EnergyLedger, UniformCostModel
+from ..core.cost_model import CostModel, UniformCostModel
 from ..core.executor import ExecutionResult
 from ..core.network_model import OrientedGrid
 from .boundary import MergeAccumulator, RegionSummary

@@ -9,18 +9,13 @@ independently of the program/executor machinery.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable
 
 import numpy as np
 
 from ..core.coords import GridCoord, is_power_of_two
 from ..core.synthesis import Aggregation
-from .boundary import (
-    Extent,
-    MergeAccumulator,
-    RegionSummary,
-    cell_summary,
-)
+from .boundary import MergeAccumulator, RegionSummary, cell_summary
 
 
 class RegionAggregation(Aggregation):

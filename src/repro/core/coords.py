@@ -21,7 +21,7 @@ bits; :func:`morton_encode` / :func:`morton_decode` reproduce it.
 from __future__ import annotations
 
 import enum
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Tuple
 
 GridCoord = Tuple[int, int]
 """A virtual-grid coordinate ``(x, y)``; ``(0, 0)`` is the north-west corner."""

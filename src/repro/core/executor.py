@@ -21,12 +21,12 @@ program objects — the core promise of the virtual-architecture abstraction.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from .coords import GridCoord
 from .cost_model import CostModel, EnergyLedger, PerformanceReport, UniformCostModel
-from .program import EXFILTRATE, LOG, SEND, Effect, Message, NodeProgram
+from .program import EXFILTRATE, SEND, Message, NodeProgram
 from .synthesis import SynthesizedProgram
 
 

@@ -24,9 +24,9 @@ middleware, so the policy is pluggable.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .coords import GridCoord, block_leader, block_members, manhattan
+from .coords import GridCoord, block_leader, block_members
 from .network_model import OrientedGrid
 
 

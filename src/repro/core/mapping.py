@@ -24,13 +24,13 @@ energy-balance ablation (experiment E6) and the centralized baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .coords import GridCoord, morton_decode
 from .cost_model import CostModel, EnergyLedger, UniformCostModel
 from .groups import HierarchicalGroups
 from .network_model import OrientedGrid
-from .taskgraph import Task, TaskGraph, TaskId
+from .taskgraph import TaskGraph, TaskId
 
 
 @dataclass

@@ -22,8 +22,7 @@ algorithm can address "all feature nodes" as one logical destination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from .coords import GridCoord
 from .network_model import OrientedGrid

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Generator, Optional, Tuple
 
 from .coords import GridCoord
 from .cost_model import CostModel, EnergyLedger, UniformCostModel

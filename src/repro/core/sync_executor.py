@@ -18,7 +18,6 @@ ablation of experiment E1/E2 in DESIGN.md.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from .coords import GridCoord

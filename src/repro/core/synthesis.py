@@ -42,8 +42,8 @@ leader yet continues to serve as the merge point of a higher level.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional
 
 from .coords import GridCoord
 from .groups import HierarchicalGroups

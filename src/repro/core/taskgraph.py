@@ -18,7 +18,7 @@ tasks oversee, reproducing the paper's node labels 0..15 / {0, 4, 8, 12} /
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .coords import morton_encode
 from .network_model import OrientedGrid

@@ -20,7 +20,6 @@ functions — into one object that the rest of the methodology flows through:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .cost_model import CostModel, UniformCostModel

@@ -11,7 +11,7 @@ application of Section 3.1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 from .terrain import Point
 

@@ -3,9 +3,10 @@
 The protocol (full spec: DESIGN.md §12) is windowed conservative PDES:
 
 * Every shard owns a full :class:`~repro.simulator.engine.Simulator` /
-  :class:`~repro.simulator.network.WirelessMedium` / process slice over a
-  *replica* of the deployment, with deliveries to remote nodes diverted
-  into egress records instead of local events.
+  medium / process slice over a *replica* of the deployment.  Its medium,
+  ``_ShardMedium``, is a :class:`~repro.simulator.network.WirelessMedium`
+  whose fan-out step diverts deliveries to remote nodes into egress
+  records instead of local events.
 * The driver advances all shards in lockstep windows.  Window ``k`` ends
   at horizon ``H_k = max(H_{k-1} + L, T_min + L)`` where ``L`` is the
   lookahead (the smallest per-hop radio latency in play) and ``T_min`` is
@@ -44,7 +45,7 @@ import numpy as np
 
 from ..core.cost_model import CostModel, EnergyLedger, UniformCostModel
 from ..simulator.engine import Simulator
-from ..simulator.network import Packet, PartitionSlice, WirelessMedium
+from ..simulator.network import Packet, WirelessMedium, arrival_buckets
 from ..simulator.process import Process, ProcessHost
 from ..simulator.trace import MediumStats, stable_digest
 from .plan import ShardPlan, plan_stripes
@@ -146,6 +147,133 @@ class _StormProcess(Process):
 
 # -- per-shard world ---------------------------------------------------------------
 
+#: A boundary-crossing delivery: ``(dst_shard, arrival_time, src_shard,
+#: emit_seq, packet, receivers)``.
+_Egress = Tuple[int, float, int, int, Packet, Tuple[int, ...]]
+
+
+class _ShardMedium(WirelessMedium):
+    """The medium of one shard of a partitioned storm.
+
+    ``local`` is the set of node ids this shard owns (their processes and
+    deliveries run here); ``shard_of`` maps every node in the deployment
+    to its owning shard.  Broadcast deliveries to nodes outside ``local``
+    are not scheduled on the local simulator: they are buffered as egress
+    records (drained at each window barrier) carrying the packet, its
+    absolute arrival time and the receiver group; the window driver
+    routes them to the owning shard, which schedules them via
+    :meth:`inject_boundary`.  Only broadcasts cross shards: the storm
+    sends no unicasts.  ``lookahead`` is the conservative bound every
+    cross-shard delivery must respect, which the medium *verifies* at
+    egress time rather than assumes (DESIGN.md §12).
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        network: Any,
+        shard_id: int,
+        local: "frozenset[int]",
+        shard_of: Dict[int, int],
+        lookahead: float,
+        **medium_kwargs: Any,
+    ):
+        if lookahead <= 0:
+            raise ValueError("lookahead must be positive")
+        super().__init__(sim, network, **medium_kwargs)
+        self.shard_id = shard_id
+        self.local = local
+        self.shard_of = shard_of
+        self.lookahead = lookahead
+        self._egress: List[_Egress] = []
+        self._emit_seq = 0
+        # events a single-simulator run would NOT have fired: broadcast
+        # buckets split across shards.  The merged run subtracts this so
+        # events_processed is K-invariant.
+        self.partition_overhead = 0
+
+    def drain_egress(self) -> List[_Egress]:
+        """Hand over (and clear) the boundary-crossing deliveries buffered
+        since the last window barrier.
+
+        ``emit_seq`` is a per-shard monotone counter, so the receiving
+        shard can order same-timestamp arrivals from one source
+        deterministically.
+        """
+        out = self._egress
+        self._egress = []
+        return out
+
+    def inject_boundary(
+        self, time: float, packet: Packet, receivers: Tuple[int, ...]
+    ) -> None:
+        """Schedule a boundary arrival handed over by a neighbour shard.
+
+        ``time`` is absolute; the conservative window protocol guarantees
+        ``time >= sim.now`` (arrivals land at or beyond the current window
+        edge), so :meth:`Simulator.schedule_at` never rejects.
+        """
+        if len(receivers) == 1:
+            self.sim.schedule_at(time, self._arrive, packet, receivers[0])
+        else:
+            self.sim.schedule_at(time, self._arrive_many, packet, list(receivers))
+
+    def _fan_out(
+        self,
+        packet: Packet,
+        survivors: List[int],
+        delay: float,
+        extras: Optional[List[float]],
+    ) -> None:
+        """Partition-aware broadcast fan-out.
+
+        Local receivers get the whole-world medium's arrival-time buckets
+        (first-seen order, delivered in receiver order); each bucket's
+        remote receivers become one egress record per destination shard.
+        Every extra event a bucket split causes, relative to the single
+        event a whole-world medium would schedule, is tallied in
+        :attr:`partition_overhead`.
+        """
+        if delay < self.lookahead:
+            raise RuntimeError(
+                f"cross-shard delivery delay {delay} beats the configured "
+                f"lookahead {self.lookahead}: the conservative window "
+                "protocol would miss it (lower the lookahead bound)"
+            )
+        if extras is None:
+            buckets: Dict[float, List[int]] = {delay: survivors}
+        else:
+            buckets = arrival_buckets(survivors, delay, extras)
+        local = self.local
+        shard_of = self.shard_of
+        now = self.sim.now
+        schedule = self.sim.schedule
+        for time, group in buckets.items():
+            local_group: List[int] = []
+            remote: Dict[int, List[int]] = {}
+            for nbr in group:
+                if nbr in local:
+                    local_group.append(nbr)
+                else:
+                    bucket = remote.get(shard_of[nbr])
+                    if bucket is None:
+                        remote[shard_of[nbr]] = [nbr]
+                    else:
+                        bucket.append(nbr)
+            if local_group:
+                if len(local_group) == 1:
+                    schedule(time, self._arrive, packet, local_group[0])
+                else:
+                    schedule(time, self._arrive_many, packet, local_group)
+            for dst_shard, remote_group in remote.items():
+                self._egress.append(
+                    (dst_shard, now + time, self.shard_id, self._emit_seq,
+                     packet, tuple(remote_group))
+                )
+                self._emit_seq += 1
+            self.partition_overhead += (1 if local_group else 0) + len(remote) - 1
+
+
 
 @dataclass
 class _ShardResult:
@@ -170,23 +298,21 @@ class _ShardWorld:
         job: _StormJob = pickle.loads(job_blob)
         plan: ShardPlan = job.plan
         self.sim = Simulator()
-        self.medium = WirelessMedium(
-            self.sim,
-            job.network,
-            cost_model=job.cost_model,
-            loss_rate=job.loss_rate,
-            rng=rng,
-            jitter=job.jitter,
+        medium_kwargs = dict(
+            cost_model=job.cost_model, loss_rate=job.loss_rate, rng=rng, jitter=job.jitter
         )
         if plan.partitions > 1:
-            self.medium.configure_partition(
-                PartitionSlice(
-                    shard_id=shard_id,
-                    local=frozenset(plan.local_nodes[shard_id]),
-                    shard_of=plan.shard_of_node,
-                    lookahead=job.lookahead,
-                )
+            self.medium = _ShardMedium(
+                self.sim,
+                job.network,
+                shard_id,
+                frozenset(plan.local_nodes[shard_id]),
+                plan.shard_of_node,
+                job.lookahead,
+                **medium_kwargs,
             )
+        else:
+            self.medium = WirelessMedium(self.sim, job.network, **medium_kwargs)
         self.host = ProcessHost(self.sim, self.medium)
         owned = set(plan.local_nodes[shard_id])
         for nid in job.network.alive_ids():
@@ -199,10 +325,8 @@ class _ShardWorld:
     # -- window protocol ---------------------------------------------------------
 
     def advance(
-        self,
-        horizon: float,
-        records: List[Tuple[int, float, int, int, Packet, Tuple[int, ...]]],
-    ) -> Tuple[int, int, Optional[float], List[Tuple]]:
+        self, horizon: float, records: List[_Egress]
+    ) -> Tuple[int, int, Optional[float], List[_Egress]]:
         """Inject boundary arrivals, drain events up to ``horizon``, and
         report ``(fired, pending, next_event_time, egress)``."""
         if records:
@@ -219,12 +343,15 @@ class _ShardWorld:
         )
 
     def finalize(self) -> _ShardResult:
+        medium = self.medium
         return _ShardResult(
-            ledger=self.medium.ledger,
-            stats=self.medium.stats,
+            ledger=medium.ledger,
+            stats=medium.stats,
             latency=self.sim.now,
             events=self.sim.events_processed,
-            overhead=self.medium.partition_overhead,
+            overhead=(
+                medium.partition_overhead if isinstance(medium, _ShardMedium) else 0
+            ),
         )
 
 

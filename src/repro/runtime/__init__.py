@@ -60,7 +60,6 @@ from .wire import (
     decode_envelope,
     encode_ack,
     encode_envelope,
-    register_payload_codec,
 )
 
 __all__ = [
@@ -107,7 +106,6 @@ __all__ = [
     "plan_chaos",
     "plan_leader_storm",
     "recover",
-    "register_payload_codec",
     "residual_energy_metric",
     "rotate_leaders",
     "run_deployed_query",

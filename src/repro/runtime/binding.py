@@ -253,9 +253,14 @@ def bind_processes(
         sim, network, cost_model=cost_model, loss_rate=loss_rate, rng=rng
     )
     host = ProcessHost(sim, medium)
-    host.add_all(lambda nid: LeaderElectionProcess(metric, msg_size_units))
-    host.start()
-    sim.run_until_quiet()
+    try:
+        host.add_all(lambda nid: LeaderElectionProcess(metric, msg_size_units))
+        host.start()
+        sim.run_until_quiet()
+    finally:
+        # break the medium -> handler -> process -> medium cycles so the
+        # world is freed without a full collection
+        host.teardown()
 
     leaders: Dict[GridCoord, int] = {}
     toward: Dict[int, Optional[int]] = {}

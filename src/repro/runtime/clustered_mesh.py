@@ -172,9 +172,14 @@ def build_leader_mesh(
         sim, network, cost_model=cost_model, loss_rate=loss_rate, rng=rng
     )
     host = ProcessHost(sim, medium)
-    host.add_all(lambda nid: _MeshProcess(binding))
-    host.start()
-    sim.run_until_quiet()
+    try:
+        host.add_all(lambda nid: _MeshProcess(binding))
+        host.start()
+        sim.run_until_quiet()
+    finally:
+        # break the medium -> handler -> process -> medium cycles so the
+        # world is freed without a full collection
+        host.teardown()
 
     routes: Dict[Tuple[GridCoord, GridCoord], List[int]] = {}
     for nid, proc in host.processes.items():

@@ -336,7 +336,7 @@ class FaultInjector:
             medium.tx_transform = self._maybe_corrupt
         for event in self.plan.events:
             # pre-run now == 0, so relative delay == absolute fire time
-            sim.schedule_fire_and_forget(event.time, self._fire, event)
+            sim.schedule(event.time, self._fire, event)
 
     # -- event execution ---------------------------------------------------------
 

@@ -17,14 +17,14 @@ executes here on physical nodes —
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.coords import GridCoord
 from ..core.cost_model import CostModel, EnergyLedger, UniformCostModel
-from ..core.program import EXFILTRATE, SEND, Effect, Message, NodeProgram
+from ..core.program import EXFILTRATE, SEND, Effect, NodeProgram
 from ..core.synthesis import SynthesizedProgram
 from ..deployment.topology import RealNetwork
 from ..simulator.engine import Simulator

@@ -27,13 +27,13 @@ possible entries, and by experiment E4 to report the efficiency properties
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..core.coords import ALL_DIRECTIONS, Direction, GridCoord
-from ..core.cost_model import CostModel, UniformCostModel
+from ..core.cost_model import CostModel
 from ..deployment.topology import RealNetwork
 from ..simulator.engine import Simulator
 from ..simulator.network import Packet, WirelessMedium
@@ -354,9 +354,14 @@ def emulate_topology(
             sim, network, cost_model=cost_model, loss_rate=loss_rate, rng=rng
         )
         host = ProcessHost(sim, medium)
-        host.add_all(lambda nid: TopologyEmulationProcess(rt_size_units))
-        host.start()
-        sim.run_until_quiet()
+        try:
+            host.add_all(lambda nid: TopologyEmulationProcess(rt_size_units))
+            host.start()
+            sim.run_until_quiet()
+        finally:
+            # break the medium -> handler -> process -> medium cycles so
+            # the world is freed without a full collection
+            host.teardown()
         tables = {
             nid: dict(proc.rt)  # type: ignore[attr-defined]
             for nid, proc in host.processes.items()

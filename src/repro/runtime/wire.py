@@ -5,8 +5,8 @@ here, beside their frame layout) across cell boundaries hop by hop; until
 this module existed they travelled as live Python objects on a shared
 heap, which is exactly what blocks cross-process and networked simulation
 backends (and hence intra-run parallelism in ``repro.sweep``).  This module defines the packet
-format those backends need: a struct-packed fixed header plus a tagged,
-registry-driven encoding of the inner application payloads.
+format those backends need: a struct-packed fixed header plus a tagged
+encoding of the inner application payloads.
 
 Frame layout (all integers big-endian / network order)::
 
@@ -22,7 +22,7 @@ Frame layout (all integers big-endian / network order)::
     16      2     hops         (uint16)
     18      8     size_units   (IEEE-754 float64)
     26      12    uid: origin (uint32) + seq (uint64)   — iff HAS_UID
-    ..      1     payload tag  (see the registry below)  — omitted on acks
+    ..      1     payload tag  (see the table below)  — omitted on acks
     ..      4     payload length (uint32)
     ..      N     payload bytes
 
@@ -36,7 +36,7 @@ but the payload is left encoded (:class:`EncodedPayload`), and
 ``hops`` field and the CRC.  The node that delivers the envelope decodes
 the payload, once.
 
-Inner payloads are encoded through a **tag registry**:
+Inner payloads are encoded under one of three **payload tags**:
 
     ====== ============================================================
     tag    codec
@@ -45,16 +45,15 @@ Inner payloads are encoded through a **tag registry**:
            tuples/lists/dicts/sets/frozensets thereof (sets are encoded
            sorted by element bytes so encoding is order-stable)
     0x02   :class:`repro.core.program.Message`
-    0x10+  user codecs added via :func:`register_payload_codec`
-    0x7F   pickle — the documented fallback for unregistered payload
-           types.  Round-trips any picklable object, but its bytes are
+    0x7F   pickle — the documented fallback for every other payload
+           type.  Round-trips any picklable object, but its bytes are
            only guaranteed stable within one Python build, so pickled
            payloads are excluded from the golden conformance vectors
            and MUST NOT be relied on across interpreter versions.
     ====== ============================================================
 
 Compatibility policy: any observable change to the byte layout — header
-fields, value codec, built-in payload tags — is a **conscious version
+fields, value codec, payload tags — is a **conscious version
 bump** of :data:`WIRE_VERSION`, gated by the golden vectors under
 ``tests/data/wire_vectors.json``.  A decoder never guesses: an unknown
 version, unknown flag bit, unknown payload tag, bad CRC, or trailing
@@ -67,7 +66,7 @@ import pickle
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple, Type
+from typing import Any, Dict, Optional, Tuple
 
 from ..core.coords import GridCoord
 from ..core.program import Message
@@ -330,52 +329,13 @@ def _read_value(buf: memoryview, pos: int) -> Tuple[Any, int]:
 
 
 # ---------------------------------------------------------------------------
-# payload registry
+# payload tags
 # ---------------------------------------------------------------------------
 
 PAYLOAD_VALUE = 0x01
 PAYLOAD_MESSAGE = 0x02
 PAYLOAD_PICKLE = 0x7F
-_BUILTIN_TAGS = frozenset((PAYLOAD_VALUE, PAYLOAD_MESSAGE, PAYLOAD_PICKLE))
-
-#: First / last tag available to :func:`register_payload_codec` users.
-USER_TAG_FIRST = 0x10
-USER_TAG_LAST = 0x7E
-
-_EncodeFn = Callable[[Any], bytes]
-_DecodeFn = Callable[[bytes], Any]
-
-_CODECS_BY_TAG: Dict[int, Tuple[Optional[Type], _EncodeFn, _DecodeFn]] = {}
-_CODECS_BY_TYPE: Dict[Type, int] = {}
-
-
-def register_payload_codec(
-    tag: int, cls: Type, encode: _EncodeFn, decode: _DecodeFn
-) -> None:
-    """Register a payload codec for ``cls`` under ``tag``.
-
-    ``tag`` must lie in ``[USER_TAG_FIRST, USER_TAG_LAST]`` and be unused;
-    re-registering a tag or a class raises :class:`ValueError` so two
-    subsystems can never silently fight over the wire namespace.
-    """
-    if not USER_TAG_FIRST <= tag <= USER_TAG_LAST:
-        raise ValueError(
-            f"user payload tags must be in [0x{USER_TAG_FIRST:02x}, "
-            f"0x{USER_TAG_LAST:02x}], got 0x{tag:02x}"
-        )
-    if tag in _CODECS_BY_TAG:
-        raise ValueError(f"payload tag 0x{tag:02x} already registered")
-    if cls in _CODECS_BY_TYPE:
-        raise ValueError(f"payload class {cls.__name__} already registered")
-    _CODECS_BY_TAG[tag] = (cls, encode, decode)
-    _CODECS_BY_TYPE[cls] = tag
-
-
-def unregister_payload_codec(tag: int) -> None:
-    """Remove a user codec (primarily for tests)."""
-    entry = _CODECS_BY_TAG.pop(tag, None)
-    if entry is not None and entry[0] is not None:
-        _CODECS_BY_TYPE.pop(entry[0], None)
+_PAYLOAD_TAGS = frozenset((PAYLOAD_VALUE, PAYLOAD_MESSAGE, PAYLOAD_PICKLE))
 
 
 def _encode_message(message: Any) -> bytes:
@@ -411,14 +371,10 @@ def _decode_message(raw: bytes) -> Any:
 def encode_payload(inner: Any) -> Tuple[int, bytes]:
     """Encode an inner payload; returns ``(tag, bytes)``.
 
-    Resolution order: an explicitly registered codec for the payload's
-    class, then :class:`~repro.core.program.Message`, then the structured
-    value codec, and finally — the documented fallback for unregistered
-    types — pickle under :data:`PAYLOAD_PICKLE`.
+    Resolution order: :class:`~repro.core.program.Message`, then the
+    structured value codec, and finally — the documented fallback for
+    every other type — pickle under :data:`PAYLOAD_PICKLE`.
     """
-    tag = _CODECS_BY_TYPE.get(type(inner))
-    if tag is not None:
-        return tag, _CODECS_BY_TAG[tag][1](inner)
     if type(inner) is Message:
         try:
             return PAYLOAD_MESSAGE, _encode_message(inner)
@@ -433,8 +389,8 @@ def encode_payload(inner: Any) -> Tuple[int, bytes]:
         return PAYLOAD_PICKLE, pickle.dumps(inner, protocol=4)
     except Exception as exc:
         raise WireEncodeError(
-            f"payload of type {type(inner).__name__} is neither registered, "
-            f"value-encodable, nor picklable: {exc}"
+            f"payload of type {type(inner).__name__} is neither "
+            f"value-encodable nor picklable: {exc}"
         ) from exc
 
 
@@ -449,9 +405,6 @@ def decode_payload(tag: int, raw: bytes) -> Any:
             return pickle.loads(raw)
         except Exception as exc:
             raise WireDecodeError(f"undecodable pickle payload: {exc}") from exc
-    entry = _CODECS_BY_TAG.get(tag)
-    if entry is not None:
-        return entry[2](raw)
     raise WireDecodeError(f"unknown payload tag 0x{tag:02x}")
 
 
@@ -603,7 +556,7 @@ def decode_envelope(buf: bytes, *, payload: bool = True) -> TransportEnvelope:
     sx, sy, dx, dy, hops, size, tag = fields
     if payload:
         inner = decode_payload(tag, frame[pos:])
-    elif tag in _BUILTIN_TAGS or tag in _CODECS_BY_TAG:
+    elif tag in _PAYLOAD_TAGS:
         inner = EncodedPayload(frame)
     else:
         raise WireDecodeError(f"unknown payload tag 0x{tag:02x}")

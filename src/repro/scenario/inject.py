@@ -77,10 +77,10 @@ class ScenarioInjector:
         if scn.mobility:
             for move in scn.mobility.moves:
                 # pre-run now == 0, so relative delay == absolute fire time
-                sim.schedule_fire_and_forget(move.time, self._fire_move, move)
+                sim.schedule(move.time, self._fire_move, move)
         if scn.sources is not None:
             for time, cell, k in scn.sources.events():
-                sim.schedule_fire_and_forget(time, self._fire_source, cell, k)
+                sim.schedule(time, self._fire_source, cell, k)
 
     # -- event execution ---------------------------------------------------------
 

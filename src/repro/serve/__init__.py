@@ -36,7 +36,6 @@ from .admission import (
     AdmissionController,
     Arrival,
     TenantPolicy,
-    batch_rounds,
     synthesize_arrivals,
 )
 from .chaos import ChaosSoakResult, chaos_soak
@@ -64,7 +63,6 @@ __all__ = [
     "ServeConfig",
     "ServeReport",
     "TenantPolicy",
-    "batch_rounds",
     "chaos_soak",
     "synthesize_arrivals",
 ]

@@ -9,9 +9,6 @@ the pieces the engine composes:
   (exponential interarrivals, query cells and tenants drawn from a
   ``numpy`` generator), the pure-function stream every sweep/benchmark
   run replays byte-identically;
-* :func:`batch_rounds` — the admission rule: arrivals are grouped by the
-  round window their arrival time falls in, and each group is admitted
-  at the *close* of its window (a query never runs before it arrived);
 * :class:`TenantPolicy` / :class:`AdmissionController` — per-tenant
   overload control (WSN-virtualization style: tenants share the deployed
   network but carry their own budgets).  Each tenant owns a token bucket
@@ -239,26 +236,3 @@ def synthesize_arrivals(
             )
         )
     return arrivals
-
-
-def batch_rounds(
-    arrivals: Sequence[Arrival], round_interval: float = 1.0
-) -> List[Tuple[float, List[Arrival]]]:
-    """Group ``arrivals`` into admission rounds.
-
-    Returns ``(admit_time, group)`` pairs in round order, where every
-    arrival with ``time`` in ``[k * round_interval, (k+1) * round_interval)``
-    is admitted together at ``(k+1) * round_interval`` — the close of its
-    window, so no query is served before it arrived.  Within a group the
-    original stream order (time, then tenant) is preserved, which fixes
-    the injection order inside the round's radio phase.
-    """
-    if round_interval <= 0:
-        raise ValueError(f"round_interval must be > 0, got {round_interval}")
-    groups: Dict[int, List[Arrival]] = {}
-    for arrival in sorted(arrivals, key=lambda a: (a.time, a.tenant, a.query_cell)):
-        groups.setdefault(int(arrival.time // round_interval), []).append(arrival)
-    return [
-        ((index + 1) * round_interval, group)
-        for index, group in sorted(groups.items())
-    ]

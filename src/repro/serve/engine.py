@@ -106,10 +106,6 @@ class ServeConfig:
     max_retries: int = 3
     ack_timeout: float = 4.0
     max_events_per_round: int = 10_000_000
-    #: optional radio model for the serving medium — a
-    #: :meth:`repro.scenario.LinkModel.to_dict` spec (kept declarative so
-    #: serve configs stay JSON-able); ``None`` = unit disk
-    link_model: Optional[Dict[str, Any]] = None
     deadline: Optional[float] = None
     query_retries: int = 8
     retry_base: float = 2.0
@@ -516,14 +512,6 @@ class QueryEngine:
         self.sim, self.medium, self._host = stack.make_harness(
             loss_rate=self.config.loss_rate, rng=self.config.rng
         )
-        if self.config.link_model is not None:
-            from ..scenario import link_model_from_dict
-
-            gate = link_model_from_dict(self.config.link_model).build_gate(
-                stack.network
-            )
-            if gate is not None:
-                self.medium.link_gate = gate
         self._storage: Dict[GridCoord, Any] = dict(storage or {})
         self._epoch: Dict[GridCoord, int] = {}
         # (querier cell, storage cell) -> (epoch at fill time, payload)
@@ -745,8 +733,10 @@ class QueryEngine:
         outcomes: List[QueryOutcome] = []
         batches: List[BatchResult] = []
         controller = AdmissionController(self._policies, self._default_policy)
-        # same windowing as admission.batch_rounds, kept as indices so
-        # deferred queries can roll into rounds with no fresh arrivals
+        # arrivals in [k, k+1) round intervals are admitted together at
+        # the window's close, (k+1) * round_interval, so no query runs
+        # before it arrived; windows are kept as indices so deferred
+        # queries can roll into rounds with no fresh arrivals
         if round_interval <= 0:
             raise ValueError(f"round_interval must be > 0, got {round_interval}")
         groups: Dict[int, List[Arrival]] = {}

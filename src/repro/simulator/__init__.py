@@ -7,19 +7,16 @@ reactive per-node process model matching the paper's event-driven
 programming style.
 """
 
-from .engine import EventHandle, Simulator
+from .engine import Simulator
 from .network import Packet, WirelessMedium
 from .process import Process, ProcessHost
-from .trace import EventTrace, MediumStats, TraceRecord
+from .trace import MediumStats
 
 __all__ = [
-    "EventHandle",
-    "EventTrace",
     "MediumStats",
     "Packet",
     "Process",
     "ProcessHost",
     "Simulator",
-    "TraceRecord",
     "WirelessMedium",
 ]

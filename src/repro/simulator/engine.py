@@ -5,21 +5,24 @@ ordered callbacks, where the monotone sequence number makes simultaneous
 events fire in scheduling order — runs are exactly reproducible for a
 given seed, which every experiment in EXPERIMENTS.md relies on.
 
-Hot-path design notes:
+One mechanism per job:
 
-* :meth:`Simulator.schedule` takes ``(callback, *args)`` so callers on the
-  packet path (the wireless medium, timers) never build a per-event lambda
-  closure — the args tuple rides in the heap entry instead.
-* Cancelled events are counted as they are cancelled and discounted as
-  they are lazily popped, so :attr:`Simulator.pending` reports the number
-  of *live* events in O(1) without scanning the heap.
-* :meth:`Simulator.schedule_timer` is the handle-free cancellation path:
-  instead of allocating an :class:`EventHandle` per timer, the caller owns
-  a ``{key: stamp}`` registry and the event fires only if the registry
-  still maps its key to its stamp at the deadline.  Re-arming or removing
-  the key cancels the queued event for free; the stale heap entry is
-  skipped on pop without advancing the clock, exactly like a cancelled
-  :class:`EventHandle`.
+* **Scheduling.**  :meth:`Simulator.schedule` (relative delay) and
+  :meth:`Simulator.schedule_at` (absolute time) enqueue
+  ``callback(*args)``.  The args tuple rides in the heap entry, so callers
+  on the packet path (the wireless medium, timers) never build a per-event
+  lambda closure, and nothing is returned: a plain event cannot be
+  cancelled.
+* **Cancellation.**  :meth:`Simulator.schedule_timer` is the only
+  cancellable event.  The caller owns a ``{key: stamp}`` registry and the
+  event fires only if the registry still maps its key to its stamp at the
+  deadline; re-arming or removing the key cancels the queued event for
+  free.  The stale heap entry is skipped on pop without advancing the
+  clock, and :meth:`Simulator.discount_cancelled` keeps
+  :attr:`Simulator.pending` an exact live-event count in O(1).
+* **Draining.**  :meth:`Simulator.run` and
+  :meth:`Simulator.run_until_lookahead` share one drain loop; they differ
+  only in where they leave the clock when the queue runs dry.
 
 The engine knows nothing about radios or nodes; ``repro.simulator.network``
 builds the wireless medium on top and ``repro.simulator.process`` the
@@ -32,9 +35,9 @@ import heapq
 import itertools
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
-#: Sentinel occupying the handle slot of heap entries scheduled via
-#: :meth:`Simulator.schedule_timer`.  An identity check against it is the
-#: only per-event cost the timer path adds to the hot loop.
+#: Marks the heap entries of :meth:`Simulator.schedule_timer`; a plain
+#: event carries None in that slot.  The drain loop's one identity check
+#: against None is all the timer path adds to a plain event.
 _TIMER = object()
 
 
@@ -47,7 +50,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._queue: List[
-            Tuple[float, int, "EventHandle", Callable[..., None], Tuple[Any, ...]]
+            Tuple[float, int, Optional[object], Callable[..., None], Tuple[Any, ...]]
         ] = []
         self._seq = itertools.count()
         self._now = 0.0
@@ -70,9 +73,7 @@ class Simulator:
         """Number of *live* events still queued (cancelled ones excluded)."""
         return len(self._queue) - self._cancelled_pending
 
-    def schedule(
-        self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> "EventHandle":
+    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
         """Enqueue ``callback(*args)`` to fire ``delay`` time units from now.
 
         Passing positional ``args`` here instead of closing over them keeps
@@ -83,36 +84,21 @@ class Simulator:
         # inlined push (not delegated to schedule_at): this is the hottest
         # call in the simulator and the *args repack through a second frame
         # costs ~15% of raw event throughput
-        time = self._now + delay
-        handle = EventHandle(time, self)
-        heapq.heappush(self._queue, (time, next(self._seq), handle, callback, args))
-        return handle
+        heapq.heappush(
+            self._queue, (self._now + delay, next(self._seq), None, callback, args)
+        )
 
-    def schedule_at(
-        self, time: float, callback: Callable[..., None], *args: Any
-    ) -> "EventHandle":
-        """Enqueue ``callback(*args)`` at absolute ``time`` (>= now)."""
+    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
+        """Enqueue ``callback(*args)`` at absolute ``time`` (>= now).
+
+        ``time == now`` is allowed: the partitioned simulator injects a
+        boundary arrival landing exactly on a window edge this way.
+        """
         if time < self._now:
             raise ValueError(
                 f"cannot schedule in the past (now={self._now}, time={time})"
             )
-        handle = EventHandle(time, self)
-        heapq.heappush(self._queue, (time, next(self._seq), handle, callback, args))
-        return handle
-
-    def schedule_fire_and_forget(
-        self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> None:
-        """Like :meth:`schedule` but returns no :class:`EventHandle`.
-
-        The event cannot be cancelled; in exchange the per-event handle
-        allocation disappears.  This is the packet-delivery hot path.
-        """
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
-        heapq.heappush(
-            self._queue, (self._now + delay, next(self._seq), None, callback, args)
-        )
+        heapq.heappush(self._queue, (time, next(self._seq), None, callback, args))
 
     def schedule_timer(
         self,
@@ -123,8 +109,8 @@ class Simulator:
         callback: Callable[[Any], None],
         tag: Any,
     ) -> None:
-        """Enqueue ``callback(tag)`` after ``delay``, cancellable without a
-        per-event :class:`EventHandle`.
+        """Enqueue ``callback(tag)`` after ``delay``, cancellable through
+        the caller's registry.
 
         The caller owns ``armed``: the event fires iff ``armed[key] ==
         stamp`` at its deadline (the engine removes the entry just before
@@ -167,8 +153,37 @@ class Simulator:
 
         ``until`` must not lie in the past: repeated ``run(until=t)`` calls
         form a monotone timeline, and the clock advances to ``until`` even
-        when the queue drains early.
+        when the queue drains early.  A run stopped by ``max_events``
+        leaves the clock at the last fired event.
         """
+        fired = self._drain(until, max_events)
+        # the loop checks the budget after each fired event
+        budget_stop = max_events is not None and 0 < fired >= max_events
+        if until is not None and not budget_stop:
+            # the clock still owes the caller the full interval
+            self._now = until
+        return self._now
+
+    def run_until_lookahead(
+        self, horizon: float, max_events: Optional[int] = None
+    ) -> int:
+        """Drain events with ``time <= horizon``; returns the number fired.
+
+        The partitioned simulator's window drain (DESIGN.md §12).  Unlike
+        :meth:`run`, the clock is **not** advanced to ``horizon`` when the
+        queue runs dry — it stays at the last fired event, so (a) the
+        merged run's latency is the true last-event time, and (b) events
+        a neighbouring shard hands over at any time in ``(now, horizon]``
+        remain schedulable between windows.  Repeated calls with a
+        monotone ``horizon`` sequence process exactly the events a single
+        :meth:`run` would, in the same order.
+        """
+        return self._drain(horizon, max_events)
+
+    def _drain(self, until: Optional[float], max_events: Optional[int]) -> int:
+        """The drain loop: fire events with ``time <= until`` (all of them
+        when ``until`` is None) in ``(time, seq)`` order, stopping once
+        ``max_events`` have fired.  Returns the number fired."""
         if self._running:
             raise RuntimeError("simulator is not reentrant")
         if until is not None and until < self._now:
@@ -181,47 +196,33 @@ class Simulator:
         heappop = heapq.heappop
         try:
             while queue:
-                time, _, handle, callback, args = queue[0]
+                time, _, timer, callback, args = queue[0]
                 if until is not None and time > until:
-                    self._now = until
                     break
                 heappop(queue)
-                if handle is not None:
-                    if handle is _TIMER:
-                        armed, key, stamp, tag = args
-                        if armed.get(key) != stamp:
-                            # re-armed or cancelled: skip without touching
-                            # the clock, like a cancelled EventHandle
-                            self._cancelled_pending -= 1
-                            continue
-                        del armed[key]  # mark fired: re-arm inside works
-                        self._now = time
-                        callback(tag)
-                        fired += 1
-                        if max_events is not None and fired >= max_events:
-                            break
-                        continue
-                    if handle.cancelled:
+                if timer is not None:
+                    armed, key, stamp, tag = args
+                    if armed.get(key) != stamp:
+                        # re-armed or cancelled: skip without touching
+                        # the clock
                         self._cancelled_pending -= 1
                         continue
-                    handle.sim = None  # mark fired: a late cancel() is a no-op
-                self._now = time
-                if args:
-                    callback(*args)
+                    del armed[key]  # mark fired: re-arm inside works
+                    self._now = time
+                    callback(tag)
                 else:
-                    callback()
+                    self._now = time
+                    if args:
+                        callback(*args)
+                    else:
+                        callback()
                 fired += 1
                 if max_events is not None and fired >= max_events:
                     break
-            else:
-                # queue drained before `until`: the clock still owes the
-                # caller the full interval
-                if until is not None:
-                    self._now = until
         finally:
             self._running = False
             self._events_processed += fired
-        return self._now
+        return fired
 
     def clear(self) -> None:
         """Drop every queued event, live or cancelled (the run is over).
@@ -243,82 +244,6 @@ class Simulator:
         """
         return self._queue[0][0] if self._queue else None
 
-    def run_until_lookahead(
-        self, horizon: float, max_events: Optional[int] = None
-    ) -> int:
-        """Drain events with ``time <= horizon``; returns the number fired.
-
-        The partitioned simulator's window drain (DESIGN.md §12).  Unlike
-        :meth:`run`, the clock is **not** advanced to ``horizon`` when the
-        queue runs dry — it stays at the last fired event, so (a) the
-        merged run's latency is the true last-event time, and (b) events
-        injected by a neighbouring shard at any time in ``(now, horizon]``
-        remain schedulable between windows.  Repeated calls with a
-        monotone ``horizon`` sequence process exactly the events a single
-        :meth:`run` would, in the same order.
-        """
-        if self._running:
-            raise RuntimeError("simulator is not reentrant")
-        if horizon < self._now:
-            raise ValueError(
-                f"cannot run backward (now={self._now}, horizon={horizon})"
-            )
-        self._running = True
-        fired = 0
-        queue = self._queue
-        heappop = heapq.heappop
-        try:
-            while queue:
-                time, _, handle, callback, args = queue[0]
-                if time > horizon:
-                    break
-                heappop(queue)
-                if handle is not None:
-                    if handle is _TIMER:
-                        armed, key, stamp, tag = args
-                        if armed.get(key) != stamp:
-                            self._cancelled_pending -= 1
-                            continue
-                        del armed[key]
-                        self._now = time
-                        callback(tag)
-                        fired += 1
-                        if max_events is not None and fired >= max_events:
-                            break
-                        continue
-                    if handle.cancelled:
-                        self._cancelled_pending -= 1
-                        continue
-                    handle.sim = None
-                self._now = time
-                if args:
-                    callback(*args)
-                else:
-                    callback()
-                fired += 1
-                if max_events is not None and fired >= max_events:
-                    break
-        finally:
-            self._running = False
-            self._events_processed += fired
-        return fired
-
-    def inject_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
-        """Externally-fed event injection at absolute ``time`` (>= now).
-
-        The cross-shard delivery path of the partitioned simulator: a
-        boundary packet handed over at a window barrier is scheduled here
-        at its exact arrival time.  ``time == now`` is allowed (an arrival
-        landing exactly on a window edge fires at the correct virtual time
-        in the next window); like the fire-and-forget path, no handle is
-        allocated and the event cannot be cancelled.
-        """
-        if time < self._now:
-            raise ValueError(
-                f"cannot inject in the past (now={self._now}, time={time})"
-            )
-        heapq.heappush(self._queue, (time, next(self._seq), None, callback, args))
-
     def run_until_quiet(self, max_events: int = 10_000_000) -> float:
         """Drain every event; raise if the budget is exceeded (an
         accidental livelock in a protocol under test)."""
@@ -330,28 +255,3 @@ class Simulator:
                 f"({self._events_processed - start} fired)"
             )
         return self._now
-
-
-class EventHandle:
-    """Cancellable reference to a scheduled event (timers use this)."""
-
-    __slots__ = ("time", "cancelled", "sim")
-
-    def __init__(self, time: float, sim: Optional[Simulator] = None):
-        self.time = time
-        self.cancelled = False
-        self.sim = sim
-
-    def cancel(self) -> None:
-        """Prevent the event from firing (no effect if already fired)."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self.sim is not None:
-            # still queued: keep the simulator's live-event count accurate
-            self.sim._cancelled_pending += 1
-            self.sim = None
-
-    # Handles participate in heap tuples; order ties deterministically by id.
-    def __lt__(self, other: "EventHandle") -> bool:
-        return id(self) < id(other)

@@ -16,6 +16,12 @@ models the paper's *"latency of message delivery is unpredictable in
 typical sensor networks and some messages might even be dropped"*.
 Energy is both drawn from each :class:`SensorNode` battery and recorded in
 an :class:`EnergyLedger` keyed by node id.
+
+A batched broadcast ends in one step, :meth:`WirelessMedium._fan_out`,
+which turns the surviving receivers into delivery events: one event
+without jitter, one per distinct arrival time (:func:`arrival_buckets`)
+with it.  The space-partitioned storm's shard medium
+(:mod:`repro.partition.runner`) overrides only that step.
 """
 
 from __future__ import annotations
@@ -30,24 +36,6 @@ from ..deployment.node import SensorNode
 from ..deployment.topology import RealNetwork
 from .engine import Simulator
 from .trace import MediumStats
-
-
-@dataclass(frozen=True)
-class PartitionSlice:
-    """A medium's view of one shard of a space-partitioned run.
-
-    ``local`` is the set of node ids this shard owns (their processes and
-    deliveries run here); ``shard_of`` maps every node in the deployment
-    to its owning shard.  ``lookahead`` is the conservative bound: every
-    cross-shard delivery must arrive at least this far after its
-    transmission, which the medium *verifies* at egress time rather than
-    assumes (DESIGN.md §12).
-    """
-
-    shard_id: int
-    local: "frozenset[int]"
-    shard_of: Dict[int, int]
-    lookahead: float
 
 
 @dataclass(slots=True)
@@ -81,6 +69,26 @@ class _Categories(dict):
     def __missing__(self, kind: str) -> str:
         category = self[kind] = f"{self.direction}:{kind}"
         return category
+
+
+def arrival_buckets(
+    survivors: List[int], delay: float, extras: List[float]
+) -> Dict[float, List[int]]:
+    """Group jittered receivers by exact arrival time ``delay + extra``.
+
+    Buckets and the receivers inside each keep first-seen (receiver)
+    order, so scheduling one event per bucket, in bucket order, fires
+    handlers in the order the per-receiver path does.
+    """
+    buckets: Dict[float, List[int]] = {}
+    for nbr, extra in zip(survivors, extras):
+        time = delay + extra
+        group = buckets.get(time)
+        if group is None:
+            buckets[time] = [nbr]
+        else:
+            group.append(nbr)
+    return buckets
 
 
 class WirelessMedium:
@@ -151,14 +159,6 @@ class WirelessMedium:
         # optional in-flight frame mangler (fault injection): called with
         # each outgoing Packet, returns the packet to actually deliver
         self.tx_transform: Optional[Callable[[Packet], Packet]] = None
-        # space partitioning (repro.partition): None = whole-world medium
-        self._partition: Optional[PartitionSlice] = None
-        self._egress: List["tuple[int, float, int, int, Packet, tuple[int, ...]]"] = []
-        self._emit_seq = 0
-        # events a single-simulator run would NOT have fired: broadcast
-        # buckets split across shards.  The merged run subtracts this so
-        # events_processed is K-invariant.
-        self.partition_overhead = 0
         # scenario hooks (repro.scenario): an optional per-directed-link
         # admission gate (radio models) and a passive delivery tap the
         # pursuit adversary replays post-run.  Both default off so the
@@ -166,116 +166,6 @@ class WirelessMedium:
         self.link_gate: Optional[Any] = None
         self.delivery_log: "Optional[List[tuple[float, int, int]]]" = None
         self.tap_kinds: "frozenset[str]" = frozenset()
-
-    # -- space partitioning (repro.partition) -------------------------------------
-
-    def configure_partition(self, part: PartitionSlice) -> None:
-        """Attach this medium to one shard of a partitioned run.
-
-        From here on, broadcast deliveries to nodes outside ``part.local``
-        are not scheduled on the local simulator; they are buffered as
-        egress records (drained at each window barrier) carrying the
-        packet, its absolute arrival time, and the receiver group — the
-        shard runner routes them to the owning shard, which injects them
-        via :meth:`inject_boundary`.  Only broadcasts cross shards: the
-        partitioned workload (the storm of :mod:`repro.partition`) sends
-        no unicasts.
-        """
-        if not self.batch_fanout:
-            raise ValueError("partitioned media require batch_fanout=True")
-        if part.lookahead <= 0:
-            raise ValueError("lookahead must be positive")
-        self._partition = part
-
-    def drain_egress(self) -> List["tuple[int, float, int, int, Packet, tuple[int, ...]]"]:
-        """Hand over (and clear) the boundary-crossing deliveries buffered
-        since the last window barrier.
-
-        Records are ``(dst_shard, arrival_time, src_shard, emit_seq,
-        packet, receivers)``; ``emit_seq`` is a per-shard monotone counter
-        so the receiving shard can order same-timestamp injections from
-        one source deterministically.
-        """
-        out = self._egress
-        self._egress = []
-        return out
-
-    def inject_boundary(
-        self, time: float, packet: Packet, receivers: "tuple[int, ...]"
-    ) -> None:
-        """Schedule a boundary arrival handed over by a neighbour shard.
-
-        ``time`` is absolute; the conservative window protocol guarantees
-        ``time >= sim.now`` (arrivals land at or beyond the current window
-        edge), so :meth:`Simulator.inject_at` never rejects.
-        """
-        if len(receivers) == 1:
-            self.sim.inject_at(time, self._arrive, packet, receivers[0])
-        else:
-            self.sim.inject_at(time, self._arrive_many, packet, list(receivers))
-
-    def _partition_dispatch(
-        self,
-        packet: Packet,
-        survivors: List[int],
-        delay: float,
-        extras: Optional[List[float]],
-    ) -> None:
-        """Partition-aware broadcast fan-out.
-
-        Replicates the legacy tail exactly for local receivers (same
-        arrival-time buckets in first-seen order, delivered in receiver
-        order) and turns each bucket's remote receivers into one egress
-        record per destination shard.  Every extra event a bucket split
-        causes — relative to the single event a whole-world medium would
-        schedule — is tallied in :attr:`partition_overhead`.
-        """
-        part = self._partition
-        if delay < part.lookahead:
-            raise RuntimeError(
-                f"cross-shard delivery delay {delay} beats the configured "
-                f"lookahead {part.lookahead}: the conservative window "
-                "protocol would miss it (lower the lookahead bound)"
-            )
-        if extras is None:
-            buckets: Dict[float, List[int]] = {delay: survivors}
-        else:
-            buckets = {}
-            for nbr, extra in zip(survivors, extras):
-                time = delay + extra
-                group = buckets.get(time)
-                if group is None:
-                    buckets[time] = [nbr]
-                else:
-                    group.append(nbr)
-        local = part.local
-        shard_of = part.shard_of
-        now = self.sim.now
-        schedule = self.sim.schedule_fire_and_forget
-        for time, group in buckets.items():
-            local_group: List[int] = []
-            remote: Dict[int, List[int]] = {}
-            for nbr in group:
-                if nbr in local:
-                    local_group.append(nbr)
-                else:
-                    bucket = remote.get(shard_of[nbr])
-                    if bucket is None:
-                        remote[shard_of[nbr]] = [nbr]
-                    else:
-                        bucket.append(nbr)
-            if local_group:
-                if len(local_group) == 1:
-                    schedule(time, self._arrive, packet, local_group[0])
-                else:
-                    schedule(time, self._arrive_many, packet, local_group)
-            for dst_shard, remote_group in remote.items():
-                self._egress.append(
-                    (dst_shard, now + time, part.shard_id, self._emit_seq,
-                     packet, tuple(remote_group))
-                )
-                self._emit_seq += 1
-            self.partition_overhead += (1 if local_group else 0) + len(remote) - 1
 
     # -- link partitioning (fault injection) --------------------------------------
 
@@ -380,15 +270,8 @@ class WirelessMedium:
                 if jitter > 0.0
                 else None
             )
-        delay = self.cost_model.tx_latency(size_units)
         if survivors:
-            if self._partition is not None:
-                self._partition_dispatch(packet, survivors, delay, extras)
-            elif extras is None:
-                # fan-out fast path: one event charges every receiver
-                self.sim.schedule_fire_and_forget(delay, self._arrive_many, packet, survivors)
-            else:
-                self._schedule_jittered(packet, survivors, delay, extras)
+            self._fan_out(packet, survivors, self.cost_model.tx_latency(size_units), extras)
         self.stats.record_tx(kind, size_units, len(survivors))
         return len(survivors)
 
@@ -482,34 +365,31 @@ class WirelessMedium:
                 pending_jitter = True
         return survivors, extras
 
-    def _schedule_jittered(
+    def _fan_out(
         self,
         packet: Packet,
         survivors: List[int],
         delay: float,
-        extras: List[float],
+        extras: Optional[List[float]],
     ) -> None:
-        """Time-bucketed fan-out for jittered deliveries.
+        """Schedule the arrivals of one broadcast: the batched path's last
+        step.
 
-        Survivors are grouped by their exact arrival time in first-seen
-        (receiver) order: one event per distinct timestamp.  With
+        Without jitter (``extras`` is None) one event charges every
+        survivor.  Jittered survivors are grouped by exact arrival time
+        (:func:`arrival_buckets`), one event per distinct timestamp.  With
         continuous jitter the buckets are almost always singletons, but
         coincident arrivals of one transmission collapse into a single
         ``_arrive_many`` — which delivers in receiver order, exactly the
-        (time, seq) order the legacy per-receiver path produces.
+        (time, seq) order the per-receiver path produces.
         """
-        buckets: Dict[float, List[int]] = {}
-        for nbr, extra in zip(survivors, extras):
-            time = delay + extra
-            group = buckets.get(time)
-            if group is None:
-                buckets[time] = [nbr]
-            else:
-                group.append(nbr)
-        schedule = self.sim.schedule_fire_and_forget
+        schedule = self.sim.schedule
+        if extras is None:
+            schedule(delay, self._arrive_many, packet, survivors)
+            return
         arrive = self._arrive
         arrive_many = self._arrive_many
-        for time, group in buckets.items():
+        for time, group in arrival_buckets(survivors, delay, extras).items():
             if len(group) == 1:
                 schedule(time, arrive, packet, group[0])
             else:
@@ -533,7 +413,7 @@ class WirelessMedium:
         delay = self.cost_model.tx_latency(packet.size_units)
         if self.jitter > 0.0:
             delay += float(self.rng.uniform(0.0, self.jitter))
-        self.sim.schedule_fire_and_forget(delay, self._arrive, packet, receiver)
+        self.sim.schedule(delay, self._arrive, packet, receiver)
         return True
 
     def _arrive(self, packet: Packet, receiver: int) -> None:

@@ -87,11 +87,10 @@ class Process(abc.ABC):
 
         Timers are tag-indexed: at most one timer per ``tag`` is armed, and
         re-arming a tag supersedes (cancels) the previous timer.  Cancel
-        with :meth:`cancel_timer` / :meth:`cancel_timers`.  The facility is
-        handle-free — arming, firing, and cancelling are dictionary
-        operations on a generation-stamped registry, with no per-timer
-        :class:`~repro.simulator.engine.EventHandle` allocation or prune
-        scans (tags must be hashable).
+        with :meth:`cancel_timer` / :meth:`cancel_timers`.  Arming,
+        firing, and cancelling are dictionary operations on a
+        generation-stamped registry (tags must be hashable); these timers
+        are the only cancellable events of the engine.
         """
         armed = self._armed_timers
         if tag in armed:
@@ -162,10 +161,9 @@ class ProcessHost:
     def start(self, stagger: float = 0.0) -> None:
         """Schedule every process's ``on_start`` at t=now (optionally
         staggered by ``stagger`` per node id, modelling asynchronous
-        boot).  Boot events are never cancelled, so they take the
-        handle-free fire-and-forget path."""
+        boot).  Boot events are plain, uncancellable events."""
         for i, (nid, proc) in enumerate(sorted(self.processes.items())):
-            self.sim.schedule_fire_and_forget(stagger * i, self._boot, nid, proc)
+            self.sim.schedule(stagger * i, self._boot, nid, proc)
 
     def teardown(self) -> None:
         """End the run: detach and unbind every hosted process and drop

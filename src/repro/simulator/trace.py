@@ -1,16 +1,16 @@
-"""Simulation statistics and tracing.
+"""Simulation statistics.
 
 :class:`MediumStats` aggregates the channel-level counters every experiment
-reports (messages, data units, drops, per-protocol breakdowns);
-:class:`EventTrace` is an optional structured log for debugging protocol
-runs and for the convergence-time measurements of experiments E4/E5.
+reports (messages, data units, drops, per-protocol breakdowns), and
+:func:`stable_digest` turns such counters into the short run fingerprints
+tests and sweep records compare.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 
 def stable_digest(obj: Any) -> str:
@@ -128,38 +128,3 @@ class MediumStats:
             tuple(sorted(self.by_kind_rx.items())),
             tuple(sorted(self.by_kind_drop.items())),
         )
-
-
-@dataclass
-class TraceRecord:
-    """One structured trace entry: (time, node, event, detail)."""
-
-    time: float
-    node: int
-    event: str
-    detail: Any = None
-
-
-class EventTrace:
-    """Append-only structured log with simple query helpers."""
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self.records: List[TraceRecord] = []
-
-    def log(self, time: float, node: int, event: str, detail: Any = None) -> None:
-        """Append a record (no-op when disabled)."""
-        if self.enabled:
-            self.records.append(TraceRecord(time, node, event, detail))
-
-    def of_event(self, event: str) -> List[TraceRecord]:
-        """All records with a given event tag."""
-        return [r for r in self.records if r.event == event]
-
-    def last_time(self, event: Optional[str] = None) -> float:
-        """Timestamp of the last (matching) record; 0.0 if none."""
-        matching = self.records if event is None else self.of_event(event)
-        return matching[-1].time if matching else 0.0
-
-    def __len__(self) -> int:
-        return len(self.records)

@@ -91,12 +91,12 @@ def test_engine_run_until_lookahead_and_inject():
     assert sim.now == 3.0  # the clock stays at the last fired event
     assert sim.next_event_time() == 5.0
     # boundary injection at the current instant is legal...
-    sim.inject_at(3.0, fired.append, "boundary")
+    sim.schedule_at(3.0, fired.append, "boundary")
     assert sim.run_until_lookahead(4.0) == 1
     assert fired[-1] == "boundary"
     # ...but injection into the past must be impossible
     with pytest.raises(ValueError):
-        sim.inject_at(2.0, fired.append, "late")
+        sim.schedule_at(2.0, fired.append, "late")
 
 
 def test_medium_rejects_sub_lookahead_delay():
@@ -189,7 +189,7 @@ if HAVE_HYPOTHESIS:
         jitter=st.sampled_from([0.0, 0.2]),
         seed=st.integers(min_value=3, max_value=97),
     )
-    # the jitter bucket split of _partition_dispatch at side 16, with and
+    # the shard medium's jitter bucket split at side 16, with and
     # without loss, and a lossless run held to the whole-world one
     @example(side=16, partitions=2, loss=0.0, jitter=0.2, seed=11)
     @example(side=16, partitions=4, loss=0.12, jitter=0.2, seed=11)

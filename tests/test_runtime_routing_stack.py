@@ -22,12 +22,14 @@ from repro.core.coords import Direction
 from repro.runtime import (
     HealingConfig,
     TransportProcess,
+    build_leader_mesh,
     deploy,
     next_direction,
     plan_leader_storm,
     trace_route,
 )
 from repro.runtime.stack import _AppProcess
+from repro.simulator import WirelessMedium
 
 from conftest import make_deployment
 
@@ -228,6 +230,28 @@ class TestRoundTeardown:
             assert run.events_processed == max_events, "the round was not cut off"
         if corrupt_frames:
             assert run.fault_report.frames_corrupted == corrupt_frames
+
+    def test_setup_worlds_die_without_the_collector(self, monkeypatch):
+        media = []
+        init = WirelessMedium.__init__
+
+        def capture(medium, *args, **kwargs):
+            init(medium, *args, **kwargs)
+            media.append(weakref.ref(medium))
+
+        monkeypatch.setattr(WirelessMedium, "__init__", capture)
+        net = make_deployment(side=4, seed=3)
+        gc.collect()
+        gc.disable()
+        try:
+            # emulation, binding and mesh construction: one world each
+            mesh = build_leader_mesh(net, deploy(net).binding)
+            assert len(media) == 3
+            alive = sum(ref() is not None for ref in media)
+            assert alive == 0, f"{alive} setup media outlived their protocol"
+        finally:
+            gc.enable()
+        assert mesh.mesh.routes
 
     def test_hosted_processes_stay_readable(self, stack4):
         _, stack = stack4

@@ -12,7 +12,6 @@ from repro.serve import (
     Arrival,
     QueryEngine,
     ServeConfig,
-    batch_rounds,
     synthesize_arrivals,
 )
 from repro.sweep import SweepSpec, run_sweep
@@ -54,19 +53,24 @@ class TestAdmission:
         with pytest.raises(ValueError):
             Arrival(time=-1.0, query_cell=(0, 0))
 
-    def test_rounds_admit_at_window_close(self):
+    def test_rounds_admit_at_window_close(self, served_stack):
+        _, stack, _ = served_stack
         arrivals = [
             Arrival(time=t, query_cell=(0, 0)) for t in (0.1, 0.9, 1.5, 7.2)
         ]
-        rounds = batch_rounds(arrivals, round_interval=1.0)
-        assert [(at, len(group)) for at, group in rounds] == [
+        # the querier's own cell answers locally: rounds take no radio
+        # time, so every batch is admitted at its window's close
+        engine = QueryEngine(stack, {(0, 0): 4})
+        report = engine.serve(arrivals, round_interval=1.0)
+        assert [(b.admitted_at, len(b.outcomes)) for b in report.batches] == [
             (1.0, 2), (2.0, 1), (8.0, 1),
         ]
         # a query is never admitted before it arrived
-        for admit_at, group in rounds:
-            assert all(a.time <= admit_at for a in group)
+        assert all(
+            a.time <= o.admitted_at for a, o in zip(arrivals, report.outcomes)
+        )
         with pytest.raises(ValueError):
-            batch_rounds(arrivals, round_interval=0.0)
+            engine.serve(arrivals, round_interval=0.0)
 
 
 class TestPersistentEngine:

@@ -5,6 +5,26 @@ from __future__ import annotations
 import pytest
 
 from repro.simulator.engine import Simulator
+from repro.simulator.network import WirelessMedium
+from repro.simulator.process import Process, ProcessHost
+
+from conftest import make_deployment
+
+
+class _Recorder(Process):
+    def __init__(self):
+        super().__init__()
+        self.fired = []
+
+    def on_timer(self, tag):
+        self.fired.append((self.now, tag))
+
+
+def timer_process(sim):
+    """A process on ``sim`` whose timers record ``(time, tag)`` firings."""
+    net = make_deployment(side=2, n_random=12, seed=3)
+    host = ProcessHost(sim, WirelessMedium(sim, net))
+    return host.add(net.alive_ids()[0], _Recorder())
 
 
 class TestScheduling:
@@ -114,59 +134,48 @@ class TestRunControl:
 
 
 class TestCancellation:
-    def test_cancelled_event_does_not_fire(self):
-        sim = Simulator()
-        fired = []
-        handle = sim.schedule(1.0, lambda: fired.append(1))
-        handle.cancel()
-        sim.run()
-        assert fired == []
+    """A process timer is the engine's only cancellable event; these pin
+    the cancellation contracts on it (the registry's own invariants are in
+    ``test_simulator_timers.py``)."""
 
     def test_cancel_after_fire_is_noop(self):
         sim = Simulator()
-        fired = []
-        handle = sim.schedule(1.0, lambda: fired.append(1))
+        proc = timer_process(sim)
+        proc.set_timer(1.0, "t")
         sim.run()
-        handle.cancel()
-        assert fired == [1]
-
-    def test_pending_excludes_cancelled(self):
-        sim = Simulator()
-        live = sim.schedule(2.0, lambda: None)
-        handle = sim.schedule(1.0, lambda: None)
-        handle.cancel()
-        assert sim.pending == 1  # only the live event counts
-        sim.run()
-        assert sim.pending == 0
-        assert sim.events_processed == 1
-        live.cancel()  # cancel after fire: no effect on bookkeeping
+        assert proc.cancel_timer("t") is False
+        assert proc.fired == [(1.0, "t")]
         assert sim.pending == 0
 
     def test_double_cancel_counts_once(self):
         sim = Simulator()
-        keep = sim.schedule(1.0, lambda: None)
-        handle = sim.schedule(1.0, lambda: None)
-        handle.cancel()
-        handle.cancel()
+        proc = timer_process(sim)
+        proc.set_timer(1.0, "keep")
+        proc.set_timer(1.0, "drop")
+        assert proc.cancel_timer("drop") is True
+        assert proc.cancel_timer("drop") is False
         assert sim.pending == 1
         sim.run()
         assert sim.pending == 0
-        assert not keep.cancelled
+        assert proc.fired == [(1.0, "keep")]
 
     def test_run_until_quiet_ignores_cancelled_tail(self):
         sim = Simulator()
+        proc = timer_process(sim)
         sim.schedule(1.0, lambda: None)
         sim.run_until_quiet()
-        tail = sim.schedule(9.0, lambda: None)
-        tail.cancel()
-        # only a cancelled event remains: that's quiescent
-        assert sim.run_until_quiet() >= 1.0
-
+        proc.set_timer(8.0, "tail")
+        proc.cancel_timer("tail")
+        # only a cancelled event remains: that's quiescent, and skipping
+        # it leaves the clock where the last live event left it
+        assert sim.run_until_quiet() == 1.0
 
     def test_clear_drops_queue_but_keeps_clock(self):
         sim = Simulator()
+        proc = timer_process(sim)
         sim.schedule(1.0, lambda: None)
-        sim.schedule(3.0, lambda: None).cancel()
+        proc.set_timer(3.0, "cancelled")
+        proc.cancel_timer("cancelled")
         sim.schedule(5.0, lambda: None)
         sim.run(max_events=1)
         sim.clear()
@@ -217,6 +226,16 @@ class TestRunUntilClock:
         sim = Simulator()
         assert sim.run(until=7.0) == 7.0
         assert sim.now == 7.0
+
+    def test_budget_stop_leaves_clock_at_last_fired_event(self):
+        sim = Simulator()
+        for t in (1.0, 2.0, 3.0):
+            sim.schedule(t, lambda: None)
+        assert sim.run(until=10.0, max_events=2) == 2.0
+        assert (sim.now, sim.pending) == (2.0, 1)
+        # the next run is not stopped by its budget: the clock owes `until`
+        assert sim.run(until=10.0, max_events=5) == 10.0
+        assert sim.events_processed == 3
 
 
 class TestScheduleWithArgs:

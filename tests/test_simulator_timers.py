@@ -1,10 +1,10 @@
-"""Regression tests for the handle-free, tag-indexed timer facility.
+"""Regression tests for the tag-indexed timer facility.
 
-The timer migration replaced per-timer ``EventHandle`` allocation with a
+Process timers are the engine's only cancellable events: a
 generation-stamped registry (``{tag: stamp}``) checked by the engine at
-the deadline.  These tests guard the invariants that migration must keep:
-cancelled timers never fire (and never advance the clock), a re-armed tag
-fires exactly once, and the live-event accounting stays exact.
+the deadline.  These tests guard its invariants: cancelled timers never
+fire (and never advance the clock), a re-armed tag fires exactly once,
+and the live-event accounting stays exact.
 """
 
 from __future__ import annotations

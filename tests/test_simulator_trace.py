@@ -1,38 +1,8 @@
-"""Unit tests for the EventTrace structured log."""
+"""Unit tests for the channel counters (``MediumStats``)."""
 
 from __future__ import annotations
 
-from repro.simulator.trace import EventTrace, MediumStats, TraceRecord
-
-
-class TestEventTrace:
-    def test_log_and_query(self):
-        trace = EventTrace()
-        trace.log(1.0, 0, "elect", detail={"value": 3})
-        trace.log(2.0, 1, "elect")
-        trace.log(3.0, 0, "rt")
-        assert len(trace) == 3
-        assert len(trace.of_event("elect")) == 2
-        assert trace.of_event("elect")[0].detail == {"value": 3}
-
-    def test_last_time(self):
-        trace = EventTrace()
-        assert trace.last_time() == 0.0
-        trace.log(1.0, 0, "a")
-        trace.log(5.0, 0, "b")
-        assert trace.last_time() == 5.0
-        assert trace.last_time("a") == 1.0
-        assert trace.last_time("missing") == 0.0
-
-    def test_disabled_trace_records_nothing(self):
-        trace = EventTrace(enabled=False)
-        trace.log(1.0, 0, "a")
-        assert len(trace) == 0
-
-    def test_record_fields(self):
-        record = TraceRecord(time=2.5, node=7, event="x", detail="d")
-        assert record.time == 2.5
-        assert record.node == 7
+from repro.simulator.trace import MediumStats
 
 
 class TestMediumStatsEdge:

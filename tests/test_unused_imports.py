@@ -1,0 +1,72 @@
+"""Unused imports in ``src/`` fail tier-1 (pyflakes' F401, without ruff).
+
+Every module under ``src/repro`` is parsed with :mod:`ast`; an imported
+name that the module never references is reported as ``file:line name``.
+A name counts as referenced when it is loaded anywhere in the module or
+appears inside a string annotation (``"np.random.Generator | None"``).
+Package ``__init__.py`` files are skipped, because their imports are the
+package's re-exports, and so are ``from __future__`` imports.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def _annotation_names(node: ast.AST, out: "set[str]") -> None:
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                parsed = ast.parse(sub.value, mode="eval")
+            except SyntaxError:
+                continue  # a plain string, not a forward reference
+            _annotation_names(parsed, out)
+
+
+def unused_imports(source: str) -> "list[tuple[int, str]]":
+    """``(line, name)`` of every import in ``source`` never referenced."""
+    tree = ast.parse(source)
+    imported = {}
+    used: "set[str]" = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            _annotation_names(node.annotation, used)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            _annotation_names(node.returns, used)
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_scanner_sees_string_annotations_and_skips_future():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "from typing import Dict, List, Optional\n"
+        "def f(x: 'Optional[np.ndarray]') -> 'Dict[str, int]':\n"
+        "    return {}\n"
+    )
+    assert unused_imports(source) == [(3, "List")]
+
+
+def test_src_has_no_unused_imports():
+    modules = [p for p in sorted(SRC.rglob("*.py")) if p.name != "__init__.py"]
+    assert modules
+    found = [
+        f"{path.relative_to(SRC.parent.parent)}:{line} {name}"
+        for path in modules
+        for line, name in unused_imports(path.read_text())
+    ]
+    assert not found, "unused imports:\n" + "\n".join(found)
