@@ -20,7 +20,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Optional, Tuple
 
 
 class CostModel(abc.ABC):
@@ -175,6 +175,11 @@ class EnergyLedger:
     virtual nodes, integer id for physical nodes).  The ledger is the input
     to all system-level metrics (:func:`total_energy`,
     :func:`energy_balance`, :func:`system_lifetime`).
+
+    :meth:`fingerprint` and :meth:`merge` read category totals through
+    :meth:`by_category`, so a subclass may keep them elsewhere: the
+    simulated radio medium's ledger reads them from its per-kind channel
+    records and is charged by the medium in place, without :meth:`charge`.
     """
 
     def __init__(self) -> None:
@@ -191,27 +196,6 @@ class EnergyLedger:
             raise ValueError(f"cannot charge negative energy ({amount})")
         self._consumed[node] = self._consumed.get(node, 0.0) + amount
         self._by_category[category] = self._by_category.get(category, 0.0) + amount
-
-    def charge_many(
-        self, nodes: Sequence[Hashable], amount: float, category: str = "other"
-    ) -> None:
-        """Charge ``amount`` to each of ``nodes`` in order (batched receive).
-
-        Records exactly what one :meth:`charge` per node would, float for
-        float: the category total takes one addition per node rather than
-        one ``len(nodes) * amount`` step, because a sum of k equal terms
-        is not k times the term.  An empty ``nodes`` records nothing.
-        """
-        if amount < 0:
-            raise ValueError(f"cannot charge negative energy ({amount})")
-        if not nodes:
-            return
-        consumed = self._consumed
-        total = self._by_category.get(category, 0.0)
-        for node in nodes:
-            consumed[node] = consumed.get(node, 0.0) + amount
-            total += amount
-        self._by_category[category] = total
 
     def consumed(self, node: Hashable) -> float:
         """Total energy consumed by ``node`` (0 if never charged)."""
@@ -240,14 +224,14 @@ class EnergyLedger:
         """
         return (
             tuple(sorted((str(node), amount) for node, amount in self._consumed.items())),
-            tuple(sorted(self._by_category.items())),
+            tuple(sorted(self.by_category().items())),
         )
 
     def merge(self, other: "EnergyLedger") -> None:
         """Fold another ledger's records into this one."""
         for node, amount in other._consumed.items():
             self._consumed[node] = self._consumed.get(node, 0.0) + amount
-        for cat, amount in other._by_category.items():
+        for cat, amount in other.by_category().items():
             self._by_category[cat] = self._by_category.get(cat, 0.0) + amount
 
     def __len__(self) -> int:

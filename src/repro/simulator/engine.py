@@ -154,11 +154,11 @@ class Simulator:
         ``until`` must not lie in the past: repeated ``run(until=t)`` calls
         form a monotone timeline, and the clock advances to ``until`` even
         when the queue drains early.  A run stopped by ``max_events``
-        leaves the clock at the last fired event.
+        leaves the clock at the last fired event; a budget of 0 fires
+        nothing and leaves the clock where it was.
         """
         fired = self._drain(until, max_events)
-        # the loop checks the budget after each fired event
-        budget_stop = max_events is not None and 0 < fired >= max_events
+        budget_stop = max_events is not None and fired >= max_events
         if until is not None and not budget_stop:
             # the clock still owes the caller the full interval
             self._now = until
@@ -190,6 +190,11 @@ class Simulator:
             raise ValueError(
                 f"cannot run backward (now={self._now}, until={until})"
             )
+        if max_events is not None and max_events <= 0:
+            # the loop checks the budget only after firing
+            if max_events < 0:
+                raise ValueError(f"max_events must be non-negative, got {max_events}")
+            return 0
         self._running = True
         fired = 0
         queue = self._queue

@@ -11,11 +11,15 @@ Realizes single-hop radio communication over the unit-disk graph of a
   (an idealization noted in DESIGN.md).
 
 Per-packet latency and energy come from the active
-:class:`~repro.core.cost_model.CostModel`; optional i.i.d. packet loss
-models the paper's *"latency of message delivery is unpredictable in
-typical sensor networks and some messages might even be dropped"*.
-Energy is both drawn from each :class:`SensorNode` battery and recorded in
-an :class:`EnergyLedger` keyed by node id.
+:class:`~repro.core.cost_model.CostModel`, asked once per distinct packet
+size; optional i.i.d. packet loss models the paper's *"latency of message
+delivery is unpredictable in typical sensor networks and some messages
+might even be dropped"*.
+
+Accounting is one pass per hop: a transmission or arrival updates the
+node's battery, its entry in the medium's ledger, and the
+:class:`~repro.simulator.trace.KindRecord` of its packet kind (which holds
+both the kind's counts and its ledger categories), all in place.
 
 A batched broadcast ends in one step, :meth:`WirelessMedium._fan_out`,
 which turns the surviving receivers into delivery events: one event
@@ -31,11 +35,11 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..core.cost_model import CostModel, EnergyLedger, UniformCostModel
+from ..core.cost_model import CostModel, UniformCostModel
 from ..deployment.node import SensorNode
 from ..deployment.topology import RealNetwork
 from .engine import Simulator
-from .trace import MediumStats
+from .trace import MediumLedger, MediumStats
 
 
 @dataclass(slots=True)
@@ -54,21 +58,27 @@ class Packet:
     dst: Optional[int] = None
 
 
-class _Categories(dict):
-    """Packet kind -> ledger category ``"<direction>:<kind>"``.
+class _Prices(dict):
+    """Packet size -> ``(tx energy, rx energy, hop latency)``.
 
-    Each category string is formatted on the first packet of its kind and
-    looked up afterwards, so the per-packet paths pay a dict subscript
-    instead of a string format.
+    The cost model is asked once per distinct size, on the first packet of
+    that size, and the per-packet paths pay a dict subscript afterwards.
+    A negative energy is rejected here, before the packet charges
+    anything.
     """
 
-    def __init__(self, direction: str):
+    def __init__(self, cost_model: CostModel):
         super().__init__()
-        self.direction = direction
+        self.cost_model = cost_model
 
-    def __missing__(self, kind: str) -> str:
-        category = self[kind] = f"{self.direction}:{kind}"
-        return category
+    def __missing__(self, size_units: float) -> "tuple[float, float, float]":
+        model = self.cost_model
+        tx, rx = model.tx_energy(size_units), model.rx_energy(size_units)
+        for energy in (tx, rx):
+            if energy < 0:
+                raise ValueError(f"cannot draw negative energy ({energy})")
+        price = self[size_units] = (tx, rx, model.tx_latency(size_units))
+        return price
 
 
 def arrival_buckets(
@@ -101,11 +111,14 @@ class WirelessMedium:
     network:
         The deployed physical network (adjacency + node batteries).
     cost_model:
-        Energy/latency functions (default: the paper's uniform model).
+        Energy/latency functions (default: the paper's uniform model),
+        fixed for the medium's life.
     loss_rate:
         Independent per-receiver drop probability in ``[0, 1)``.
     rng:
-        Seeded generator for loss draws (required if ``loss_rate > 0``).
+        Seeded generator, or an int seed, for the loss and jitter draws.
+        Required when ``loss_rate > 0`` or ``jitter > 0``, so that every
+        lossy or jittered run replays.
     jitter:
         Maximum extra random delivery delay (models MAC contention);
         0 keeps delivery deterministic.
@@ -137,20 +150,19 @@ class WirelessMedium:
             raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
         if jitter < 0:
             raise ValueError("jitter must be non-negative")
+        if rng is None and (loss_rate > 0.0 or jitter > 0.0):
+            raise ValueError("a lossy or jittered medium needs rng (a Generator or int seed)")
         self.sim = sim
         self.network = network
-        self.cost_model = cost_model or UniformCostModel()
         self.loss_rate = loss_rate
         self.jitter = jitter
         self.batch_fanout = batch_fanout
-        if isinstance(rng, np.random.Generator):
-            self.rng = rng
-        else:
-            self.rng = np.random.default_rng(rng)
-        self.ledger = EnergyLedger()
+        self.rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
         self.stats = MediumStats()
-        self._tx_category = _Categories("tx")
-        self._rx_category = _Categories("rx")
+        self.ledger = MediumLedger(self.stats.records)
+        self._prices = _Prices(cost_model or UniformCostModel())
+        # the per-hop accounting updates these two maps in place
+        self._records, self._spent = self.stats.records, self.ledger._consumed
         self._handlers: Dict[int, Callable[[Packet], None]] = {}
         # (src, dst) pairs whose radio link is administratively severed
         # (fault injection); empty in normal operation so the hot paths
@@ -166,6 +178,11 @@ class WirelessMedium:
         self.link_gate: Optional[Any] = None
         self.delivery_log: "Optional[List[tuple[float, int, int]]]" = None
         self.tap_kinds: "frozenset[str]" = frozenset()
+
+    @property
+    def cost_model(self) -> CostModel:
+        """The energy/latency functions (read-only: prices are cached)."""
+        return self._prices.cost_model
 
     # -- link partitioning (fault injection) --------------------------------------
 
@@ -215,7 +232,7 @@ class WirelessMedium:
         node = self.network.nodes[src]
         if not node.alive:
             return 0
-        self._charge_tx(node, size_units, kind)
+        delay = self._charge_tx(node, kind, size_units)
         packet = Packet(src, kind, payload, size_units)
         if self.tx_transform is not None:
             packet = self.tx_transform(packet)
@@ -232,10 +249,9 @@ class WirelessMedium:
             kept = [r for r in receivers if admit(src, r)]
             faded = len(receivers) - len(kept)
             if faded:
-                self.stats.record_drops(kind, faded)
+                self.stats.record_drop(kind, faded)
             receivers = kept
         if not receivers:
-            self.stats.record_tx(kind, size_units, 0)
             return 0
         if not self.batch_fanout:
             # Legacy per-receiver path: the oracle the equivalence tests
@@ -244,7 +260,7 @@ class WirelessMedium:
             for nbr in receivers:
                 if self._deliver(packet, nbr):
                     delivered += 1
-            self.stats.record_tx(kind, size_units, delivered)
+            self.stats.deliveries += delivered
             return delivered
         jitter = self.jitter
         if self.loss_rate > 0.0:
@@ -262,7 +278,7 @@ class WirelessMedium:
                 extras = None
             dropped = len(receivers) - len(survivors)
             if dropped:
-                self.stats.record_drops(kind, dropped)
+                self.stats.record_drop(kind, dropped)
         else:
             survivors = list(receivers)
             extras = (
@@ -271,8 +287,8 @@ class WirelessMedium:
                 else None
             )
         if survivors:
-            self._fan_out(packet, survivors, self.cost_model.tx_latency(size_units), extras)
-        self.stats.record_tx(kind, size_units, len(survivors))
+            self._fan_out(packet, survivors, delay, extras)
+        self.stats.deliveries += len(survivors)
         return len(survivors)
 
     def unicast(
@@ -295,24 +311,22 @@ class WirelessMedium:
             return False
         if dst not in network.neighbor_set(src):
             raise ValueError(f"{dst} is not a one-hop neighbour of {src}")
-        self._charge_tx(node, size_units, kind)
-        stats = self.stats
+        self._charge_tx(node, kind, size_units)
         if self._blocked_links and (src, dst) in self._blocked_links:
             # partitioned link: energy is spent, nothing arrives
-            stats.record_drop(kind)
-            stats.record_tx(kind, size_units, 0)
+            self.stats.record_drop(kind)
             return False
         if self.link_gate is not None and not self.link_gate.admit(src, dst):
             # faded by the link model: energy is spent, nothing arrives
-            stats.record_drop(kind)
-            stats.record_tx(kind, size_units, 0)
+            self.stats.record_drop(kind)
             return False
         packet = Packet(src, kind, payload, size_units, dst)
         if self.tx_transform is not None:
             packet = self.tx_transform(packet)
-        ok = self._deliver(packet, dst)
-        stats.record_tx(kind, size_units, 1 if ok else 0)
-        return ok
+        if self._deliver(packet, dst):
+            self.stats.deliveries += 1
+            return True
+        return False
 
     # -- internals ---------------------------------------------------------------
 
@@ -395,10 +409,23 @@ class WirelessMedium:
             else:
                 schedule(time, arrive_many, packet, group)
 
-    def _charge_tx(self, node: SensorNode, size_units: float, kind: str) -> None:
-        energy = self.cost_model.tx_energy(size_units)
-        node.draw(energy)
-        self.ledger.charge(node.node_id, energy, self._tx_category[kind])
+    def _charge_tx(self, node: SensorNode, kind: str, size_units: float) -> float:
+        """Account one transmission of an alive sender: its battery (it
+        dies at depletion, as under :meth:`SensorNode.draw`), ledger entry,
+        kind record and the running totals.  Returns the hop latency."""
+        energy, _, latency = self._prices[size_units]
+        node._consumed += energy
+        if node._consumed >= node.initial_energy:
+            node.kill()
+        spent, nid = self._spent, node.node_id
+        spent[nid] = spent.get(nid, 0.0) + energy
+        record = self._records[kind]
+        record.tx += 1
+        record.tx_energy += energy
+        stats = self.stats
+        stats.transmissions += 1
+        stats.data_units_sent += size_units
+        return latency
 
     def _deliver(self, packet: Packet, receiver: int) -> bool:
         """Loss and latency of one receiver's copy: the unicast delivery
@@ -410,7 +437,7 @@ class WirelessMedium:
         if loss_rate > 0.0 and self.rng.random() < loss_rate:
             self.stats.record_drop(packet.kind)
             return False
-        delay = self.cost_model.tx_latency(packet.size_units)
+        delay = self._prices[packet.size_units][2]
         if self.jitter > 0.0:
             delay += float(self.rng.uniform(0.0, self.jitter))
         self.sim.schedule(delay, self._arrive, packet, receiver)
@@ -427,10 +454,16 @@ class WirelessMedium:
             # passive adversary tap (repro.scenario): record, never perturb
             self.delivery_log.append((self.sim.now, packet.src, receiver))
         size_units = packet.size_units
-        energy = self.cost_model.rx_energy(size_units)
-        node.draw(energy)
-        self.ledger.charge(receiver, energy, self._rx_category[kind])
-        self.stats.record_rx(kind, size_units)
+        energy = self._prices[size_units][1]
+        node._consumed += energy
+        if node._consumed >= node.initial_energy:
+            node.kill()
+        spent = self._spent
+        spent[receiver] = spent.get(receiver, 0.0) + energy
+        record = self._records[kind]
+        record.rx += 1
+        record.rx_energy += energy
+        self.stats.data_units_received += size_units
         handler = self._handlers.get(receiver)
         if handler is not None:
             handler(packet)
@@ -438,25 +471,22 @@ class WirelessMedium:
     def _arrive_many(self, packet: Packet, receivers: List[int]) -> None:
         """Batched arrival: one event delivers ``packet`` to every receiver.
 
-        The receive kernel.  What every receiver shares is worked out once
-        per packet: the rx energy, the ledger category, and whether the
+        The receive kernel.  What every receiver shares is looked up once
+        per packet: the rx energy, the kind's record, and whether the
         delivery tap records this kind.  Per receiver, in :meth:`_arrive`'s
-        order, stays only what can differ between receivers: the liveness
-        check, the tap, the battery draw (it can kill the node) and the
-        handler call.  Receivers without a handler are charged to the
-        ledger and channel counters in one run through their batch entry
-        points; the run is flushed before the next handler call, which
-        charges its own receiver just before it runs.  So a handler
-        observes exactly the counters the per-receiver path would have
-        left, and every float total takes the same additions in the same
-        order.  Receiver order matches the per-receiver path's event
-        order, so handler side effects (and anything they schedule)
-        sequence identically.
+        order, come the liveness check, the tap, the battery (which can
+        kill the node), the receiver's ledger entry, the record and the
+        received total, all updated in place, and then the handler call.
+        So every handler observes exactly the counters the per-receiver
+        path would have left, and every float total takes the same
+        additions in the same order.  Receiver order matches the
+        per-receiver path's event order, so handler side effects (and
+        anything they schedule) sequence identically.
         """
         kind = packet.kind
         size_units = packet.size_units
-        energy = self.cost_model.rx_energy(size_units)
-        category = self._rx_category[kind]
+        energy = self._prices[size_units][1]
+        record = self._records[kind]
         tap = (
             self.delivery_log.append
             if self.tap_kinds and kind in self.tap_kinds
@@ -466,26 +496,21 @@ class WirelessMedium:
         src = packet.src
         nodes = self.network.nodes
         handlers = self._handlers
-        ledger, stats = self.ledger, self.stats
-        pending: List[int] = []  # charged to the battery, not yet counted
+        spent, stats = self._spent, self.stats
         for receiver in receivers:
             node = nodes[receiver]
             if not node.alive:  # died in flight
                 continue
             if tap is not None:
                 tap((now, src, receiver))
-            node.draw(energy)
+            consumed = node._consumed + energy
+            node._consumed = consumed
+            if consumed >= node.initial_energy:
+                node.kill()
+            spent[receiver] = spent.get(receiver, 0.0) + energy
+            record.rx += 1
+            record.rx_energy += energy
+            stats.data_units_received += size_units
             handler = handlers.get(receiver)
-            if handler is None:
-                pending.append(receiver)
-                continue
-            if pending:
-                ledger.charge_many(pending, energy, category)
-                stats.record_rx_many(kind, size_units, len(pending))
-                pending = []
-            ledger.charge(receiver, energy, category)
-            stats.record_rx(kind, size_units)
-            handler(packet)
-        if pending:
-            ledger.charge_many(pending, energy, category)
-            stats.record_rx_many(kind, size_units, len(pending))
+            if handler is not None:
+                handler(packet)

@@ -1,16 +1,21 @@
 """Simulation statistics.
 
 :class:`MediumStats` aggregates the channel-level counters every experiment
-reports (messages, data units, drops, per-protocol breakdowns), and
-:func:`stable_digest` turns such counters into the short run fingerprints
-tests and sweep records compare.
+reports (messages, data units, drops, per-protocol breakdowns) and keeps
+them per packet kind in one :class:`KindRecord` each;
+:class:`MediumLedger` is the medium's energy ledger, whose per-kind
+category totals are those records' energy slots; and :func:`stable_digest`
+turns such counters into the short run fingerprints tests and sweep
+records compare.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Tuple
+
+from ..core.cost_model import EnergyLedger
 
 
 def stable_digest(obj: Any) -> str:
@@ -26,55 +31,63 @@ def stable_digest(obj: Any) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
-@dataclass
+@dataclass(slots=True)
+class KindRecord:
+    """The channel counts and radio energy of one packet kind, updated in
+    place by the medium on every transmission, arrival and drop of the
+    kind.  ``tx_energy`` and ``rx_energy`` are the ``tx:<kind>`` and
+    ``rx:<kind>`` totals of the medium's :class:`MediumLedger`."""
+
+    tx: int = 0
+    rx: int = 0
+    drop: int = 0
+    tx_energy: float = 0.0
+    rx_energy: float = 0.0
+
+
+class _KindRecords(dict):
+    """Packet kind -> its :class:`KindRecord`, made on the kind's first
+    use, so the per-packet paths pay one dict subscript per kind."""
+
+    def __missing__(self, kind: str) -> KindRecord:
+        record = self[kind] = KindRecord()
+        return record
+
+
 class MediumStats:
-    """Channel counters maintained by the wireless medium."""
+    """Channel counters maintained by the wireless medium.
 
-    transmissions: int = 0
-    deliveries: int = 0
-    drops: int = 0
-    data_units_sent: float = 0.0
-    data_units_received: float = 0.0
-    by_kind_tx: Dict[str, int] = field(default_factory=dict)
-    by_kind_rx: Dict[str, int] = field(default_factory=dict)
-    by_kind_drop: Dict[str, int] = field(default_factory=dict)
+    ``transmissions``, ``deliveries``, ``drops``, ``data_units_sent`` and
+    ``data_units_received`` are running totals over every kind.  The
+    per-kind counts live in :attr:`records`; ``by_kind_tx``,
+    ``by_kind_rx`` and ``by_kind_drop`` are read-only views of them that
+    list a kind only when its count is non-zero.
+    """
 
-    def record_tx(self, kind: str, size_units: float, deliveries: int) -> None:
-        """One transmission of ``kind`` reaching ``deliveries`` receivers."""
-        self.transmissions += 1
-        self.data_units_sent += size_units
-        self.by_kind_tx[kind] = self.by_kind_tx.get(kind, 0) + 1
-        self.deliveries += deliveries
+    def __init__(self) -> None:
+        self.transmissions = 0
+        self.deliveries = 0
+        self.drops = 0
+        self.data_units_sent = 0.0
+        self.data_units_received = 0.0
+        self.records: Dict[str, KindRecord] = _KindRecords()
 
-    def record_rx(self, kind: str, size_units: float) -> None:
-        """One packet arrival."""
-        self.data_units_received += size_units
-        self.by_kind_rx[kind] = self.by_kind_rx.get(kind, 0) + 1
+    @property
+    def by_kind_tx(self) -> Dict[str, int]:
+        return {kind: rec.tx for kind, rec in self.records.items() if rec.tx}
 
-    def record_rx_many(self, kind: str, size_units: float, count: int) -> None:
-        """``count`` arrivals of one packet (batched receive).
+    @property
+    def by_kind_rx(self) -> Dict[str, int]:
+        return {kind: rec.rx for kind, rec in self.records.items() if rec.rx}
 
-        Equal to ``count`` :meth:`record_rx` calls, float for float: the
-        received total takes one addition per arrival, because a sum of
-        k equal terms is not k times the term.
-        """
-        if count <= 0:
-            return
-        received = self.data_units_received
-        for _ in range(count):
-            received += size_units
-        self.data_units_received = received
-        self.by_kind_rx[kind] = self.by_kind_rx.get(kind, 0) + count
+    @property
+    def by_kind_drop(self) -> Dict[str, int]:
+        return {kind: rec.drop for kind, rec in self.records.items() if rec.drop}
 
-    def record_drop(self, kind: str) -> None:
-        """One lost packet."""
-        self.drops += 1
-        self.by_kind_drop[kind] = self.by_kind_drop.get(kind, 0) + 1
-
-    def record_drops(self, kind: str, count: int) -> None:
-        """``count`` lost packets of one kind (vectorized loss draws)."""
+    def record_drop(self, kind: str, count: int = 1) -> None:
+        """``count`` lost packets of one kind."""
         self.drops += count
-        self.by_kind_drop[kind] = self.by_kind_drop.get(kind, 0) + count
+        self.records[kind].drop += count
 
     def merge(self, other: "MediumStats") -> None:
         """Fold another stats object into this one (shard-result merge).
@@ -90,16 +103,15 @@ class MediumStats:
         self.drops += other.drops
         self.data_units_sent += other.data_units_sent
         self.data_units_received += other.data_units_received
-        for key, val in other.by_kind_tx.items():
-            self.by_kind_tx[key] = self.by_kind_tx.get(key, 0) + val
-        for key, val in other.by_kind_rx.items():
-            self.by_kind_rx[key] = self.by_kind_rx.get(key, 0) + val
-        for key, val in other.by_kind_drop.items():
-            self.by_kind_drop[key] = self.by_kind_drop.get(key, 0) + val
+        for kind, theirs in other.records.items():
+            mine = self.records[kind]
+            for slot in KindRecord.__slots__:
+                setattr(mine, slot, getattr(mine, slot) + getattr(theirs, slot))
 
     def tx_of_kind(self, kind: str) -> int:
         """Transmissions tagged ``kind``."""
-        return self.by_kind_tx.get(kind, 0)
+        record = self.records.get(kind)
+        return record.tx if record is not None else 0
 
     def summary(self) -> Dict[str, float]:
         """Flat dictionary for benchmark rows."""
@@ -128,3 +140,25 @@ class MediumStats:
             tuple(sorted(self.by_kind_rx.items())),
             tuple(sorted(self.by_kind_drop.items())),
         )
+
+
+class MediumLedger(EnergyLedger):
+    """The wireless medium's energy ledger: per-node energy as in any
+    ledger, and as category totals ``tx:<kind>`` and ``rx:<kind>`` the
+    energy slots of the medium's kind records.  A category is listed once
+    its kind has been sent or received, at zero energy too."""
+
+    def __init__(self, records: Dict[str, KindRecord]) -> None:
+        super().__init__()
+        self._records = records
+
+    def by_category(self) -> Dict[str, float]:
+        categories = super().by_category()  # any charge() or merge() made
+        for kind, rec in self._records.items():
+            for key, count, energy in (
+                (f"tx:{kind}", rec.tx, rec.tx_energy),
+                (f"rx:{kind}", rec.rx, rec.rx_energy),
+            ):
+                if count:
+                    categories[key] = categories.get(key, 0.0) + energy
+        return categories

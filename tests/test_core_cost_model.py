@@ -119,27 +119,6 @@ class TestEnergyLedger:
         assert a.consumed("y") == 3.0
         assert a.by_category()["tx"] == 4.0
 
-    def test_charge_many_equals_one_charge_per_node(self):
-        # ten 0.1 additions are not 10 * 0.1: the batch must add, not multiply
-        assert sum([0.1] * 10) != 0.1 * 10
-        nodes = [3, 1, 3, 2, 1, 0, 4, 2, 5, 6]
-        single, batch = EnergyLedger(), EnergyLedger()
-        for ledger in (single, batch):
-            ledger.charge(7, 0.3, "tx")
-        for node in nodes:
-            single.charge(node, 0.1, "rx")
-        batch.charge_many(nodes, 0.1, "rx")
-        assert batch.fingerprint() == single.fingerprint()
-        assert list(batch.per_node().items()) == list(single.per_node().items())
-        assert batch.total == single.total
-
-    def test_charge_many_empty_records_nothing(self):
-        ledger = EnergyLedger()
-        ledger.charge_many([], 1.0, "rx")
-        assert ledger.by_category() == {} and len(ledger) == 0
-        with pytest.raises(ValueError):
-            ledger.charge_many([1], -1.0)
-
     def test_per_node_is_copy(self):
         ledger = EnergyLedger()
         ledger.charge("a", 1.0)

@@ -150,6 +150,14 @@ class TestPersistentEngine:
         with pytest.raises(ValueError):
             engine.query((9, 9))
 
+    def test_lossy_engine_without_rng_is_rejected(self, served_stack):
+        # the engine's medium would otherwise draw its losses from OS
+        # entropy, and two identical engines would answer differently
+        _, stack, storage = served_stack
+        with pytest.raises(ValueError, match="rng"):
+            QueryEngine(stack, storage, ServeConfig(loss_rate=0.1))
+        QueryEngine(stack, storage, ServeConfig(loss_rate=0.1, rng=3))
+
 
 class TestServeStream:
     def test_per_tenant_accounting(self, served_stack):

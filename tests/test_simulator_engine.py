@@ -100,6 +100,38 @@ class TestRunControl:
         sim.run(max_events=3)
         assert fired == [0, 1, 2]
 
+    def test_zero_budget_fires_nothing(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(1))
+        sim.schedule(2.0, lambda: fired.append(2))
+        assert sim.run(max_events=0) == 0.0
+        assert sim.run(until=5.0, max_events=0) == 0.0, "a budget stop keeps the clock"
+        assert sim.run_until_lookahead(5.0, max_events=0) == 0
+        assert fired == [] and sim.pending == 2 and sim.events_processed == 0
+
+    def test_negative_budget_rejected(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(1))
+        for run in (
+            lambda: sim.run(max_events=-1),
+            lambda: sim.run_until_quiet(max_events=-1),
+            lambda: sim.run_until_lookahead(5.0, max_events=-1),
+        ):
+            with pytest.raises(ValueError, match="max_events"):
+                run()
+        assert fired == [] and sim.now == 0.0
+
+    def test_run_until_quiet_zero_budget(self):
+        sim = Simulator()
+        assert sim.run_until_quiet(max_events=0) == 0.0  # nothing queued
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(1))
+        with pytest.raises(RuntimeError, match="did not quiesce within 0 events"):
+            sim.run_until_quiet(max_events=0)
+        assert fired == []
+
     def test_events_processed_counter(self):
         sim = Simulator()
         for i in range(4):

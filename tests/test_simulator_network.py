@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.deployment.topology import RealNetwork
 from repro.simulator.engine import Simulator
 from repro.simulator.network import Packet, WirelessMedium
 from repro.simulator.process import Process, ProcessHost
+from repro.simulator.trace import MediumStats
 
 
 def triangle_network(tx_range=2.0):
@@ -147,7 +150,15 @@ class TestLossAndJitter:
     def test_boundary_params_accepted(self, sim):
         # the closed ends of the valid ranges must not raise
         WirelessMedium(sim, triangle_network(), loss_rate=0.0, jitter=0.0)
-        WirelessMedium(sim, triangle_network(), loss_rate=0.999)
+        WirelessMedium(sim, triangle_network(), loss_rate=0.999, rng=0)
+
+    def test_lossy_or_jittered_medium_requires_rng(self, sim):
+        # an unseeded lossy or jittered medium would draw from OS entropy
+        # and never replay
+        for params in ({"loss_rate": 0.3}, {"jitter": 0.5}):
+            with pytest.raises(ValueError, match="rng"):
+                WirelessMedium(sim, triangle_network(), **params)
+            WirelessMedium(sim, triangle_network(), rng=4, **params)
 
     def test_jitter_spreads_arrivals(self, sim):
         medium = WirelessMedium(
@@ -193,6 +204,87 @@ class TestStats:
         summary = medium.stats.summary()
         assert summary["transmissions"] == 1.0
         assert summary["deliveries"] == 2.0
+
+
+class CountingCostModel(UniformCostModel):
+    """The uniform model, counting every question the medium asks it."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = Counter()
+
+    def tx_energy(self, units):
+        self.asked["tx_energy", units] += 1
+        return super().tx_energy(units)
+
+    def rx_energy(self, units):
+        self.asked["rx_energy", units] += 1
+        return super().rx_energy(units)
+
+    def tx_latency(self, units):
+        self.asked["tx_latency", units] += 1
+        return super().tx_latency(units)
+
+
+class NegativeTxCostModel(UniformCostModel):
+    def tx_energy(self, units):
+        return -1.0
+
+
+class TestAccounting:
+    @pytest.mark.parametrize("batch_fanout", [True, False])
+    def test_cost_model_asked_once_per_size_per_medium(self, sim, batch_fanout):
+        model = CountingCostModel()
+        medium = WirelessMedium(
+            sim, triangle_network(), cost_model=model, batch_fanout=batch_fanout
+        )
+        host = ProcessHost(sim, medium)
+        host.add_all(lambda nid: Recorder())
+        sizes = (1.0, 0.5, 1.0, 0.0, 0.5, 2.5)
+        for size in sizes:
+            medium.broadcast(0, "b", None, size)
+            medium.unicast(1, 2, "u", None, size)
+        sim.run()
+        assert sum(len(rec.packets) for rec in host.processes.values()) == 18
+        assert model.asked == Counter(
+            {(question, size): 1
+             for question in ("tx_energy", "rx_energy", "tx_latency")
+             for size in set(sizes)}
+        )
+        WirelessMedium(sim, triangle_network(), cost_model=model).unicast(0, 1, "u", None, 1.0)
+        assert model.asked["tx_energy", 1.0] == 2, "a new medium asks afresh"
+
+    def test_negative_energy_rejected_before_any_charge(self, sim):
+        medium = WirelessMedium(sim, triangle_network(), cost_model=NegativeTxCostModel())
+        for send in (
+            lambda: medium.broadcast(0, "k", None),
+            lambda: medium.unicast(0, 1, "k", None),
+        ):
+            with pytest.raises(ValueError, match=r"cannot draw negative energy \(-1\.0\)"):
+                send()
+        node = medium.network.node(0)
+        assert node.alive and node.consumed_energy == 0.0
+        assert len(medium.ledger) == 0 and medium.ledger.by_category() == {}
+        assert medium.stats.fingerprint() == MediumStats().fingerprint()
+        assert sim.pending == 0
+
+    def test_zero_counts_absent_from_views(self, sim, medium):
+        medium.network.node(1).kill()
+        medium.network.node(2).kill()
+        assert medium.broadcast(0, "lonely", None) == 0  # nobody alive to hear
+        sim.run()
+        stats = medium.stats
+        assert stats.by_kind_tx == {"lonely": 1}
+        assert stats.by_kind_rx == {} and stats.by_kind_drop == {}
+        assert stats.tx_of_kind("other") == 0 and "other" not in stats.records
+        assert medium.ledger.by_category() == {"tx:lonely": 1.0}
+
+    def test_zero_size_kind_still_listed(self, sim, medium):
+        medium.broadcast(0, "beacon", None, size_units=0.0)
+        sim.run()
+        assert medium.ledger.by_category() == {"tx:beacon": 0.0, "rx:beacon": 0.0}
+        assert medium.ledger.per_node() == {0: 0.0, 1: 0.0, 2: 0.0}
+        assert medium.stats.by_kind_rx == {"beacon": 2}
 
 
 class TestProcessHost:

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.simulator.trace import MediumStats
+from repro.core.cost_model import EnergyLedger
+from repro.simulator.trace import MediumLedger, MediumStats
 
 
 class TestMediumStatsEdge:
@@ -20,13 +21,27 @@ class TestMediumStatsEdge:
         assert stats.drops == 3
         assert stats.by_kind_drop == {"rt": 2, "elect": 1}
 
-    def test_record_rx_many_equals_repeated_record_rx(self):
-        single, batch = MediumStats(), MediumStats()
-        for stats in (single, batch):
-            stats.record_rx("rt", 0.7)
-        for _ in range(10):
-            single.record_rx("rt", 0.1)
-        batch.record_rx_many("rt", 0.1, 10)
-        batch.record_rx_many("elect", 0.1, 0)  # nothing arrived: no key
-        assert batch.fingerprint() == single.fingerprint()
-        assert batch.data_units_received != 0.7 + 0.1 * 10
+    def test_views_list_only_nonzero_counts(self):
+        stats = MediumStats()
+        assert stats.tx_of_kind("rt") == 0
+        assert stats.records == {}, "a read must not make a record"
+        stats.record_drop("rt", 0)  # a record with every count zero
+        stats.records["elect"].tx += 1
+        assert stats.by_kind_tx == {"elect": 1}
+        assert stats.by_kind_rx == {} and stats.by_kind_drop == {}
+        assert stats.fingerprint()[5:] == ((("elect", 1),), (), ())
+
+    def test_medium_ledger_categories_are_the_records_energy(self):
+        stats = MediumStats()
+        ledger = MediumLedger(stats.records)
+        record = stats.records["rt"]
+        record.tx, record.tx_energy = 2, 1.5
+        stats.records["quiet"].drop = 1  # never sent or received: no category
+        ledger.charge(4, 0.25, "compute")
+        assert ledger.by_category() == {"compute": 0.25, "tx:rt": 1.5}
+        merged = EnergyLedger()
+        merged.merge(ledger)
+        merged.merge(ledger)
+        assert merged.fingerprint()[1] == (("compute", 0.5), ("tx:rt", 3.0))
+        ledger.merge(merged)  # merged-in totals add to the records' own
+        assert ledger.by_category() == {"compute": 0.75, "tx:rt": 4.5}

@@ -20,7 +20,11 @@ back to back on one stack (``multiround-*``), which pin that a round's
 outputs do not depend on the rounds run before it on the same stack.
 Two cases change the network under a transport that has already routed
 through it: a serving stream whose relay is killed and later revived
-between bursts, and a round in which relays run out of battery.
+between bursts, and a round in which relays run out of battery.  Two
+more (``first-order-*``) run under the first-order radio model, whose tx
+energy, rx energy and hop latency all differ, so charging one where
+another is due changes their digests: a lossy broadcast storm with
+unicast echoes on a bare medium, and a reliable wire-format round.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import Callable, Dict
 import numpy as np
 import pytest
 
-from repro.core import CountAggregation, VirtualArchitecture
+from repro.core import CountAggregation, FirstOrderRadioCostModel, VirtualArchitecture
 from repro.runtime import (
     FaultEvent,
     FaultPlan,
@@ -47,6 +51,8 @@ from repro.scenario import LogNormalShadowing, Scenario
 from repro.serve import QueryEngine, ServeConfig, TenantPolicy
 from repro.serve.admission import synthesize_arrivals
 from repro.serve.chaos import build_serving_stack, chaos_soak
+from repro.simulator.engine import Simulator
+from repro.simulator.network import WirelessMedium
 from repro.simulator.trace import stable_digest
 
 from conftest import make_deployment
@@ -61,6 +67,10 @@ REGEN_HINT = (
 )
 
 SIDE = 4
+
+#: 60 nJ to send a unit, 50 nJ to receive it, half a time unit per hop
+#: and unit: no two of the medium's prices are equal
+FIRST_ORDER = FirstOrderRadioCostModel(bandwidth=2.0)
 
 
 def count_spec():
@@ -82,14 +92,16 @@ def digest_round(result, medium, host) -> str:
     return stable_digest((result.fingerprint(), medium.stats.fingerprint(), transport))
 
 
-def count_round_case(reliable: bool, wire: bool, loss: float, jitter: float) -> str:
+def count_round_case(
+    reliable: bool, wire: bool, loss: float, jitter: float, cost_model=None
+) -> str:
     """A side-4 count round, digested with the channel counters and every
     node's transport counters.
 
     ``run_application`` takes no jitter, so the stack's ``make_harness``
     is wrapped to add it (and to keep the medium and host for the digest).
     """
-    stack = deploy(make_deployment(side=SIDE, n_random=100, seed=5))
+    stack = deploy(make_deployment(side=SIDE, n_random=100, seed=5), cost_model=cost_model)
     built = []
     build = stack.make_harness
 
@@ -289,6 +301,51 @@ def battery_deaths_case() -> str:
     return stable_digest((dead, digest_round(result, medium, host)))
 
 
+def first_order_storm(jitter: float):
+    """One lossy storm of :func:`first_order_medium_case`: its channel
+    counters, ledger, every battery and the clock."""
+    net = make_deployment(side=SIDE, seed=5)
+    for nid, node in net.nodes.items():
+        node.initial_energy = (5.0 + nid % 10) * 1e-7
+    sim = Simulator()
+    medium = WirelessMedium(
+        sim, net, cost_model=FIRST_ORDER, loss_rate=0.2, jitter=jitter,
+        rng=np.random.default_rng(9),
+    )
+
+    def handler(pkt, nid):
+        if pkt.kind == "storm" and net.node(nid).alive and (nid + pkt.src) % 3 == 0:
+            medium.unicast(nid, pkt.src, "echo", pkt.payload, 0.25)
+
+    for nid in net.alive_ids():
+        if nid % 2 == 0:
+            medium.attach(nid, lambda pkt, nid=nid: handler(pkt, nid))
+    for r in range(4):
+        for nid in net.alive_ids():
+            medium.broadcast(nid, "storm", r, 0.1 * (1 + nid % 3))
+            if nid % 4 == 0 and net.node(nid).alive:
+                medium.broadcast(nid, "beacon", r, 0.0)
+        sim.run()
+    batteries = tuple(
+        (nid, node.alive, node.consumed_energy) for nid, node in sorted(net.nodes.items())
+    )
+    return medium.stats.fingerprint(), medium.ledger.fingerprint(), batteries, sim.now
+
+
+def first_order_medium_case() -> str:
+    """A lossy broadcast storm with unicast echoes on a bare medium under
+    :data:`FIRST_ORDER`, run jitter-free and jittered.
+
+    Three kinds: ``storm`` broadcasts of fractional sizes, ``echo``
+    unicasts a handler sends back to some storm senders, and zero-size
+    ``beacon`` broadcasts.  Batteries hold a few rounds of traffic, so
+    nodes die from their own draws, inside a batched arrival when the
+    medium is jitter-free.  Every other node has no handler, so
+    handler-less receivers sit between handler calls.
+    """
+    return stable_digest(tuple(first_order_storm(jitter) for jitter in (0.0, 0.3)))
+
+
 def _cases() -> Dict[str, Callable[[], str]]:
     cases: Dict[str, Callable[[], str]] = {}
     for kind in ("kill-leaders", "partition-restore", "corrupt-frames"):
@@ -318,6 +375,10 @@ def _cases() -> Dict[str, Callable[[], str]]:
     cases["serve-stream-defer"] = serve_stream_case
     cases["serve-relay-kill-restore"] = serve_relay_kill_case
     cases["battery-deaths-reliable"] = battery_deaths_case
+    cases["first-order-medium-storm"] = first_order_medium_case
+    cases["first-order-count-reliable-wire-loss"] = functools.partial(
+        count_round_case, True, True, 0.1, 0.0, FIRST_ORDER
+    )
     for name, rounds in MULTIROUND.items():
         cases[f"multiround-{name}"] = functools.partial(multiround_case, rounds)
     return cases
