@@ -72,9 +72,8 @@ class DistributedStorage:
 
     def counts(self) -> Dict[GridCoord, int]:
         """``cell -> local region count`` — the payload map the deployed
-        query layer (:func:`~repro.runtime.query.run_deployed_query`, or a
-        persistent :class:`~repro.serve.engine.QueryEngine`) serves for
-        count queries."""
+        query engine (:class:`~repro.serve.engine.QueryEngine`) serves
+        for count queries."""
         return {c: s.total_regions() for c, s in self.summaries.items()}
 
     def payloads(self) -> Dict[GridCoord, RegionSummary]:

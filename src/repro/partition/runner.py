@@ -45,7 +45,7 @@ import numpy as np
 
 from ..core.cost_model import CostModel, EnergyLedger, UniformCostModel
 from ..simulator.engine import Simulator
-from ..simulator.network import Packet, WirelessMedium, arrival_buckets
+from ..simulator.network import Packet, WirelessMedium, arrival_buckets, require_rng
 from ..simulator.process import Process, ProcessHost
 from ..simulator.trace import MediumStats, stable_digest
 from .plan import ShardPlan, plan_stripes
@@ -624,8 +624,12 @@ def run_partitioned_storm(
     window machinery) — the honest serial baseline the bench's speedup
     gate compares against.  With ``loss_rate == jitter == 0`` no RNG is
     consumed, so the outcome fingerprint is invariant across K and the
-    bench asserts serial == partitioned on top of timing.
+    bench asserts serial == partitioned on top of timing.  A lossy or
+    jittered storm needs ``rng``, as its shard media do.
     """
+    # checked here, not by the shard media: the shards get generators
+    # spawned from the root, which would be OS-seeded for rng=None
+    require_rng(rng, loss_rate, jitter)
     cost_model = cost_model or UniformCostModel()
     if lookahead is None:
         lookahead = cost_model.tx_latency(size_units)

@@ -34,7 +34,6 @@ from .maintenance import (
     recover,
     rotate_leaders,
 )
-from .query import DeployedQueryResult, run_deployed_query
 from .routing import (
     CorruptedFrame,
     TransportEnvelope,
@@ -66,7 +65,6 @@ __all__ = [
     "Binding",
     "BindingResult",
     "CorruptedFrame",
-    "DeployedQueryResult",
     "DeployedRunResult",
     "DeployedStack",
     "EmulatedTopology",
@@ -108,6 +106,5 @@ __all__ = [
     "recover",
     "residual_energy_metric",
     "rotate_leaders",
-    "run_deployed_query",
     "trace_route",
 ]

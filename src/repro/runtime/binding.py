@@ -106,11 +106,16 @@ class Binding:
         ``node id -> next hop toward its cell's leader`` (None at the
         leader itself, and at nodes that never heard a better value —
         impossible in connected cells).
+    metric:
+        The criterion the leaders were elected by; a healing failover
+        picks the ``(metric, id)``-argmin of the surviving members, the
+        node a fresh election would pick.
     """
 
     network: RealNetwork
     leaders: Dict[GridCoord, int]
     toward_leader: Dict[int, Optional[int]]
+    metric: Metric = distance_to_center_metric
     # (liveness generation, leader) at the last gradient repair, per cell;
     # throttles on-demand repairs so each churn event rebuilds a cell's
     # gradient at most once
@@ -276,7 +281,9 @@ def bind_processes(
                 )
             leaders[cell] = nid
     return BindingResult(
-        binding=Binding(network=network, leaders=leaders, toward_leader=toward),
+        binding=Binding(
+            network=network, leaders=leaders, toward_leader=toward, metric=metric
+        ),
         setup_time=sim.now,
         messages=medium.stats.transmissions,
         energy=medium.ledger.total,

@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.coords import GridCoord
 from ..simulator.trace import stable_digest
-from .binding import Binding, distance_to_center_metric
+from .binding import Binding
 from .routing import TRANSPORT_KIND, CorruptedFrame
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -245,18 +245,19 @@ def plan_chaos(
 class HealingConfig:
     """Parameters of the online self-healing machinery.
 
-    ``metric`` must be the same binding metric the deployment elected its
-    leaders with: the failover successor is the ``(metric, id)``-argmin of
-    the surviving cell members, i.e. exactly the node a fresh election
-    would pick.  ``horizon`` bounds the heartbeat/watch timer re-arming so
-    rounds still quiesce — past it the cell is assumed stable.
+    A leader heartbeats every ``heartbeat_interval``; a member that hears
+    none for ``miss_threshold`` intervals suspects it.  The failover
+    successor is the ``(metric, id)``-argmin of the surviving cell
+    members under the metric the binding was elected by
+    (:attr:`~repro.runtime.binding.Binding.metric`), i.e. exactly the node
+    a fresh election would pick.  ``horizon`` bounds the heartbeat/watch
+    timer re-arming so rounds still quiesce — past it the cell is assumed
+    stable.
     """
 
     heartbeat_interval: float = 2.0
     miss_threshold: int = 3
-    heartbeat_size_units: float = 0.25
     horizon: float = 200.0
-    metric: Callable[["RealNetwork", int], float] = distance_to_center_metric
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval <= 0:

@@ -20,20 +20,22 @@ With a :class:`~repro.runtime.faults.HealingConfig` the engine is
 additionally *self-healing* (DESIGN.md §10): leaders emit periodic
 heartbeats, members suspect a silent leader after a miss-threshold window
 and fail over to the deterministic successor (the ``(metric, id)``-argmin
-of the surviving cell members), routing tables and leader gradients are
-repaired on demand around dead nodes, and reliable-mode retransmissions
-re-resolve their next hop so in-flight envelopes are redirected instead
-of dying with the original route.
+of the surviving cell members under the metric the binding was elected
+by), routing tables and leader gradients are repaired on demand around
+dead nodes, and reliable-mode retransmissions re-resolve their next hop
+so in-flight envelopes are redirected instead of dying with the original
+route.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Set, Tuple
 
 from ..core.coords import Direction, GridCoord
 from ..simulator.network import Packet
 from ..simulator.process import Process
+from ..simulator.trace import SPLITMIX_SEED, UNIT_SCALE, mix
 from .binding import Binding
 from .topology_emulation import EmulatedTopology
 from .wire import (
@@ -61,6 +63,29 @@ HEARTBEAT_KIND = "transport-hb"
 #: Packet kind of the takeover flood a failover successor emits.
 TAKEOVER_KIND = "transport-takeover"
 
+#: Base wait for an acknowledgement (reliable mode).  The wait before
+#: retry ``k`` is ``ACK_TIMEOUT * BACKOFF_FACTOR**k``, capped at
+#: ``BACKOFF_MAX`` and stretched by up to ``BACKOFF_JITTER`` of itself.
+ACK_TIMEOUT = 4.0
+BACKOFF_FACTOR = 2.0
+BACKOFF_JITTER = 0.5
+BACKOFF_MAX = 8 * ACK_TIMEOUT
+
+#: Data units of an acknowledgement.
+ACK_SIZE_UNITS = 1.0
+
+#: Data units of a heartbeat and of a takeover-flood frame (healing mode).
+HEARTBEAT_SIZE_UNITS = 0.25
+
+#: Out-of-order tolerance of the duplicate-suppression windows, in
+#: sequence numbers per key.  Each key keeps a high-water mark plus this
+#: many bits of the seqs seen below it, so memory stays bounded over long
+#: maintenance and churn runs; anything older counts as seen.  Origins
+#: number their envelopes monotonically, so a new uid is mistaken for an
+#: old one only if it arrives displaced by more than the window, far
+#: beyond any reordering ARQ produces in the simulator.
+DEDUP_WINDOW = 128
+
 #: Timer tags of the healing machinery (uid retry timers are 2-tuples).
 _HB_TIMER = "hb"
 _WATCH_TIMER = "hb-watch"
@@ -85,31 +110,6 @@ class CorruptedFrame:
         return f"CorruptedFrame({self.original!r})"
 
 
-_MASK64 = (1 << 64) - 1
-_SPLITMIX_SEED = 0x9E3779B97F4A7C15
-_UNIT_SCALE = float(1 << 53)
-
-
-def _mix(x: int, part: int) -> int:
-    """One splitmix64 round: absorb ``part`` into the 64-bit state ``x``."""
-    x = ((x ^ (part & _MASK64)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
-def _stable_unit(*parts: int) -> float:
-    """Deterministic hash of integers to ``[0, 1)`` (splitmix64-style).
-
-    Retry jitter must be seeded yet must not consume draws from the shared
-    medium RNG (that would perturb the loss/jitter stream of every other
-    transmission), so it is derived purely from ``(node, uid, attempt)``.
-    """
-    x = _SPLITMIX_SEED
-    for p in parts:
-        x = _mix(x, p)
-    return (x >> 11) / _UNIT_SCALE
-
-
 def next_direction(src_cell: GridCoord, dst_cell: GridCoord) -> Direction:
     """XY routing decision: first fix x (east/west), then y (north/south)."""
     if src_cell == dst_cell:
@@ -132,38 +132,21 @@ class TransportProcess(Process):
         Converged routing tables (shared across processes).
     binding:
         Converged leader binding (shared).
-    on_deliver:
-        Called as ``on_deliver(self, envelope)`` when an envelope reaches
-        the bound leader of its destination cell.
-    on_drop:
-        Called on forwarding failure (missing table entry / dead next
-        hop); default counts into :attr:`drops`.
     reliable:
         Enable hop-by-hop ARQ: every forward expects an acknowledgement
         from the next hop and is retransmitted up to ``max_retries``
-        times.  Duplicates created by lost acknowledgements are suppressed
-        by envelope ``uid``.  This is the natural hardening of the
-        Section 4.3 observation that *"some messages might even be
-        dropped"* — the synthesized program stays oblivious.
-    ack_timeout:
-        Base retry interval.  The wait before retry ``k`` is
-        ``ack_timeout * backoff_factor**k``, capped at ``backoff_max``
-        and stretched by up to ``backoff_jitter`` of itself using a
-        deterministic hash of ``(node, uid, attempt)`` — seeded
-        exponential backoff that never touches the medium RNG stream.
-        ``backoff_factor=1.0`` with ``backoff_jitter=0.0`` recovers the
-        legacy fixed interval.
-    dedup_window:
-        Out-of-order tolerance of the duplicate-suppression state, per
-        origin (and, on the forwarding path, per previous hop so a
+        times, with seeded exponential backoff between attempts
+        (:data:`ACK_TIMEOUT` and the ``BACKOFF_*`` constants; the jitter
+        is a hash of ``(node, uid, attempt)`` that never touches the
+        medium RNG stream).  Duplicates created by lost acknowledgements
+        are suppressed by envelope ``uid`` within :data:`DEDUP_WINDOW`,
+        per origin (and, on the forwarding path, per previous hop, so a
         post-failover reroute through an old relay is not mistaken for an
-        ARQ echo).  Instead of remembering every uid ever seen (unbounded
-        memory over long maintenance/churn runs), each key keeps a
-        high-water mark plus a ``dedup_window``-bit mask of the sequence
-        numbers seen below it; anything older is treated as seen.
-        Origins emit sequence numbers monotonically, so a *new* uid can
-        only be mistaken for old if it is displaced by more than the
-        window — far beyond any ARQ reordering the simulator produces.
+        ARQ echo).  This is the natural hardening of the Section 4.3
+        observation that *"some messages might even be dropped"* — the
+        synthesized program stays oblivious.
+    max_retries:
+        Retransmissions of one forward before the hop gives up.
     wire_format:
         Encode every hop through the compact binary codec of
         :mod:`repro.runtime.wire`: envelopes (and, in reliable mode,
@@ -189,12 +172,12 @@ class TransportProcess(Process):
         redirects, rejected frames).
 
     The constructor takes these arguments and passes them to :meth:`arm`.
+    A delivered envelope goes to :meth:`_deliver` and a dropped one to
+    :meth:`_drop`; subclasses override them to host an application.
     """
 
     __slots__ = (
-        "topology", "binding", "on_deliver", "on_drop", "reliable",
-        "max_retries", "ack_timeout", "ack_size_units", "dedup_window",
-        "wire_format", "backoff_factor", "backoff_jitter", "backoff_max",
+        "topology", "binding", "reliable", "max_retries", "wire_format",
         "healing", "fault_report", "drops", "forwarded", "retransmissions",
         "duplicates_suppressed", "rejected_frames", "_seq", "_pending",
         "_seen", "_delivered", "_next_hops", "_next_hops_stamp", "_last_hb",
@@ -223,17 +206,9 @@ class TransportProcess(Process):
         self,
         topology: EmulatedTopology,
         binding: Binding,
-        on_deliver: Optional[Callable[["TransportProcess", TransportEnvelope], None]] = None,
-        on_drop: Optional[Callable[["TransportProcess", TransportEnvelope, str], None]] = None,
         reliable: bool = False,
         max_retries: int = 3,
-        ack_timeout: float = 4.0,
-        ack_size_units: float = 1.0,
-        dedup_window: int = 128,
         wire_format: bool = False,
-        backoff_factor: float = 2.0,
-        backoff_jitter: float = 0.5,
-        backoff_max: Optional[float] = None,
         healing: "Optional[HealingConfig]" = None,
         fault_report: "Optional[FaultReport]" = None,
     ) -> None:
@@ -244,34 +219,14 @@ class TransportProcess(Process):
         rounds runs it again before each round, which leaves the process
         equal to a freshly constructed one (DESIGN.md §7, "Round reuse").
         """
-        if ack_timeout <= 0:
-            raise ValueError(f"ack_timeout must be > 0, got {ack_timeout}")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if dedup_window < 1:
-            raise ValueError(f"dedup_window must be >= 1, got {dedup_window}")
-        if backoff_factor < 1.0:
-            raise ValueError(f"backoff_factor must be >= 1.0, got {backoff_factor}")
-        if backoff_jitter < 0.0:
-            raise ValueError(f"backoff_jitter must be >= 0, got {backoff_jitter}")
-        if backoff_max is not None and backoff_max <= 0:
-            raise ValueError(f"backoff_max must be > 0, got {backoff_max}")
         self._reset_timers()
         self.topology = topology
         self.binding = binding
-        self.on_deliver = on_deliver
-        self.on_drop = on_drop
         self.reliable = reliable
         self.max_retries = max_retries
-        self.ack_timeout = ack_timeout
-        self.ack_size_units = ack_size_units
-        self.dedup_window = dedup_window
         self.wire_format = wire_format
-        self.backoff_factor = backoff_factor
-        self.backoff_jitter = backoff_jitter
-        self.backoff_max = (
-            backoff_max if backoff_max is not None else 8.0 * ack_timeout
-        )
         self.healing = healing
         self.fault_report = fault_report
         self.drops = 0
@@ -378,19 +333,6 @@ class TransportProcess(Process):
         state[1] = mask | 1 << d
         return False
 
-    def _uid_seen(self, origin: Hashable, seq: int) -> bool:
-        """The forwarding window's answer for ``(origin, seq)``, without
-        marking it; ``on_packet`` keys the window by ``(origin, previous
-        hop)``."""
-        state = self._seen.get(origin)
-        if state is None or seq > state[0]:
-            return False
-        d = state[0] - seq
-        return d >= self.dedup_window or bool(state[1] >> d & 1)
-
-    def _uid_mark(self, origin: Hashable, seq: int) -> None:
-        self._window_hit(self._seen, self.dedup_window, origin, seq)
-
     # -- forwarding ----------------------------------------------------------------
 
     def _reject_frame(self) -> None:
@@ -430,10 +372,10 @@ class TransportProcess(Process):
                     src,
                     ACK_KIND,
                     encode_ack(uid) if self.wire_format else uid,
-                    self.ack_size_units,
+                    ACK_SIZE_UNITS,
                 )
                 origin, seq = uid
-                if self._window_hit(self._seen, self.dedup_window, (origin, src), seq):
+                if self._window_hit(self._seen, DEDUP_WINDOW, (origin, src), seq):
                     self.duplicates_suppressed += 1
                     return
             self._route(envelope)
@@ -460,23 +402,22 @@ class TransportProcess(Process):
     def _retry_delay(self, uid: Tuple[int, int], attempt: int) -> float:
         """Wait before retry ``attempt`` of ``uid`` (seeded backoff).
 
-        The jitter is :func:`_stable_unit` of ``(node, uid, attempt)``.
-        The node and the uid's origin are folded into the hash state once
-        per origin, so each timer hashes only ``(seq, attempt)``.
+        The jitter is :func:`~repro.simulator.trace.stable_unit` of
+        ``(node, uid, attempt)``.  The node and the uid's origin are
+        folded into the hash state once per origin, so each timer hashes
+        only ``(seq, attempt)``.
         """
-        delay = self.ack_timeout * (self.backoff_factor ** attempt)
-        if delay > self.backoff_max:
-            delay = self.backoff_max
-        if self.backoff_jitter > 0.0:
-            origin, seq = uid
-            state = self._backoff_states.get(origin)
-            if state is None:
-                state = self._backoff_states[origin] = _mix(
-                    _mix(_SPLITMIX_SEED, self.node_id), origin
-                )
-            u = (_mix(_mix(state, seq), attempt) >> 11) / _UNIT_SCALE
-            delay *= 1.0 + self.backoff_jitter * u
-        return delay
+        delay = ACK_TIMEOUT * (BACKOFF_FACTOR ** attempt)
+        if delay > BACKOFF_MAX:
+            delay = BACKOFF_MAX
+        origin, seq = uid
+        state = self._backoff_states.get(origin)
+        if state is None:
+            state = self._backoff_states[origin] = mix(
+                mix(SPLITMIX_SEED, self.node_id), origin
+            )
+        u = (mix(mix(state, seq), attempt) >> 11) / UNIT_SCALE
+        return delay * (1.0 + BACKOFF_JITTER * u)
 
     def on_timer(self, tag: Any) -> None:
         if tag == _HB_TIMER:
@@ -684,20 +625,21 @@ class TransportProcess(Process):
         """
         if self.reliable and envelope.uid is not None:
             origin, seq = envelope.uid
-            if self._window_hit(self._delivered, self.dedup_window, origin, seq):
+            if self._window_hit(self._delivered, DEDUP_WINDOW, origin, seq):
                 self.duplicates_suppressed += 1
                 return
         if self._decode_inner(envelope):
             self._deliver(envelope)
 
     def _deliver(self, envelope: TransportEnvelope) -> None:
-        if self.on_deliver is not None:
-            self.on_deliver(self, envelope)
+        """Hook: ``envelope`` reached the bound leader of its destination
+        cell, once.  The base transport does nothing with it."""
 
     def _drop(self, envelope: TransportEnvelope, reason: str) -> None:
+        """Hook: forwarding ``envelope`` failed (no table entry, a dead or
+        out-of-range next hop, retries exhausted).  Counted in
+        :attr:`drops`; subclasses extend it."""
         self.drops += 1
-        if self.on_drop is not None:
-            self.on_drop(self, envelope, reason)
 
     # -- self-healing: heartbeats, suspicion, failover ---------------------------
 
@@ -724,9 +666,7 @@ class TransportProcess(Process):
             if self.now < h.horizon:
                 self.set_timer(self._watch_window(), _WATCH_TIMER)
             return
-        self.broadcast(
-            HEARTBEAT_KIND, (self.my_cell, self.node_id), h.heartbeat_size_units
-        )
+        self.broadcast(HEARTBEAT_KIND, (self.my_cell, self.node_id), HEARTBEAT_SIZE_UNITS)
         if self.now < h.horizon:
             self.set_timer(h.heartbeat_interval, _HB_TIMER)
 
@@ -757,8 +697,9 @@ class TransportProcess(Process):
             and net.cell_of(leader) == cell
         )
         members = net.members_of_cell(cell)
+        metric = self.binding.metric  # the election's, so a fresh one agrees
         successor = (
-            min(members, key=lambda m: (h.metric(net, m), m)) if members else None
+            min(members, key=lambda m: (metric(net, m), m)) if members else None
         )
         if successor == self.node_id and not leader_alive:
             self._become_leader(leader)
@@ -785,7 +726,7 @@ class TransportProcess(Process):
         # the takeover flood rebuilds the cell's gradient tree (first-heard
         # parents, exactly like the election flood) and doubles as the
         # first heartbeat of the new incumbency
-        self.broadcast(TAKEOVER_KIND, (cell, self.node_id), h.heartbeat_size_units)
+        self.broadcast(TAKEOVER_KIND, (cell, self.node_id), HEARTBEAT_SIZE_UNITS)
         self._last_hb = self.now
         if self.now < h.horizon:
             self.set_timer(h.heartbeat_interval, _HB_TIMER)
@@ -817,9 +758,7 @@ class TransportProcess(Process):
             self._last_hb = self.now
             if self.now < self.healing.horizon:
                 self.set_timer(self._watch_window(), _WATCH_TIMER)
-        self.broadcast(
-            TAKEOVER_KIND, (cell, leader), self.healing.heartbeat_size_units
-        )
+        self.broadcast(TAKEOVER_KIND, (cell, leader), HEARTBEAT_SIZE_UNITS)
 
 
 def trace_route(

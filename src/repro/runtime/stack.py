@@ -115,7 +115,8 @@ class _AppProcess(TransportProcess):
     """Transport engine plus (on leaders) the synthesized rule program.
 
     A :class:`DeployedStack` keeps one per node and re-arms it before each
-    round; the constructor takes the same arguments as :meth:`arm`.
+    round; the constructor takes the same arguments as :meth:`arm`, whose
+    ``transport`` keywords go to :meth:`TransportProcess.arm`.
     """
 
     __slots__ = ("program", "result_sink", "counters", "spec")
@@ -127,30 +128,10 @@ class _AppProcess(TransportProcess):
         program: Optional[NodeProgram],
         result_sink: Dict[GridCoord, Any],
         counters: Dict[str, int],
-        reliable: bool = False,
-        max_retries: int = 3,
-        ack_timeout: float = 4.0,
-        wire_format: bool = False,
-        backoff_factor: float = 2.0,
-        backoff_jitter: float = 0.5,
-        healing: Optional[HealingConfig] = None,
-        fault_report: Optional[FaultReport] = None,
         spec: Optional[SynthesizedProgram] = None,
+        **transport: Any,
     ) -> None:
-        super().arm(
-            topology,
-            binding,
-            on_deliver=None,
-            on_drop=None,
-            reliable=reliable,
-            max_retries=max_retries,
-            ack_timeout=ack_timeout,
-            wire_format=wire_format,
-            backoff_factor=backoff_factor,
-            backoff_jitter=backoff_jitter,
-            healing=healing,
-            fault_report=fault_report,
-        )
+        super().arm(topology, binding, **transport)
         self.program = program
         self.result_sink = result_sink
         self.counters = counters
@@ -228,11 +209,11 @@ class DeployedStack:
     ) -> Tuple[Simulator, WirelessMedium, ProcessHost]:
         """A fresh simulator/medium/host triple over this deployment.
 
-        Every execution surface on the stack — application rounds, the
-        one-shot query wrapper, and the persistent serving engine
-        (:class:`~repro.serve.engine.QueryEngine`, which keeps one harness
-        alive across queries) — builds its radio world through here, so
-        medium wiring and cost accounting stay identical everywhere.
+        Every execution surface on the stack — application rounds and the
+        serving engine (:class:`~repro.serve.engine.QueryEngine`, which
+        keeps one harness alive across queries) — builds its radio world
+        through here, so medium wiring and cost accounting stay identical
+        everywhere.
         """
         sim = Simulator()
         medium = WirelessMedium(
@@ -249,10 +230,7 @@ class DeployedStack:
         max_events: int = 10_000_000,
         reliable: bool = False,
         max_retries: int = 3,
-        ack_timeout: float = 4.0,
         wire_format: bool = False,
-        backoff_factor: float = 2.0,
-        backoff_jitter: float = 0.5,
         fault_plan: Optional[FaultPlan] = None,
         healing: Optional[HealingConfig] = None,
         scenario: Any = None,
@@ -263,8 +241,9 @@ class DeployedStack:
         node per cell).  Every cell's elected leader hosts the rule
         program of its virtual coordinate; all nodes forward.  With
         ``reliable`` the transport uses hop-by-hop acknowledgements and
-        retransmission (seeded exponential backoff between attempts),
-        making rounds robust to ``loss_rate`` at the cost of ack traffic.
+        up to ``max_retries`` retransmissions per hop (seeded exponential
+        backoff between attempts), making rounds robust to ``loss_rate``
+        at the cost of ack traffic.
         ``wire_format`` routes every hop through the compact binary codec
         of :mod:`repro.runtime.wire` — observable results are identical;
         the codec just gets exercised end to end.
@@ -312,15 +291,12 @@ class DeployedStack:
         results: Dict[GridCoord, Any] = {}
         counters = {"delivered": 0, "dropped": 0, "orphaned": 0}
         config = dict(
+            spec=spec,
             reliable=reliable,
             max_retries=max_retries,
-            ack_timeout=ack_timeout,
             wire_format=wire_format,
-            backoff_factor=backoff_factor,
-            backoff_jitter=backoff_jitter,
             healing=healing,
             fault_report=report,
-            spec=spec,
         )
         processes = self._processes
         for nid in self.network.alive_ids():

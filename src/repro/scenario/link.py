@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..simulator.trace import stable_digest
+from ..simulator.trace import stable_digest, stable_unit
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..deployment.topology import RealNetwork
@@ -39,23 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover
 # same link never collide
 _ADMIT_TAG = 0xAD317
 _SHADOW_TAG = 0x5AD0
-
-
-def stable_unit(*parts: int) -> float:
-    """Deterministic hash of integers to ``[0, 1)`` (splitmix64-style).
-
-    The scenario-layer twin of the transport's retry-jitter hash: seeded
-    randomness that never touches a shared RNG stream.
-    """
-    mask = (1 << 64) - 1
-    x = 0x9E3779B97F4A7C15
-    for p in parts:
-        x = (x ^ (p & mask)) & mask
-        x = (x * 0xBF58476D1CE4E5B9) & mask
-        x ^= x >> 27
-        x = (x * 0x94D049BB133111EB) & mask
-        x ^= x >> 31
-    return (x >> 11) / float(1 << 53)
 
 
 def _hash_normal(seed: int, u: int, v: int) -> float:

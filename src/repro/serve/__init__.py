@@ -1,10 +1,10 @@
 """Persistent query serving over the deployed network.
 
-The paper's end goal is topographic *querying*, yet
-:func:`~repro.runtime.query.run_deployed_query` is one-shot: build the
-simulator, answer, tear down.  This package is the long-lived engine the
-ROADMAP's "serve the network" item calls for — the "millions of users"
-workload of grid-cell query serving:
+The paper's end goal is topographic *querying*: a querier leader
+requests the stored aggregates of storage leaders over the emulated grid
+and reduces the responses.  This package is the one query path, a
+long-lived engine for grid-cell query serving (a one-shot query is a
+cache-off engine serving a single query):
 
 * :class:`~repro.serve.engine.QueryEngine` keeps one simulator, medium,
   and per-node transport process set alive across queries, so repeat
@@ -18,7 +18,7 @@ workload of grid-cell query serving:
 * querier leaders cache collected aggregates keyed by a per-cell
   freshness epoch, with incremental invalidation when fields change
   (:meth:`~repro.serve.engine.QueryEngine.update_field`) or when faults
-  from the PR 5 :class:`~repro.runtime.faults.FaultPlan` machinery dirty
+  from the :class:`~repro.runtime.faults.FaultPlan` machinery dirty
   a cell — warm queries answer without touching the radio, and tenants
   may trade bounded staleness (``max_staleness`` epochs) for silence;
 * the resilience layer (DESIGN.md §16) guarantees every admitted query

@@ -7,8 +7,11 @@ Queries are admitted in batches (one radio phase per admission round,
 see :mod:`repro.serve.admission`); the virtual clock never resets, so a
 serving session is one monotone timeline the way a real deployment is.
 
-Compared to :func:`~repro.runtime.query.run_deployed_query` (now a thin
-one-shot wrapper over this engine) the persistent design adds:
+A one-shot query is ``QueryEngine(stack, storage,
+ServeConfig(cache=False)).query(...)``; the clock, the medium's ledger and
+stats, and :attr:`QueryEngine.stats` then hold its latency, energy,
+transmissions and drops.  Over a gathering round's radio bill, the engine
+adds:
 
 * **admission batching** — co-arriving queries share one protocol round;
   requests of the whole batch are injected together and the round runs
@@ -22,20 +25,20 @@ one-shot wrapper over this engine) the persistent design adds:
   cell, so staleness is tracked incrementally, not by flushing;
 * **completeness accounting** — every query knows which storage cells it
   expected, so a lossy round reports ``complete=False`` plus the exact
-  ``missing_cells`` instead of silently reducing over a partial set (the
-  historical ``run_deployed_query`` bug), and protocol routing errors
-  surface as the per-query ``misdirected`` counter;
+  ``missing_cells`` instead of silently reducing over a partial set, and
+  protocol routing errors surface as the per-query ``misdirected``
+  counter;
 * **resilience contracts** (DESIGN.md §16) — every admitted query
   terminates with exactly one named outcome (``ok`` / ``partial`` /
   ``shed`` / ``deadline_expired``): per-tenant token buckets shed or
   defer overload at admission, deadline-bound queries retry their
-  missing cells under the seeded exponential-backoff schedule until the
-  deadline and then disclose what they have, tenants may accept bounded
-  cache staleness (``max_staleness`` freshness epochs) in exchange for
-  radio silence, and a :class:`~repro.runtime.faults.HealingConfig`
-  lets the engine keep serving across leader failover — the successor
-  adopts the cell's stored aggregate and only the dirtied cache cells
-  are invalidated.
+  missing cells under the transport's seeded exponential-backoff
+  schedule until the deadline and then disclose what they have, tenants
+  may accept bounded cache staleness (``max_staleness`` freshness
+  epochs) in exchange for radio silence, and a
+  :class:`~repro.runtime.faults.HealingConfig` lets the engine keep
+  serving across leader failover — the successor adopts the cell's
+  stored aggregate and only the dirtied cache cells are invalidated.
 """
 
 from __future__ import annotations
@@ -50,12 +53,15 @@ from ..runtime.faults import FaultInjector, FaultPlan, FaultReport, HealingConfi
 from ..runtime.routing import (
     _HB_TIMER,
     _WATCH_TIMER,
+    ACK_TIMEOUT,
+    BACKOFF_FACTOR,
+    BACKOFF_JITTER,
+    BACKOFF_MAX,
     TransportEnvelope,
     TransportProcess,
-    _stable_unit,
 )
 from ..runtime.stack import DeployedStack
-from ..simulator.trace import stable_digest
+from ..simulator.trace import stable_digest, stable_unit
 from .admission import AdmissionController, Arrival, TenantPolicy
 
 #: Inner-payload tags of the serving protocol (request carries the query
@@ -85,11 +91,10 @@ class ServeConfig:
     budget in virtual time from admission (``None`` = unbounded;
     overridden per tenant and per arrival); an incomplete deadline-bound
     query re-requests its missing cells up to ``query_retries`` times
-    under seeded exponential backoff (``retry_base`` · ``retry_factor``^k,
-    capped at ``retry_max``, jittered by ``retry_jitter`` via a stable
-    hash that never consumes medium RNG).  ``tenant_policies`` /
+    under the transport's ARQ backoff scaled to ``retry_base`` (see
+    :meth:`QueryEngine._retry_delay`).  ``tenant_policies`` /
     ``default_policy`` give each tenant its admission budget, overload
-    behaviour, and staleness contract.  ``healing`` arms the PR 5
+    behaviour, and staleness contract.  ``healing`` arms the
     self-healing layer (heartbeats, deterministic failover) inside every
     admission round — the engine extends the healing horizon by
     ``healing_headroom`` past each round's admission so rounds still
@@ -103,15 +108,10 @@ class ServeConfig:
     cache: bool = True
     request_size: float = 1.0
     response_size_of: Optional[Callable[[Any], float]] = None
-    max_retries: int = 3
-    ack_timeout: float = 4.0
     max_events_per_round: int = 10_000_000
     deadline: Optional[float] = None
     query_retries: int = 8
     retry_base: float = 2.0
-    retry_factor: float = 2.0
-    retry_jitter: float = 0.5
-    retry_max: Optional[float] = None
     tenant_policies: Optional[Dict[int, TenantPolicy]] = None
     default_policy: Optional[TenantPolicy] = None
     healing: Optional[HealingConfig] = None
@@ -120,10 +120,6 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1), got {self.loss_rate}")
-        if self.ack_timeout <= 0:
-            raise ValueError(f"ack_timeout must be > 0, got {self.ack_timeout}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.request_size <= 0:
             raise ValueError(f"request_size must be > 0, got {self.request_size}")
         if self.max_events_per_round < 1:
@@ -136,12 +132,6 @@ class ServeConfig:
             raise ValueError(f"query_retries must be >= 0, got {self.query_retries}")
         if self.retry_base <= 0:
             raise ValueError(f"retry_base must be > 0, got {self.retry_base}")
-        if self.retry_factor < 1.0:
-            raise ValueError(f"retry_factor must be >= 1.0, got {self.retry_factor}")
-        if self.retry_jitter < 0.0:
-            raise ValueError(f"retry_jitter must be >= 0, got {self.retry_jitter}")
-        if self.retry_max is not None and self.retry_max <= 0:
-            raise ValueError(f"retry_max must be > 0, got {self.retry_max}")
         if self.healing_headroom <= 0:
             raise ValueError(
                 f"healing_headroom must be > 0, got {self.healing_headroom}"
@@ -427,8 +417,6 @@ class _ServeProcess(TransportProcess):
             engine.stack.topology,
             engine.stack.binding,
             reliable=cfg.reliable,
-            max_retries=cfg.max_retries,
-            ack_timeout=cfg.ack_timeout,
             wire_format=cfg.wire_format,
             healing=cfg.healing,
             fault_report=engine._fault_report,
@@ -880,16 +868,18 @@ class QueryEngine:
                 self.sim.schedule_at(when, self._retry_check, active, 1)
 
     def _retry_delay(self, qid: int, attempt: int) -> float:
-        """Seeded exponential backoff (attempt >= 1), jittered stably.
-
-        Like the transport ARQ schedule, the jitter is a pure hash of
-        ``(qid, attempt)`` — it never consumes medium RNG, so retries do
-        not perturb the loss stream of unrelated transmissions.
+        """The transport's ARQ backoff scaled from ``ACK_TIMEOUT`` to
+        ``retry_base`` (attempt >= 1): ``min(retry_base *
+        BACKOFF_FACTOR**(attempt-1), 8 * retry_base)``, stretched by up to
+        ``BACKOFF_JITTER`` of itself.  Like the ARQ schedule, the jitter
+        is a pure hash of ``(qid, attempt)`` — it never consumes medium
+        RNG, so retries do not perturb the loss stream of unrelated
+        transmissions.
         """
-        cfg = self.config
-        cap = cfg.retry_max if cfg.retry_max is not None else 8.0 * cfg.retry_base
-        delay = min(cfg.retry_base * cfg.retry_factor ** (attempt - 1), cap)
-        return delay * (1.0 + cfg.retry_jitter * _stable_unit(0x5EED, qid, attempt))
+        base = self.config.retry_base
+        cap = base * (BACKOFF_MAX / ACK_TIMEOUT)
+        delay = min(base * BACKOFF_FACTOR ** (attempt - 1), cap)
+        return delay * (1.0 + BACKOFF_JITTER * stable_unit(0x5EED, qid, attempt))
 
     def _retry_check(self, active: _ActiveQuery, attempt: int) -> None:
         """One scheduled retry: re-request whatever is still missing."""

@@ -153,13 +153,16 @@ class Simulator:
 
         ``until`` must not lie in the past: repeated ``run(until=t)`` calls
         form a monotone timeline, and the clock advances to ``until`` even
-        when the queue drains early.  A run stopped by ``max_events``
-        leaves the clock at the last fired event; a budget of 0 fires
-        nothing and leaves the clock where it was.
+        when the queue drains early.  A run that ``max_events`` stops
+        before a live event due by ``until`` leaves the clock at the last
+        fired event (a budget of 0 fires nothing); one that fired its
+        whole budget and left nothing due still advances to ``until``.
         """
-        fired = self._drain(until, max_events)
-        budget_stop = max_events is not None and fired >= max_events
-        if until is not None and not budget_stop:
+        self._drain(until, max_events)
+        queue = self._queue
+        # the drain stops at a live event it may not fire, so an event due
+        # by `until` is still queued only when the budget stopped the run
+        if until is not None and not (queue and queue[0][0] <= until):
             # the clock still owes the caller the full interval
             self._now = until
         return self._now
@@ -182,19 +185,18 @@ class Simulator:
 
     def _drain(self, until: Optional[float], max_events: Optional[int]) -> int:
         """The drain loop: fire events with ``time <= until`` (all of them
-        when ``until`` is None) in ``(time, seq)`` order, stopping once
-        ``max_events`` have fired.  Returns the number fired."""
+        when ``until`` is None) in ``(time, seq)`` order, stopping at the
+        first live event past ``max_events`` fired, which stays queued.
+        Returns the number fired."""
         if self._running:
             raise RuntimeError("simulator is not reentrant")
         if until is not None and until < self._now:
             raise ValueError(
                 f"cannot run backward (now={self._now}, until={until})"
             )
-        if max_events is not None and max_events <= 0:
-            # the loop checks the budget only after firing
-            if max_events < 0:
-                raise ValueError(f"max_events must be non-negative, got {max_events}")
-            return 0
+        if max_events is not None and max_events < 0:
+            raise ValueError(f"max_events must be non-negative, got {max_events}")
+        budget = -1 if max_events is None else max_events
         self._running = True
         fired = 0
         queue = self._queue
@@ -204,26 +206,30 @@ class Simulator:
                 time, _, timer, callback, args = queue[0]
                 if until is not None and time > until:
                     break
-                heappop(queue)
                 if timer is not None:
                     armed, key, stamp, tag = args
                     if armed.get(key) != stamp:
                         # re-armed or cancelled: skip without touching
                         # the clock
+                        heappop(queue)
                         self._cancelled_pending -= 1
                         continue
+                    if fired == budget:
+                        break
+                    heappop(queue)
                     del armed[key]  # mark fired: re-arm inside works
                     self._now = time
                     callback(tag)
                 else:
+                    if fired == budget:
+                        break
+                    heappop(queue)
                     self._now = time
                     if args:
                         callback(*args)
                     else:
                         callback()
                 fired += 1
-                if max_events is not None and fired >= max_events:
-                    break
         finally:
             self._running = False
             self._events_processed += fired

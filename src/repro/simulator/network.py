@@ -101,6 +101,13 @@ def arrival_buckets(
     return buckets
 
 
+def require_rng(rng: Any, loss_rate: float, jitter: float) -> None:
+    """Refuse a lossy or jittered channel without ``rng``: its draws would
+    come from OS entropy, and the run would never replay."""
+    if rng is None and (loss_rate > 0.0 or jitter > 0.0):
+        raise ValueError("a lossy or jittered medium needs rng (a Generator or int seed)")
+
+
 class WirelessMedium:
     """The shared radio channel.
 
@@ -150,8 +157,7 @@ class WirelessMedium:
             raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
         if jitter < 0:
             raise ValueError("jitter must be non-negative")
-        if rng is None and (loss_rate > 0.0 or jitter > 0.0):
-            raise ValueError("a lossy or jittered medium needs rng (a Generator or int seed)")
+        require_rng(rng, loss_rate, jitter)
         self.sim = sim
         self.network = network
         self.loss_rate = loss_rate

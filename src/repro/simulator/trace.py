@@ -6,7 +6,8 @@ them per packet kind in one :class:`KindRecord` each;
 :class:`MediumLedger` is the medium's energy ledger, whose per-kind
 category totals are those records' energy slots; and :func:`stable_digest`
 turns such counters into the short run fingerprints tests and sweep
-records compare.
+records compare; :func:`stable_unit` is the seeded hash that retry
+jitter and link admission draw from instead of a shared RNG.
 """
 
 from __future__ import annotations
@@ -16,6 +17,33 @@ from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
 from ..core.cost_model import EnergyLedger
+
+_MASK64 = (1 << 64) - 1
+#: Start state of :func:`stable_unit` (splitmix64's golden gamma).
+SPLITMIX_SEED = 0x9E3779B97F4A7C15
+#: ``2**53``: a state's top 53 bits divided by it are a float in ``[0, 1)``.
+UNIT_SCALE = float(1 << 53)
+
+
+def mix(x: int, part: int) -> int:
+    """One splitmix64 round: absorb ``part`` into the 64-bit state ``x``."""
+    x = ((x ^ (part & _MASK64)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def stable_unit(*parts: int) -> float:
+    """Deterministic hash of integers to ``[0, 1)``.
+
+    Seeded randomness that never draws from a shared RNG stream (a draw
+    there would shift the loss and jitter of every other transmission):
+    the transport's and the query engine's retry jitter and the scenario
+    link models' per-packet admission all come from here.
+    """
+    x = SPLITMIX_SEED
+    for part in parts:
+        x = mix(x, part)
+    return (x >> 11) / UNIT_SCALE
 
 
 def stable_digest(obj: Any) -> str:

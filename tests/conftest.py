@@ -18,6 +18,7 @@ from repro.deployment import (
     ensure_coverage,
     uniform_random,
 )
+from repro.runtime.routing import TransportProcess
 
 
 @pytest.fixture
@@ -74,6 +75,27 @@ def make_deployment(
     r = np.random.default_rng(seed)
     positions = ensure_coverage(uniform_random(n_random, terrain, r), cells, r)
     return build_network(positions, cells, tx_range=cells.cell_side * range_cells)
+
+
+class RecordingTransport(TransportProcess):
+    """A transport that logs what reaches its two hooks into lists shared
+    by every process built with them: ``delivered`` gets ``(node,
+    envelope)`` per delivery and ``dropped`` ``(node, envelope, reason)``
+    per drop (also counted in ``drops``, as by the base transport)."""
+
+    __slots__ = ("delivered", "dropped")
+
+    def __init__(self, delivered: list, dropped: list, *args, **kwargs):
+        self.delivered = delivered
+        self.dropped = dropped
+        super().__init__(*args, **kwargs)
+
+    def _deliver(self, envelope) -> None:
+        self.delivered.append((self.node_id, envelope))
+
+    def _drop(self, envelope, reason: str) -> None:
+        super()._drop(envelope, reason)
+        self.dropped.append((self.node_id, envelope, reason))
 
 
 @pytest.fixture

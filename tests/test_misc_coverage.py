@@ -12,10 +12,10 @@ from repro.core.mapping import exhaustive_best_mapping, recursive_quadrant_mappi
 from repro.core.groups import HierarchicalGroups
 from repro.core.taskgraph import build_quadtree
 from repro.runtime import deploy
-from repro.runtime.routing import TransportEnvelope, TransportProcess
+from repro.runtime.routing import TransportEnvelope
 from repro.simulator import Simulator, WirelessMedium
 
-from conftest import make_deployment
+from conftest import RecordingTransport, make_deployment
 
 
 class TestExhaustiveLatencyObjective:
@@ -42,15 +42,11 @@ class TestTransportDropCallback:
     def test_on_drop_invoked(self):
         net = make_deployment(side=4, seed=7)
         stack = deploy(net)
-        drops = []
+        log = []
 
         sim = Simulator()
         medium = WirelessMedium(sim, net)
-        proc = TransportProcess(
-            stack.topology,
-            stack.binding,
-            on_drop=lambda p, env, reason: drops.append(reason),
-        )
+        proc = RecordingTransport([], log, stack.topology, stack.binding)
         proc.sim = sim
         proc.medium = medium
         # install on a node at the west edge and ask it to go further west
@@ -60,7 +56,7 @@ class TestTransportDropCallback:
         proc.node_id = west_node
         proc.originate((-1, 0), inner="x")  # off-grid: no routing entry
         assert proc.drops == 1
-        assert "no routing entry" in drops[0]
+        assert "no routing entry" in log[0][2]
 
     def test_envelope_defaults(self):
         env = TransportEnvelope(src_cell=(0, 0), dst_cell=(1, 1), inner="p")

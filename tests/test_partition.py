@@ -99,6 +99,18 @@ def test_engine_run_until_lookahead_and_inject():
         sim.schedule_at(2.0, fired.append, "late")
 
 
+@pytest.mark.parametrize("partitions", [1, 2])
+@pytest.mark.parametrize(
+    "channel", [{"loss_rate": 0.3}, {"jitter": 0.1}], ids=["lossy", "jittered"]
+)
+def test_lossy_or_jittered_storm_requires_rng(channel, partitions):
+    """Without ``rng`` the shards would draw from OS entropy and the storm
+    would never replay: it is refused, as the medium refuses it."""
+    net = make_deployment(side=4, n_random=100, seed=3)
+    with pytest.raises(ValueError, match="needs rng"):
+        run_partitioned_storm(net, rounds=2, partitions=partitions, procs=1, **channel)
+
+
 def test_medium_rejects_sub_lookahead_delay():
     """The conservative bound is load-bearing: a partitioned medium must
     refuse any transmission that could arrive inside the current window."""

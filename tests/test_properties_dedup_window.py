@@ -109,9 +109,7 @@ def decode(states, window):
 @settings(max_examples=300, deadline=None)
 def test_window_mark_matches_the_reference(window, steps):
     stack = shared_stack()
-    tp = TransportProcess(
-        stack.topology, stack.binding, reliable=True, dedup_window=window
-    )
+    tp = TransportProcess(stack.topology, stack.binding, reliable=True)
     reference = {True: ({}, {}), False: ({}, {})}
     for forward, index, move, magnitude in steps:
         if forward:

@@ -1,7 +1,7 @@
 """Property tests for reliable transport and simulator determinism.
 
 * Under i.i.d. packet loss, hop-by-hop ARQ delivers each envelope
-  **at most once** to ``on_deliver``, and every originated envelope is
+  **at most once** to the ``_deliver`` hook, and every originated envelope is
   *accounted for* — delivered or explicitly dropped, never silently
   suppressed (duplicate suppression must never eat a new uid).
 * Same-seed runs of the deployed stack produce identical
@@ -23,12 +23,18 @@ except ImportError:  # pragma: no cover - baked into the test image
 
 from repro.core import CountAggregation, VirtualArchitecture
 from repro.runtime import deploy
-from repro.runtime.routing import TransportProcess
+from repro.runtime.routing import (
+    ACK_TIMEOUT,
+    BACKOFF_FACTOR,
+    BACKOFF_JITTER,
+    BACKOFF_MAX,
+    TransportProcess,
+)
 from repro.simulator.engine import Simulator
 from repro.simulator.network import WirelessMedium
 from repro.simulator.process import ProcessHost
 
-from conftest import make_deployment
+from conftest import RecordingTransport, make_deployment
 
 pytestmark = pytest.mark.skipif(
     not HAVE_HYPOTHESIS, reason="hypothesis not installed"
@@ -48,7 +54,6 @@ def run_reliable_round(
     seed: int,
     n_envelopes: int,
     wire_format: bool = False,
-    backoff: bool = True,
 ):
     net, stack = shared_stack()
     sim = Simulator()
@@ -56,22 +61,18 @@ def run_reliable_round(
         sim, net, loss_rate=loss_rate, rng=np.random.default_rng(seed)
     )
     host = ProcessHost(sim, medium)
-    delivered = []  # uids seen by on_deliver
-    dropped = []    # uids reported to on_drop
+    delivered_log, dropped_log = [], []
     for nid in net.alive_ids():
         host.add(
             nid,
-            TransportProcess(
+            RecordingTransport(
+                delivered_log,
+                dropped_log,
                 stack.topology,
                 stack.binding,
-                on_deliver=lambda p, env: delivered.append(env.uid),
-                on_drop=lambda p, env, reason: dropped.append(env.uid),
                 reliable=True,
                 max_retries=10,
                 wire_format=wire_format,
-                # backoff=False recovers the legacy fixed retry interval
-                backoff_factor=2.0 if backoff else 1.0,
-                backoff_jitter=0.5 if backoff else 0.0,
             ),
         )
     host.start()
@@ -85,34 +86,29 @@ def run_reliable_round(
         # distinct origins per i (12 <= 16 cells), so uids are all distinct
         sim.schedule(0.1 * i, host.get(origin).originate, dst_cell, f"msg-{i}")
     sim.run_until_quiet()
+    delivered = [env.uid for _, env in delivered_log]
+    dropped = [env.uid for _, env, _ in dropped_log]
     return delivered, dropped, host
 
 
 @pytest.mark.parametrize(
-    "backoff", [True, False], ids=["backoff", "fixed-interval"]
-)
-@pytest.mark.parametrize(
-    "wire_format", [False, True], ids=["plain", "wire-codec"]
+    "wire_format", [False, True], ids=["plain-backoff", "wire-codec-backoff"]
 )
 @given(
     loss_rate=st.floats(min_value=0.0, max_value=0.35),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 @settings(max_examples=12, deadline=None)
-def test_at_most_once_delivery_and_no_lost_new_uids(
-    wire_format, backoff, loss_rate, seed
-):
-    """ARQ retransmission never delivers a uid twice, with the wire codec
-    on as well as off, and with exponential backoff on as well as the
-    legacy fixed retry interval — retry *timing* must not affect the
-    delivery semantics."""
+def test_at_most_once_delivery_and_no_lost_new_uids(wire_format, loss_rate, seed):
+    """ARQ retransmission under the seeded exponential backoff never
+    delivers a uid twice, with the wire codec on as well as off."""
     delivered, dropped, host = run_reliable_round(
-        loss_rate, seed, n_envelopes=12, wire_format=wire_format, backoff=backoff
+        loss_rate, seed, n_envelopes=12, wire_format=wire_format
     )
-    # at-most-once: no uid reaches on_deliver twice
+    # at-most-once: no uid reaches the delivery hook twice
     assert len(delivered) == len(set(delivered)), (
         f"duplicate delivery under loss={loss_rate} seed={seed} "
-        f"wire_format={wire_format} backoff={backoff}"
+        f"wire_format={wire_format}"
     )
     # accounting: every originated envelope is delivered or explicitly
     # dropped somewhere — a *new* uid swallowed by duplicate suppression
@@ -120,8 +116,7 @@ def test_at_most_once_delivery_and_no_lost_new_uids(
     accounted = set(delivered) | set(dropped)
     assert len(accounted) == 12, (
         f"envelopes vanished: {12 - len(accounted)} unaccounted "
-        f"(loss={loss_rate} seed={seed} wire_format={wire_format} "
-        f"backoff={backoff})"
+        f"(loss={loss_rate} seed={seed} wire_format={wire_format})"
     )
 
 
@@ -163,14 +158,11 @@ def test_same_seed_runs_are_identical():
 def test_retry_delay_is_deterministic_monotone_and_capped():
     """The backoff schedule is a pure function of (node, uid, attempt):
     exponential in the attempt, jittered within [base, base * (1+jitter)],
-    capped at backoff_max, and identical across process instances."""
+    capped at BACKOFF_MAX, and identical across process instances."""
     net, stack = shared_stack()
 
     def make():
-        return TransportProcess(
-            stack.topology, stack.binding, reliable=True,
-            ack_timeout=4.0, backoff_factor=2.0, backoff_jitter=0.5,
-        )
+        return TransportProcess(stack.topology, stack.binding, reliable=True)
 
     p1, p2 = make(), make()
     p1.node_id = p2.node_id = 5
@@ -178,27 +170,9 @@ def test_retry_delay_is_deterministic_monotone_and_capped():
     delays = [p1._retry_delay(uid, k) for k in range(8)]
     assert delays == [p2._retry_delay(uid, k) for k in range(8)]
     for k, d in enumerate(delays):
-        base = min(4.0 * 2.0**k, p1.backoff_max)
-        assert base <= d <= base * 1.5
-    # cap: exponent growth stops at backoff_max (jitter aside)
-    assert delays[-1] <= p1.backoff_max * 1.5
+        base = min(ACK_TIMEOUT * BACKOFF_FACTOR**k, BACKOFF_MAX)
+        assert base <= d <= base * (1 + BACKOFF_JITTER)
+    # cap: exponent growth stops at BACKOFF_MAX (jitter aside)
+    assert delays[-1] <= BACKOFF_MAX * (1 + BACKOFF_JITTER)
     # a different uid or node yields a different jitter draw somewhere
     assert [p1._retry_delay((5, 4), k) for k in range(8)] != delays
-
-
-def test_backoff_off_recovers_fixed_interval():
-    net, stack = shared_stack()
-    p = TransportProcess(
-        stack.topology, stack.binding, reliable=True,
-        ack_timeout=4.0, backoff_factor=1.0, backoff_jitter=0.0,
-    )
-    p.node_id = 1
-    assert [p._retry_delay((1, 0), k) for k in range(5)] == [4.0] * 5
-
-
-def test_backoff_parameter_validation():
-    net, stack = shared_stack()
-    with pytest.raises(ValueError):
-        TransportProcess(stack.topology, stack.binding, backoff_factor=0.5)
-    with pytest.raises(ValueError):
-        TransportProcess(stack.topology, stack.binding, backoff_jitter=-0.1)

@@ -94,6 +94,13 @@ class TestMetrics:
         result = bind_processes(net, metric=residual_energy_metric)
         assert result.binding.leaders[(0, 0)] == champion
 
+    def test_binding_records_its_metric(self):
+        """A healing failover elects by the metric the binding records."""
+        net = make_deployment(side=4, seed=19)
+        assert bind_processes(net).binding.metric is distance_to_center_metric
+        rotated = bind_processes(net, metric=residual_energy_metric)
+        assert rotated.binding.metric is residual_energy_metric
+
     def test_oracle_binding_matches_protocol(self):
         net = make_deployment(side=4, seed=23)
         result = bind_processes(net)

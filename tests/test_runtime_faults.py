@@ -212,6 +212,32 @@ class TestAcceptance:
             )
             assert new == best
 
+    def test_successor_follows_a_rotated_binding_metric(self):
+        """After ``rotate_leaders`` the leaders were elected by residual
+        energy, so a failover must pick that metric's argmin too, not the
+        distance-to-centre one a fresh default election would pick."""
+        from repro.deployment import covered_deployment
+        from repro.runtime import rotate_leaders
+        from repro.runtime.binding import (
+            distance_to_center_metric,
+            residual_energy_metric,
+        )
+
+        net = covered_deployment(SIDE, 150, 3)
+        deploy(net).run_application(count_spec())  # drain batteries unevenly
+        stack = rotate_leaders(net)
+        plan = FaultPlan((FaultEvent(time=0.5, action="kill_leader", cell=(1, 1)),))
+        result = stack.run_application(
+            count_spec(), reliable=True, max_retries=8, fault_plan=plan
+        )
+        assert result.root_payload == SIDE * SIDE
+        [(_, cell, old, new)] = result.fault_report.failovers
+        members = net.members_of_cell(cell)
+        by_energy = min(members, key=lambda m: (residual_energy_metric(net, m), m))
+        by_distance = min(members, key=lambda m: (distance_to_center_metric(net, m), m))
+        assert by_energy != by_distance, "the two metrics no longer disagree here"
+        assert (cell, old, new) == ((1, 1), 11, by_energy)
+
 
 class TestFaultMatrix:
     """Every fault kind under reliable on/off and the wire codec on/off,

@@ -1,4 +1,10 @@
-"""Unit tests for deployed query execution."""
+"""Unit tests for deployed query execution.
+
+Each query runs the one query path: a cache-off
+:class:`~repro.serve.engine.QueryEngine` serving a single query.  Its
+clock, medium and stats then hold the query's latency, energy,
+transmissions and drops.
+"""
 
 from __future__ import annotations
 
@@ -13,9 +19,15 @@ from repro.apps import (
 )
 from repro.core import VirtualArchitecture
 from repro.runtime import deploy
-from repro.runtime.query import run_deployed_query
+from repro.serve import QueryEngine, ServeConfig
 
 from conftest import make_deployment
+
+
+def serve_once(stack, storage, query_cell, reduce_fn, **config):
+    """``(engine, outcome)`` of one query on a fresh cache-off engine."""
+    engine = QueryEngine(stack, storage, ServeConfig(cache=False, **config))
+    return engine, engine.query(query_cell, reduce_fn=reduce_fn)
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +45,7 @@ def stack_with_storage():
 class TestDeployedQueries:
     def test_count_query_sums_local_counts(self, stack_with_storage):
         _, stack, feat, storage = stack_with_storage
-        result = run_deployed_query(
+        engine, result = serve_once(
             stack,
             {cell: s.total_regions() for cell, s in storage.items()},
             query_cell=(3, 3),
@@ -43,7 +55,7 @@ class TestDeployedQueries:
         expected = sum(s.total_regions() for s in storage.values())
         assert result.value == expected
         assert result.responses == len(storage) - (1 if (3, 3) in storage else 0)
-        assert result.drops == 0
+        assert engine.stats.drops == 0
 
     def test_exact_count_via_summary_shipping(self, stack_with_storage):
         _, stack, feat, storage = stack_with_storage
@@ -54,7 +66,7 @@ class TestDeployedQueries:
                 acc.add(s)
             return acc.finalize().total_regions()
 
-        result = run_deployed_query(
+        _, result = serve_once(
             stack,
             dict(storage),
             query_cell=(0, 0),
@@ -68,7 +80,7 @@ class TestDeployedQueries:
     ):
         _, stack, feat, storage = stack_with_storage
         assert (0, 0) in storage
-        result = run_deployed_query(
+        _, result = serve_once(
             stack,
             {cell: 1 for cell in storage},
             query_cell=(0, 0),
@@ -83,18 +95,18 @@ class TestDeployedQueries:
         gather_run = stack.run_application(
             va.synthesize(feature_matrix_aggregation(feat), max_level=1)
         )
-        query = run_deployed_query(
+        engine, _ = serve_once(
             stack,
             {cell: s.total_regions() for cell, s in storage.items()},
             query_cell=(1, 1),
             reduce_fn=sum,
         )
-        assert query.energy < gather_run.ledger.total
+        assert engine.medium.ledger.total < gather_run.ledger.total
 
     def test_invalid_query_cell(self, stack_with_storage):
         _, stack, _, storage = stack_with_storage
         with pytest.raises(ValueError):
-            run_deployed_query(
+            serve_once(
                 stack, dict(storage), query_cell=(9, 9), reduce_fn=len
             )
 
@@ -105,17 +117,16 @@ class TestDeployedQueries:
             query_cell=(2, 2),
             reduce_fn=sum,
         )
-        a = run_deployed_query(stack, **kwargs)
-        b = run_deployed_query(stack, **kwargs)
-        assert (a.value, a.latency, a.transmissions) == (
-            b.value,
-            b.latency,
-            b.transmissions,
+        runs = [serve_once(stack, **kwargs) for _ in range(2)]
+        a, b = (
+            (outcome.value, engine.sim.now, engine.medium.stats.transmissions)
+            for engine, outcome in runs
         )
+        assert a == b
 
     def test_lossy_query_degrades_not_corrupts(self, stack_with_storage):
         _, stack, _, storage = stack_with_storage
-        result = run_deployed_query(
+        _, result = serve_once(
             stack,
             {cell: 1 for cell in storage},
             query_cell=(3, 0),
@@ -128,7 +139,7 @@ class TestDeployedQueries:
 
     def test_reliable_query_survives_loss(self, stack_with_storage):
         _, stack, _, storage = stack_with_storage
-        result = run_deployed_query(
+        _, result = serve_once(
             stack,
             {cell: 1 for cell in storage},
             query_cell=(3, 0),
@@ -147,7 +158,7 @@ class TestCompletenessAccounting:
 
     def test_clean_run_reports_complete(self, stack_with_storage):
         _, stack, _, storage = stack_with_storage
-        result = run_deployed_query(
+        _, result = serve_once(
             stack, {cell: 1 for cell in storage}, query_cell=(3, 3),
             reduce_fn=sum,
         )
@@ -161,7 +172,7 @@ class TestCompletenessAccounting:
         stored but never consulted.  The seeded run below loses at least
         one response; the result must say so."""
         _, stack, _, storage = stack_with_storage
-        result = run_deployed_query(
+        _, result = serve_once(
             stack,
             {cell: 1 for cell in storage},
             query_cell=(3, 0),
@@ -179,7 +190,7 @@ class TestCompletenessAccounting:
         self, stack_with_storage
     ):
         _, stack, _, storage = stack_with_storage
-        result = run_deployed_query(
+        _, result = serve_once(
             stack,
             {cell: cell for cell in storage},  # payload identifies its cell
             query_cell=(3, 0),
@@ -203,7 +214,7 @@ class TestMisdirectedAccounting:
         # delivered to a leader that cannot answer — a protocol routing
         # error that used to vanish
         bogus = {cells[0]: 1, cells[1]: None}
-        result = run_deployed_query(
+        _, result = serve_once(
             stack, bogus, query_cell=(3, 3), reduce_fn=sum
         )
         assert result.misdirected == 1

@@ -21,7 +21,6 @@ from repro.core import (
 from repro.core.coords import Direction
 from repro.runtime import (
     HealingConfig,
-    TransportProcess,
     build_leader_mesh,
     deploy,
     next_direction,
@@ -31,7 +30,7 @@ from repro.runtime import (
 from repro.runtime.stack import _AppProcess
 from repro.simulator import WirelessMedium
 
-from conftest import make_deployment
+from conftest import RecordingTransport, make_deployment
 
 
 @pytest.fixture(scope="module")
@@ -334,10 +333,7 @@ class TestRoundReuse:
                 {},
                 {"delivered": 0, "dropped": 0, "orphaned": 0},
             )
-            config = dict(
-                reliable=False, max_retries=2, ack_timeout=3.0, wire_format=False,
-                backoff_factor=1.5, backoff_jitter=0.25, spec=spec,
-            )
+            config = dict(reliable=False, max_retries=2, wire_format=False, spec=spec)
             fresh = _AppProcess(*args, **config)
             per_round = [name for name in self.fields(fresh) if name not in self.KEPT]
             dirty.update(
@@ -366,11 +362,15 @@ class TestNextHopMemo:
     hop must still reach the very next envelope."""
 
     @staticmethod
-    def hosted(stack, **kwargs):
-        """A started harness with a transport on every alive node."""
+    def hosted(stack, delivered, dropped, **kwargs):
+        """A started harness with a recording transport on every alive
+        node, logging into ``delivered`` and ``dropped``."""
         sim, _medium, host = stack.make_harness()
         for nid in stack.network.alive_ids():
-            host.add(nid, TransportProcess(stack.topology, stack.binding, **kwargs))
+            host.add(
+                nid,
+                RecordingTransport(delivered, dropped, stack.topology, stack.binding, **kwargs),
+            )
         host.start()
         return sim, host
 
@@ -378,13 +378,15 @@ class TestNextHopMemo:
     def test_killed_hop_drops_and_revived_hop_forwards(self, reliable):
         net = make_deployment(side=4, seed=9)
         stack = deploy(net)
-        delivered, dropped = [], []
-        sim, host = self.hosted(
-            stack,
-            on_deliver=lambda p, env: delivered.append(env.inner),
-            on_drop=lambda p, env, reason: dropped.append((p.node_id, env.inner, reason)),
-            reliable=reliable,
-        )
+        delivered_log, dropped_log = [], []
+        sim, host = self.hosted(stack, delivered_log, dropped_log, reliable=reliable)
+
+        def delivered():
+            return [env.inner for _, env in delivered_log]
+
+        def dropped():
+            return [(nid, env.inner, reason) for nid, env, reason in dropped_log]
+
         dst = (3, 0)
         path = trace_route(stack.topology, stack.binding, (0, 0), dst)
         origin, hop = host.get(path[0]), path[1]
@@ -396,15 +398,15 @@ class TestNextHopMemo:
 
         send("first")
         send("memoized")
-        assert delivered == ["first", "memoized"]
+        assert delivered() == ["first", "memoized"]
         assert host.get(hop).forwarded == 2
         net.node(hop).kill()
         send("killed")
-        assert dropped == [(origin.node_id, "killed", f"next hop {hop} dead")]
+        assert dropped() == [(origin.node_id, "killed", f"next hop {hop} dead")]
         assert (origin.forwarded, origin.drops) == (2, 1)
         net.node(hop).revive()
         send("revived")
-        assert delivered == ["first", "memoized", "revived"]
+        assert delivered() == ["first", "memoized", "revived"]
         assert (origin.forwarded, origin.drops) == (3, 1)
         assert host.get(hop).forwarded == 3
 
@@ -416,19 +418,16 @@ class TestNextHopMemo:
         flood changes the pointers of relays that memoized the old ones."""
         net = make_deployment(side=4, n_random=500, seed=5, range_cells=0.5)
         stack = deploy(net)
-        delivered, dropped = [], []
-        sim, host = self.hosted(
-            stack,
-            on_deliver=lambda p, env: delivered.append((p.node_id, env.hops)),
-            on_drop=lambda p, env, reason: dropped.append(reason),
-        )
+        delivered_log, dropped_log = [], []
+        sim, host = self.hosted(stack, delivered_log, dropped_log)
         src, dst = (0, 0), (0, 3)
         old = stack.binding.leader_of(dst)
         net.node(old).kill()
         origin = host.get(stack.binding.leader_of(src))
         origin.originate(dst, "before")
         sim.run_until_quiet()
-        assert dropped == [f"next hop {old} dead"] and not delivered
+        assert [reason for _, _, reason in dropped_log] == [f"next hop {old} dead"]
+        assert not delivered_log
         spec = VirtualArchitecture(4).synthesize(CountAggregation(lambda c: True))
         stack.run_application(spec, healing=HealingConfig())
         new = stack.binding.leader_of(dst)
@@ -436,4 +435,4 @@ class TestNextHopMemo:
         origin.originate(dst, "after")
         sim.run_until_quiet()
         path = trace_route(stack.topology, stack.binding, src, dst)
-        assert delivered == [(new, len(path) - 1)]
+        assert [(nid, env.hops) for nid, env in delivered_log] == [(new, len(path) - 1)]

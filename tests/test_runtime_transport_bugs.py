@@ -5,19 +5,20 @@
 2. Retransmission re-sent the *same mutable* envelope object after
    downstream hops had already incremented ``hops`` — the retransmitted
    copy must carry the hop count as of its first transmission.
-3. A non-positive ``backoff_max`` was accepted; the first reliable
-   forward then failed mid-run in ``Simulator.schedule_timer``.
+3. The retry delay must stop growing at ``BACKOFF_MAX`` however many
+   attempts a hop has made.
 """
 
 from __future__ import annotations
-
-import re
 
 import pytest
 
 from repro.runtime import deploy
 from repro.runtime.routing import (
     ACK_KIND,
+    BACKOFF_JITTER,
+    BACKOFF_MAX,
+    DEDUP_WINDOW,
     TRANSPORT_KIND,
     TransportProcess,
     trace_route,
@@ -25,75 +26,69 @@ from repro.runtime.routing import (
 from repro.simulator.engine import Simulator
 from repro.simulator.network import WirelessMedium
 from repro.simulator.process import ProcessHost
+from repro.simulator.trace import stable_unit
 
-from conftest import make_deployment
+from conftest import RecordingTransport, make_deployment
 
 
-def make_transport(**kwargs) -> TransportProcess:
-    """A detached TransportProcess (dedup logic needs no network)."""
-    return TransportProcess(topology=None, binding=None, **kwargs)
+def seen(states, window, key, seq) -> bool:
+    """The dedup window's answer for ``seq`` without marking it (asked of
+    a copy of the window states)."""
+    copy = {k: list(v) for k, v in states.items()}
+    return TransportProcess._window_hit(copy, window, key, seq)
+
+
+def mark(states, window, key, seq) -> None:
+    TransportProcess._window_hit(states, window, key, seq)
 
 
 class TestDedupWindow:
     def test_in_order_duplicates_suppressed(self):
-        tp = make_transport(reliable=True)
+        states = {}
         for seq in range(100):
-            assert not tp._uid_seen(7, seq)
-            tp._uid_mark(7, seq)
-            assert tp._uid_seen(7, seq)
+            assert not seen(states, DEDUP_WINDOW, 7, seq)
+            mark(states, DEDUP_WINDOW, 7, seq)
+            assert seen(states, DEDUP_WINDOW, 7, seq)
 
     def test_memory_bounded_per_origin(self):
-        tp = make_transport(reliable=True, dedup_window=64)
+        states = {}
         for seq in range(10_000):
-            tp._uid_mark(3, seq)
+            mark(states, 64, 3, seq)
         # the seed kept one set entry per uid ever seen (10k here); the
         # window keeps a high-water mark and a mask of at most 64 bits
-        top, mask = tp._seen[3]
+        top, mask = states[3]
         assert mask.bit_length() <= 64
         assert top == 9_999
 
     def test_new_uid_within_window_not_suppressed(self):
-        tp = make_transport(reliable=True, dedup_window=16)
+        states = {}
         # arrivals out of order: 5 arrives before 3
-        tp._uid_mark(1, 5)
-        assert not tp._uid_seen(1, 3)  # new uid, just displaced
-        tp._uid_mark(1, 3)
-        assert tp._uid_seen(1, 3)
-        assert not tp._uid_seen(1, 4)  # the gap is still new
+        mark(states, 16, 1, 5)
+        assert not seen(states, 16, 1, 3)  # new uid, just displaced
+        mark(states, 16, 1, 3)
+        assert seen(states, 16, 1, 3)
+        assert not seen(states, 16, 1, 4)  # the gap is still new
 
     def test_uids_older_than_window_assumed_seen(self):
-        tp = make_transport(reliable=True, dedup_window=8)
-        tp._uid_mark(1, 100)
-        assert tp._uid_seen(1, 92)   # <= high - window: treated as seen
-        assert not tp._uid_seen(1, 93)  # inside the window: still new
+        states = {}
+        mark(states, 8, 1, 100)
+        assert seen(states, 8, 1, 92)   # <= high - window: treated as seen
+        assert not seen(states, 8, 1, 93)  # inside the window: still new
 
     def test_origins_independent(self):
-        tp = make_transport(reliable=True)
-        tp._uid_mark(1, 50)
-        assert not tp._uid_seen(2, 50)
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            make_transport(reliable=True, dedup_window=0)
+        states = {}
+        mark(states, DEDUP_WINDOW, 1, 50)
+        assert not seen(states, DEDUP_WINDOW, 2, 50)
 
 
 class TestBackoffMaxValidation:
-    """The retry-delay cap is checked like ``ack_timeout``: at construction
-    and at every re-arm, not by a timer failing mid-run."""
-
-    @pytest.mark.parametrize("cap", [-1.0, 0.0, 0])
-    def test_non_positive_cap_rejected_at_construction(self, cap):
-        with pytest.raises(ValueError, match=re.escape(f"backoff_max must be > 0, got {cap}")):
-            make_transport(reliable=True, backoff_max=cap)
-
-    def test_non_positive_cap_rejected_at_rearm(self):
-        tp = make_transport(reliable=True, backoff_max=2.0)
-        with pytest.raises(ValueError, match=re.escape("backoff_max must be > 0, got -1.0")):
-            tp.arm(None, None, reliable=True, backoff_max=-1.0)
+    """``BACKOFF_MAX`` caps the retry delay before the jitter stretches it."""
 
     def test_positive_cap_caps_the_retry_delay(self):
-        tp = make_transport(reliable=True, backoff_max=5.0, backoff_jitter=0.0)
-        assert tp._retry_delay((1, 0), 10) == 5.0
+        tp = TransportProcess(topology=None, binding=None, reliable=True)
+        tp.node_id = 1
+        jitter = stable_unit(1, 1, 0, 10)  # (node, origin, seq, attempt)
+        assert tp._retry_delay((1, 0), 10) == BACKOFF_MAX * (1.0 + BACKOFF_JITTER * jitter)
 
 
 class TestDedupWindowBoundary:
@@ -101,44 +96,44 @@ class TestDedupWindowBoundary:
 
     def test_seq_exactly_at_high_minus_window_assumed_seen(self):
         window = 32
-        tp = make_transport(reliable=True, dedup_window=window)
+        states = {}
         high = 1_000
-        tp._uid_mark(9, high)
+        mark(states, window, 9, high)
         # the closed boundary: high - window is the *first* assumed-seen seq
-        assert tp._uid_seen(9, high - window)
-        assert not tp._uid_seen(9, high - window + 1)
+        assert seen(states, window, 9, high - window)
+        assert not seen(states, window, 9, high - window + 1)
         # marking the first in-window seq flips only that seq
-        tp._uid_mark(9, high - window + 1)
-        assert tp._uid_seen(9, high - window + 1)
-        assert not tp._uid_seen(9, high - window + 2)
+        mark(states, window, 9, high - window + 1)
+        assert seen(states, window, 9, high - window + 1)
+        assert not seen(states, window, 9, high - window + 2)
 
     def test_boundary_shifts_as_high_water_advances(self):
-        tp = make_transport(reliable=True, dedup_window=4)
-        tp._uid_mark(2, 10)
-        assert not tp._uid_seen(2, 7)
-        tp._uid_mark(2, 11)  # floor moves from 6 to 7
-        assert tp._uid_seen(2, 7)
-        assert not tp._uid_seen(2, 8)
+        states = {}
+        mark(states, 4, 2, 10)
+        assert not seen(states, 4, 2, 7)
+        mark(states, 4, 2, 11)  # floor moves from 6 to 7
+        assert seen(states, 4, 2, 7)
+        assert not seen(states, 4, 2, 8)
 
     def test_evicted_seq_stays_suppressed_via_floor(self):
         """A seq marked inside the window must remain suppressed after
         eviction — the floor rule has to take over from the recent set."""
         window = 8
-        tp = make_transport(reliable=True, dedup_window=window)
-        tp._uid_mark(5, 0)
-        assert tp._uid_seen(5, 0)
-        tp._uid_mark(5, window + 1)  # shifts 0 out of the mask
-        assert tp._seen[5] == [window + 1, 1]
-        assert tp._uid_seen(5, 0)
+        states = {}
+        mark(states, window, 5, 0)
+        assert seen(states, window, 5, 0)
+        mark(states, window, 5, window + 1)  # shifts 0 out of the mask
+        assert states[5] == [window + 1, 1]
+        assert seen(states, window, 5, 0)
 
     def test_long_churn_run_keeps_per_origin_state_bounded(self):
-        """Mirror the on_packet flow (mark only unseen seqs) over a long
-        out-of-order stream with duplicates: acceptance is exactly-once
-        per seq and the recent set never outgrows the window."""
+        """Mirror the on_packet flow (one check-and-mark per arrival) over
+        a long out-of-order stream with duplicates: acceptance is
+        exactly-once per seq and the mask never outgrows the window."""
         import numpy as np
 
         window = 64
-        tp = make_transport(reliable=True, dedup_window=window)
+        states = {}
         rng = np.random.default_rng(17)
         for origin in (1, 2):
             # every seq twice, displaced by < window/2 positions: a
@@ -148,17 +143,16 @@ class TestDedupWindowBoundary:
             accepted = set()
             for idx in np.argsort(keys, kind="stable"):
                 seq = stream[int(idx)]
-                if not tp._uid_seen(origin, seq):
-                    tp._uid_mark(origin, seq)
+                if not TransportProcess._window_hit(states, window, origin, seq):
                     accepted.add(seq)
-                assert tp._seen[origin][1].bit_length() <= window, (
+                assert states[origin][1].bit_length() <= window, (
                     f"mask exceeded the dedup window at seq {seq}"
                 )
             # reordering stays inside the window, so acceptance is
             # *exactly* once per seq — no duplicates, no false positives
             assert accepted == set(range(5_000))
-        assert set(tp._seen) == {1, 2}
-        assert tp._seen[1][0] == tp._seen[2][0] == 4_999
+        assert set(states) == {1, 2}
+        assert states[1][0] == states[2][0] == 4_999
 
 
 class AckDroppingMedium(WirelessMedium):
@@ -190,16 +184,12 @@ class TestRetransmissionHopAccounting:
         sim = Simulator()
         medium = AckDroppingMedium(sim, net, n_drops=n_ack_drops)
         host = ProcessHost(sim, medium)
-        delivered = []
+        log = []
         for nid in net.alive_ids():
             host.add(
                 nid,
-                TransportProcess(
-                    stack.topology,
-                    stack.binding,
-                    on_deliver=lambda proc, env: delivered.append(env),
-                    reliable=True,
-                    max_retries=8,
+                RecordingTransport(
+                    log, [], stack.topology, stack.binding, reliable=True, max_retries=8
                 ),
             )
         src_cell, dst_cell = (0, 0), (3, 3)
@@ -207,7 +197,7 @@ class TestRetransmissionHopAccounting:
         host.start()
         sim.schedule(0.0, host.get(origin).originate, dst_cell, "payload")
         sim.run_until_quiet()
-        return medium, host, delivered
+        return medium, host, [env for _, env in log]
 
     def test_retransmitted_envelope_hops_not_inflated(self, stack4):
         """The wire-level regression: every retransmission of (src, uid, dst)

@@ -43,11 +43,12 @@ except ImportError:  # pragma: no cover - baked into the test image
 
 from repro.core import CountAggregation, VirtualArchitecture
 from repro.core.program import Message
-from repro.runtime import deploy, run_deployed_query, wire
+from repro.runtime import deploy, wire
 from repro.runtime.routing import TRANSPORT_KIND, TransportEnvelope, TransportProcess
+from repro.serve import QueryEngine, ServeConfig
 from repro.simulator import ProcessHost, Simulator, WirelessMedium
 
-from conftest import make_deployment
+from conftest import RecordingTransport, make_deployment
 
 VECTORS_PATH = os.path.join(os.path.dirname(__file__), "data", "wire_vectors.json")
 
@@ -516,19 +517,21 @@ class TestDifferentialConformance:
         storage = {(0, 0): 3, (3, 3): 4, (0, 3): 5}
         outcomes = []
         for wire_format in (False, True):
-            res = run_deployed_query(
+            engine = QueryEngine(
                 stack,
                 storage,
-                query_cell=(1, 1),
-                reduce_fn=sum,
-                loss_rate=0.1,
-                rng=np.random.default_rng(13),
-                reliable=True,
-                wire_format=wire_format,
+                ServeConfig(
+                    loss_rate=0.1,
+                    rng=np.random.default_rng(13),
+                    reliable=True,
+                    wire_format=wire_format,
+                    cache=False,
+                ),
             )
+            res = engine.query((1, 1), reduce_fn=sum)
             outcomes.append(
-                (res.value, res.responses, res.latency, res.energy,
-                 res.transmissions, res.drops)
+                (res.value, res.responses, engine.sim.now, engine.medium.ledger.total,
+                 engine.medium.stats.transmissions, engine.stats.drops)
             )
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == 12
@@ -728,14 +731,15 @@ class TestPassThroughForwarding:
         sim = Simulator()
         medium = WirelessMedium(sim, net, loss_rate=0.4, rng=np.random.default_rng(2))
         host = ProcessHost(sim, medium)
-        dropped = []
+        log = []
         for nid in net.alive_ids():
             host.add(
                 nid,
-                TransportProcess(
+                RecordingTransport(
+                    [],
+                    log,
                     stack.topology,
                     stack.binding,
-                    on_drop=lambda p, env, reason: dropped.append((p.node_id, env)),
                     reliable=True,
                     max_retries=0,
                     wire_format=True,
@@ -749,6 +753,7 @@ class TestPassThroughForwarding:
             origins[f"msg-{i}"] = origin
             sim.schedule(0.1 * i, host.get(origin).originate, cells[-1 - i], f"msg-{i}")
         sim.run_until_quiet()
+        dropped = [(nid, env) for nid, env, _ in log]
         assert dropped
         assert all(env.inner in origins for _, env in dropped)
         assert any(nid != origins[env.inner] for nid, env in dropped), "no relay dropped"

@@ -7,7 +7,6 @@ import pytest
 
 from repro.core import CountAggregation, VirtualArchitecture
 from repro.runtime import FaultEvent, FaultPlan, deploy
-from repro.runtime.query import run_deployed_query
 from repro.serve import (
     Arrival,
     QueryEngine,
@@ -133,16 +132,6 @@ class TestPersistentEngine:
         again = engine.query((3, 3), reduce_fn=sum)
         assert again.cache_hits == 0
         assert engine.stats.cache_hits == 0
-
-    def test_wrapper_agrees_with_engine(self, served_stack):
-        _, stack, storage = served_stack
-        wrapped = run_deployed_query(stack, storage, (2, 2), reduce_fn=sum)
-        engine = QueryEngine(stack, storage, ServeConfig(cache=False))
-        direct = engine.query((2, 2), reduce_fn=sum)
-        assert wrapped.value == direct.value
-        assert wrapped.responses == direct.responses
-        assert wrapped.complete == direct.complete
-        assert wrapped.complete and not wrapped.missing_cells
 
     def test_unknown_query_cell_raises(self, served_stack):
         _, stack, storage = served_stack

@@ -94,17 +94,9 @@ class TestBoundaryValidation:
         with raises_exact("tenant max_staleness must be >= 0, got -1"):
             TenantPolicy(max_staleness=-1)
 
-    def test_config_rejects_nonpositive_ack_timeout(self):
-        with raises_exact("ack_timeout must be > 0, got 0.0"):
-            ServeConfig(ack_timeout=0.0)
-
     def test_config_rejects_nonpositive_deadline(self):
         with raises_exact("deadline must be > 0, got -2.0"):
             ServeConfig(deadline=-2.0)
-
-    def test_config_rejects_retry_factor_below_one(self):
-        with raises_exact("retry_factor must be >= 1.0, got 0.5"):
-            ServeConfig(retry_factor=0.5)
 
     def test_config_rejects_staleness_without_cache(self):
         with raises_exact(
@@ -123,13 +115,8 @@ class TestBoundaryValidation:
 
 
 class TestTransportValidation:
-    """The transport and ``run_application`` refuse the ARQ settings
-    ``ServeConfig`` refuses, with the same messages."""
-
-    def test_process_rejects_nonpositive_ack_timeout(self, served_stack):
-        stack, _ = served_stack
-        with raises_exact("ack_timeout must be > 0, got 0.0"):
-            TransportProcess(stack.topology, stack.binding, ack_timeout=0.0)
+    """The transport and ``run_application`` refuse a negative retry
+    budget with the same message."""
 
     def test_process_rejects_negative_max_retries(self, served_stack):
         stack, _ = served_stack
@@ -138,12 +125,8 @@ class TestTransportValidation:
 
     @pytest.mark.parametrize(
         "kwargs, message",
-        [
-            ({"ack_timeout": 0}, "ack_timeout must be > 0, got 0"),
-            ({"ack_timeout": -4.0}, "ack_timeout must be > 0, got -4.0"),
-            ({"max_retries": -1}, "max_retries must be >= 0, got -1"),
-        ],
-        ids=["zero-timeout", "negative-timeout", "negative-retries"],
+        [({"max_retries": -1}, "max_retries must be >= 0, got -1")],
+        ids=["negative-retries"],
     )
     def test_run_application_rejects(self, served_stack, kwargs, message):
         stack, _ = served_stack
@@ -156,10 +139,8 @@ class TestTransportValidation:
 
     def test_boundary_values_accepted(self, served_stack):
         stack, _ = served_stack
-        proc = TransportProcess(
-            stack.topology, stack.binding, max_retries=0, ack_timeout=1e-9
-        )
-        assert proc.max_retries == 0 and proc.ack_timeout == 1e-9
+        proc = TransportProcess(stack.topology, stack.binding, max_retries=0)
+        assert proc.max_retries == 0
 
 
 class TestOverloadControl:

@@ -269,6 +269,24 @@ class TestRunUntilClock:
         assert sim.run(until=10.0, max_events=5) == 10.0
         assert sim.events_processed == 3
 
+    def test_budget_spent_with_nothing_left_due_still_reaches_until(self):
+        """Firing exactly the budget does not make a budget stop: with no
+        live event due by ``until`` left, the clock owes ``until``."""
+        sim = Simulator()
+        for t in (1.0, 2.0):
+            sim.schedule(t, lambda: None)
+        assert sim.run(until=5.0, max_events=2) == 5.0
+        # neither an event past `until` nor a cancelled timer before it
+        # is a live event due by `until`
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(9.0, lambda: None)
+        armed = {"t": 1}
+        sim.schedule_timer(2.0, armed, "t", 1, lambda tag: None, "t")
+        del armed["t"]  # cancelled: the queued entry is now stale
+        sim.discount_cancelled()
+        assert sim.run(until=8.0, max_events=1) == 8.0
+        assert (sim.pending, sim.events_processed) == (1, 3)
+
 
 class TestScheduleWithArgs:
     def test_args_passed_positionally(self):
