@@ -11,7 +11,6 @@ paper's NW leader policy and the centre-policy ablation.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.apps import feature_matrix_aggregation, random_feature_matrix
 from repro.core import (

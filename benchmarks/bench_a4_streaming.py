@@ -12,7 +12,6 @@ in time.
 
 from __future__ import annotations
 
-import pytest
 
 from repro.core import (
     CountAggregation,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import HierarchicalGroups, OrientedGrid, UniformCostModel
+from repro.core import HierarchicalGroups, OrientedGrid
 from repro.core.analysis import group_communication_cost_table
 from repro.core.primitives import PrimitiveEnvironment
 

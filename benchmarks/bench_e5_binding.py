@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.runtime import bind_processes, oracle_binding, residual_energy_metric
+from repro.runtime import bind_processes, residual_energy_metric
 
 from paper_helpers import make_deployment, print_table
 

@@ -13,7 +13,6 @@ import pytest
 from repro.core import (
     CenterLeaderPolicy,
     CountAggregation,
-    NorthWestLeaderPolicy,
     RandomLeaderPolicy,
     VirtualArchitecture,
 )

@@ -7,7 +7,6 @@ reports the cost of each stage.
 
 from __future__ import annotations
 
-import pytest
 
 from repro.apps import GaussianBlobField, TopographicQueryApp
 from repro.core import (

@@ -7,7 +7,6 @@ physical stack — the two backends running the *same* program objects.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.apps import feature_matrix_aggregation, random_feature_matrix

@@ -16,7 +16,6 @@ test's ``from conftest import ...`` could resolve to the wrong file.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.deployment import (
     CellGrid,

@@ -17,7 +17,6 @@ from repro.apps import (
     GaussianBlobField,
     GradientField,
     compare_designs,
-    run_centralized,
 )
 from repro.core.analysis import estimate_centralized, estimate_quadtree
 

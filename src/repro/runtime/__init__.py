@@ -25,7 +25,6 @@ from .faults import (
     FaultReport,
     HealingConfig,
     plan_chaos,
-    plan_leader_storm,
 )
 from .maintenance import (
     RecoveryReport,
@@ -35,7 +34,6 @@ from .maintenance import (
     rotate_leaders,
 )
 from .routing import (
-    CorruptedFrame,
     TransportEnvelope,
     TransportProcess,
     next_direction,
@@ -64,7 +62,6 @@ from .wire import (
 __all__ = [
     "Binding",
     "BindingResult",
-    "CorruptedFrame",
     "DeployedRunResult",
     "DeployedStack",
     "EmulatedTopology",
@@ -102,7 +99,6 @@ __all__ = [
     "oracle_binding",
     "oracle_reachable_directions",
     "plan_chaos",
-    "plan_leader_storm",
     "recover",
     "residual_energy_metric",
     "rotate_leaders",

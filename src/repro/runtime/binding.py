@@ -26,20 +26,22 @@ if the role of leader is to be periodically rotated"* — pass a custom
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from ..core.coords import GridCoord
 from ..core.cost_model import CostModel
 from ..deployment.topology import RealNetwork
-from ..simulator.engine import Simulator
-from ..simulator.network import Packet, WirelessMedium
-from ..simulator.process import Process, ProcessHost
+from ..simulator.network import Packet
+from ..simulator.process import Process
+from .topology_emulation import _run_setup
 
 #: Packet kind used by the election.
 ELECT_KIND = "elect"
+
+#: Data units of one election message.
+ELECT_SIZE_UNITS = 1.0
 
 #: ``metric(network, node_id) -> float``; smaller wins.
 Metric = Callable[[RealNetwork, int], float]
@@ -62,11 +64,9 @@ def residual_energy_metric(network: RealNetwork, node_id: int) -> float:
 class LeaderElectionProcess(Process):
     """Per-node min-flood election logic."""
 
-    def __init__(self, metric: Metric = distance_to_center_metric,
-                 msg_size_units: float = 1.0):
+    def __init__(self, metric: Metric = distance_to_center_metric):
         super().__init__()
         self.metric = metric
-        self.msg_size_units = msg_size_units
         self.cell: GridCoord = (-1, -1)
         self.my_value: Tuple[float, int] = (float("inf"), -1)
         self.best: Tuple[float, int] = (float("inf"), -1)
@@ -79,7 +79,7 @@ class LeaderElectionProcess(Process):
         self.my_value = (self.metric(net, self.node_id), self.node_id)
         self.best = self.my_value
         self.leader = True
-        self.broadcast(ELECT_KIND, (self.cell, self.best), self.msg_size_units)
+        self.broadcast(ELECT_KIND, (self.cell, self.best), ELECT_SIZE_UNITS)
 
     def on_packet(self, packet: Packet) -> None:
         if packet.kind != ELECT_KIND:
@@ -91,7 +91,7 @@ class LeaderElectionProcess(Process):
             self.best = value
             self.leader = False
             self.toward_leader = packet.src
-            self.broadcast(ELECT_KIND, (self.cell, self.best), self.msg_size_units)
+            self.broadcast(ELECT_KIND, (self.cell, self.best), ELECT_SIZE_UNITS)
 
 
 @dataclass
@@ -110,12 +110,20 @@ class Binding:
         The criterion the leaders were elected by; a healing failover
         picks the ``(metric, id)``-argmin of the surviving members, the
         node a fresh election would pick.
+    values:
+        ``node id -> metric value`` as each member computed it when the
+        election booted: the values the flood compared, which
+        :meth:`verify` checks the leaders against.  A metric may read
+        state the flood itself changes (residual energy drains with every
+        election message), so re-evaluating it afterwards would not
+        reproduce them.
     """
 
     network: RealNetwork
     leaders: Dict[GridCoord, int]
     toward_leader: Dict[int, Optional[int]]
     metric: Metric = distance_to_center_metric
+    values: Dict[int, float] = field(default_factory=dict, repr=False)
     # (liveness generation, leader) at the last gradient repair, per cell;
     # throttles on-demand repairs so each churn event rebuilds a cell's
     # gradient at most once
@@ -195,11 +203,13 @@ class Binding:
                 changed = True
         return changed
 
-    def verify(self, metric: Metric = distance_to_center_metric) -> List[str]:
+    def verify(self) -> List[str]:
         """Check against the centralized oracle: exactly one leader per
-        covered cell, and it is the (metric, id)-argmin of the cell."""
+        covered cell, and it is the ``(value, id)``-argmin of the cell's
+        members under the :attr:`values` the election compared (a member
+        that took no part in it ranks last)."""
         problems: List[str] = []
-        oracle = oracle_binding(self.network, metric)
+        values = self.values
         for cell in self.network.cells.cells():
             members = self.network.members_of_cell(cell)
             if not members:
@@ -209,10 +219,10 @@ class Binding:
             if cell not in self.leaders:
                 problems.append(f"cell {cell}: no leader elected")
                 continue
-            if self.leaders[cell] != oracle[cell]:
+            best = min(members, key=lambda m: (values.get(m, math.inf), m))
+            if self.leaders[cell] != best:
                 problems.append(
-                    f"cell {cell}: elected {self.leaders[cell]}, "
-                    f"oracle says {oracle[cell]}"
+                    f"cell {cell}: elected {self.leaders[cell]}, oracle says {best}"
                 )
         return problems
 
@@ -248,30 +258,18 @@ def bind_processes(
     network: RealNetwork,
     metric: Metric = distance_to_center_metric,
     cost_model: Optional[CostModel] = None,
-    loss_rate: float = 0.0,
-    rng: "np.random.Generator | int | None" = None,
-    msg_size_units: float = 1.0,
 ) -> BindingResult:
     """Run the binding protocol to convergence and collect the result."""
-    sim = Simulator()
-    medium = WirelessMedium(
-        sim, network, cost_model=cost_model, loss_rate=loss_rate, rng=rng
+    processes, setup_time, messages, energy = _run_setup(
+        network, cost_model, lambda nid: LeaderElectionProcess(metric)
     )
-    host = ProcessHost(sim, medium)
-    try:
-        host.add_all(lambda nid: LeaderElectionProcess(metric, msg_size_units))
-        host.start()
-        sim.run_until_quiet()
-    finally:
-        # break the medium -> handler -> process -> medium cycles so the
-        # world is freed without a full collection
-        host.teardown()
-
     leaders: Dict[GridCoord, int] = {}
     toward: Dict[int, Optional[int]] = {}
-    for nid, proc in host.processes.items():
+    values: Dict[int, float] = {}
+    for nid, proc in processes.items():
         assert isinstance(proc, LeaderElectionProcess)
         toward[nid] = proc.toward_leader
+        values[nid] = proc.my_value[0]
         if proc.leader:
             cell = network.cell_of(nid)
             if cell in leaders:
@@ -282,9 +280,10 @@ def bind_processes(
             leaders[cell] = nid
     return BindingResult(
         binding=Binding(
-            network=network, leaders=leaders, toward_leader=toward, metric=metric
+            network=network, leaders=leaders, toward_leader=toward,
+            metric=metric, values=values,
         ),
-        setup_time=sim.now,
-        messages=medium.stats.transmissions,
-        energy=medium.ledger.total,
+        setup_time=setup_time,
+        messages=messages,
+        energy=energy,
     )

@@ -24,27 +24,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
 from ..core.coords import ALL_DIRECTIONS, GridCoord
 from ..core.cost_model import CostModel
 from ..deployment.topology import RealNetwork
-from ..simulator.engine import Simulator
-from ..simulator.network import Packet, WirelessMedium
-from ..simulator.process import Process, ProcessHost
+from ..simulator.network import Packet
+from ..simulator.process import Process
 from .binding import Binding
+from .topology_emulation import _run_setup
 
 #: Packet kind used by the mesh construction.
 ADV_KIND = "mesh-adv"
+
+#: Data units of one head advertisement.
+ADV_SIZE_UNITS = 1.0
 
 
 class _MeshProcess(Process):
     """Per-node advertisement flooding / forwarding logic."""
 
-    def __init__(self, binding: Binding, adv_size_units: float = 1.0):
+    def __init__(self, binding: Binding):
         super().__init__()
         self.binding = binding
-        self.adv_size_units = adv_size_units
         self.seen: Set[GridCoord] = set()  # origin cells already relayed
         self.routes: Dict[GridCoord, List[int]] = {}  # at heads only
 
@@ -55,9 +55,7 @@ class _MeshProcess(Process):
     def on_start(self) -> None:
         if self.binding.is_leader(self.node_id):
             self.seen.add(self.my_cell)
-            self.broadcast(
-                ADV_KIND, (self.my_cell, [self.node_id]), self.adv_size_units
-            )
+            self.broadcast(ADV_KIND, (self.my_cell, [self.node_id]), ADV_SIZE_UNITS)
 
     def on_packet(self, packet: Packet) -> None:
         if packet.kind != ADV_KIND:
@@ -70,7 +68,7 @@ class _MeshProcess(Process):
                 return
             self.seen.add(origin_cell)
             self.broadcast(
-                ADV_KIND, (origin_cell, path + [self.node_id]), self.adv_size_units
+                ADV_KIND, (origin_cell, path + [self.node_id]), ADV_SIZE_UNITS
             )
             return
         # one cell beyond the origin: deliver toward our head, then stop
@@ -86,7 +84,7 @@ class _MeshProcess(Process):
             return
         nxt = self.binding.toward_leader.get(self.node_id)
         if nxt is not None and nxt not in path:
-            self.unicast(nxt, ADV_KIND, (origin_cell, new_path), self.adv_size_units)
+            self.unicast(nxt, ADV_KIND, (origin_cell, new_path), ADV_SIZE_UNITS)
 
 
 def _cells_adjacent(a: GridCoord, b: GridCoord) -> bool:
@@ -163,26 +161,13 @@ def build_leader_mesh(
     network: RealNetwork,
     binding: Binding,
     cost_model: Optional[CostModel] = None,
-    loss_rate: float = 0.0,
-    rng: "np.random.Generator | int | None" = None,
 ) -> MeshResult:
     """Run the mesh-construction protocol to convergence."""
-    sim = Simulator()
-    medium = WirelessMedium(
-        sim, network, cost_model=cost_model, loss_rate=loss_rate, rng=rng
+    processes, setup_time, messages, energy = _run_setup(
+        network, cost_model, lambda nid: _MeshProcess(binding)
     )
-    host = ProcessHost(sim, medium)
-    try:
-        host.add_all(lambda nid: _MeshProcess(binding))
-        host.start()
-        sim.run_until_quiet()
-    finally:
-        # break the medium -> handler -> process -> medium cycles so the
-        # world is freed without a full collection
-        host.teardown()
-
     routes: Dict[Tuple[GridCoord, GridCoord], List[int]] = {}
-    for nid, proc in host.processes.items():
+    for nid, proc in processes.items():
         assert isinstance(proc, _MeshProcess)
         if not proc.routes:
             continue
@@ -194,7 +179,7 @@ def build_leader_mesh(
             routes[(my_cell, origin_cell)] = path
     return MeshResult(
         mesh=LeaderMesh(network=network, binding=binding, routes=routes),
-        setup_time=sim.now,
-        messages=medium.stats.transmissions,
-        energy=medium.ledger.total,
+        setup_time=setup_time,
+        messages=messages,
+        energy=energy,
     )

@@ -37,7 +37,8 @@ import numpy as np
 from ..core.coords import GridCoord
 from ..simulator.trace import stable_digest
 from .binding import Binding
-from .routing import TRANSPORT_KIND, CorruptedFrame
+from .routing import TRANSPORT_KIND
+from .wire import encode_envelope
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..deployment.topology import RealNetwork
@@ -67,8 +68,7 @@ class FaultEvent:
     * ``partition_links`` — sever every ``(a, b)`` pair in ``links``
       (symmetric) until a ``restore``;
     * ``corrupt_frame`` — mangle the next ``count`` transport frames put
-      on the air (byte flip under ``wire_format``, sentinel wrapper
-      otherwise);
+      on the air (one byte of the wire frame flipped, in either mode);
     * ``restore`` — heal all currently blocked links; if ``node`` is
       given, also revive that node.
     """
@@ -151,37 +151,6 @@ class FaultPlan:
         return cls(events=tuple(events))
 
 
-def plan_leader_storm(
-    cells: Sequence[GridCoord],
-    kills: int,
-    at: float = 0.5,
-    spacing: float = 0.05,
-    seed: int = 0,
-    corrupt_frames: int = 0,
-) -> FaultPlan:
-    """A seeded plan killing ``kills`` distinct cell leaders mid-round.
-
-    Victim cells are drawn without replacement from ``sorted(cells)`` with
-    ``np.random.default_rng(seed)``, so the plan is a pure function of its
-    arguments.  Kills land at ``at, at + spacing, ...``; optionally the
-    plan also corrupts the first ``corrupt_frames`` transport frames.
-    """
-    if kills < 1:
-        raise ValueError(f"kills must be >= 1, got {kills}")
-    ordered = sorted(set(cells))
-    if kills > len(ordered):
-        raise ValueError(f"cannot kill {kills} leaders out of {len(ordered)} cells")
-    rng = np.random.default_rng(seed)
-    victims = [ordered[i] for i in rng.choice(len(ordered), size=kills, replace=False)]
-    events = [
-        FaultEvent(time=at + i * spacing, action="kill_leader", cell=cell)
-        for i, cell in enumerate(victims)
-    ]
-    if corrupt_frames > 0:
-        events.append(FaultEvent(time=0.0, action="corrupt_frame", count=corrupt_frames))
-    return FaultPlan(events=tuple(events))
-
-
 def plan_chaos(
     cells: Sequence[GridCoord],
     links: Sequence[Tuple[int, int]] = (),
@@ -193,15 +162,16 @@ def plan_chaos(
     restore_at: Optional[float] = None,
     seed: int = 0,
 ) -> FaultPlan:
-    """A seeded mixed chaos schedule: kills + partition + corruption.
+    """A seeded fault schedule: leader kills, a partition, corruption.
 
-    The resilience-soak counterpart of :func:`plan_leader_storm`: kills
-    ``kills`` distinct cell leaders (victims drawn without replacement
-    from ``sorted(cells)`` with ``np.random.default_rng(seed)``) at
-    ``at, at + spacing, ...``; optionally severs ``links`` at
-    ``partition_at`` and heals them at ``restore_at``; optionally
-    corrupts the first ``corrupt_frames`` transport frames.  A pure
-    function of its arguments, so chaos campaigns replay byte-identically.
+    Kills ``kills`` distinct cell leaders (victims drawn without
+    replacement from ``sorted(cells)`` with
+    ``np.random.default_rng(seed)``) at ``at, at + spacing, ...``;
+    optionally severs ``links`` at ``partition_at`` and heals them at
+    ``restore_at``; optionally corrupts the first ``corrupt_frames``
+    transport frames.  A leader storm is the kills alone, usually with
+    ``spacing=0.05``.  A pure function of its arguments, so fault
+    campaigns replay byte-identically.
     """
     if kills < 0:
         raise ValueError(f"kills must be >= 0, got {kills}")
@@ -252,7 +222,10 @@ class HealingConfig:
     (:attr:`~repro.runtime.binding.Binding.metric`), i.e. exactly the node
     a fresh election would pick.  ``horizon`` bounds the heartbeat/watch
     timer re-arming so rounds still quiesce — past it the cell is assumed
-    stable.
+    stable.  It counts from the moment a round arms healing
+    (:meth:`~repro.runtime.routing.TransportProcess.arm_healing`): t = 0
+    for an application round, each admission round's start for a serving
+    engine.
     """
 
     heartbeat_interval: float = 2.0
@@ -310,9 +283,9 @@ class FaultInjector:
     starts, so they occupy deterministic positions in the event order and
     never consume medium RNG draws.  Frame corruption installs a
     ``tx_transform`` on the medium that mangles the next *n* transport
-    frames — under ``wire_format`` by flipping one byte (the CRC check in
-    the receiver rejects the frame), otherwise by wrapping the payload in
-    :class:`~repro.runtime.routing.CorruptedFrame`.
+    frames: it puts the frame on the air with one byte flipped (an
+    object-mode envelope is encoded first), so the receiver's frame
+    validation rejects it whatever ``wire_format`` says.
     """
 
     def __init__(
@@ -394,13 +367,12 @@ class FaultInjector:
             return packet
         self._corrupt_budget -= 1
         payload = packet.payload
-        if isinstance(payload, (bytes, bytearray)):
-            buf = bytearray(payload)
-            # deterministic position, varied across corruptions
-            buf[(self.report.frames_corrupted * 7) % len(buf)] ^= 0xFF
-            mangled: Any = bytes(buf)
-        else:
-            mangled = CorruptedFrame(payload)
+        buf = bytearray(
+            payload if isinstance(payload, (bytes, bytearray)) else encode_envelope(payload)
+        )
+        # deterministic position, varied across corruptions; one flipped
+        # byte always fails the magic or the CRC check
+        buf[(self.report.frames_corrupted * 7) % len(buf)] ^= 0xFF
         self.report.frames_corrupted += 1
-        return dataclasses.replace(packet, payload=mangled)
+        return dataclasses.replace(packet, payload=bytes(buf))
 

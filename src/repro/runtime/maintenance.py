@@ -18,9 +18,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..core.coords import GridCoord
-from ..core.cost_model import CostModel
 from ..deployment.topology import RealNetwork
-from .binding import Binding, Metric, distance_to_center_metric
+from .binding import Binding, residual_energy_metric
 from .stack import DeployedStack, deploy
 
 
@@ -80,18 +79,17 @@ class RecoveryReport:
 
 
 def recover(
-    network: RealNetwork,
-    previous: Optional[DeployedStack] = None,
-    cost_model: Optional[CostModel] = None,
-    metric: Metric = distance_to_center_metric,
+    network: RealNetwork, previous: Optional[DeployedStack] = None
 ) -> RecoveryReport:
     """Re-run the setup protocols after churn.
 
     If the surviving deployment still satisfies the Section 5
     preconditions, a fresh :class:`DeployedStack` is built (periodic
-    re-execution); otherwise the report carries the violated assumptions
-    and no stack — the paper's protocols have no answer once a cell is
-    emptied or split, which E8 quantifies.
+    re-execution) under ``previous``'s cost model, electing by the
+    paper's distance-to-centre criterion, and the report counts the cells
+    whose leader changed against ``previous``; otherwise the report
+    carries the violated assumptions and no stack — the paper's protocols
+    have no answer once a cell is emptied or split, which E8 quantifies.
     """
     problems = network.validate_protocol_preconditions()
     if problems:
@@ -102,7 +100,8 @@ def recover(
             setup_messages=0,
             setup_energy=0.0,
         )
-    stack = deploy(network, cost_model=cost_model, metric=metric, strict=False)
+    cost_model = previous.cost_model if previous is not None else None
+    stack = deploy(network, cost_model=cost_model, strict=False)
     reelected = 0
     if previous is not None:
         for cell, leader in stack.binding.leaders.items():
@@ -117,17 +116,7 @@ def recover(
     )
 
 
-def rotate_leaders(
-    network: RealNetwork,
-    cost_model: Optional[CostModel] = None,
-) -> DeployedStack:
+def rotate_leaders(network: RealNetwork) -> DeployedStack:
     """Re-bind with the residual-energy metric — the paper's suggestion for
     periodically rotating the leader role to balance drain."""
-    from .binding import residual_energy_metric
-
-    return deploy(
-        network,
-        cost_model=cost_model,
-        metric=residual_energy_metric,
-        strict=False,
-    )
+    return deploy(network, metric=residual_energy_metric, strict=False)

@@ -91,25 +91,6 @@ _HB_TIMER = "hb"
 _WATCH_TIMER = "hb-watch"
 
 
-class CorruptedFrame:
-    """A transport frame mangled in flight (object-passing mode).
-
-    The fault injector wraps a packet payload in this sentinel when the
-    medium carries Python objects instead of wire bytes, so corruption
-    behaves identically with ``wire_format`` on (byte flip, CRC rejects)
-    and off (wrapper, receiver rejects): either way the receiver counts
-    the frame in :attr:`TransportProcess.rejected_frames` and drops it.
-    """
-
-    __slots__ = ("original",)
-
-    def __init__(self, original: Any):
-        self.original = original
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CorruptedFrame({self.original!r})"
-
-
 def next_direction(src_cell: GridCoord, dst_cell: GridCoord) -> Direction:
     """XY routing decision: first fix x (east/west), then y (north/south)."""
     if src_cell == dst_cell:
@@ -150,22 +131,23 @@ class TransportProcess(Process):
     wire_format:
         Encode every hop through the compact binary codec of
         :mod:`repro.runtime.wire`: envelopes (and, in reliable mode,
-        acknowledgements) travel the medium as ``bytes`` frames.  Every
-        node validates each frame it receives; relays forward it with only
-        ``hops`` and the CRC re-packed, and the delivering leader alone
-        decodes the payload.  Observable behaviour — stats, energy,
-        delivery order, fingerprints — is identical to object passing.
-        Undecodable frames (corruption, truncation) are counted in
-        :attr:`rejected_frames` and dropped; in reliable mode the upstream
-        hop never sees an acknowledgement and retransmits.  A frame whose
-        header and CRC are valid but whose payload body is not is
-        forwarded, and rejected where the payload is decoded.
+        acknowledgements) travel the medium as ``bytes`` frames.  Relays
+        forward a frame with only ``hops`` and the CRC re-packed, and the
+        delivering leader alone decodes the payload.  Observable
+        behaviour — stats, energy, delivery order, fingerprints — is
+        identical to object passing.  Whatever this flag says, every node
+        validates each ``bytes`` payload it receives (frame corruption
+        puts bytes on the air in either mode): undecodable frames are
+        counted in :attr:`rejected_frames` and dropped; in reliable mode
+        the upstream hop never sees an acknowledgement and retransmits.
+        A frame whose header and CRC are valid but whose payload body is
+        not is forwarded, and rejected where the payload is decoded.
     healing:
         A :class:`~repro.runtime.faults.HealingConfig` enables the
         self-healing machinery (heartbeats, failover, route repair,
-        retransmission redirection).  ``None`` (default) keeps the
-        engine's behaviour byte-identical to the pre-fault-model code on
-        fault-free runs.
+        retransmission redirection), armed by :meth:`arm_healing`.
+        ``None`` (default) keeps the engine's behaviour byte-identical to
+        the pre-fault-model code on fault-free runs.
     fault_report:
         Shared :class:`~repro.runtime.faults.FaultReport` receiving the
         observability counters (detections, failovers, reroutes,
@@ -181,7 +163,7 @@ class TransportProcess(Process):
         "healing", "fault_report", "drops", "forwarded", "retransmissions",
         "duplicates_suppressed", "rejected_frames", "_seq", "_pending",
         "_seen", "_delivered", "_next_hops", "_next_hops_stamp", "_last_hb",
-        "_takeover_seen", "_backoff_states",
+        "_healing_until", "_takeover_seen", "_backoff_states",
     )
 
     #: Count of rewrites of a binding or routing table by healing
@@ -252,8 +234,9 @@ class TransportProcess(Process):
         # the network and the shared routes are as stamped (see _route)
         self._next_hops: Dict[GridCoord, int] = {}
         self._next_hops_stamp = -1
-        # healing state
+        # healing state; the horizon is set when healing is armed
         self._last_hb = 0.0
+        self._healing_until = 0.0
         self._takeover_seen: Set[Tuple[GridCoord, int]] = set()
 
     # -- API used by the application layer ---------------------------------------
@@ -289,11 +272,28 @@ class TransportProcess(Process):
 
     def on_start(self) -> None:
         if self.healing is not None:
-            self._last_hb = self.now
-            if self.binding.is_leader(self.node_id):
-                self.set_timer(self.healing.heartbeat_interval, _HB_TIMER)
-            else:
-                self.set_timer(self._watch_window(), _WATCH_TIMER)
+            self.arm_healing()
+
+    def arm_healing(self) -> None:
+        """Start a healing round now: the heartbeat and watch timers re-arm
+        until ``now + healing.horizon``, and a live leader arms its
+        heartbeat timer, a live member its watch timer.
+
+        :meth:`on_start` calls it, so an application round heals from
+        t = 0; a persistent serving engine calls it on every process at
+        the start of each admission round instead.
+        """
+        h = self.healing
+        assert h is not None
+        now = self.now
+        self._healing_until = now + h.horizon
+        if not self.alive:
+            return
+        self._last_hb = now
+        if self.binding.is_leader(self.node_id):
+            self.set_timer(h.heartbeat_interval, _HB_TIMER)
+        else:
+            self.set_timer(self._watch_window(), _WATCH_TIMER)
 
     def on_become_leader(self) -> None:
         """Hook: this node just took over as its cell's leader (failover).
@@ -342,17 +342,14 @@ class TransportProcess(Process):
 
     def on_packet(self, packet: Packet) -> None:
         """Dispatch one arrival by kind: envelopes (the hot path) first,
-        then acknowledgements, then the healing floods.  A payload mangled
-        in flight (:class:`CorruptedFrame`) is rejected whatever its kind.
+        then acknowledgements, then the healing floods.  A ``bytes``
+        payload is a wire frame and is validated whatever ``wire_format``
+        says.
         """
         kind = packet.kind
         if kind == TRANSPORT_KIND:
             envelope: TransportEnvelope = packet.payload
-            if isinstance(envelope, CorruptedFrame):
-                # object-passing analogue of an undecodable wire frame
-                self._reject_frame()
-                return
-            if self.wire_format and isinstance(envelope, (bytes, bytearray, memoryview)):
+            if isinstance(envelope, (bytes, bytearray, memoryview)):
                 try:
                     # the payload stays encoded: a relay forwards the frame
                     # and only the delivering leader decodes it
@@ -381,10 +378,7 @@ class TransportProcess(Process):
             self._route(envelope)
         elif kind == ACK_KIND:
             uid = packet.payload
-            if isinstance(uid, CorruptedFrame):
-                self._reject_frame()
-                return
-            if self.wire_format and isinstance(uid, (bytes, bytearray, memoryview)):
+            if isinstance(uid, (bytes, bytearray, memoryview)):
                 try:
                     uid = decode_ack(uid)
                 except WireDecodeError:
@@ -392,8 +386,6 @@ class TransportProcess(Process):
                     return
             self._pending.pop(uid, None)
             self.cancel_timer(uid)
-        elif isinstance(packet.payload, CorruptedFrame):
-            self._reject_frame()
         elif kind == HEARTBEAT_KIND:
             self._on_heartbeat(packet)
         elif kind == TAKEOVER_KIND:
@@ -663,11 +655,11 @@ class TransportProcess(Process):
             # deposed mid-run (or a revived ex-leader): stop claiming the
             # role and fall back to watching the actual leader
             self._last_hb = self.now
-            if self.now < h.horizon:
+            if self.now < self._healing_until:
                 self.set_timer(self._watch_window(), _WATCH_TIMER)
             return
         self.broadcast(HEARTBEAT_KIND, (self.my_cell, self.node_id), HEARTBEAT_SIZE_UNITS)
-        if self.now < h.horizon:
+        if self.now < self._healing_until:
             self.set_timer(h.heartbeat_interval, _HB_TIMER)
 
     def _watch_tick(self) -> None:
@@ -680,7 +672,7 @@ class TransportProcess(Process):
         window = self._watch_window()
         if self.now - self._last_hb < window - 1e-9:
             # heard a heartbeat inside the window: watch out the remainder
-            if self.now < h.horizon:
+            if self.now < self._healing_until:
                 remaining = self._last_hb + window - self.now
                 self.set_timer(max(remaining, 1e-9), _WATCH_TIMER)
             return
@@ -707,7 +699,7 @@ class TransportProcess(Process):
         # not the successor (or a false alarm): restart the window and let
         # the deterministic successor act
         self._last_hb = self.now
-        if self.now < h.horizon:
+        if self.now < self._healing_until:
             self.set_timer(window, _WATCH_TIMER)
 
     def _become_leader(self, old_leader: Optional[int]) -> None:
@@ -728,7 +720,7 @@ class TransportProcess(Process):
         # first heartbeat of the new incumbency
         self.broadcast(TAKEOVER_KIND, (cell, self.node_id), HEARTBEAT_SIZE_UNITS)
         self._last_hb = self.now
-        if self.now < h.horizon:
+        if self.now < self._healing_until:
             self.set_timer(h.heartbeat_interval, _HB_TIMER)
         self.on_become_leader()
 
@@ -756,7 +748,7 @@ class TransportProcess(Process):
             self.binding.toward_leader[self.node_id] = packet.src
             self.cancel_timer(_HB_TIMER)  # a deposed ex-leader stops beating
             self._last_hb = self.now
-            if self.now < self.healing.horizon:
+            if self.now < self._healing_until:
                 self.set_timer(self._watch_window(), _WATCH_TIMER)
         self.broadcast(TAKEOVER_KIND, (cell, leader), HEARTBEAT_SIZE_UNITS)
 

@@ -354,16 +354,14 @@ def deploy(
     network: RealNetwork,
     cost_model: Optional[CostModel] = None,
     metric: Metric = distance_to_center_metric,
-    loss_rate: float = 0.0,
-    rng: "np.random.Generator | int | None" = None,
     strict: bool = True,
 ) -> DeployedStack:
     """Bring the virtual architecture up on ``network``.
 
-    Runs topology emulation then process binding; with ``strict`` the
-    Section 5 preconditions (coverage, intra-cell connectivity, global
-    connectivity) are validated first and violations raise
-    :class:`RuntimeError` listing the problems.
+    Runs topology emulation then process binding, each a lossless flood
+    to quiescence; with ``strict`` the Section 5 preconditions (coverage,
+    intra-cell connectivity, global connectivity) are validated first and
+    violations raise :class:`RuntimeError` listing the problems.
     """
     if strict:
         problems = network.validate_protocol_preconditions()
@@ -372,13 +370,8 @@ def deploy(
                 "deployment violates Section 5 preconditions: "
                 + "; ".join(problems)
             )
-    emulation = emulate_topology(
-        network, cost_model=cost_model, loss_rate=loss_rate, rng=rng
-    )
-    binding_result = bind_processes(
-        network, metric=metric, cost_model=cost_model,
-        loss_rate=loss_rate, rng=rng,
-    )
+    emulation = emulate_topology(network, cost_model=cost_model)
+    binding_result = bind_processes(network, metric=metric, cost_model=cost_model)
     return DeployedStack(
         network=network,
         topology=emulation.topology,

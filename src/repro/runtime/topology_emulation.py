@@ -28,9 +28,7 @@ possible entries, and by experiment E4 to report the efficiency properties
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
-
-import numpy as np
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..core.coords import ALL_DIRECTIONS, Direction, GridCoord
 from ..core.cost_model import CostModel
@@ -42,13 +40,40 @@ from ..simulator.process import Process, ProcessHost
 #: Packet kind used by the protocol.
 RT_KIND = "rt"
 
+#: Data units of one routing-table announcement.
+RT_SIZE_UNITS = 1.0
+
+
+def _run_setup(
+    network: RealNetwork,
+    cost_model: Optional[CostModel],
+    factory: Callable[[int], Process],
+) -> Tuple[Dict[int, Process], float, int, float]:
+    """Run one setup protocol to quiescence: ``factory(node_id)`` on every
+    alive node of a fresh lossless world, booted together at t = 0.
+
+    Returns the processes (for their converged state), the quiescence
+    time, the transmissions and the energy drawn.  The world is torn down
+    before returning, which breaks the medium -> handler -> process ->
+    medium cycles so it is freed without a full collection.
+    """
+    sim = Simulator()
+    medium = WirelessMedium(sim, network, cost_model=cost_model)
+    host = ProcessHost(sim, medium)
+    try:
+        host.add_all(factory)
+        host.start()
+        sim.run_until_quiet()
+    finally:
+        host.teardown()
+    return host.processes, sim.now, medium.stats.transmissions, medium.ledger.total
+
 
 class TopologyEmulationProcess(Process):
     """The per-node protocol logic."""
 
-    def __init__(self, rt_size_units: float = 1.0):
+    def __init__(self) -> None:
         super().__init__()
-        self.rt_size_units = rt_size_units
         self.cell: GridCoord = (-1, -1)
         self.rt: Dict[Direction, Optional[int]] = {d: None for d in ALL_DIRECTIONS}
         self.rebroadcasts = 0
@@ -71,7 +96,7 @@ class TopologyEmulationProcess(Process):
         for d, nbr in best.items():
             self.rt[d] = nbr
         # Step 3: announce.
-        self.broadcast(RT_KIND, self._summary(), self.rt_size_units)
+        self.broadcast(RT_KIND, self._summary(), RT_SIZE_UNITS)
 
     def on_packet(self, packet: Packet) -> None:
         if packet.kind != RT_KIND:
@@ -86,7 +111,7 @@ class TopologyEmulationProcess(Process):
                 changed = True
         if changed:
             self.rebroadcasts += 1
-            self.broadcast(RT_KIND, self._summary(), self.rt_size_units)
+            self.broadcast(RT_KIND, self._summary(), RT_SIZE_UNITS)
 
     def _summary(self) -> Tuple[GridCoord, FrozenSet[Direction]]:
         return (
@@ -331,46 +356,25 @@ def max_intra_cell_path_length(network: RealNetwork) -> int:
 
 
 def emulate_topology(
-    network: RealNetwork,
-    cost_model: Optional[CostModel] = None,
-    loss_rate: float = 0.0,
-    rng: "np.random.Generator | int | None" = None,
-    rt_size_units: float = 1.0,
-    rounds: int = 1,
+    network: RealNetwork, cost_model: Optional[CostModel] = None
 ) -> EmulationResult:
     """Run the topology-emulation protocol to convergence.
 
-    ``rounds > 1`` re-executes the protocol periodically (the paper:
-    *"since new nodes can be added ... the above protocol should execute
-    periodically"*) — useful after churn; tables are rebuilt from scratch
-    each round.
+    The paper's periodic re-execution (*"since new nodes can be added ...
+    the above protocol should execute periodically"*) is a fresh call:
+    :func:`~repro.runtime.maintenance.recover` re-runs this after churn,
+    and the tables are rebuilt from scratch each time.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    last: Optional[EmulationResult] = None
-    for _ in range(rounds):
-        sim = Simulator()
-        medium = WirelessMedium(
-            sim, network, cost_model=cost_model, loss_rate=loss_rate, rng=rng
-        )
-        host = ProcessHost(sim, medium)
-        try:
-            host.add_all(lambda nid: TopologyEmulationProcess(rt_size_units))
-            host.start()
-            sim.run_until_quiet()
-        finally:
-            # break the medium -> handler -> process -> medium cycles so
-            # the world is freed without a full collection
-            host.teardown()
-        tables = {
-            nid: dict(proc.rt)  # type: ignore[attr-defined]
-            for nid, proc in host.processes.items()
-        }
-        last = EmulationResult(
-            topology=EmulatedTopology(network, tables),
-            setup_time=sim.now,
-            messages=medium.stats.transmissions,
-            energy=medium.ledger.total,
-        )
-    assert last is not None
-    return last
+    processes, setup_time, messages, energy = _run_setup(
+        network, cost_model, lambda nid: TopologyEmulationProcess()
+    )
+    tables = {
+        nid: dict(proc.rt)  # type: ignore[attr-defined]
+        for nid, proc in processes.items()
+    }
+    return EmulationResult(
+        topology=EmulatedTopology(network, tables),
+        setup_time=setup_time,
+        messages=messages,
+        energy=energy,
+    )

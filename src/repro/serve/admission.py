@@ -203,15 +203,15 @@ def synthesize_arrivals(
     seed: int = 0,
     mean_interarrival: float = 1.0,
     tenants: int = 1,
-    deadline: Optional[float] = None,
 ) -> List[Arrival]:
     """A seed-deterministic query stream over ``query_cells``.
 
     Interarrival gaps are exponential with mean ``mean_interarrival``;
-    the query cell and tenant of each arrival are drawn uniformly.
-    ``deadline`` (optional) stamps every arrival with the same completion
-    budget.  The result is a pure function of the arguments, so sweeps
-    and benchmarks replaying the same seed serve the identical stream.
+    the query cell and tenant of each arrival are drawn uniformly.  The
+    arrivals carry no deadline of their own (their tenant's, else the
+    engine's, applies).  The result is a pure function of the arguments,
+    so sweeps and benchmarks replaying the same seed serve the identical
+    stream.
     """
     if not query_cells:
         raise ValueError("query_cells must be non-empty")
@@ -232,7 +232,6 @@ def synthesize_arrivals(
                 time=now,
                 query_cell=cells[int(rng.integers(len(cells)))],
                 tenant=int(rng.integers(tenants)),
-                deadline=deadline,
             )
         )
     return arrivals

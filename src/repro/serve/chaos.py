@@ -135,8 +135,7 @@ def chaos_soak(
         rng=np.random.default_rng(seed + 2),
         reliable=True,
         wire_format=wire,
-        healing=HealingConfig(heartbeat_interval=1.0, miss_threshold=2),
-        healing_headroom=10.0,
+        healing=HealingConfig(heartbeat_interval=1.0, miss_threshold=2, horizon=10.0),
         tenant_policies=soak_policies(),
         deadline=20.0,
         query_retries=3,

@@ -43,7 +43,7 @@ adds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,8 +51,6 @@ import numpy as np
 from ..core.coords import GridCoord
 from ..runtime.faults import FaultInjector, FaultPlan, FaultReport, HealingConfig
 from ..runtime.routing import (
-    _HB_TIMER,
-    _WATCH_TIMER,
     ACK_TIMEOUT,
     BACKOFF_FACTOR,
     BACKOFF_JITTER,
@@ -69,6 +67,13 @@ from .admission import AdmissionController, Arrival, TenantPolicy
 #: cell and stored payload, so answers are attributable per query).
 QUERY_REQUEST = "qreq"
 QUERY_RESPONSE = "qresp"
+
+#: Data units of a query request.  A response is sized by its stored
+#: payload's own ``size_units`` (1 unit for a payload without one).
+REQUEST_SIZE_UNITS = 1.0
+
+#: Event budget of one admission round's drain.
+MAX_EVENTS_PER_ROUND = 10_000_000
 
 #: The outcome taxonomy (DESIGN.md §16): every admitted query terminates
 #: with exactly one of these — the liveness invariant the chaos soak
@@ -95,10 +100,10 @@ class ServeConfig:
     :meth:`QueryEngine._retry_delay`).  ``tenant_policies`` /
     ``default_policy`` give each tenant its admission budget, overload
     behaviour, and staleness contract.  ``healing`` arms the
-    self-healing layer (heartbeats, deterministic failover) inside every
-    admission round — the engine extends the healing horizon by
-    ``healing_headroom`` past each round's admission so rounds still
-    quiesce; without it a killed leader's cell just degrades.
+    self-healing layer (heartbeats, deterministic failover) at the start
+    of every admission round; its ``horizon`` counts from that start, so
+    each round heals for that long and still quiesces.  Without it a
+    killed leader's cell just degrades.
     """
 
     loss_rate: float = 0.0
@@ -106,36 +111,22 @@ class ServeConfig:
     reliable: bool = False
     wire_format: bool = False
     cache: bool = True
-    request_size: float = 1.0
-    response_size_of: Optional[Callable[[Any], float]] = None
-    max_events_per_round: int = 10_000_000
     deadline: Optional[float] = None
     query_retries: int = 8
     retry_base: float = 2.0
     tenant_policies: Optional[Dict[int, TenantPolicy]] = None
     default_policy: Optional[TenantPolicy] = None
     healing: Optional[HealingConfig] = None
-    healing_headroom: float = 24.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1), got {self.loss_rate}")
-        if self.request_size <= 0:
-            raise ValueError(f"request_size must be > 0, got {self.request_size}")
-        if self.max_events_per_round < 1:
-            raise ValueError(
-                f"max_events_per_round must be >= 1, got {self.max_events_per_round}"
-            )
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError(f"deadline must be > 0, got {self.deadline}")
         if self.query_retries < 0:
             raise ValueError(f"query_retries must be >= 0, got {self.query_retries}")
         if self.retry_base <= 0:
             raise ValueError(f"retry_base must be > 0, got {self.retry_base}")
-        if self.healing_headroom <= 0:
-            raise ValueError(
-                f"healing_headroom must be > 0, got {self.healing_headroom}"
-            )
         if not self.cache:
             for tenant, policy in sorted((self.tenant_policies or {}).items()):
                 if policy.max_staleness > 0:
@@ -425,9 +416,8 @@ class _ServeProcess(TransportProcess):
         self.stored = stored
 
     def on_start(self) -> None:
-        # healing timers are armed per admission round by the engine (the
-        # boot drain must quiesce, and a persistent engine has no single
-        # horizon), so the TransportProcess boot-time arming is skipped
+        # the engine arms healing at the start of every admission round
+        # (the boot drain must quiesce), not at boot
         pass
 
     def on_become_leader(self) -> None:
@@ -450,7 +440,7 @@ class _ServeProcess(TransportProcess):
             self.originate(
                 querier_cell,
                 (QUERY_RESPONSE, (qid, self.my_cell, self.stored)),
-                size_units=self.engine._size_of(self.stored),
+                size_units=getattr(self.stored, "size_units", 1.0),
             )
         elif kind == QUERY_RESPONSE:
             qid, cell, payload = body
@@ -490,12 +480,7 @@ class QueryEngine:
         config: Optional[ServeConfig] = None,
     ):
         self.stack = stack
-        config = config or ServeConfig()
-        if config.healing is not None:
-            # every round moves the healing horizon: move a copy, not the
-            # caller's HealingConfig, which may drive other runs too
-            config = replace(config, healing=replace(config.healing))
-        self.config = config
+        self.config = config or ServeConfig()
         self.stats = EngineStats()
         self.sim, self.medium, self._host = stack.make_harness(
             loss_rate=self.config.loss_rate, rng=self.config.rng
@@ -611,15 +596,14 @@ class QueryEngine:
         cells: Optional[Sequence[GridCoord]] = None,
         reduce_fn: Optional[Callable[[List[Any]], Any]] = None,
         tenant: int = 0,
-        deadline: Optional[float] = None,
     ) -> QueryOutcome:
-        """Serve a single query immediately (a batch of one)."""
+        """Serve a single query immediately (a batch of one), under its
+        tenant's deadline, else the engine's."""
         call = QueryCall(
             query_cell=query_cell,
             cells=None if cells is None else tuple(cells),
             reduce_fn=reduce_fn,
             tenant=tenant,
-            deadline=deadline,
         )
         return self.run_batch([call]).outcomes[0]
 
@@ -679,14 +663,12 @@ class QueryEngine:
         tx0 = self.medium.stats.transmissions
         drops0 = self.stats.drops
         if self.config.healing is not None:
-            # healing timers re-arm only below the horizon; extending it
-            # just past this round keeps failover live while letting the
-            # round quiesce — the engine is persistent, rounds are not
-            self.config.healing.horizon = start + self.config.healing_headroom
+            # the horizon counts from the round's start, so failover stays
+            # live through the round and the round still quiesces
             self.sim.schedule_at(start, self._arm_healing_round)
         if batch:
             self.sim.schedule_at(start, self._inject_batch, tuple(batch))
-        self.sim.run_until_quiet(max_events=self.config.max_events_per_round)
+        self.sim.run_until_quiet(max_events=MAX_EVENTS_PER_ROUND)
         self._absorb_fault_dirt()
         outcomes = [self._finalize(active, start) for active in batch]
         self.stats.batches += 1
@@ -793,10 +775,6 @@ class QueryEngine:
 
     # -- internals -----------------------------------------------------------------
 
-    def _size_of(self, payload: Any) -> float:
-        sizer = self.config.response_size_of
-        return sizer(payload) if sizer is not None else 1.0
-
     def _policy_for(self, tenant: int) -> TenantPolicy:
         return self._policies.get(tenant, self._default_policy)
 
@@ -829,22 +807,9 @@ class QueryEngine:
         return outcome
 
     def _arm_healing_round(self) -> None:
-        """Arm heartbeat/watch timers on every live node for this round."""
-        healing = self.config.healing
-        assert healing is not None
-        network = self.stack.network
-        now = self.sim.now
-        for nid, proc in self._procs.items():
-            if not network.node(nid).alive:
-                continue
-            proc._last_hb = now
-            if self.stack.binding.is_leader(nid):
-                proc.set_timer(healing.heartbeat_interval, _HB_TIMER)
-            else:
-                proc.set_timer(
-                    healing.heartbeat_interval * healing.miss_threshold,
-                    _WATCH_TIMER,
-                )
+        """Start this round's healing on every process (one event)."""
+        for proc in self._procs.values():
+            proc.arm_healing()
 
     def _inject_batch(self, batch: Tuple[_ActiveQuery, ...]) -> None:
         now = self.sim.now
@@ -950,7 +915,7 @@ class QueryEngine:
         proc.originate(
             cell,
             (QUERY_REQUEST, (active.qid, active.call.query_cell)),
-            size_units=self.config.request_size,
+            size_units=REQUEST_SIZE_UNITS,
         )
 
     def _cache_lookup(

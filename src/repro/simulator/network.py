@@ -192,22 +192,20 @@ class WirelessMedium:
 
     # -- link partitioning (fault injection) --------------------------------------
 
-    def block_link(self, a: int, b: int, symmetric: bool = True) -> None:
-        """Sever the radio link ``a -> b`` (and ``b -> a`` if symmetric).
+    def block_link(self, a: int, b: int) -> None:
+        """Sever the radio link between ``a`` and ``b``, both directions.
 
         Blocked links drop transmissions before any loss/jitter draw is
         consumed, so a plan that partitions links perturbs the RNG stream
         only through the deliveries it removes — deterministically.
         """
         self._blocked_links.add((a, b))
-        if symmetric:
-            self._blocked_links.add((b, a))
+        self._blocked_links.add((b, a))
 
-    def unblock_link(self, a: int, b: int, symmetric: bool = True) -> None:
+    def unblock_link(self, a: int, b: int) -> None:
         """Restore a previously blocked link (no-op if not blocked)."""
         self._blocked_links.discard((a, b))
-        if symmetric:
-            self._blocked_links.discard((b, a))
+        self._blocked_links.discard((b, a))
 
     def attach(self, node_id: int, handler: Callable[[Packet], None]) -> None:
         """Register the packet handler of ``node_id`` (its process)."""

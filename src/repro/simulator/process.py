@@ -158,12 +158,11 @@ class ProcessHost:
         for nid in ids:
             self.add(nid, factory(nid))
 
-    def start(self, stagger: float = 0.0) -> None:
-        """Schedule every process's ``on_start`` at t=now (optionally
-        staggered by ``stagger`` per node id, modelling asynchronous
-        boot).  Boot events are plain, uncancellable events."""
-        for i, (nid, proc) in enumerate(sorted(self.processes.items())):
-            self.sim.schedule(stagger * i, self._boot, nid, proc)
+    def start(self) -> None:
+        """Schedule every process's ``on_start`` at t=now, in node-id
+        order.  Boot events are plain, uncancellable events."""
+        for nid, proc in sorted(self.processes.items()):
+            self.sim.schedule(0.0, self._boot, nid, proc)
 
     def teardown(self) -> None:
         """End the run: detach and unbind every hosted process and drop

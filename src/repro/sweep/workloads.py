@@ -46,10 +46,11 @@ from ..core import CountAggregation, VirtualArchitecture
 from ..deployment import covered_deployment
 from ..runtime import (
     FaultPlan,
+    HealingConfig,
     deploy,
     kill_leaders,
     kill_random_nodes,
-    plan_leader_storm,
+    plan_chaos,
     recover,
     rotate_leaders,
 )
@@ -374,8 +375,9 @@ def leader_churn(params: Dict[str, Any], seed: int) -> WorkloadOutcome:
         va = VirtualArchitecture(side)
         plan = None
         if midrun_kill > 0:
-            plan = plan_leader_storm(
-                sorted(live.binding.leaders), kills=midrun_kill, at=0.5, seed=seed
+            plan = plan_chaos(
+                sorted(live.binding.leaders), kills=midrun_kill, at=0.5,
+                spacing=0.05, seed=seed,
             )
         run = live.run_application(
             va.synthesize(CountAggregation(lambda c: True)),
@@ -458,9 +460,7 @@ def query_serving(params: Dict[str, Any], seed: int) -> WorkloadOutcome:
         )
     healing = None
     if kill_leaders > 0:
-        from ..runtime.faults import HealingConfig
-
-        healing = HealingConfig(heartbeat_interval=1.0, miss_threshold=2)
+        healing = HealingConfig(heartbeat_interval=1.0, miss_threshold=2, horizon=24.0)
     engine = QueryEngine(
         stack,
         storage=dict(gather.exfiltrated),
@@ -477,10 +477,9 @@ def query_serving(params: Dict[str, Any], seed: int) -> WorkloadOutcome:
     )
     plan = None
     if kill_leaders > 0:
-        from ..runtime.faults import plan_leader_storm
-
-        plan = plan_leader_storm(
-            sorted(engine.storage_cells), kills=kill_leaders, at=0.5, seed=seed
+        plan = plan_chaos(
+            sorted(engine.storage_cells), kills=kill_leaders, at=0.5,
+            spacing=0.05, seed=seed,
         )
         fault_report = engine.arm_faults(plan)
     arrivals = synthesize_arrivals(

@@ -10,7 +10,6 @@ from repro.apps import (
     DistributedStorage,
     GaussianBlobField,
     GradientField,
-    RegionAggregation,
     TopographicQueryApp,
     compare_designs,
     count_regions,
@@ -26,7 +25,7 @@ from repro.apps import (
     run_centralized,
     summary_statistics,
 )
-from repro.core import OrientedGrid, UniformCostModel, VirtualArchitecture
+from repro.core import VirtualArchitecture
 
 
 class TestRegionAggregation:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.apps.statistics import (
-    BandedLabeling,
     HistogramAggregation,
     TopKAggregation,
     banded_labeling,

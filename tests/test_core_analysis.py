@@ -11,7 +11,6 @@ from repro.core.analysis import (
     group_communication_cost_table,
     quadtree_step_count,
 )
-from repro.core.cost_model import UniformCostModel
 from repro.core.executor import execute_round
 from repro.core.groups import HierarchicalGroups
 from repro.core.network_model import OrientedGrid

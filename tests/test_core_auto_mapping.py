@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -16,7 +15,6 @@ from repro.core.auto_mapping import (
     anneal_mapping,
     balanced_energy_objective,
     latency_objective,
-    total_energy_objective,
 )
 from repro.core.cost_model import energy_balance
 

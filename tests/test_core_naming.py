@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import OrientedGrid
 from repro.core.naming import LogicalNamingService, UnknownNameError
 from repro.core.primitives import PrimitiveEnvironment
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.cost_model import UniformCostModel
 from repro.core.groups import HierarchicalGroups
 from repro.core.network_model import OrientedGrid
 from repro.core.primitives import PrimitiveEnvironment

@@ -8,8 +8,6 @@ from repro.core.program import (
     EXFILTRATE,
     LOG,
     SEND,
-    Context,
-    Effect,
     Message,
     NodeProgram,
     Rule,

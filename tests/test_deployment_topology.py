@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.deployment.node import SensorNode
-from repro.deployment.placement import one_per_cell, uniform_random, ensure_coverage
+from repro.deployment.placement import uniform_random
 from repro.deployment.terrain import CellGrid, Terrain
 from repro.deployment.topology import RealNetwork, build_network, covered_deployment
 

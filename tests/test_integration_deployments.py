@@ -8,7 +8,6 @@ placement generator in the library.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.apps import (

@@ -18,21 +18,18 @@ from repro.apps import (
     compare_designs,
     count_regions,
     feature_matrix_aggregation,
-    label_regions_quadtree,
     random_feature_matrix,
-    run_centralized,
 )
 from repro.core import (
     CountAggregation,
-    HierarchicalGroups,
-    OrientedGrid,
     VirtualArchitecture,
     build_quadtree,
     check_all_constraints,
     recursive_quadrant_mapping,
 )
 from repro.core.analysis import estimate_quadtree
-from repro.runtime import deploy
+from repro.deployment import covered_deployment
+from repro.runtime import deploy, trace_route
 
 from conftest import make_deployment
 
@@ -113,6 +110,26 @@ class TestVirtualVsDeployedCosts:
         deployed = stack.run_application(va.synthesize(agg))
         # physical forwarding can only add hops
         assert deployed.latency >= virtual.latency
+
+    @pytest.mark.parametrize("side", [4, 8])
+    @pytest.mark.parametrize("per_cell", [2, 7])
+    def test_trace_route_predicts_round_transmissions(self, side, per_cell):
+        """A lossless plain count round transmits exactly the hops of the
+        quad-tree's child-to-parent routes over the emulated tables, so
+        the deployed cost is predictable without running the round."""
+        stack = deploy(covered_deployment(side, per_cell * side * side, 11))
+        spec = VirtualArchitecture(side).synthesize(CountAggregation(lambda c: True))
+        groups = spec.groups
+        predicted = sum(
+            len(trace_route(stack.topology, stack.binding, child, parent)) - 1
+            for level in range(1, groups.max_level + 1)
+            for parent in groups.leaders_at(level)
+            for child in groups.child_leaders(parent, level)
+            if child != parent
+        )
+        run = stack.run_application(spec)
+        assert run.root_payload == side * side
+        assert run.transmissions == predicted
 
 
 class TestDesignComparisonShape:

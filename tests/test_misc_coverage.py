@@ -3,7 +3,6 @@ medium detach, report adapters, and error guards."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.apps import GradientField, TopographicQueryApp

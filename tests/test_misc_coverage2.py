@@ -3,7 +3,6 @@ event-driven rounds, report error paths, and a larger-scale stack run."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core import (

@@ -8,7 +8,6 @@ paper's implicit correctness claims for the case-study algorithm.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

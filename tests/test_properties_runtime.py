@@ -8,7 +8,6 @@ it never reports a wrong result (duplicates suppressed, merges exact).
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

@@ -8,7 +8,6 @@ primitives are exact, not approximate.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
+from repro.core import CountAggregation, VirtualArchitecture
+from repro.deployment import covered_deployment
+from repro.runtime import deploy, rotate_leaders
 from repro.runtime.binding import (
     bind_processes,
     distance_to_center_metric,
@@ -100,6 +102,20 @@ class TestMetrics:
         assert bind_processes(net).binding.metric is distance_to_center_metric
         rotated = bind_processes(net, metric=residual_energy_metric)
         assert rotated.binding.metric is residual_energy_metric
+
+    def test_verify_uses_the_election_metric_and_values(self):
+        """A rotated binding verifies against its own metric, at the values
+        the election compared: the flood's own messages drain the
+        batteries, so re-reading residual energy afterwards names other
+        leaders."""
+        net = covered_deployment(4, 150, 3)
+        deploy(net).run_application(
+            VirtualArchitecture(4).synthesize(CountAggregation(lambda c: True))
+        )
+        rotated = rotate_leaders(net).binding
+        assert rotated.verify() == []
+        assert rotated.leaders != oracle_binding(net, distance_to_center_metric)
+        assert rotated.leaders != oracle_binding(net, residual_energy_metric)
 
     def test_oracle_binding_matches_protocol(self):
         net = make_deployment(side=4, seed=23)

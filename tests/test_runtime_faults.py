@@ -20,14 +20,13 @@ import pytest
 from repro.core import CountAggregation, VirtualArchitecture
 from repro.core.program import Message
 from repro.runtime import (
-    CorruptedFrame,
     FaultEvent,
     FaultPlan,
     FaultReport,
     HealingConfig,
     deploy,
     kill_random_nodes,
-    plan_leader_storm,
+    plan_chaos,
 )
 from repro.runtime import wire
 from repro.runtime.routing import TRANSPORT_KIND, TransportEnvelope, TransportProcess
@@ -67,7 +66,9 @@ def fault_plan(kind: str) -> FaultPlan:
     """One plan per fault kind of the acceptance matrix."""
     if kind == "kill-leaders":
         _, stack = fresh_stack()
-        return plan_leader_storm(sorted(stack.binding.leaders), kills=2, at=0.5, seed=3)
+        return plan_chaos(
+            sorted(stack.binding.leaders), kills=2, at=0.5, spacing=0.05, seed=3
+        )
     if kind == "partition-restore":
         return FaultPlan(
             events=(
@@ -130,14 +131,18 @@ class TestPlanValidation:
         assert again.fingerprint() == plan.fingerprint()
 
     def test_plan_leader_storm_is_seed_deterministic(self):
+        """A leader storm (``plan_chaos`` with kills only) draws its
+        victims from the seed alone."""
         cells = [(x, y) for x in range(4) for y in range(4)]
-        p1 = plan_leader_storm(cells, kills=3, seed=5)
-        p2 = plan_leader_storm(cells, kills=3, seed=5)
+        p1 = plan_chaos(cells, kills=3, spacing=0.05, seed=5)
+        p2 = plan_chaos(cells, kills=3, spacing=0.05, seed=5)
         assert p1 == p2
-        assert p1 != plan_leader_storm(cells, kills=3, seed=6)
-        assert len([e for e in p1.events if e.action == "kill_leader"]) == 3
+        assert p1 != plan_chaos(cells, kills=3, spacing=0.05, seed=6)
+        kills = [e for e in p1.events if e.action == "kill_leader"]
+        assert [e.time for e in kills] == [0.5, 0.55, 0.6]
+        assert len({e.cell for e in kills}) == 3
         with pytest.raises(ValueError, match="cannot kill"):
-            plan_leader_storm(cells[:2], kills=3)
+            plan_chaos(cells[:2], kills=3)
 
 
 class TestInjection:
@@ -332,10 +337,14 @@ class TestFrameCorruption:
         assert proc.rejected_frames == 1
 
     def test_corrupted_frame_sentinel_rejected_without_wire(self):
+        """Corruption puts bytes on the air in object-passing mode too, and
+        the receiver validates them whatever ``wire_format`` says."""
         proc = self.make_transport(wire_format=False)
-        env = TransportEnvelope(src_cell=(0, 0), dst_cell=(1, 1), inner="x")
-        proc.on_packet(Packet(src=2, kind=TRANSPORT_KIND, payload=CorruptedFrame(env)))
+        frame = bytearray(self.golden_frame())
+        frame[-1] ^= 0xFF
+        proc.on_packet(Packet(src=2, kind=TRANSPORT_KIND, payload=bytes(frame)))
         assert proc.rejected_frames == 1
+        assert proc.forwarded == 0 and proc.drops == 0
 
     @pytest.mark.parametrize("wire_format", [False, True], ids=["plain", "wire"])
     def test_injected_corruption_counts_match_lossless(self, wire_format):

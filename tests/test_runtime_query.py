@@ -71,7 +71,6 @@ class TestDeployedQueries:
             dict(storage),
             query_cell=(0, 0),
             reduce_fn=merge_all,
-            response_size_of=lambda s: s.size_units,
         )
         assert result.value == count_regions(feat)
 

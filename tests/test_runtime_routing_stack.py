@@ -24,7 +24,7 @@ from repro.runtime import (
     build_leader_mesh,
     deploy,
     next_direction,
-    plan_leader_storm,
+    plan_chaos,
     trace_route,
 )
 from repro.runtime.stack import _AppProcess
@@ -200,9 +200,9 @@ class TestRoundTeardown:
         plan = None
         if corrupt_frames:
             # the injector's frame-mangling transform holds the medium
-            plan = plan_leader_storm(
-                sorted(stack.binding.leaders), kills=1, at=0.5, seed=3,
-                corrupt_frames=corrupt_frames,
+            plan = plan_chaos(
+                sorted(stack.binding.leaders), kills=1, at=0.5, spacing=0.05,
+                corrupt_frames=corrupt_frames, seed=3,
             )
         media = []
         build = stack.make_harness
@@ -294,8 +294,9 @@ class TestRoundReuse:
         spec = VirtualArchitecture(4).synthesize(CountAggregation(lambda c: True))
         for healing, max_events in ((True, 1500), (False, 150)):
             stack = deploy(make_deployment(side=4, n_random=100, seed=5))
-            plan = plan_leader_storm(
-                sorted(stack.binding.leaders), kills=1, at=0.5, seed=3, corrupt_frames=2
+            plan = plan_chaos(
+                sorted(stack.binding.leaders), kills=1, at=0.5, spacing=0.05,
+                corrupt_frames=2, seed=3,
             )
             run = stack.run_application(
                 spec, loss_rate=0.2, rng=np.random.default_rng(1), reliable=True,

@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.coords import ALL_DIRECTIONS, Direction
-from repro.deployment.node import SensorNode
-from repro.deployment.terrain import CellGrid, Terrain
-from repro.deployment.topology import RealNetwork
 from repro.runtime.topology_emulation import (
     emulate_topology,
     max_intra_cell_path_length,
@@ -129,10 +125,14 @@ class TestBoundarySuppression:
 
 class TestPeriodicReexecution:
     def test_rounds_rebuild_tables(self):
+        """Periodic re-execution is a fresh run: the tables are rebuilt
+        from scratch and, on an unchanged network, come out the same."""
         net = make_deployment(side=4, seed=9)
         once = emulate_topology(net)
-        thrice = emulate_topology(net, rounds=3)
-        assert once.topology.tables == thrice.topology.tables
+        again = emulate_topology(net)
+        assert once.topology.tables == again.topology.tables
+        assert once.topology.tables is not again.topology.tables
+        assert (again.messages, again.energy) == (once.messages, once.energy)
 
     def test_rerun_after_node_death(self):
         net = make_deployment(side=4, n_random=200, seed=13)
@@ -154,11 +154,6 @@ class TestPeriodicReexecution:
             assert second.topology.verify() == []
             assert all(victim not in row.values() for row in
                        second.topology.tables.values())
-
-    def test_rounds_validation(self):
-        net = make_deployment(side=4)
-        with pytest.raises(ValueError):
-            emulate_topology(net, rounds=0)
 
 
 class TestCosts:

@@ -7,7 +7,6 @@ that its exact invariants survive the scale-up.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

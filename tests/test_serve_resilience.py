@@ -300,8 +300,7 @@ def _recover_run(wire: bool):
         storage,
         ServeConfig(
             wire_format=wire,
-            healing=HealingConfig(heartbeat_interval=1.0, miss_threshold=2),
-            healing_headroom=8.0,
+            healing=HealingConfig(heartbeat_interval=1.0, miss_threshold=2, horizon=8.0),
         ),
     )
     probe_cell = sorted(storage)[0]
@@ -346,22 +345,26 @@ class TestFaultThenRecover:
         assert fp == baseline[0]
 
     def test_engine_leaves_the_callers_healing_config_alone(self):
-        """The engine moves its healing horizon every round; it must move
-        its own copy, or a later round given the caller's config runs to
-        the engine's horizon instead of its own."""
-        hc = HealingConfig()
+        """The horizon counts from each round's start, so the engine
+        neither copies nor rewrites the caller's config: a round admitted
+        at t = 500 heals until 500 + horizon, and an application round
+        given the same config runs to its own horizon."""
+        hc = HealingConfig(horizon=30.0)
         stack, storage = build_serving_stack(side=4, seed=7)
         engine = QueryEngine(stack, storage, ServeConfig(reliable=True, healing=hc))
-        engine.run_batch([], at=500.0)
-        assert hc.horizon == HealingConfig().horizon
-        assert engine.config.healing.horizon == 500.0 + engine.config.healing_headroom
+        batch = engine.run_batch([], at=500.0)
+        assert engine.config.healing is hc and hc == HealingConfig(horizon=30.0)
+        # the last heartbeat/watch timer is armed before 530 and fires
+        # within one watch window after it
+        window = hc.heartbeat_interval * hc.miss_threshold
+        assert 530.0 <= batch.quiesced_at <= 530.0 + window
         spec = VirtualArchitecture(4).synthesize(CountAggregation(lambda c: True))
         reused, fresh = (
             stack.run_application(
                 spec, reliable=True, healing=healing, loss_rate=0.05,
                 rng=np.random.default_rng(1),
             )
-            for healing in (hc, HealingConfig())
+            for healing in (hc, HealingConfig(horizon=30.0))
         )
         assert reused.latency == fresh.latency
         assert reused.fingerprint() == fresh.fingerprint()
@@ -436,8 +439,7 @@ class TestServeBenchGates:
         failover passes are measured net of one idle round per query.
         """
         healing = ServeConfig(
-            healing=HealingConfig(heartbeat_interval=1.0, miss_threshold=2),
-            healing_headroom=6.0,
+            healing=HealingConfig(heartbeat_interval=1.0, miss_threshold=2, horizon=6.0),
         )
         engine, cells = _gathered_engine(8, 1, 6, config=healing)
         idle = _idle_energy(engine)

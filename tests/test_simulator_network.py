@@ -301,19 +301,6 @@ class TestProcessHost:
         sim.run()
         assert sorted(started) == [0, 1, 2]
 
-    def test_staggered_start(self, sim, medium):
-        times = {}
-
-        class Starter(Process):
-            def on_start(self):
-                times[self.node_id] = self.now
-
-        host = ProcessHost(sim, medium)
-        host.add_all(lambda nid: Starter())
-        host.start(stagger=0.5)
-        sim.run()
-        assert times == {0: 0.0, 1: 0.5, 2: 1.0}
-
     def test_duplicate_process_rejected(self, sim, medium):
         host = ProcessHost(sim, medium)
         host.add(0, Recorder())

@@ -44,7 +44,7 @@ from repro.runtime import (
     FaultPlan,
     deploy,
     kill_random_nodes,
-    plan_leader_storm,
+    plan_chaos,
     trace_route,
 )
 from repro.scenario import LogNormalShadowing, Scenario
@@ -158,8 +158,9 @@ def _mode(reliable: bool, wire: bool, loss: float):
 
 
 def _leader_storm(net, stack):
-    plan = plan_leader_storm(
-        sorted(stack.binding.leaders), kills=1, at=0.5, seed=3, corrupt_frames=3
+    plan = plan_chaos(
+        sorted(stack.binding.leaders), kills=1, at=0.5, spacing=0.05,
+        corrupt_frames=3, seed=3,
     )
     return {"fault_plan": plan}
 

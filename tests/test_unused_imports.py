@@ -1,6 +1,7 @@
-"""Unused imports in ``src/`` fail tier-1 (pyflakes' F401, without ruff).
+"""Unused imports fail tier-1 (pyflakes' F401, without ruff).
 
-Every module under ``src/repro`` is parsed with :mod:`ast`; an imported
+Every module of the trees CI's lint job checks (``src``, ``tests``,
+``benchmarks``, ``examples``) is parsed with :mod:`ast`; an imported
 name that the module never references is reported as ``file:line name``.
 A name counts as referenced when it is loaded anywhere in the module or
 appears inside a string annotation (``"np.random.Generator | None"``).
@@ -13,7 +14,7 @@ from __future__ import annotations
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _annotation_names(node: ast.AST, out: "set[str]") -> None:
@@ -61,12 +62,27 @@ def test_scanner_sees_string_annotations_and_skips_future():
     assert unused_imports(source) == [(3, "List")]
 
 
-def test_src_has_no_unused_imports():
-    modules = [p for p in sorted(SRC.rglob("*.py")) if p.name != "__init__.py"]
-    assert modules
-    found = [
-        f"{path.relative_to(SRC.parent.parent)}:{line} {name}"
+def _unused_in(*trees: str) -> "list[str]":
+    """``file:line name`` of every unused import under ``trees``."""
+    modules = [
+        p
+        for tree in trees
+        for p in sorted((ROOT / tree).rglob("*.py"))
+        if p.name != "__init__.py"
+    ]
+    assert {p.relative_to(ROOT).parts[0] for p in modules} == set(trees)
+    return [
+        f"{path.relative_to(ROOT)}:{line} {name}"
         for path in modules
         for line, name in unused_imports(path.read_text())
     ]
+
+
+def test_src_has_no_unused_imports():
+    found = _unused_in("src")
+    assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_tests_benchmarks_and_examples_have_no_unused_imports():
+    found = _unused_in("tests", "benchmarks", "examples")
     assert not found, "unused imports:\n" + "\n".join(found)
