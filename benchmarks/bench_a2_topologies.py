@@ -19,7 +19,6 @@ from repro.core import (
     OrientedGrid,
     VirtualTree,
     execute_round,
-    execute_tree_round,
     synthesize_quadtree_program,
     synthesize_tree_program,
 )
@@ -41,7 +40,7 @@ def run_tree(depth):
     spec = synthesize_tree_program(
         VirtualTree(4, depth), CountAggregation(lambda a: True)
     )
-    return execute_tree_round(spec, charge_compute=False)
+    return execute_round(spec, charge_compute=False)
 
 
 @pytest.mark.parametrize("side,depth", PAIRS)

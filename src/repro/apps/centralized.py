@@ -78,15 +78,10 @@ def run_centralized(
         if node == sink:
             continue
         path = grid.route(node, sink)
-        hops = len(path) - 1
-        for a, b in zip(path, path[1:]):
-            ledger.charge(a, cm.tx_energy(units_per_reading), "tx")
-            ledger.charge(b, cm.rx_energy(units_per_reading), "rx")
+        route_latency = cm.charge_path(ledger, path, units_per_reading)
         messages += 1
-        hop_units += units_per_reading * hops
-        max_route_latency = max(
-            max_route_latency, cm.path_latency(units_per_reading, hops)
-        )
+        hop_units += units_per_reading * (len(path) - 1)
+        max_route_latency = max(max_route_latency, route_latency)
 
     if serial_sink:
         latency = max(

@@ -39,8 +39,8 @@ from .event_driven import (
     expected_quadtree_cost,
     simulate_event_activations,
 )
-from .executor import ExecutionResult, VirtualGridExecutor, execute_round
-from .sync_executor import SynchronousGridExecutor, execute_round_sync
+from .executor import ExecutionResult, execute_round
+from .sync_executor import execute_round_sync
 from .groups import (
     CenterLeaderPolicy,
     HierarchicalGroups,
@@ -71,12 +71,7 @@ from .synthesis import (
     synthesize_quadtree_program,
 )
 from .taskgraph import Task, TaskGraph, TaskId, build_quadtree, quadtree_ascii
-from .tree_synthesis import (
-    TreeExecutor,
-    TreeProgramSpec,
-    execute_tree_round,
-    synthesize_tree_program,
-)
+from .tree_synthesis import TreeProgramSpec, synthesize_tree_program
 from .virtual_architecture import VirtualArchitecture
 
 __all__ = [
@@ -115,16 +110,13 @@ __all__ = [
     "RandomLeaderPolicy",
     "Rule",
     "SumAggregation",
-    "SynchronousGridExecutor",
     "SynthesizedProgram",
     "Task",
     "TaskGraph",
     "TaskId",
-    "TreeExecutor",
     "TreeProgramSpec",
     "UnknownNameError",
     "VirtualArchitecture",
-    "VirtualGridExecutor",
     "VirtualTopology",
     "VirtualTree",
     "anneal_mapping",
@@ -136,7 +128,6 @@ __all__ = [
     "energy_balance",
     "execute_round",
     "execute_round_sync",
-    "execute_tree_round",
     "expected_quadtree_cost",
     "latency_objective",
     "manhattan",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Optional, Sequence, Tuple
 
 
 class CostModel(abc.ABC):
@@ -68,6 +68,23 @@ class CostModel(abc.ABC):
         if hops < 0:
             raise ValueError(f"hops must be non-negative, got {hops}")
         return self.tx_latency(units) * hops
+
+    def charge_path(
+        self, ledger: EnergyLedger, path: Sequence[Hashable], units: float
+    ) -> float:
+        """Charge relaying ``units`` along ``path`` and return its latency.
+
+        Section 4.2's price of a message: ``path`` lists the nodes from
+        source to destination inclusive; each hop's sender pays
+        :meth:`tx_energy` and its receiver :meth:`rx_energy`, and the
+        latency is :meth:`path_latency` over the hops.  Every design-time
+        run charges its routed messages here.
+        """
+        tx, rx = self.tx_energy(units), self.rx_energy(units)
+        for a, b in zip(path, path[1:]):
+            ledger.charge(a, tx, "tx")
+            ledger.charge(b, rx, "rx")
+        return self.path_latency(units, len(path) - 1)
 
 
 class UniformCostModel(CostModel):

@@ -6,11 +6,15 @@ cost functions are enough to run the synthesized program and measure
 latency, energy, and message counts (Section 2's "rapid first-order
 performance estimation", made exact by actually executing the rules).
 
-:class:`VirtualGridExecutor` is a lightweight event-driven driver: every
-grid node owns a :class:`~repro.core.program.NodeProgram`; SEND effects are
-realized as messages relayed along shortest (XY) grid routes with
-store-and-forward latency and per-hop tx/rx energy taken from the cost
-model, exactly as Section 4.2 prescribes for member-to-leader traffic.
+:func:`execute_round` is the one event-driven design-time driver.  It
+runs the grid's Figure 4 program and the tree program alike: every node of
+``spec.topology`` (a :class:`~repro.core.network_model.VirtualTopology`)
+owns a :class:`~repro.core.program.NodeProgram`, and SEND effects are
+relayed along ``topology.route`` (XY on the grid, the unique path on a
+tree) and priced by :meth:`~repro.core.cost_model.CostModel.charge_path`:
+per-hop tx/rx energy and store-and-forward latency, exactly as Section 4.2
+prescribes for member-to-leader traffic.  The slot-synchronous
+counterpart is ``repro.core.sync_executor``.
 
 The heavier physical-network path (virtual processes bound to elected
 physical nodes, messages multi-hopped through the emulated grid) lives in
@@ -22,12 +26,16 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .coords import GridCoord
 from .cost_model import CostModel, EnergyLedger, PerformanceReport, UniformCostModel
 from .program import EXFILTRATE, SEND, Message, NodeProgram
 from .synthesis import SynthesizedProgram
+from .tree_synthesis import TreeProgramSpec
+
+#: a synthesized program: per-node rule programs over ``spec.topology``
+ProgramSpec = Union[SynthesizedProgram, TreeProgramSpec]
 
 
 @dataclass
@@ -84,113 +92,80 @@ class ExecutionResult:
         return next(iter(self.exfiltrated.values()))
 
 
-class VirtualGridExecutor:
-    """Event-driven executor of a :class:`SynthesizedProgram` on its grid.
-
-    Parameters
-    ----------
-    spec:
-        The synthesized program (grid, middleware, aggregation).
-    cost_model:
-        Cost functions; defaults to the paper's uniform model.
-    charge_compute:
-        If False, computation is free (pure communication analysis —
-        the configuration matching the paper's "step" counting).
-    """
-
-    def __init__(
-        self,
-        spec: SynthesizedProgram,
-        cost_model: Optional[CostModel] = None,
-        charge_compute: bool = True,
-    ):
-        self.spec = spec
-        self.cost_model = cost_model or UniformCostModel()
-        self.charge_compute = charge_compute
-        self.grid = spec.groups.grid
-
-    def run(self) -> ExecutionResult:
-        """Execute one full round: start every node at t=0, drain events."""
-        cm = self.cost_model
-        grid = self.grid
-        ledger = EnergyLedger()
-        programs: Dict[GridCoord, NodeProgram] = {}
-        node_ready: Dict[GridCoord, float] = {}
-        exfiltrated: Dict[GridCoord, Any] = {}
-        final_time = 0.0
-        messages = 0
-        data_units = 0.0
-        hop_units = 0.0
-        events = 0
-
-        # (time, seq, coord, message-or-None); seq breaks ties deterministically.
-        queue: List[Tuple[float, int, GridCoord, Optional[Message]]] = []
-        seq = 0
-        for coord in grid.nodes():
-            programs[coord] = self.spec.program_for(coord)
-            node_ready[coord] = 0.0
-            heapq.heappush(queue, (0.0, seq, coord, None))
-            seq += 1
-
-        while queue:
-            time, _, coord, msg = heapq.heappop(queue)
-            events += 1
-            begin = max(time, node_ready[coord])
-            program = programs[coord]
-            effects = program.start() if msg is None else program.deliver(msg)
-
-            ops = sum(e.operations for e in effects)
-            if self.charge_compute and ops:
-                ledger.charge(coord, cm.compute_energy(ops), "compute")
-            finish = begin + (cm.compute_latency(ops) if self.charge_compute else 0.0)
-            node_ready[coord] = finish
-            final_time = max(final_time, finish)
-
-            for effect in effects:
-                if effect.kind == SEND:
-                    assert effect.destination is not None and effect.message is not None
-                    dest = effect.destination
-                    size = effect.message.size_units
-                    path = grid.route(coord, dest)
-                    hops = len(path) - 1
-                    for a, b in zip(path, path[1:]):
-                        ledger.charge(a, cm.tx_energy(size), "tx")
-                        ledger.charge(b, cm.rx_energy(size), "rx")
-                    arrival = finish + cm.path_latency(size, hops)
-                    heapq.heappush(queue, (arrival, seq, dest, effect.message))
-                    seq += 1
-                    messages += 1
-                    data_units += size
-                    hop_units += size * hops
-                elif effect.kind == EXFILTRATE:
-                    exfiltrated[coord] = effect.payload
-                    final_time = max(final_time, finish)
-
-        latency = (
-            max(
-                (node_ready[c] for c in exfiltrated),
-                default=final_time,
-            )
-            if exfiltrated
-            else final_time
-        )
-        return ExecutionResult(
-            exfiltrated=exfiltrated,
-            ledger=ledger,
-            latency=latency,
-            messages=messages,
-            data_units=data_units,
-            hop_units=hop_units,
-            events=events,
-        )
-
-
 def execute_round(
-    spec: SynthesizedProgram,
+    spec: ProgramSpec,
     cost_model: Optional[CostModel] = None,
     charge_compute: bool = True,
 ) -> ExecutionResult:
-    """Convenience wrapper: build an executor and run one round."""
-    return VirtualGridExecutor(
-        spec, cost_model=cost_model, charge_compute=charge_compute
-    ).run()
+    """Execute one round of ``spec`` on its virtual topology: start every
+    node at t=0 and drain events.
+
+    ``spec`` is a grid program or a tree program; each SEND is routed by
+    ``spec.topology.route`` and priced by :meth:`CostModel.charge_path`.
+    ``cost_model`` defaults to the paper's uniform model.  With
+    ``charge_compute`` False computation is free (pure communication
+    analysis — the configuration matching the paper's "step" counting).
+    """
+    cm = cost_model or UniformCostModel()
+    topology = spec.topology
+    ledger = EnergyLedger()
+    programs: Dict[GridCoord, NodeProgram] = {}
+    node_ready: Dict[GridCoord, float] = {}
+    exfiltrated: Dict[GridCoord, Any] = {}
+    final_time = 0.0
+    messages = 0
+    data_units = 0.0
+    hop_units = 0.0
+    events = 0
+
+    # (time, seq, coord, message-or-None); seq breaks ties deterministically.
+    queue: List[Tuple[float, int, GridCoord, Optional[Message]]] = []
+    seq = 0
+    for coord in topology.nodes():
+        programs[coord] = spec.program_for(coord)
+        node_ready[coord] = 0.0
+        heapq.heappush(queue, (0.0, seq, coord, None))
+        seq += 1
+
+    while queue:
+        time, _, coord, msg = heapq.heappop(queue)
+        events += 1
+        finish = max(time, node_ready[coord])
+        program = programs[coord]
+        effects = program.start() if msg is None else program.deliver(msg)
+
+        if charge_compute:
+            ops = sum(e.operations for e in effects)
+            if ops:
+                ledger.charge(coord, cm.compute_energy(ops), "compute")
+            finish += cm.compute_latency(ops)
+        node_ready[coord] = finish
+        final_time = max(final_time, finish)
+
+        for effect in effects:
+            if effect.kind == SEND:
+                assert effect.destination is not None and effect.message is not None
+                dest = effect.destination
+                size = effect.message.size_units
+                path = topology.route(coord, dest)
+                arrival = finish + cm.charge_path(ledger, path, size)
+                heapq.heappush(queue, (arrival, seq, dest, effect.message))
+                seq += 1
+                messages += 1
+                data_units += size
+                hop_units += size * (len(path) - 1)
+            elif effect.kind == EXFILTRATE:
+                exfiltrated[coord] = effect.payload
+
+    latency = (
+        max(node_ready[c] for c in exfiltrated) if exfiltrated else final_time
+    )
+    return ExecutionResult(
+        exfiltrated=exfiltrated,
+        ledger=ledger,
+        latency=latency,
+        messages=messages,
+        data_units=data_units,
+        hop_units=hop_units,
+        events=events,
+    )

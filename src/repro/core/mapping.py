@@ -115,9 +115,7 @@ class Mapping:
         ledger = EnergyLedger()
         for src, dst, units in self.graph.edges():
             path = self.grid.route(self.placement[src], self.placement[dst])
-            for a, b in zip(path, path[1:]):
-                ledger.charge(a, cm.tx_energy(units), "tx")
-                ledger.charge(b, cm.rx_energy(units), "rx")
+            cm.charge_path(ledger, path, units)
         for task in self.graph.tasks():
             ops = task.annotations.get("operations", 0.0)
             if ops:

@@ -280,31 +280,32 @@ class VirtualTree(VirtualTopology):
             out.append(p)
         return out
 
-    def _path_to_root(self, coord: GridCoord) -> List[GridCoord]:
-        path = [coord]
-        node: Optional[GridCoord] = coord
-        while True:
-            node = self.parent(node)  # type: ignore[arg-type]
-            if node is None:
-                break
-            path.append(node)
-        return path
-
     def hop_distance(self, a: GridCoord, b: GridCoord) -> int:
         return len(self.route(a, b)) - 1
 
     def route(self, a: GridCoord, b: GridCoord) -> List[GridCoord]:
-        """The unique tree path between ``a`` and ``b``."""
+        """The unique tree path between ``a`` and ``b``: up from ``a`` to
+        their lowest common ancestor, then down to ``b``.
+
+        The ancestor is found arithmetically: the deeper end climbs to its
+        parent (``index // arity``) until both ends share a level, then
+        both climb together until they meet.
+        """
         self.validate_member(a)
         self.validate_member(b)
-        up_a = self._path_to_root(a)
-        up_b = self._path_to_root(b)
-        in_b = set(up_b)
-        # lowest common ancestor: first node of a's root-path present in b's.
-        for i, node in enumerate(up_a):
-            if node in in_b:
-                lca = node
-                a_part = up_a[: i + 1]
-                break
-        j = up_b.index(lca)
-        return a_part + list(reversed(up_b[:j]))
+        arity = self.arity
+        (la, ia), (lb, ib) = a, b
+        up, down = [a], [b]
+        while la > lb:
+            la, ia = la - 1, ia // arity
+            up.append((la, ia))
+        while lb > la:
+            lb, ib = lb - 1, ib // arity
+            down.append((lb, ib))
+        while ia != ib:
+            la, ia, ib = la - 1, ia // arity, ib // arity
+            up.append((la, ia))
+            down.append((la, ib))
+        down.pop()  # the common ancestor, already ending ``up``
+        up.extend(reversed(down))
+        return up

@@ -112,16 +112,13 @@ class PrimitiveEnvironment:
         self.grid.validate_member(dst)
         if size_units < 0:
             raise ValueError("size_units must be non-negative")
-        cm = self.cost_model
         path = self.grid.route(src, dst)
-        for a, b in zip(path, path[1:]):
-            self.ledger.charge(a, cm.tx_energy(size_units), "tx")
-            self.ledger.charge(b, cm.rx_energy(size_units), "rx")
+        latency = self.cost_model.charge_path(self.ledger, path, size_units)
         self._inboxes.setdefault(dst, deque()).append(
             Envelope(sender=src, payload=payload, size_units=size_units)
         )
         self.messages_sent += 1
-        return cm.path_latency(size_units, len(path) - 1)
+        return latency
 
     def send_to_leader(
         self,

@@ -203,10 +203,7 @@ class ProcessNetwork:
         if src is None or dst is None:
             return send_time
         path = self.grid.route(src, dst)
-        for a, b in zip(path, path[1:]):
-            self.ledger.charge(a, self.cost_model.tx_energy(ch.token_units), "tx")
-            self.ledger.charge(b, self.cost_model.rx_energy(ch.token_units), "rx")
-        return send_time + self.cost_model.path_latency(ch.token_units, len(path) - 1)
+        return send_time + self.cost_model.charge_path(self.ledger, path, ch.token_units)
 
     def _advance(self, state: _ProcState, first: bool = False, value: Any = None) -> None:
         """Resume a process until it blocks or finishes."""

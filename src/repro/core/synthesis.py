@@ -47,6 +47,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from .coords import GridCoord
 from .groups import HierarchicalGroups
+from .network_model import OrientedGrid
 from .program import Context, Message, NodeProgram, Rule
 
 #: Message kind used by the synthesized program (Figure 4's alphabet).
@@ -114,6 +115,11 @@ class SynthesizedProgram:
     groups: HierarchicalGroups
     aggregation: Aggregation
     max_level: int
+
+    @property
+    def topology(self) -> OrientedGrid:
+        """The virtual topology the executors route over: the groups' grid."""
+        return self.groups.grid
 
     def program_for(self, coord: GridCoord) -> NodeProgram:
         """Instantiate the node program for the node at ``coord``."""

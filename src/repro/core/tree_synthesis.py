@@ -1,4 +1,4 @@
-"""Synthesis and execution over the tree virtual topology.
+"""Program synthesis over the tree virtual topology.
 
 Section 3.2: *"A grid will be an appropriate choice of virtual topology for
 uniform node deployment over the terrain.  For non-uniform deployments,
@@ -13,19 +13,18 @@ aggregation interface is shared, so any :class:`Aggregation` (counts,
 sums, boundary merging with appropriately assigned regions) runs unchanged
 on either topology.
 
-:class:`TreeExecutor` drives one round with the same event-driven cost
-accounting as the grid executor (messages travel one tree edge per hop).
+This module is synthesis only: ``repro.core.executor.execute_round`` runs
+a tree round with the same event loop and cost accounting as a grid round,
+reading the topology from :attr:`TreeProgramSpec.topology` (messages
+travel one tree edge per hop).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict
 
 from .coords import GridCoord
-from .cost_model import CostModel, EnergyLedger, UniformCostModel
-from .executor import ExecutionResult
 from .network_model import VirtualTree
 from .program import Context, Message, NodeProgram, Rule
 from .synthesis import MGRAPH, Aggregation
@@ -41,6 +40,11 @@ class TreeProgramSpec:
 
     tree: VirtualTree
     aggregation: Aggregation
+
+    @property
+    def topology(self) -> VirtualTree:
+        """The virtual topology the executors route over: the tree."""
+        return self.tree
 
     def program_for(self, addr: GridCoord) -> NodeProgram:
         """The node program for tree address ``addr``."""
@@ -151,97 +155,3 @@ def _build_tree_program(spec: TreeProgramSpec, addr: GridCoord) -> NodeProgram:
         Rule("advance", cond_complete, act_complete),
     ]
     return NodeProgram(rules, state)
-
-
-class TreeExecutor:
-    """Event-driven execution of a :class:`TreeProgramSpec`.
-
-    Messages travel one tree edge (hop) per ``tx_latency(size)``; energy is
-    charged tx at the sender and rx at the receiver, per the uniform cost
-    model.
-    """
-
-    def __init__(
-        self,
-        spec: TreeProgramSpec,
-        cost_model: Optional[CostModel] = None,
-        charge_compute: bool = True,
-    ):
-        self.spec = spec
-        self.cost_model = cost_model or UniformCostModel()
-        self.charge_compute = charge_compute
-
-    def run(self) -> ExecutionResult:
-        """Execute one round: all tree nodes start at t=0."""
-        cm = self.cost_model
-        tree = self.spec.tree
-        ledger = EnergyLedger()
-        programs = {addr: self.spec.program_for(addr) for addr in tree.nodes()}
-        node_ready: Dict[GridCoord, float] = {a: 0.0 for a in programs}
-        exfiltrated: Dict[GridCoord, Any] = {}
-        messages = 0
-        data_units = 0.0
-        hop_units = 0.0
-        events = 0
-        final_time = 0.0
-
-        queue: List[Tuple[float, int, GridCoord, Optional[Message]]] = []
-        seq = 0
-        for addr in programs:
-            heapq.heappush(queue, (0.0, seq, addr, None))
-            seq += 1
-
-        while queue:
-            time, _, addr, msg = heapq.heappop(queue)
-            events += 1
-            begin = max(time, node_ready[addr])
-            program = programs[addr]
-            effects = program.start() if msg is None else program.deliver(msg)
-            ops = sum(e.operations for e in effects)
-            if self.charge_compute and ops:
-                ledger.charge(addr, cm.compute_energy(ops), "compute")
-            finish = begin + (cm.compute_latency(ops) if self.charge_compute else 0.0)
-            node_ready[addr] = finish
-            final_time = max(final_time, finish)
-            for effect in effects:
-                if effect.kind == "send":
-                    assert effect.destination and effect.message
-                    size = effect.message.size_units
-                    ledger.charge(addr, cm.tx_energy(size), "tx")
-                    ledger.charge(effect.destination, cm.rx_energy(size), "rx")
-                    arrival = finish + cm.tx_latency(size)
-                    heapq.heappush(
-                        queue, (arrival, seq, effect.destination, effect.message)
-                    )
-                    seq += 1
-                    messages += 1
-                    data_units += size
-                    hop_units += size
-                elif effect.kind == "exfiltrate":
-                    exfiltrated[addr] = effect.payload
-
-        latency = (
-            max((node_ready[a] for a in exfiltrated), default=final_time)
-            if exfiltrated
-            else final_time
-        )
-        return ExecutionResult(
-            exfiltrated=exfiltrated,
-            ledger=ledger,
-            latency=latency,
-            messages=messages,
-            data_units=data_units,
-            hop_units=hop_units,
-            events=events,
-        )
-
-
-def execute_tree_round(
-    spec: TreeProgramSpec,
-    cost_model: Optional[CostModel] = None,
-    charge_compute: bool = True,
-) -> ExecutionResult:
-    """Convenience wrapper: one tree-reduction round."""
-    return TreeExecutor(
-        spec, cost_model=cost_model, charge_compute=charge_compute
-    ).run()

@@ -85,11 +85,13 @@ def recover(
 
     If the surviving deployment still satisfies the Section 5
     preconditions, a fresh :class:`DeployedStack` is built (periodic
-    re-execution) under ``previous``'s cost model, electing by the
-    paper's distance-to-centre criterion, and the report counts the cells
-    whose leader changed against ``previous``; otherwise the report
-    carries the violated assumptions and no stack — the paper's protocols
-    have no answer once a cell is emptied or split, which E8 quantifies.
+    re-execution) under ``previous``'s cost model, electing by
+    ``previous``'s binding metric (so a rotated stack stays rotated), and
+    the report counts the cells whose leader changed against ``previous``;
+    without ``previous`` it elects by the paper's distance-to-centre
+    criterion.  Otherwise the report carries the violated assumptions and
+    no stack — the paper's protocols have no answer once a cell is emptied
+    or split, which E8 quantifies.
     """
     problems = network.validate_protocol_preconditions()
     if problems:
@@ -100,13 +102,20 @@ def recover(
             setup_messages=0,
             setup_energy=0.0,
         )
-    cost_model = previous.cost_model if previous is not None else None
-    stack = deploy(network, cost_model=cost_model, strict=False)
-    reelected = 0
-    if previous is not None:
-        for cell, leader in stack.binding.leaders.items():
-            if previous.binding.leaders.get(cell) != leader:
-                reelected += 1
+    if previous is None:
+        stack = deploy(network, strict=False)
+        reelected = 0
+    else:
+        stack = deploy(
+            network,
+            cost_model=previous.cost_model,
+            metric=previous.binding.metric,
+            strict=False,
+        )
+        reelected = sum(
+            previous.binding.leaders.get(cell) != leader
+            for cell, leader in stack.binding.leaders.items()
+        )
     return RecoveryReport(
         stack=stack,
         precondition_problems=[],

@@ -762,32 +762,18 @@ def trace_route(
     """Offline computation of the physical node path an envelope takes from
     the leader of ``src_cell`` to the leader of ``dst_cell``.
 
-    Mirrors :class:`TransportProcess` exactly (XY over cells, gateway
-    chains, leader gradient); used in tests and for hop-count analytics
-    without running the simulator.
+    Mirrors :class:`TransportProcess` exactly and walks the same tables:
+    XY over cells, one :meth:`EmulatedTopology.gateway_chain` per cell
+    crossing, then :meth:`Binding.path_to_leader` down the gradient.  A
+    missing table entry raises :class:`RuntimeError`.  Used in tests and
+    for hop-count analytics without running the simulator.
     """
     net = topology.network
-    current = binding.leader_of(src_cell)
-    path = [current]
-    guard = 0
-    limit = 4 * len(net.nodes) + 16
-    while True:
-        guard += 1
-        if guard > limit:
-            raise RuntimeError("route did not converge (cycle suspected)")
-        cell = net.cell_of(current)
-        if cell == dst_cell:
-            if binding.is_leader(current):
-                return path
-            nxt = binding.toward_leader.get(current)
-            if nxt is None:
-                raise RuntimeError(f"node {current}: no gradient pointer")
-        else:
-            direction = next_direction(cell, dst_cell)
-            nxt = topology.entry(current, direction)
-            if nxt is None:
-                raise RuntimeError(
-                    f"node {current}: no routing entry {direction.name}"
-                )
-        path.append(nxt)
-        current = nxt
+    path = [binding.leader_of(src_cell)]
+    while (cell := net.cell_of(path[-1])) != dst_cell:
+        direction = next_direction(cell, dst_cell)
+        chain = topology.gateway_chain(path[-1], direction)
+        if chain is None:
+            raise RuntimeError(f"node {path[-1]}: no routing entry {direction.name}")
+        path += chain[1:]
+    return path + binding.path_to_leader(path[-1])[1:]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.cost_model import UniformCostModel
-from repro.core.executor import VirtualGridExecutor, execute_round
+from repro.core.executor import execute_round
 from repro.core.groups import HierarchicalGroups
 from repro.core.network_model import OrientedGrid
 from repro.core.synthesis import (
@@ -118,8 +118,8 @@ class TestCostModelInteraction:
 
     def test_executor_reusable_spec(self):
         spec = make_spec(4)
-        r1 = VirtualGridExecutor(spec, charge_compute=False).run()
-        r2 = VirtualGridExecutor(spec, charge_compute=False).run()
+        r1 = execute_round(spec, charge_compute=False)
+        r2 = execute_round(spec, charge_compute=False)
         assert r1.root_payload == r2.root_payload
         assert r1.ledger.total == r2.ledger.total
 

@@ -9,7 +9,7 @@ from repro.core import (
     MaxAggregation,
     SumAggregation,
     VirtualTree,
-    execute_tree_round,
+    execute_round,
     synthesize_tree_program,
 )
 from repro.core.program import Message
@@ -66,26 +66,26 @@ class TestTreeExecution:
     def test_count_equals_leaf_count(self, arity, depth):
         tree = VirtualTree(arity, depth)
         spec = synthesize_tree_program(tree, CountAggregation(lambda a: True))
-        result = execute_tree_round(spec)
+        result = execute_round(spec)
         assert result.root_payload == arity**depth
         assert list(result.exfiltrated) == [(0, 0)]
 
     def test_message_count_is_edges(self):
         tree = VirtualTree(2, 3)
         spec = synthesize_tree_program(tree, CountAggregation(lambda a: True))
-        result = execute_tree_round(spec)
+        result = execute_round(spec)
         assert result.messages == tree.num_nodes - 1
 
     def test_latency_is_depth(self):
         tree = VirtualTree(4, 3)
         spec = synthesize_tree_program(tree, CountAggregation(lambda a: True))
-        result = execute_tree_round(spec, charge_compute=False)
+        result = execute_round(spec, charge_compute=False)
         assert result.latency == 3.0  # one unit per tree level
 
     def test_energy_two_per_edge(self):
         tree = VirtualTree(2, 2)
         spec = synthesize_tree_program(tree, CountAggregation(lambda a: True))
-        result = execute_tree_round(spec, charge_compute=False)
+        result = execute_round(spec, charge_compute=False)
         assert result.ledger.total == 2.0 * (tree.num_nodes - 1)
 
     def test_max_reduction(self):
@@ -93,27 +93,27 @@ class TestTreeExecution:
         spec = synthesize_tree_program(
             tree, MaxAggregation(lambda a: float(a[1]))
         )
-        result = execute_tree_round(spec)
+        result = execute_round(spec)
         assert result.root_payload == 7.0  # largest leaf index
 
     def test_sum_reduction(self):
         tree = VirtualTree(3, 2)
         spec = synthesize_tree_program(tree, SumAggregation(lambda a: 2.0))
-        result = execute_tree_round(spec)
+        result = execute_round(spec)
         assert result.root_payload == 18.0
 
     def test_single_node_tree(self):
         tree = VirtualTree(2, 0)
         spec = synthesize_tree_program(tree, CountAggregation(lambda a: True))
-        result = execute_tree_round(spec)
+        result = execute_round(spec)
         assert result.root_payload == 1
         assert result.messages == 0
 
     def test_deterministic(self):
         tree = VirtualTree(3, 3)
         spec = synthesize_tree_program(tree, SumAggregation(lambda a: a[1] * 1.0))
-        a = execute_tree_round(spec)
-        b = execute_tree_round(
+        a = execute_round(spec)
+        b = execute_round(
             synthesize_tree_program(tree, SumAggregation(lambda a: a[1] * 1.0))
         )
         assert a.root_payload == b.root_payload
@@ -125,7 +125,7 @@ class TestTreeVsGridComparison:
         # 256 leaves: quad-tree-over-grid pays hop distance; a dedicated
         # 4-ary tree topology pays only its depth — the non-uniform-
         # deployment trade the paper mentions.
-        from repro.core import HierarchicalGroups, OrientedGrid, execute_round
+        from repro.core import HierarchicalGroups, OrientedGrid
         from repro.core import synthesize_quadtree_program
 
         grid_spec = synthesize_quadtree_program(
@@ -136,7 +136,7 @@ class TestTreeVsGridComparison:
 
         tree = VirtualTree(4, 4)  # 256 leaves
         tree_spec = synthesize_tree_program(tree, CountAggregation(lambda a: True))
-        tree_result = execute_tree_round(tree_spec, charge_compute=False)
+        tree_result = execute_round(tree_spec, charge_compute=False)
 
         assert tree_result.latency < grid.latency
         assert grid.root_payload == 256

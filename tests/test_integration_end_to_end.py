@@ -113,10 +113,13 @@ class TestVirtualVsDeployedCosts:
 
     @pytest.mark.parametrize("side", [4, 8])
     @pytest.mark.parametrize("per_cell", [2, 7])
-    def test_trace_route_predicts_round_transmissions(self, side, per_cell):
-        """A lossless plain count round transmits exactly the hops of the
+    @pytest.mark.parametrize("reliable", [False, True])
+    def test_trace_route_predicts_round_transmissions(self, side, per_cell, reliable):
+        """A lossless count round transmits exactly the hops of the
         quad-tree's child-to-parent routes over the emulated tables, so
-        the deployed cost is predictable without running the round."""
+        the deployed cost is predictable without running the round.  With
+        reliable ARQ every forward gets exactly one ack, so the count
+        doubles and the ack energy equals the forward energy."""
         stack = deploy(covered_deployment(side, per_cell * side * side, 11))
         spec = VirtualArchitecture(side).synthesize(CountAggregation(lambda c: True))
         groups = spec.groups
@@ -127,9 +130,13 @@ class TestVirtualVsDeployedCosts:
             for child in groups.child_leaders(parent, level)
             if child != parent
         )
-        run = stack.run_application(spec)
+        run = stack.run_application(spec, reliable=reliable)
         assert run.root_payload == side * side
-        assert run.transmissions == predicted
+        assert run.transmissions == (2 if reliable else 1) * predicted
+        energy = run.ledger.by_category()
+        assert energy.get("tx:transport-ack", 0.0) == (
+            energy["tx:transport"] if reliable else 0.0
+        )
 
 
 class TestDesignComparisonShape:

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from repro.core import CountAggregation, VirtualArchitecture
+from repro.deployment import covered_deployment
 from repro.runtime import (
     deploy,
     kill_leaders,
     kill_random_nodes,
     recover,
+    residual_energy_metric,
     rotate_leaders,
 )
 from repro.sweep import SweepSpec, run_sweep
@@ -115,6 +117,26 @@ class TestRecovery:
         assert not report.recovered
         assert any("cells" in p for p in report.precondition_problems)
         assert report.stack is None
+
+    def test_recovery_keeps_the_previous_election_metric(self):
+        # recovering a rotated stack with nothing killed keeps the
+        # residual-energy election instead of undoing the rotation
+        net = covered_deployment(4, 150, 3)
+        stack = deploy(net)
+        assert stack.run_application(
+            VirtualArchitecture(4).synthesize(CountAggregation(lambda c: True))
+        ).root_payload == 16
+        rotated = rotate_leaders(net)
+        moved = sum(
+            rotated.binding.leaders[cell] != stack.binding.leaders[cell]
+            for cell in stack.binding.leaders
+        )
+        assert moved == 15
+        report = recover(net, previous=rotated)
+        assert report.recovered
+        assert report.stack.binding.metric is residual_energy_metric
+        assert report.stack.binding.verify() == []
+        assert report.reelected_cells == 1
 
     def test_recovery_counts_setup_costs(self):
         net = make_deployment(side=4, seed=7)
