@@ -17,10 +17,10 @@ serially and space-partitioned (DESIGN.md §12) and prints the matching
 fingerprints plus the wall-clock split; ``tests/test_partition.py``
 holds the acceptance matrix.
 
-``python -m repro scenario`` runs one seeded round under the full
-scenario composition (log-normal shadowing, mobility, pursuit adversary,
-duty-cycled sources; DESIGN.md §14), printing its fingerprint and the
-scenario report; ``tests/test_scenario.py`` holds the acceptance matrix.
+``python -m repro scenario`` runs one seeded round over log-normal
+shadowed links with a kill-leader fault (DESIGN.md §14), printing its
+fingerprint and the count of frames the link model faded;
+``tests/test_scenario.py`` holds the acceptance matrix.
 
 ``python -m repro analyze ...`` runs the campaign-analytics pipeline
 (:mod:`repro.analyze`): one-pass aggregation of sweep JSONL sinks with
@@ -152,36 +152,6 @@ SCENARIO_SIDE = 4
 SCENARIO_SEED = 11
 
 
-def demo_scenario():
-    """The reference full-composition scenario the demo runs."""
-    from .deployment import covered_deployment
-    from .scenario import (
-        Attacker,
-        LogNormalShadowing,
-        Scenario,
-        SourcePeriodModel,
-        plan_cell_hops,
-    )
-
-    side, seed = SCENARIO_SIDE, SCENARIO_SEED
-    net = covered_deployment(side, 140, seed)
-    cells = [(x, y) for x in range(side) for y in range(side)]
-    return Scenario(
-        link=LogNormalShadowing(sigma=3.0, seed=seed),
-        mobility=plan_cell_hops(
-            sorted(net.node_ids()), cells, hops=5, at=0.6, spacing=0.1, seed=seed
-        ),
-        attacker=Attacker(start_cell=(0, 0), source_cells=((side - 1, side - 1),)),
-        sources=SourcePeriodModel(
-            cells=((side - 1, side - 1), (1, 2)),
-            period=1.0,
-            first=0.4,
-            count=2,
-            dst_cell=(0, 0),
-        ),
-    )
-
-
 def _scenario_demo(args: list[str]) -> int:
     """``python -m repro scenario``."""
     import numpy as np
@@ -189,13 +159,12 @@ def _scenario_demo(args: list[str]) -> int:
     from .core import CountAggregation
     from .deployment import covered_deployment
     from .runtime import FaultEvent, FaultPlan, deploy
+    from .scenario import LogNormalShadowing
 
-    scn = demo_scenario()
+    link = LogNormalShadowing(sigma=3.0, seed=SCENARIO_SEED)
     plan = FaultPlan(events=(FaultEvent(time=0.7, action="kill_leader", cell=(1, 1)),))
-    print(f"scenario             : {scn.link.kind} + "
-          f"{len(scn.mobility.moves)} moves + attacker at "
-          f"{scn.attacker.start_cell} + {len(scn.sources.cells)} sources")
-    print(f"scenario fingerprint : {scn.fingerprint()}")
+    print(f"link model           : {link.kind}, sigma {link.sigma} dB, "
+          f"seed {link.seed}")
     stack = deploy(covered_deployment(SCENARIO_SIDE, 140, SCENARIO_SEED))
     run = stack.run_application(
         VirtualArchitecture(SCENARIO_SIDE).synthesize(CountAggregation(lambda c: True)),
@@ -203,21 +172,12 @@ def _scenario_demo(args: list[str]) -> int:
         reliable=True,
         max_retries=8,
         fault_plan=plan,
-        scenario=scn,
+        link_model=link,
     )
-    rep = run.scenario_report
     print(f"run                  : {run.transmissions} tx, "
           f"{run.events_processed} events, "
           f"fingerprint {run.fingerprint()}")
-    print(f"scenario report      : {len(rep.relocations)} relocations, "
-          f"{rep.link_faded} frames faded, "
-          f"{rep.source_emissions} source emissions")
-    atk = rep.attacker
-    outcome = (
-        f"captured at t={atk.capture_time:.2f}" if atk.captured
-        else f"evaded (distance {atk.distance:.1f})"
-    )
-    print(f"pursuit adversary    : {atk.moves} moves, {outcome}")
+    print(f"link model faded     : {run.link_faded} frames")
     return 0
 
 

@@ -213,57 +213,6 @@ class RealNetwork:
             if self.cell_of(nbr) == cell
         )
 
-    # -- mobility (repro.scenario) -------------------------------------------------
-
-    def move_node(self, node_id: int, position: Point) -> Tuple[GridCoord, GridCoord]:
-        """Re-home a node: new position, cell membership, unit-disk links.
-
-        The node's links are recomputed against every other node under the
-        same symmetric min-reach rule :meth:`_build_adjacency` uses, and
-        both endpoints' adjacency views are rewritten.  Bumps the liveness
-        generation so every cached view (alive neighbours, cell members,
-        repair throttles, link-model probabilities) rebuilds lazily.
-        Returns ``(old_cell, new_cell)``.
-        """
-        node = self.nodes[node_id]
-        old_cell = self._cell_of[node_id]
-        node.position = (float(position[0]), float(position[1]))
-        new_cell = self.cells.cell_of(node.position)
-        if new_cell != old_cell:
-            self._cell_of[node_id] = new_cell
-            old_members = [m for m in self._members.get(old_cell, ()) if m != node_id]
-            if old_members:
-                self._members[old_cell] = tuple(old_members)
-            else:
-                self._members.pop(old_cell, None)
-            self._members[new_cell] = tuple(
-                sorted(self._members.get(new_cell, ()) + (node_id,))
-            )
-        px, py = node.position
-        fresh: List[int] = []
-        for other in self.nodes.values():
-            if other.node_id == node_id:
-                continue
-            d = math.hypot(px - other.position[0], py - other.position[1])
-            if d <= min(node.tx_range, other.tx_range):
-                fresh.append(other.node_id)
-        new_nbrs = frozenset(fresh)
-        old_nbrs = self._adjacency_sets[node_id]
-        for gone in old_nbrs - new_nbrs:
-            self._adjacency[gone] = tuple(
-                v for v in self._adjacency[gone] if v != node_id
-            )
-            self._adjacency_sets[gone] = self._adjacency_sets[gone] - {node_id}
-        for added in new_nbrs - old_nbrs:
-            self._adjacency[added] = tuple(
-                sorted(self._adjacency[added] + (node_id,))
-            )
-            self._adjacency_sets[added] = self._adjacency_sets[added] | {node_id}
-        self._adjacency[node_id] = tuple(sorted(fresh))
-        self._adjacency_sets[node_id] = new_nbrs
-        self._bump_liveness_generation()
-        return old_cell, new_cell
-
     def edge_count(self) -> int:
         """Number of undirected links."""
         return sum(len(v) for v in self._adjacency.values()) // 2

@@ -460,18 +460,14 @@ class TransportProcess(Process):
     ) -> Tuple[Optional[int], str]:
         """The current next hop from this node, in ``cell``, for
         ``envelope``, repairing routes on demand (healing mode) when the
-        recorded hop is dead, missing or out of range."""
+        recorded hop is dead or missing.  Tables, gradients and repairs
+        only ever name a radio neighbour, so the hop is always in range."""
         net = self.medium.network
         node_id = self.node_id
         healing = self.healing
         if cell == envelope.dst_cell:
             nxt = self.binding.toward_leader.get(node_id)
-            if healing is not None and (
-                nxt is None
-                or not net.nodes[nxt].alive
-                or nxt not in net.neighbor_set(node_id)
-            ):
-                # dead, or moved out of radio range (mobility): repair
+            if healing is not None and (nxt is None or not net.nodes[nxt].alive):
                 if self.binding.repair_gradient(cell):
                     self._rerouted()
                 nxt = self.binding.toward_leader.get(node_id)
@@ -480,11 +476,7 @@ class TransportProcess(Process):
         else:
             direction = next_direction(cell, envelope.dst_cell)
             nxt = self.topology.entry(node_id, direction)
-            if healing is not None and (
-                nxt is None
-                or not net.nodes[nxt].alive
-                or nxt not in net.neighbor_set(node_id)
-            ):
+            if healing is not None and (nxt is None or not net.nodes[nxt].alive):
                 if self.topology.repair(cell, direction):
                     self._rerouted()
                 nxt = self.topology.entry(node_id, direction)
@@ -492,8 +484,6 @@ class TransportProcess(Process):
                 return None, f"no routing entry {direction.name}"
         if not net.nodes[nxt].alive:
             return None, f"next hop {nxt} dead"
-        if nxt not in net.neighbor_set(node_id):
-            return None, f"next hop {nxt} out of range"
         return nxt, ""
 
     def _rerouted(self) -> None:
@@ -506,15 +496,15 @@ class TransportProcess(Process):
         """Deliver ``envelope`` here, or forward it one hop.
 
         :meth:`_resolve_next_hop` alone computes a next hop; this node's
-        cell is looked up once, and the hop's liveness and range are
-        checked once, by it.  With healing off its answer for a
-        destination cell moves only with the network's liveness generation
-        (kills, revivals, battery deaths, moves) or with a healing rewrite
-        of the shared binding or tables, so each successful forward is
-        memoized per destination cell, stamped with the sum of the two
-        counters (both only grow).  Deliveries and unroutable envelopes
-        are not memoized.  With healing on, repair and failover rewrite
-        routes between hops, so every hop resolves afresh.
+        cell is looked up once, and the hop's liveness is checked once, by
+        it.  With healing off its answer for a destination cell moves only
+        with the network's liveness generation (kills, revivals, battery
+        deaths) or with a healing rewrite of the shared binding or tables,
+        so each successful forward is memoized per destination cell,
+        stamped with the sum of the two counters (both only grow).
+        Deliveries and unroutable envelopes are not memoized.  With healing
+        on, repair and failover rewrite routes between hops, so every hop
+        resolves afresh.
         """
         dst = envelope.dst_cell
         memo = nxt = None
@@ -681,13 +671,7 @@ class TransportProcess(Process):
         leader = self.binding.leaders.get(cell)
         if self.fault_report is not None:
             self.fault_report.detected_failures += 1
-        # a leader that moved to another cell (mobility) is alive but
-        # absent — the cell must fail over exactly as if it had died
-        leader_alive = (
-            leader is not None
-            and net.node(leader).alive
-            and net.cell_of(leader) == cell
-        )
+        leader_alive = leader is not None and net.node(leader).alive
         members = net.members_of_cell(cell)
         metric = self.binding.metric  # the election's, so a fresh one agrees
         successor = (

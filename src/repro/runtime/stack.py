@@ -27,6 +27,7 @@ from ..core.cost_model import CostModel, EnergyLedger, UniformCostModel
 from ..core.program import EXFILTRATE, SEND, Effect, NodeProgram
 from ..core.synthesis import SynthesizedProgram
 from ..deployment.topology import RealNetwork
+from ..scenario import LinkModel, link_model_from_dict
 from ..simulator.engine import Simulator
 from ..simulator.network import WirelessMedium
 from ..simulator.process import ProcessHost
@@ -72,7 +73,7 @@ class DeployedRunResult:
     events_processed: int = 0
     rejected_frames: int = 0
     fault_report: Optional[FaultReport] = None
-    scenario_report: Optional[Any] = None  # repro.scenario.ScenarioReport
+    link_faded: Optional[int] = None
 
     @property
     def root_payload(self) -> Any:
@@ -87,9 +88,10 @@ class DeployedRunResult:
         """Stable digest of every deterministic observable of the round.
 
         Covers the energy ledger, traffic counters, latency, event count,
-        rejected frames, and (when fault injection ran) the full
-        :class:`~repro.runtime.faults.FaultReport` — so a seeded fault run
-        is byte-reproducible across processes and shards.
+        rejected frames, (when fault injection ran) the full
+        :class:`~repro.runtime.faults.FaultReport`, and (when a link model
+        gated the round) the count of frames it faded — so a seeded fault
+        or link-model run is byte-reproducible across processes and shards.
         """
         from ..simulator.trace import stable_digest
 
@@ -104,10 +106,10 @@ class DeployedRunResult:
             self.rejected_frames,
             None if self.fault_report is None else self.fault_report.fingerprint(),
         )
-        # appended only when a scenario ran, so no-scenario runs (and runs
+        # appended only when a link gate ran, so ungated runs (and runs
         # with the explicit UnitDisk default) keep their historic digests
-        if self.scenario_report is not None:
-            parts = parts + (self.scenario_report.fingerprint(),)
+        if self.link_faded is not None:
+            parts = parts + (self.link_faded,)
         return stable_digest(parts)
 
 
@@ -233,7 +235,7 @@ class DeployedStack:
         wire_format: bool = False,
         fault_plan: Optional[FaultPlan] = None,
         healing: Optional[HealingConfig] = None,
-        scenario: Any = None,
+        link_model: "LinkModel | Dict[str, Any] | None" = None,
     ) -> DeployedRunResult:
         """Execute one round of the synthesized application.
 
@@ -257,21 +259,20 @@ class DeployedStack:
         :class:`~repro.runtime.faults.FaultReport` and folds it into
         :meth:`DeployedRunResult.fingerprint`.
 
-        ``scenario`` plugs in the world models of :mod:`repro.scenario`
-        (DESIGN.md §14) — a :class:`~repro.scenario.Scenario` or its dict
-        form: radio link model, mobility schedule, pursuit adversary, and
-        duty-cycled sources.  A trivial scenario (unit-disk only) is
-        dropped entirely, keeping this path byte-identical to no scenario;
-        otherwise the result carries a fingerprint-folded
-        :class:`~repro.scenario.ScenarioReport`.  Mobility forces healing
-        on (moves re-home nodes between cells; the self-healing path is
-        what re-binds them).
+        ``link_model`` replaces the unit-disk radio with a
+        :class:`~repro.scenario.LinkModel` (or its dict form; DESIGN.md
+        §14), whose gate decides per directed link and per packet whether
+        a frame is heard.  The result's ``link_faded`` counts the frames
+        it faded and folds into the fingerprint;
+        :class:`~repro.scenario.UnitDisk` builds no gate, which keeps the
+        round byte-identical to passing None.
         """
-        from ..scenario import Scenario, ScenarioInjector, ScenarioReport
-
-        scenario = Scenario.coerce(scenario)
-        if scenario is not None and scenario.is_trivial():
-            scenario = None
+        if isinstance(link_model, dict):
+            link_model = link_model_from_dict(link_model)
+        elif link_model is not None and not isinstance(link_model, LinkModel):
+            raise TypeError(
+                f"link_model must be a LinkModel, dict, or None, got {link_model!r}"
+            )
         side = self.network.cells.cells_per_side
         grid = spec.groups.grid
         if (grid.width, grid.height) != (side, side):
@@ -279,15 +280,14 @@ class DeployedStack:
                 f"program grid {grid.width}x{grid.height} does not match "
                 f"the {side}x{side} cell decomposition"
             )
-        if healing is None and (
-            fault_plan is not None
-            or (scenario is not None and scenario.mobility)
-        ):
+        if healing is None and fault_plan is not None:
             healing = HealingConfig()
         report = (
             FaultReport() if (fault_plan is not None or healing is not None) else None
         )
         sim, medium, host = self.make_harness(loss_rate=loss_rate, rng=rng)
+        gate = None if link_model is None else link_model.build_gate(self.network)
+        medium.link_gate = gate
         results: Dict[GridCoord, Any] = {}
         counters = {"delivered": 0, "dropped": 0, "orphaned": 0}
         config = dict(
@@ -317,14 +317,6 @@ class DeployedStack:
         if fault_plan:
             injector = FaultInjector(fault_plan, self.network, self.binding, report)
             injector.arm(sim, medium)
-        scenario_report: Optional[ScenarioReport] = None
-        scenario_injector: Optional[ScenarioInjector] = None
-        if scenario is not None:
-            scenario_report = ScenarioReport()
-            scenario_injector = ScenarioInjector(
-                scenario, self.network, self.binding, host, scenario_report
-            )
-            scenario_injector.arm(sim, medium)
         try:
             sim.run(max_events=max_events)
         finally:
@@ -334,8 +326,6 @@ class DeployedStack:
             medium.tx_transform = None
         if report is not None:
             report.orphaned_deliveries = counters["orphaned"]
-        if scenario_injector is not None:
-            scenario_injector.finalize()
         return DeployedRunResult(
             exfiltrated=results,
             ledger=medium.ledger,
@@ -346,7 +336,7 @@ class DeployedStack:
             events_processed=sim.events_processed,
             rejected_frames=sum(p.rejected_frames for p in host.processes.values()),
             fault_report=report,
-            scenario_report=scenario_report,
+            link_faded=None if gate is None else gate.faded,
         )
 
 

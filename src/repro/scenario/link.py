@@ -19,7 +19,7 @@ Determinism contract:
   *n*-th packet on link ``(u, v)`` gets the same verdict in every
   process and with the wire codec on or off.
 * :class:`UnitDisk` builds no gate: selecting it explicitly is
-  byte-identical to running without a scenario.
+  byte-identical to running without a link model.
 """
 
 from __future__ import annotations
@@ -35,22 +35,8 @@ from ..simulator.trace import stable_digest, stable_unit
 if TYPE_CHECKING:  # pragma: no cover
     from ..deployment.topology import RealNetwork
 
-# hash-domain tags so admission draws and fallback shadow draws for the
-# same link never collide
+#: hash-domain tag of the per-packet admission draws
 _ADMIT_TAG = 0xAD317
-_SHADOW_TAG = 0x5AD0
-
-
-def _hash_normal(seed: int, u: int, v: int) -> float:
-    """Standard-normal draw from the link identity (Box–Muller on hashes).
-
-    Used for links that appear *after* gate build (mobility created them),
-    so every shard replica agrees on the late link's shadowing term
-    without having consumed it from the build-time stream.
-    """
-    u1 = max(stable_unit(seed, _SHADOW_TAG, u, v, 1), 1e-12)
-    u2 = stable_unit(seed, _SHADOW_TAG, u, v, 2)
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
 def _normalized_distance(net: "RealNetwork", u: int, v: int) -> float:
@@ -66,26 +52,18 @@ class LinkGate:
 
     ``admit(src, dst)`` is called once per potential reception, *after*
     liveness and blocked-link filtering and *before* any loss/jitter RNG
-    draw.  Reception probabilities are cached per link and invalidated by
-    the network's liveness generation (mobility bumps it on every move, so
-    distance-dependent models track node positions).
+    draw.  Node positions never change, so each link's reception
+    probability is computed once, on its first packet, and cached.
     """
 
-    __slots__ = ("_net", "_seed", "_prob_fn", "_counts", "_pcache", "_gen", "faded")
+    __slots__ = ("_seed", "_prob_fn", "_counts", "_pcache", "faded")
 
-    def __init__(
-        self,
-        network: "RealNetwork",
-        seed: int,
-        prob_fn: Callable[[int, int], float],
-    ):
-        self._net = network
+    def __init__(self, seed: int, prob_fn: Callable[[int, int], float]):
         self._seed = seed
         self._prob_fn = prob_fn
         self._counts: Dict[Tuple[int, int], int] = {}
         self._pcache: Dict[Tuple[int, int], float] = {}
-        self._gen = -1
-        #: packets suppressed by the model (the scenario report's counter)
+        #: packets suppressed by the model (the run result's ``link_faded``)
         self.faded = 0
 
     def admit(self, src: int, dst: int) -> bool:
@@ -93,10 +71,6 @@ class LinkGate:
         key = (src, dst)
         n = self._counts.get(key, 0)
         self._counts[key] = n + 1
-        gen = self._net.liveness_generation
-        if gen != self._gen:
-            self._pcache.clear()
-            self._gen = gen
         p = self._pcache.get(key)
         if p is None:
             p = self._prob_fn(src, dst)
@@ -138,8 +112,8 @@ class UnitDisk(LinkModel):
     """Today's physics, named: every in-range neighbour hears everything.
 
     Builds no gate, so selecting it explicitly is byte-identical to not
-    passing a scenario at all (the acceptance criterion pinning the
-    scenario layer's zero-cost default).
+    passing a link model at all: the named baseline of a ``link`` sweep
+    axis costs the run nothing.
     """
 
     kind: str = "unit_disk"
@@ -195,22 +169,15 @@ class LogNormalShadowing(LinkModel):
         for u in network.node_ids():
             for v in network.neighbors(u, alive_only=False):
                 shadows[(u, v)] = float(rng.normal(0.0, self.sigma))
-        sigma, ple, softness, seed = (
-            self.sigma, self.path_loss_exponent, self.softness, self.seed,
-        )
+        ple, softness = self.path_loss_exponent, self.softness
 
         def prob(u: int, v: int) -> float:
-            shadow = shadows.get((u, v))
-            if shadow is None:
-                # link born mid-run (mobility): hash-derived shadow, cached
-                shadow = sigma * _hash_normal(seed, u, v)
-                shadows[(u, v)] = shadow
             x = max(_normalized_distance(network, u, v), 1e-9)
-            margin = -10.0 * ple * math.log10(x) + shadow
+            margin = -10.0 * ple * math.log10(x) + shadows[(u, v)]
             t = min(max(margin / softness, -60.0), 60.0)
             return 1.0 / (1.0 + math.exp(-t))
 
-        return LinkGate(network, self.seed, prob)
+        return LinkGate(self.seed, prob)
 
     def fingerprint(self) -> str:
         return stable_digest(
@@ -255,7 +222,7 @@ class PerPairFading(LinkModel):
             x = min(max(_normalized_distance(network, u, v), 0.0), 1.0)
             return 1.0 - depth * x
 
-        return LinkGate(network, self.seed, prob)
+        return LinkGate(self.seed, prob)
 
     def fingerprint(self) -> str:
         return stable_digest(("link", self.kind, self.depth, self.seed))

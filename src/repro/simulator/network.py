@@ -139,8 +139,8 @@ class WirelessMedium:
         distinct arrival time.  Observable results (:class:`MediumStats`,
         the energy ledger, handler invocation order and timestamps) are
         identical either way; only ``Simulator.events_processed`` differs.
-        Set False to force the per-receiver legacy path (used by the
-        equivalence tests and the perf harness).
+        Set False to force the per-receiver legacy path; only tests do,
+        as the oracle the fast path is held to.
     """
 
     def __init__(
@@ -177,13 +177,9 @@ class WirelessMedium:
         # optional in-flight frame mangler (fault injection): called with
         # each outgoing Packet, returns the packet to actually deliver
         self.tx_transform: Optional[Callable[[Packet], Packet]] = None
-        # scenario hooks (repro.scenario): an optional per-directed-link
-        # admission gate (radio models) and a passive delivery tap the
-        # pursuit adversary replays post-run.  Both default off so the
-        # no-scenario hot path pays only a None check.
+        # optional per-directed-link admission gate of a radio link model
+        # (repro.scenario); None keeps the unit-disk hot path at one check
         self.link_gate: Optional[Any] = None
-        self.delivery_log: "Optional[List[tuple[float, int, int]]]" = None
-        self.tap_kinds: "frozenset[str]" = frozenset()
 
     @property
     def cost_model(self) -> CostModel:
@@ -246,9 +242,9 @@ class WirelessMedium:
             receivers = [r for r in receivers if (src, r) not in blocked]
         gate = self.link_gate
         if gate is not None and receivers:
-            # link-model admission (repro.scenario): decided per directed
-            # link from counter hashes BEFORE any loss/jitter RNG draw, so
-            # gated runs keep the medium stream aligned across modes
+            # link-model admission: decided per directed link from
+            # counter hashes BEFORE any loss/jitter RNG draw, so a gate
+            # never shifts the medium's stream
             admit = gate.admit
             kept = [r for r in receivers if admit(src, r)]
             faded = len(receivers) - len(kept)
@@ -454,9 +450,6 @@ class WirelessMedium:
         if not node.alive:  # died in flight
             return
         kind = packet.kind
-        if self.tap_kinds and kind in self.tap_kinds:
-            # passive adversary tap (repro.scenario): record, never perturb
-            self.delivery_log.append((self.sim.now, packet.src, receiver))
         size_units = packet.size_units
         energy = self._prices[size_units][1]
         node._consumed += energy
@@ -476,28 +469,19 @@ class WirelessMedium:
         """Batched arrival: one event delivers ``packet`` to every receiver.
 
         The receive kernel.  What every receiver shares is looked up once
-        per packet: the rx energy, the kind's record, and whether the
-        delivery tap records this kind.  Per receiver, in :meth:`_arrive`'s
-        order, come the liveness check, the tap, the battery (which can
-        kill the node), the receiver's ledger entry, the record and the
-        received total, all updated in place, and then the handler call.
-        So every handler observes exactly the counters the per-receiver
-        path would have left, and every float total takes the same
-        additions in the same order.  Receiver order matches the
+        per packet: the rx energy and the kind's record.  Per receiver, in
+        :meth:`_arrive`'s order, come the liveness check, the battery
+        (which can kill the node), the receiver's ledger entry, the record
+        and the received total, all updated in place, and then the handler
+        call.  So every handler observes exactly the counters the
+        per-receiver path would have left, and every float total takes the
+        same additions in the same order.  Receiver order matches the
         per-receiver path's event order, so handler side effects (and
         anything they schedule) sequence identically.
         """
-        kind = packet.kind
         size_units = packet.size_units
         energy = self._prices[size_units][1]
-        record = self._records[kind]
-        tap = (
-            self.delivery_log.append
-            if self.tap_kinds and kind in self.tap_kinds
-            else None
-        )
-        now = self.sim.now
-        src = packet.src
+        record = self._records[packet.kind]
         nodes = self.network.nodes
         handlers = self._handlers
         spent, stats = self._spent, self.stats
@@ -505,8 +489,6 @@ class WirelessMedium:
             node = nodes[receiver]
             if not node.alive:  # died in flight
                 continue
-            if tap is not None:
-                tap((now, src, receiver))
             consumed = node._consumed + energy
             node._consumed = consumed
             if consumed >= node.initial_energy:

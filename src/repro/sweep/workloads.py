@@ -54,7 +54,7 @@ from ..runtime import (
     recover,
     rotate_leaders,
 )
-from ..scenario import Scenario
+from ..scenario import UnitDisk, link_model_from_dict
 from ..simulator.engine import Simulator
 from ..simulator.network import WirelessMedium
 from ..simulator.trace import stable_digest
@@ -128,7 +128,7 @@ def public_workloads() -> List[str]:
 @workload(
     "e1",
     params=(
-        "side", "n_random", "loss", "wire", "faultplan", "scenario",
+        "side", "n_random", "loss", "wire", "faultplan", "link",
         "reliable", "max_retries",
     ),
 )
@@ -148,16 +148,14 @@ def e1_scaling(params: Dict[str, Any], seed: int) -> WorkloadOutcome:
     With a plan the round defaults to ``reliable=True`` and
     ``max_retries=8`` (self-healing needs the ARQ to redirect).
 
-    ``scenario`` (the :meth:`~repro.scenario.Scenario.to_dict` shape)
-    plugs in the world models of :mod:`repro.scenario` — radio link
-    model, mobility schedule, pursuit adversary, duty-cycled sources —
-    as a sweep axis.  The scenario and its
-    :class:`~repro.scenario.ScenarioReport` fold into the fingerprint,
-    and the report's flat metrics (``link_faded``, ``relocations``,
-    ``attacker_*``, ``source_*``) land in the sweep record.  Scenario
-    rounds default to ``reliable=True`` and report ``app_count`` instead
-    of asserting the exact total: a faded or re-homed world may
-    legitimately fall short of the full count.
+    ``link`` (a link model's :meth:`~repro.scenario.LinkModel.to_dict`
+    shape) replaces the unit-disk radio with a :mod:`repro.scenario`
+    link model, as a sweep axis; ``UnitDisk`` builds no gate and runs
+    the plain round.  A gated round folds the model's fingerprint and
+    its faded-frame count into the fingerprint, records ``link_faded``
+    and ``app_count``, defaults to ``reliable=True`` and
+    ``max_retries=8``, and does not assert the exact total: a faded
+    world may legitimately fall short of the full count.
     """
     side = int(params.get("side", 8))
     n_random = int(params.get("n_random", side * side * 7))
@@ -165,14 +163,15 @@ def e1_scaling(params: Dict[str, Any], seed: int) -> WorkloadOutcome:
     wire = bool(params.get("wire", False))
     plan_spec = params.get("faultplan")
     plan = FaultPlan.from_dicts(plan_spec) if plan_spec else None
-    scenario = Scenario.coerce(params.get("scenario"))
-    if scenario is not None and scenario.is_trivial():
-        scenario = None
+    link_spec = params.get("link")
+    link = None if link_spec is None else link_model_from_dict(link_spec)
+    if isinstance(link, UnitDisk):
+        link = None
     reliable = bool(
-        params.get("reliable", loss > 0.0 or plan is not None or scenario is not None)
+        params.get("reliable", loss > 0.0 or plan is not None or link is not None)
     )
     max_retries = int(
-        params.get("max_retries", 8 if (plan is not None or scenario is not None) else 3)
+        params.get("max_retries", 8 if (plan is not None or link is not None) else 3)
     )
     net = covered_deployment(side, n_random, seed)
     stack = deploy(net)
@@ -182,10 +181,10 @@ def e1_scaling(params: Dict[str, Any], seed: int) -> WorkloadOutcome:
     result = stack.run_application(
         spec, loss_rate=loss, rng=np.random.default_rng(seed),
         reliable=reliable, max_retries=max_retries, wire_format=wire,
-        fault_plan=plan, scenario=scenario,
+        fault_plan=plan, link_model=link,
     )
     wall = time.perf_counter() - t0
-    if scenario is None and result.root_payload != side * side:
+    if link is None and result.root_payload != side * side:
         raise RuntimeError(
             f"E1 count mismatch: got {result.root_payload}, want {side * side}"
         )
@@ -212,14 +211,13 @@ def e1_scaling(params: Dict[str, Any], seed: int) -> WorkloadOutcome:
         metrics["reroutes"] = float(report.reroutes)
         metrics["frames_rejected"] = float(report.frames_rejected)
         fp_parts.extend([plan.fingerprint(), report.fingerprint()])
-    if scenario is not None:
-        scn_report = result.scenario_report
-        assert scn_report is not None
+    if link is not None:
+        assert result.link_faded is not None
+        metrics["link_faded"] = float(result.link_faded)
         metrics["app_count"] = float(
             result.root_payload if len(result.exfiltrated) == 1 else -1
         )
-        metrics.update(scn_report.metrics())
-        fp_parts.extend([scenario.fingerprint(), scn_report.fingerprint()])
+        fp_parts.extend([link.fingerprint(), result.link_faded])
     return WorkloadOutcome(metrics=metrics, fingerprint=stable_digest(tuple(fp_parts)))
 
 

@@ -68,17 +68,17 @@ class TestCli:
         assert err.startswith(f"usage: python -m repro {argv[0]}")
 
     # The demos' printed fingerprints are pinned: between them they run
-    # the mobility, failover, link-model and shard paths end to end.
+    # the failover, link-model, serving and shard paths end to end.
 
     def test_scenario_demo_matches_across_modes(self, capsys):
         assert main(["scenario"]) == 0
         out = capsys.readouterr().out
-        assert "scenario fingerprint : def854d1bd349f28" in out
         assert (
-            "run                  : 1747 tx, 9648 events, "
-            "fingerprint 2f6a7f71044ac41a\n"
+            "run                  : 1690 tx, 9582 events, "
+            "fingerprint 0ed016970528559e\n"
         ) in out
-        assert out.count("fingerprint 2f6a7f71044ac41a") == 1
+        assert "link model faded     : 27303 frames\n" in out
+        assert out.count("fingerprint 0ed016970528559e") == 1
 
     def test_partition_demo_matches_across_modes(self, capsys):
         assert main(["partition", "8", "2"]) == 0

@@ -16,6 +16,8 @@ from repro.simulator.network import Packet, WirelessMedium
 from repro.simulator.process import Process, ProcessHost
 from repro.simulator.trace import MediumStats
 
+from conftest import make_deployment
+
 
 def triangle_network(tx_range=2.0):
     """Three mutually connected nodes."""
@@ -186,6 +188,82 @@ class TestLossAndJitter:
 
         assert run(7) == run(7)
         assert run(7) != run(8)
+
+
+class StubGate:
+    """A link gate refusing every ``period``-th link it is asked about."""
+
+    def __init__(self, period: int):
+        self.period = period
+        self.asked = 0
+        self.refused = []
+
+    def admit(self, src: int, dst: int) -> bool:
+        self.asked += 1
+        if self.asked % self.period:
+            return True
+        self.refused.append(dst)
+        return False
+
+
+class TestLinkGate:
+    """A gate decides before any loss or jitter draw (DESIGN.md §14): a
+    refused link must look to the medium's stream exactly like a link
+    that is not there."""
+
+    @staticmethod
+    def lossy_world():
+        net = make_deployment(side=4, n_random=140, seed=17)
+        sim = Simulator()
+        medium = WirelessMedium(
+            sim, net, loss_rate=0.3, jitter=0.5, rng=np.random.default_rng(5)
+        )
+        host = ProcessHost(sim, medium)
+        host.add_all(lambda nid: Recorder())
+        src = max(net.alive_ids(), key=lambda n: len(net.alive_neighbors(n)))
+        return sim, medium, host, src
+
+    @staticmethod
+    def arrivals(host):
+        return {
+            nid: [t for t, _ in proc.packets]
+            for nid, proc in host.processes.items()
+            if proc.packets
+        }
+
+    def test_refused_links_shift_no_draw(self):
+        sim, gated, host, src = self.lossy_world()
+        gate = gated.link_gate = StubGate(3)
+        gated.broadcast(src, "k", None)
+        sim.run()
+        assert gate.asked == len(gated.network.alive_neighbors(src))
+        assert gate.refused and len(gate.refused) == gate.asked // 3
+
+        sim_b, blocked, host_b, _ = self.lossy_world()
+        for dst in gate.refused:
+            blocked.block_link(src, dst)
+        blocked.broadcast(src, "k", None)
+        sim_b.run()
+
+        assert self.arrivals(host) == self.arrivals(host_b)
+        assert gated.rng.bit_generator.state == blocked.rng.bit_generator.state
+        assert gated.stats.records["k"].drop == (
+            blocked.stats.records["k"].drop + len(gate.refused)
+        )
+
+    def test_refused_unicast_spends_tx_and_draws_nothing(self):
+        sim, medium, host, src = self.lossy_world()
+        medium.link_gate = StubGate(1)
+        dst = medium.network.alive_neighbors(src)[0]
+        state = medium.rng.bit_generator.state
+        assert medium.unicast(src, dst, "k", None) is False
+        assert sim.pending == 0
+        sim.run()
+        assert medium.stats.transmissions == 1
+        assert medium.ledger.consumed(src) == 1.0
+        assert medium.stats.drops == medium.stats.records["k"].drop == 1
+        assert medium.rng.bit_generator.state == state
+        assert self.arrivals(host) == {}
 
 
 class TestStats:

@@ -6,8 +6,8 @@ same handler invocation order — only ``Simulator.events_processed`` may
 The receive kernel (``WirelessMedium._arrive_many``) hoists per-packet
 work out of the receiver loop, so the oracle also drives it through the
 receiver-side effects that could expose a reordering: receivers dying
-from their own rx draw mid-batch, handlers transmitting mid-batch,
-handlers reading the counters mid-batch, and the scenario delivery tap.
+from their own rx draw mid-batch, handlers transmitting mid-batch, and
+handlers reading the counters mid-batch.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from conftest import make_deployment
 
 
 #: receiver-side effects ``run_storm`` can add to the plain storm
-CASES = ("energy", "unicast", "snapshot", "tap")
+CASES = ("energy", "unicast", "snapshot")
 
 REGIMES = pytest.mark.parametrize(
     "loss_rate,jitter",
@@ -45,9 +45,7 @@ def run_storm(batch_fanout, loss_rate=0.0, jitter=0.0, rounds=3, seed=5, case=No
     * ``"unicast"`` — every receiver of a broadcast unicasts an echo back
       to its sender from inside the handler;
     * ``"snapshot"`` — every handler call records the channel and ledger
-      fingerprints and the (addition-order sensitive) ledger total;
-    * ``"tap"`` — the scenario delivery tap records one of two kinds;
-      ``observed`` is the tap log.
+      fingerprints and the (addition-order sensitive) ledger total.
 
     Case runs attach handlers to every third node only, so receivers
     without one sit between handler calls, and send fractional packet
@@ -69,9 +67,6 @@ def run_storm(batch_fanout, loss_rate=0.0, jitter=0.0, rounds=3, seed=5, case=No
         # out in rounds 1-2
         for nid, node in net.nodes.items():
             node.initial_energy = 4.0 + nid % 20 / 2
-    elif case == "tap":
-        medium.tap_kinds = frozenset({"storm"})
-        medium.delivery_log = observed
     arrivals = []  # (time, receiver, src, kind) in handler order
 
     def handler(pkt, nid):
@@ -92,9 +87,8 @@ def run_storm(batch_fanout, loss_rate=0.0, jitter=0.0, rounds=3, seed=5, case=No
             medium.attach(nid, lambda pkt, nid=nid: handler(pkt, nid))
     for r in range(rounds):
         for nid in net.alive_ids():
-            kind = "beacon" if case == "tap" and nid % 2 == 0 else "storm"
             size = 1.0 if case is None else 0.1 * (1 + nid % 3)
-            medium.broadcast(nid, kind, r, size)
+            medium.broadcast(nid, "storm", r, size)
         sim.run()
     stats = medium.stats.fingerprint()
     ledger = medium.ledger.fingerprint()
@@ -129,8 +123,6 @@ def test_receive_kernel_matches_legacy_path_under_receiver_effects(
         assert any(kind == "echo" for *_, kind in batched[2]), "no echo arrived"
     elif case == "snapshot":
         assert len(batched[4]) == len(batched[2])
-    elif case == "tap":  # even senders broadcast the untapped kind
-        assert batched[4] and all(src % 2 for _, src, _ in batched[4])
 
 
 def test_batch_fanout_processes_fewer_events():

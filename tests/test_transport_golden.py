@@ -13,7 +13,7 @@ intended behaviour change — a conscious regeneration::
 
 Cases: the 12 fault-matrix rounds of ``test_runtime_faults``; side-4 count
 rounds over reliable x wire x {no loss, loss, loss + jitter}; one
-link-model scenario round; one reliable round split into two shards
+log-normal shadowed round; one reliable round split into two shards
 (cross-shard unicasts); the chaos-soak fingerprint; a reliable lossy
 query stream with a deferring tenant; and four sequences of rounds run
 back to back on one stack (``multiround-*``), which pin that a round's
@@ -47,7 +47,7 @@ from repro.runtime import (
     plan_chaos,
     trace_route,
 )
-from repro.scenario import LogNormalShadowing, Scenario
+from repro.scenario import LogNormalShadowing
 from repro.serve import QueryEngine, ServeConfig, TenantPolicy
 from repro.serve.admission import synthesize_arrivals
 from repro.serve.chaos import build_serving_stack, chaos_soak
@@ -211,7 +211,7 @@ def link_model_case() -> str:
         rng=np.random.default_rng(18),
         reliable=True,
         max_retries=8,
-        scenario=Scenario(link=LogNormalShadowing(sigma=3.0, seed=17)),
+        link_model=LogNormalShadowing(sigma=3.0, seed=17),
     ).fingerprint()
 
 
