@@ -198,8 +198,9 @@ class TransportProcess(Process):
         the sequence, custody, dedup, timer and healing state.
 
         The constructor runs it; a stack that keeps its processes across
-        rounds runs it again before each round, which leaves the process
-        equal to a freshly constructed one (DESIGN.md §7, "Round reuse").
+        rounds runs it again on a process's first act in each later round,
+        which leaves the process equal to a freshly constructed one
+        (DESIGN.md §7, "Round reuse").
         """
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")

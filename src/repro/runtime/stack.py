@@ -18,7 +18,7 @@ executes here on physical nodes —
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -26,10 +26,11 @@ from ..core.coords import GridCoord
 from ..core.cost_model import CostModel, EnergyLedger, UniformCostModel
 from ..core.program import EXFILTRATE, SEND, Effect, NodeProgram
 from ..core.synthesis import SynthesizedProgram
+from ..deployment.node import SensorNode
 from ..deployment.topology import RealNetwork
-from ..scenario import LinkModel, link_model_from_dict
+from ..scenario import LinkGate, LinkModel, link_model_from_dict
 from ..simulator.engine import Simulator
-from ..simulator.network import WirelessMedium
+from ..simulator.network import Packet, WirelessMedium
 from ..simulator.process import ProcessHost
 from .binding import Binding, BindingResult, Metric, bind_processes, distance_to_center_metric
 from .faults import FaultInjector, FaultPlan, FaultReport, HealingConfig
@@ -113,31 +114,98 @@ class DeployedRunResult:
         return stable_digest(parts)
 
 
+class _Round:
+    """The round a :class:`DeployedStack` is running, as its nodes see it.
+
+    A stack keeps one for its life and opens it for each round.  ``stamp``
+    numbers the rounds, and a process armed for the running round carries
+    its stamp, so a process whose stamp is behind has not acted in the
+    round yet.  The nodes' packet handlers outlive rounds and hold this
+    object, so :meth:`close` drops the round's world, sinks and
+    configuration: no finished round stays reachable from them.
+    """
+
+    __slots__ = (
+        "processes", "stamp", "host", "topology", "binding", "spec", "results",
+        "counters", "transport",
+    )
+
+    def __init__(
+        self,
+        processes: Dict[int, "_AppProcess"],
+        topology: EmulatedTopology,
+        binding: Binding,
+    ):
+        self.processes = processes
+        self.topology = topology
+        self.binding = binding
+        self.stamp = 0
+        self.close()
+
+    def open(
+        self, host: ProcessHost, spec: SynthesizedProgram, transport: Dict[str, Any]
+    ) -> None:
+        """Start the next round in ``host``'s world; ``transport`` holds
+        the keywords of :meth:`TransportProcess.arm`."""
+        self.stamp += 1
+        self.host = host
+        self.spec = spec
+        self.transport = transport
+        self.results = {}
+        self.counters = {"delivered": 0, "dropped": 0, "orphaned": 0}
+
+    def close(self) -> None:
+        self.host = self.spec = self.results = self.counters = self.transport = None
+
+    def join(self, nid: int, program: Optional[NodeProgram] = None) -> "_AppProcess":
+        """Arm ``nid``'s process for this round, building it on the node's
+        first act, and host it.  The process's first act follows."""
+        proc = self.processes.get(nid)
+        if proc is None:
+            proc = self.processes[nid] = _AppProcess(self, program)
+        else:
+            proc.arm(self, program)
+        self.host.add(nid, proc, wire=False)
+        return proc
+
+    def handler(self, node: SensorNode) -> Callable[[Packet], None]:
+        """``node``'s packet handler.  A stack builds it once and wires it
+        in every round the node starts alive; the node's first packet of a
+        round arms its process and hosts it.  Its state rides in default
+        arguments rather than closure cells, which makes a handler two
+        gc-tracked objects instead of six: a stack keeps one per node, and
+        every full collection scans them."""
+
+        def handler(
+            packet: Packet, node=node, nid=node.node_id, processes=self.processes, rnd=self
+        ) -> None:
+            if node.alive:
+                proc = processes.get(nid)
+                if proc is None or proc.stamp != rnd.stamp:
+                    proc = rnd.join(nid)
+                proc.on_packet(packet)
+
+        return handler
+
+
 class _AppProcess(TransportProcess):
     """Transport engine plus (on leaders) the synthesized rule program.
 
-    A :class:`DeployedStack` keeps one per node and re-arms it before each
-    round; the constructor takes the same arguments as :meth:`arm`, whose
-    ``transport`` keywords go to :meth:`TransportProcess.arm`.
+    A :class:`DeployedStack` builds one on a node's first act and arms it
+    for each later round it acts in; the constructor takes the same
+    arguments as :meth:`arm`.
     """
 
-    __slots__ = ("program", "result_sink", "counters", "spec")
+    __slots__ = ("program", "result_sink", "counters", "spec", "stamp")
 
-    def arm(
-        self,
-        topology: EmulatedTopology,
-        binding: Binding,
-        program: Optional[NodeProgram],
-        result_sink: Dict[GridCoord, Any],
-        counters: Dict[str, int],
-        spec: Optional[SynthesizedProgram] = None,
-        **transport: Any,
-    ) -> None:
-        super().arm(topology, binding, **transport)
+    def arm(self, rnd: _Round, program: Optional[NodeProgram]) -> None:
+        """Set every per-round field for ``rnd``, hosting ``program``."""
+        super().arm(rnd.topology, rnd.binding, **rnd.transport)
         self.program = program
-        self.result_sink = result_sink
-        self.counters = counters
-        self.spec = spec
+        self.result_sink = rnd.results
+        self.counters = rnd.counters
+        self.spec = rnd.spec
+        self.stamp = rnd.stamp
 
     def on_start(self) -> None:
         super().on_start()  # arm the healing heartbeat/watch timers
@@ -184,8 +252,10 @@ class DeployedStack:
     Construct via :func:`deploy`, which runs the setup protocols; then
     call :meth:`run_application` any number of times (each round uses a
     fresh simulator but drains the same node batteries, so lifetime
-    studies can loop rounds until death).  The stack builds each node's
-    process on its first round and re-arms it for every later one.
+    studies can loop rounds until death).  A round arms only the processes
+    that act in it (DESIGN.md §7, "Round reuse"): the stack builds a
+    node's process on its first act and re-arms it on its first act of
+    every later round.
     """
 
     def __init__(
@@ -202,6 +272,9 @@ class DeployedStack:
         self.setup = setup
         self.cost_model = cost_model or UniformCostModel()
         self._processes: Dict[int, _AppProcess] = {}
+        self._handlers: Dict[int, Callable[[Packet], None]] = {}
+        self._round = _Round(self._processes, topology, binding)
+        self._gates: Dict[LinkModel, Optional[LinkGate]] = {}
 
     def make_harness(
         self,
@@ -241,11 +314,16 @@ class DeployedStack:
 
         ``spec``'s grid must match the cell decomposition (one virtual
         node per cell).  Every cell's elected leader hosts the rule
-        program of its virtual coordinate; all nodes forward.  With
-        ``reliable`` the transport uses hop-by-hop acknowledgements and
-        up to ``max_retries`` retransmissions per hop (seeded exponential
-        backoff between attempts), making rounds robust to ``loss_rate``
-        at the cost of ack traffic.
+        program of its virtual coordinate; all nodes forward.  Only the
+        processes with start work boot (the leaders; every node in a
+        healing round), and the rest arm on their first packet, so
+        ``events_processed`` and the ``max_events`` budget count no boot
+        that does nothing.
+
+        With ``reliable`` the transport uses hop-by-hop acknowledgements
+        and up to ``max_retries`` retransmissions per hop (seeded
+        exponential backoff between attempts), making rounds robust to
+        ``loss_rate`` at the cost of ack traffic.
         ``wire_format`` routes every hop through the compact binary codec
         of :mod:`repro.runtime.wire` — observable results are identical;
         the codec just gets exercised end to end.
@@ -262,10 +340,13 @@ class DeployedStack:
         ``link_model`` replaces the unit-disk radio with a
         :class:`~repro.scenario.LinkModel` (or its dict form; DESIGN.md
         §14), whose gate decides per directed link and per packet whether
-        a frame is heard.  The result's ``link_faded`` counts the frames
-        it faded and folds into the fingerprint;
-        :class:`~repro.scenario.UnitDisk` builds no gate, which keeps the
-        round byte-identical to passing None.
+        a frame is heard.  The stack builds one gate per model, on the
+        model's first round, and its per-link packet counters carry on
+        from round to round, so each round on the stack draws fresh fades.
+        The result's ``link_faded`` counts the frames the round faded and
+        folds into the fingerprint; :class:`~repro.scenario.UnitDisk`
+        builds no gate, which keeps the round byte-identical to passing
+        None.
         """
         if isinstance(link_model, dict):
             link_model = link_model_from_dict(link_model)
@@ -282,44 +363,45 @@ class DeployedStack:
             )
         if healing is None and fault_plan is not None:
             healing = HealingConfig()
-        report = (
-            FaultReport() if (fault_plan is not None or healing is not None) else None
-        )
+        report = FaultReport() if healing is not None else None
         sim, medium, host = self.make_harness(loss_rate=loss_rate, rng=rng)
-        gate = None if link_model is None else link_model.build_gate(self.network)
-        medium.link_gate = gate
-        results: Dict[GridCoord, Any] = {}
-        counters = {"delivered": 0, "dropped": 0, "orphaned": 0}
-        config = dict(
-            spec=spec,
+        if link_model is not None and link_model not in self._gates:
+            self._gates[link_model] = link_model.build_gate(self.network)
+        gate = medium.link_gate = self._gates.get(link_model)
+        faded = 0 if gate is None else gate.faded
+        network, leaders = self.network, self.binding.leaders
+        rnd = self._round
+        rnd.open(host, spec, dict(
             reliable=reliable,
             max_retries=max_retries,
             wire_format=wire_format,
             healing=healing,
             fault_report=report,
-        )
-        processes = self._processes
-        for nid in self.network.alive_ids():
-            cell = self.network.cell_of(nid)
-            program = (
-                spec.program_for(cell)
-                if self.binding.leaders.get(cell) == nid
-                else None
-            )
-            args = (self.topology, self.binding, program, results, counters)
-            proc = processes.get(nid)
-            if proc is None:
-                proc = processes[nid] = _AppProcess(*args, **config)
-            else:
-                proc.arm(*args, **config)
-            host.add(nid, proc)
-        host.start()
-        if fault_plan:
-            injector = FaultInjector(fault_plan, self.network, self.binding, report)
-            injector.arm(sim, medium)
+        ))
+        results, counters = rnd.results, rnd.counters
         try:
+            alive = network.alive_ids()
+            handlers = self._handlers
+            for nid in alive:
+                handler = handlers.get(nid)
+                if handler is None:
+                    handler = handlers[nid] = rnd.handler(network.nodes[nid])
+                medium.attach(nid, handler)
+            # the processes with start work arm and boot now, the rest
+            # (non-leaders of a round without healing) on their first packet
+            starters = alive if healing is not None else [
+                nid for nid in leaders.values() if network.nodes[nid].alive
+            ]
+            for nid in starters:
+                cell = network.cell_of(nid)
+                rnd.join(nid, spec.program_for(cell) if leaders.get(cell) == nid else None)
+            host.start()
+            if fault_plan:
+                injector = FaultInjector(fault_plan, network, self.binding, report)
+                injector.arm(sim, medium)
             sim.run(max_events=max_events)
         finally:
+            rnd.close()
             host.teardown()
             # a corrupting fault plan's transform is the injector's bound
             # method, and the injector holds the medium: break that cycle too
@@ -336,7 +418,7 @@ class DeployedStack:
             events_processed=sim.events_processed,
             rejected_frames=sum(p.rejected_frames for p in host.processes.values()),
             fault_report=report,
-            link_faded=None if gate is None else gate.faded,
+            link_faded=None if gate is None else gate.faded - faded,
         )
 
 

@@ -95,7 +95,9 @@ class LinkModel:
     kind: str = "abstract"
 
     def build_gate(self, network: "RealNetwork") -> Optional[LinkGate]:
-        """Build the per-run admission gate (None = no gating needed)."""
+        """Build the admission gate (None = no gating needed).  A deployed
+        stack builds one per model and keeps it across its rounds, so the
+        per-link packet counters run on from round to round."""
         raise NotImplementedError
 
     def fingerprint(self) -> str:

@@ -135,14 +135,24 @@ class ProcessHost:
         self.medium = medium
         self.processes: Dict[int, Process] = {}
 
-    def add(self, node_id: int, process: Process) -> Process:
-        """Install ``process`` on ``node_id`` and wire its radio."""
+    def add(self, node_id: int, process: Process, wire: bool = True) -> Process:
+        """Install ``process`` on ``node_id`` and, with ``wire``, wire its
+        radio to a new handler that runs ``process.on_packet`` while the
+        node is alive.
+
+        A caller whose processes outlive the world (a deployed stack) wires
+        each node's radio with a handler it built once, and adds a process
+        with ``wire=False`` when the node first acts, possibly after
+        :meth:`start`.
+        """
         if node_id in self.processes:
             raise ValueError(f"node {node_id} already hosts a process")
         process.sim = self.sim
         process.medium = self.medium
         process.node_id = node_id
         self.processes[node_id] = process
+        if not wire:
+            return process
         node = self.medium.network.node(node_id)
 
         def handler(packet: Packet, node=node, process=process) -> None:
@@ -159,8 +169,9 @@ class ProcessHost:
             self.add(nid, factory(nid))
 
     def start(self) -> None:
-        """Schedule every process's ``on_start`` at t=now, in node-id
-        order.  Boot events are plain, uncancellable events."""
+        """Schedule the ``on_start`` of every process the host holds at
+        t=now, in node-id order.  Boot events are plain, uncancellable
+        events."""
         for nid, proc in sorted(self.processes.items()):
             self.sim.schedule(0.0, self._boot, nid, proc)
 
@@ -173,7 +184,7 @@ class ProcessHost:
         holding both.  Breaking those cycles lets a finished world be freed
         by reference counting instead of waiting for a full garbage
         collection.  A process can outlive its run (a deployed stack hosts
-        the same ones every round), so its ``sim`` and ``medium`` are
+        the same ones round after round), so its ``sim`` and ``medium`` are
         unbound too.  :attr:`processes` stays readable for post-run
         inspection.
         """

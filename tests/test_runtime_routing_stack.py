@@ -27,7 +27,7 @@ from repro.runtime import (
     plan_chaos,
     trace_route,
 )
-from repro.runtime.stack import _AppProcess
+from repro.runtime.stack import _AppProcess, _Round
 from repro.simulator import WirelessMedium
 
 from conftest import RecordingTransport, make_deployment
@@ -275,8 +275,9 @@ class TestRoundTeardown:
 
 
 class TestRoundReuse:
-    """A stack hosts the same process on a node every round and re-arms it
-    in between; a re-armed process must equal a freshly built one."""
+    """A stack builds a node's process on the node's first act and arms it
+    again on its first act of every later round; at that moment it must
+    equal a freshly built one."""
 
     #: not per-round state: the per-origin backoff hash cache (a pure
     #: function of the node and the origin) and the host's bindings
@@ -290,9 +291,11 @@ class TestRoundReuse:
         """Stacks whose processes carry every kind of per-round state: a
         lossy healing round with a failover and corrupted frames, and a
         lossy round without healing (which memoizes next hops), both cut
-        off with envelopes still in custody and timers armed."""
+        off with envelopes still in custody and timers armed.  The round
+        without healing boots only its 16 leaders, so its budget is those
+        boots and 50 events of traffic."""
         spec = VirtualArchitecture(4).synthesize(CountAggregation(lambda c: True))
-        for healing, max_events in ((True, 1500), (False, 150)):
+        for healing, max_events in ((True, 1500), (False, 66)):
             stack = deploy(make_deployment(side=4, n_random=100, seed=5))
             plan = plan_chaos(
                 sorted(stack.binding.leaders), kills=1, at=0.5, spacing=0.05,
@@ -303,46 +306,79 @@ class TestRoundReuse:
                 max_retries=8, wire_format=True, fault_plan=plan if healing else None,
                 max_events=max_events,
             )
-            assert run.events_processed == max_events
+            assert run.events_processed == max_events, "the round was not cut off"
             assert bool(run.fault_report and run.fault_report.failovers) == healing
             yield stack, spec
 
-    def test_rearmed_process_equals_a_fresh_one(self):
-        dirty = set()
+    def test_rearmed_process_equals_a_fresh_one(self, monkeypatch):
+        """Each dirty stack then runs a round of a shallower program, which
+        some processes sit out, and a full round: every process is compared
+        with a fresh one as it first acts in a round."""
+        dirty, sat_out, in_custody = set(), set(), 0
+        join = _Round.join
+
+        def checked_join(rnd, nid, program=None):
+            nonlocal in_custody
+            proc = rnd.processes.get(nid)
+            fresh = _AppProcess(rnd, program)
+            per_round = [name for name in self.fields(fresh) if name not in self.KEPT]
+            if proc is not None:
+                assert not hasattr(proc, "__dict__"), "per-round state outside the slots"
+                stale = {
+                    name for name in per_round if getattr(proc, name) != getattr(fresh, name)
+                }
+                dirty.update(stale)
+                if proc.stamp < rnd.stamp - 1:
+                    sat_out.update(stale)
+                in_custody += bool(proc._pending and proc._armed_timers)
+            proc = join(rnd, nid, program)
+            for name in per_round:
+                assert getattr(proc, name) == getattr(fresh, name), f"node {nid}: {name}"
+            return proc
+
+        monkeypatch.setattr(_Round, "join", checked_join)
+        shallow = VirtualArchitecture(4).synthesize(
+            CountAggregation(lambda c: True), max_level=1
+        )
         for stack, spec in self.dirty_stacks():
-            self.rearm_every_process(stack, spec, dirty)
+            for round_spec in (shallow, spec):
+                stack.run_application(round_spec, reliable=False, max_retries=2)
         # the dirty rounds really exercised the state the re-arm must reset
         assert {
             "_seq", "_pending", "_seen", "_delivered", "_next_hops", "_next_hops_stamp",
             "_last_hb", "_takeover_seen", "_armed_timers", "_timer_stamp", "forwarded",
             "retransmissions", "duplicates_suppressed", "rejected_frames", "program",
-            "healing", "fault_report",
+            "healing", "fault_report", "stamp",
         } <= dirty
+        # processes that sat a round out carried an older round's state in
+        assert {"forwarded", "_seen", "healing"} <= sat_out
+        assert in_custody, "no process came back from a cut-off round with custody"
 
-    def rearm_every_process(self, stack, spec, dirty):
-        """Re-arm each of ``stack``'s processes, check it equals a fresh
-        one, and add the slots the round left dirty to ``dirty``."""
-        processes = stack._processes
-        assert processes
-        for nid, proc in sorted(processes.items()):
-            assert not hasattr(proc, "__dict__"), "per-round state outside the slots"
-            cell = stack.network.cell_of(nid)
-            args = (
-                stack.topology,
-                stack.binding,
-                spec.program_for(cell) if stack.binding.leaders.get(cell) == nid else None,
-                {},
-                {"delivered": 0, "dropped": 0, "orphaned": 0},
-            )
-            config = dict(reliable=False, max_retries=2, wire_format=False, spec=spec)
-            fresh = _AppProcess(*args, **config)
-            per_round = [name for name in self.fields(fresh) if name not in self.KEPT]
-            dirty.update(
-                name for name in per_round if getattr(proc, name) != getattr(fresh, name)
-            )
-            proc.arm(*args, **config)
-            for name in per_round:
-                assert getattr(proc, name) == getattr(fresh, name), f"node {nid}: {name}"
+    def test_round_hosts_only_the_processes_that_act(self):
+        """Leaders boot; every other node is hosted on its first packet, so
+        a round with full batteries hosts the leaders and exactly the nodes
+        its ledger charged."""
+        net = make_deployment(side=4, n_random=100, seed=5)
+        stack = deploy(net)
+        spec = VirtualArchitecture(4).synthesize(CountAggregation(lambda c: True))
+        hosts = []
+        build = stack.make_harness
+
+        def capture(*args, **kwargs):
+            sim, medium, host = build(*args, **kwargs)
+            hosts.append(host)
+            return sim, medium, host
+
+        stack.make_harness = capture
+        run = stack.run_application(
+            spec, loss_rate=0.1, rng=np.random.default_rng(2), reliable=True,
+            max_retries=8, wire_format=True,
+        )
+        assert run.root_payload == 16
+        assert all(node.alive for node in net.nodes.values())
+        hosted = set(hosts[0].processes)
+        assert hosted == set(stack.binding.leaders.values()) | set(run.ledger.per_node())
+        assert len(hosted) < len(net.alive_ids())
 
     def test_processes_are_built_once_and_unbound_between_rounds(self, stack4):
         _, stack = stack4

@@ -26,6 +26,7 @@ from repro.deployment import (
 from repro.runtime import deploy
 from repro.runtime.faults import FaultEvent, FaultPlan
 from repro.scenario import (
+    LinkGate,
     LogNormalShadowing,
     PerPairFading,
     UnitDisk,
@@ -80,8 +81,10 @@ SHADOWING = LogNormalShadowing(sigma=3.0, seed=SEED)
 
 #: Fingerprints of four consecutive shadowed kill-leader rounds on one
 #: stack.  Later rounds start from drained batteries and the killed
-#: leader, so each round's digest differs from the last.
-FULL_ROUNDS = ("34cc4453485945dd", "93fff68b3cfb419e", "2e8da750c760dbae", "f1e620d4fced3285")
+#: leader, and the stack's one gate carries its per-link packet counters
+#: on, so each round draws fresh fades and its digest differs from the
+#: last.
+FULL_ROUNDS = ("34cc4453485945dd", "4d863da92c1ccb63", "618294e3720ec83f", "13aa3365b438f659")
 
 
 @functools.cache
@@ -211,6 +214,32 @@ class TestScenarioRuns:
         assert first.fingerprint() == again.fingerprint()
         assert first.link_faded > 0
         assert first.fingerprint() != run_round(None).fingerprint()
+
+    def test_rounds_on_one_stack_draw_fresh_fades(self, monkeypatch):
+        """A stack keeps one gate per model, so a second round on it does
+        not replay the first round's fade verdicts, and each round's
+        ``link_faded`` counts its own frames.  Lossless rounds without ARQ
+        send the same frames in the same order whatever faded before, so
+        a replayed gate would fade the same list twice."""
+        faded = []
+        admit = LinkGate.admit
+
+        def record(gate, src, dst):
+            heard = admit(gate, src, dst)
+            if not heard:
+                faded[-1].append((src, dst))
+            return heard
+
+        monkeypatch.setattr(LinkGate, "admit", record)
+        stack = deploy(make_network())
+        spec = count_spec()
+        runs = []
+        for _ in range(2):
+            faded.append([])
+            runs.append(stack.run_application(spec, link_model=SHADOWING))
+        assert faded[0] and faded[1]
+        assert faded[0] != faded[1]
+        assert [run.link_faded for run in runs] == [len(f) for f in faded]
 
     @pytest.mark.parametrize("rounds", [1, 4])
     @pytest.mark.parametrize("wire", [False, True], ids=["pickle", "wire"])

@@ -191,8 +191,10 @@ MULTIROUND = {
         (_leader_storm, {"reliable": True, "wire_format": True, "loss_rate": 0.1}),
         _mode(True, True, 0.1),
     ],
+    # 16 leader boots and 50 events of traffic: cut off mid-round, with
+    # envelopes in custody and timers armed
     "cut-off-then-full": [
-        (None, {"reliable": True, "wire_format": True, "loss_rate": 0.1, "max_events": 150}),
+        (None, {"reliable": True, "wire_format": True, "loss_rate": 0.1, "max_events": 66}),
         _mode(True, True, 0.1),
     ],
     "after-kill": [
