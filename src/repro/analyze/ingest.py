@@ -8,7 +8,8 @@ reads one sweep sink through the sink layer's torn-tail repair
 versions loudly** (:class:`UnknownSchemaError` naming the file and line),
 deduplicates resumed/re-run ``(point, replicate)`` records so nothing is
 double-counted (reported, never silent), and checks every ``#audit``
-duplicate's fingerprint against its primary.
+duplicate's fingerprint against its primary with the sweep's own
+:func:`repro.sweep.audit_determinism`.
 
 A record that fails validation is an error, not a skip: a sink full of
 records this code cannot interpret must never be summarized as if it had
@@ -21,7 +22,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..sweep.sink import AUDIT_SUFFIX, iter_records
+from ..sweep.sink import audit_determinism, iter_records
 from ..sweep.worker import RECORD_SCHEMA
 
 
@@ -63,11 +64,6 @@ class RunRecord:
     def ok(self) -> bool:
         """True iff the run completed successfully."""
         return self.status == "ok"
-
-    @property
-    def primary_id(self) -> str:
-        """The run id of the primary this record duplicates (self if primary)."""
-        return self.run_id[: -len(AUDIT_SUFFIX)] if self.audit else self.run_id
 
     def param_dict(self) -> Dict[str, Any]:
         """The grid-point parameters as a plain dict."""
@@ -189,25 +185,6 @@ def _dedupe(records: List[RunRecord]) -> Tuple[List[RunRecord], List[Dict[str, A
     return [kept[run_id] for run_id in order], duplicates
 
 
-def _check_audits(records: List[RunRecord]) -> List[Dict[str, Any]]:
-    """Fingerprint-compare every ok ``#audit`` record with its primary."""
-    by_id = {r.run_id: r for r in records if r.ok}
-    mismatches: List[Dict[str, Any]] = []
-    for record in records:
-        if not (record.audit and record.ok):
-            continue
-        primary = by_id.get(record.primary_id)
-        if primary is not None and primary.fingerprint != record.fingerprint:
-            mismatches.append(
-                {
-                    "run_id": primary.run_id,
-                    "primary_fingerprint": primary.fingerprint,
-                    "audit_fingerprint": record.fingerprint,
-                }
-            )
-    return mismatches
-
-
 def ingest_jsonl(path: str) -> IngestReport:
     """One sweep sink file -> validated, deduplicated typed records.
 
@@ -230,5 +207,5 @@ def ingest_jsonl(path: str) -> IngestReport:
             continue
         raw.append(RunRecord.parse(doc, source=path, lineno=lineno))
     report.records, report.duplicates = _dedupe(raw)
-    report.audit_mismatches = _check_audits(report.records)
+    report.audit_mismatches = audit_determinism([vars(r) for r in report.records]).mismatches
     return report

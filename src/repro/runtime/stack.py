@@ -18,7 +18,7 @@ executes here on physical nodes —
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from ..core.coords import GridCoord
 from ..core.cost_model import CostModel, EnergyLedger, UniformCostModel
 from ..core.program import EXFILTRATE, SEND, Effect, NodeProgram
 from ..core.synthesis import SynthesizedProgram
-from ..deployment.node import SensorNode
 from ..deployment.topology import RealNetwork
 from ..scenario import LinkGate, LinkModel, link_model_from_dict
 from ..simulator.engine import Simulator
@@ -115,47 +114,30 @@ class DeployedRunResult:
 
 
 class _Round:
-    """The round a :class:`DeployedStack` is running, as its nodes see it.
+    """One round of a :class:`DeployedStack`, and its medium's packet sink.
 
-    A stack keeps one for its life and opens it for each round.  ``stamp``
-    numbers the rounds, and a process armed for the running round carries
-    its stamp, so a process whose stamp is behind has not acted in the
-    round yet.  The nodes' packet handlers outlive rounds and hold this
-    object, so :meth:`close` drops the round's world, sinks and
-    configuration: no finished round stays reachable from them.
+    A node is armed for the round exactly when the round's host holds its
+    process: the starters join before the round starts, every other node
+    on its first packet (:meth:`receive`).  ``processes`` are the stack's,
+    which outlive rounds; the round itself is reachable only from its
+    medium's sink, which the host's teardown clears.
     """
 
-    __slots__ = (
-        "processes", "stamp", "host", "topology", "binding", "spec", "results",
-        "counters", "transport",
-    )
+    __slots__ = ("processes", "host", "spec", "transport", "results", "counters")
 
     def __init__(
         self,
         processes: Dict[int, "_AppProcess"],
-        topology: EmulatedTopology,
-        binding: Binding,
+        host: ProcessHost,
+        spec: SynthesizedProgram,
+        transport: Dict[str, Any],
     ):
         self.processes = processes
-        self.topology = topology
-        self.binding = binding
-        self.stamp = 0
-        self.close()
-
-    def open(
-        self, host: ProcessHost, spec: SynthesizedProgram, transport: Dict[str, Any]
-    ) -> None:
-        """Start the next round in ``host``'s world; ``transport`` holds
-        the keywords of :meth:`TransportProcess.arm`."""
-        self.stamp += 1
         self.host = host
         self.spec = spec
-        self.transport = transport
-        self.results = {}
+        self.transport = transport  # the keywords of TransportProcess.arm
+        self.results: Dict[GridCoord, Any] = {}
         self.counters = {"delivered": 0, "dropped": 0, "orphaned": 0}
-
-    def close(self) -> None:
-        self.host = self.spec = self.results = self.counters = self.transport = None
 
     def join(self, nid: int, program: Optional[NodeProgram] = None) -> "_AppProcess":
         """Arm ``nid``'s process for this round, building it on the node's
@@ -165,27 +147,16 @@ class _Round:
             proc = self.processes[nid] = _AppProcess(self, program)
         else:
             proc.arm(self, program)
-        self.host.add(nid, proc, wire=False)
+        self.host.add(nid, proc)
         return proc
 
-    def handler(self, node: SensorNode) -> Callable[[Packet], None]:
-        """``node``'s packet handler.  A stack builds it once and wires it
-        in every round the node starts alive; the node's first packet of a
-        round arms its process and hosts it.  Its state rides in default
-        arguments rather than closure cells, which makes a handler two
-        gc-tracked objects instead of six: a stack keeps one per node, and
-        every full collection scans them."""
-
-        def handler(
-            packet: Packet, node=node, nid=node.node_id, processes=self.processes, rnd=self
-        ) -> None:
-            if node.alive:
-                proc = processes.get(nid)
-                if proc is None or proc.stamp != rnd.stamp:
-                    proc = rnd.join(nid)
-                proc.on_packet(packet)
-
-        return handler
+    def receive(self, nid: int, packet: Packet) -> None:
+        """The sink: hand ``packet`` to ``nid``'s process, arming it on the
+        node's first packet of the round."""
+        proc = self.host.processes.get(nid)
+        if proc is None:
+            proc = self.join(nid)
+        proc.on_packet(packet)
 
 
 class _AppProcess(TransportProcess):
@@ -196,16 +167,15 @@ class _AppProcess(TransportProcess):
     arguments as :meth:`arm`.
     """
 
-    __slots__ = ("program", "result_sink", "counters", "spec", "stamp")
+    __slots__ = ("program", "result_sink", "counters", "spec")
 
     def arm(self, rnd: _Round, program: Optional[NodeProgram]) -> None:
         """Set every per-round field for ``rnd``, hosting ``program``."""
-        super().arm(rnd.topology, rnd.binding, **rnd.transport)
+        super().arm(**rnd.transport)
         self.program = program
         self.result_sink = rnd.results
         self.counters = rnd.counters
         self.spec = rnd.spec
-        self.stamp = rnd.stamp
 
     def on_start(self) -> None:
         super().on_start()  # arm the healing heartbeat/watch timers
@@ -272,8 +242,6 @@ class DeployedStack:
         self.setup = setup
         self.cost_model = cost_model or UniformCostModel()
         self._processes: Dict[int, _AppProcess] = {}
-        self._handlers: Dict[int, Callable[[Packet], None]] = {}
-        self._round = _Round(self._processes, topology, binding)
         self._gates: Dict[LinkModel, Optional[LinkGate]] = {}
 
     def make_harness(
@@ -370,26 +338,20 @@ class DeployedStack:
         gate = medium.link_gate = self._gates.get(link_model)
         faded = 0 if gate is None else gate.faded
         network, leaders = self.network, self.binding.leaders
-        rnd = self._round
-        rnd.open(host, spec, dict(
+        rnd = _Round(self._processes, host, spec, dict(
+            topology=self.topology,
+            binding=self.binding,
             reliable=reliable,
             max_retries=max_retries,
             wire_format=wire_format,
             healing=healing,
             fault_report=report,
         ))
-        results, counters = rnd.results, rnd.counters
+        medium.receive = rnd.receive
         try:
-            alive = network.alive_ids()
-            handlers = self._handlers
-            for nid in alive:
-                handler = handlers.get(nid)
-                if handler is None:
-                    handler = handlers[nid] = rnd.handler(network.nodes[nid])
-                medium.attach(nid, handler)
             # the processes with start work arm and boot now, the rest
             # (non-leaders of a round without healing) on their first packet
-            starters = alive if healing is not None else [
+            starters = network.alive_ids() if healing is not None else [
                 nid for nid in leaders.values() if network.nodes[nid].alive
             ]
             for nid in starters:
@@ -401,15 +363,15 @@ class DeployedStack:
                 injector.arm(sim, medium)
             sim.run(max_events=max_events)
         finally:
-            rnd.close()
             host.teardown()
             # a corrupting fault plan's transform is the injector's bound
             # method, and the injector holds the medium: break that cycle too
             medium.tx_transform = None
+        counters = rnd.counters
         if report is not None:
             report.orphaned_deliveries = counters["orphaned"]
         return DeployedRunResult(
-            exfiltrated=results,
+            exfiltrated=rnd.results,
             ledger=medium.ledger,
             latency=sim.now,
             transmissions=medium.stats.transmissions,

@@ -54,8 +54,8 @@ def _run_setup(
 
     Returns the processes (for their converged state), the quiescence
     time, the transmissions and the energy drawn.  The world is torn down
-    before returning, which breaks the medium -> handler -> process ->
-    medium cycles so it is freed without a full collection.
+    before returning, which breaks the medium -> sink -> host -> process
+    -> medium cycles so it is freed without a full collection.
     """
     sim = Simulator()
     medium = WirelessMedium(sim, network, cost_model=cost_model)

@@ -68,10 +68,10 @@ class TenantPolicy:
     """Per-tenant serving contract: budget, overload behaviour, freshness.
 
     ``budget`` is the number of tokens added to the tenant's bucket per
-    admission round (``None`` = unlimited admission); ``burst`` caps the
-    bucket (``None`` = ``budget``, i.e. no carry-over beyond one round's
-    worth).  ``overload`` picks what happens to a query that finds the
-    bucket empty: ``"shed"`` rejects it immediately with the named
+    admission round (``None`` = unlimited admission); the bucket holds at
+    most one round's worth, and at least one token (:attr:`bucket_cap`).
+    ``overload`` picks what happens to a query that finds the bucket
+    empty: ``"shed"`` rejects it immediately with the named
     ``shed`` outcome, ``"defer"`` re-queues it ahead of the next round's
     arrivals (at most ``max_defer_rounds`` times, then it is shed — a
     query is never parked forever).  ``deadline`` is the tenant's default
@@ -86,7 +86,6 @@ class TenantPolicy:
     """
 
     budget: Optional[float] = None
-    burst: Optional[float] = None
     overload: str = "shed"
     deadline: Optional[float] = None
     max_staleness: int = 0
@@ -95,8 +94,6 @@ class TenantPolicy:
     def __post_init__(self) -> None:
         if self.budget is not None and self.budget < 0:
             raise ValueError(f"tenant budget must be >= 0, got {self.budget}")
-        if self.burst is not None and self.burst <= 0:
-            raise ValueError(f"tenant burst must be > 0, got {self.burst}")
         if self.overload not in OVERLOAD_POLICIES:
             raise ValueError(
                 f"unknown overload policy {self.overload!r}; "
@@ -115,10 +112,11 @@ class TenantPolicy:
 
     @property
     def bucket_cap(self) -> Optional[float]:
-        """The bucket's token capacity (``None`` = unlimited tenant)."""
+        """The bucket's token capacity, ``max(budget, 1)`` (``None`` =
+        unlimited tenant)."""
         if self.budget is None:
             return None
-        return self.burst if self.burst is not None else max(self.budget, 1.0)
+        return max(self.budget, 1.0)
 
 
 #: One queued query: the arrival plus how many rounds it has been
@@ -157,7 +155,7 @@ class AdmissionController:
         return self._buckets[tenant]
 
     def refill(self) -> None:
-        """Credit every known tenant one round's budget (capped at burst)."""
+        """Credit every known tenant one round's budget (up to its cap)."""
         for tenant in self._buckets:
             policy = self.policy_for(tenant)
             cap = policy.bucket_cap

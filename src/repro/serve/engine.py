@@ -504,7 +504,6 @@ class QueryEngine:
         )
         self._injected_seen = 0
         self._failovers_seen = 0
-        self._procs: Dict[int, _ServeProcess] = {}
         network = stack.network
         for nid in network.alive_ids():
             cell = network.cell_of(nid)
@@ -513,9 +512,7 @@ class QueryEngine:
                 if stack.binding.leaders.get(cell) == nid
                 else None
             )
-            proc = _ServeProcess(self, stored=stored)
-            self._procs[nid] = proc
-            self._host.add(nid, proc)
+            self._host.add(nid, _ServeProcess(self, stored=stored))
         self._host.start()
         self.sim.run_until_quiet()  # drain the boot events; no traffic yet
 
@@ -536,8 +533,8 @@ class QueryEngine:
         """
         self._storage[cell] = payload
         leader = self.stack.binding.leaders.get(cell)
-        if leader is not None and leader in self._procs:
-            self._procs[leader].stored = payload
+        if leader is not None and leader in self._host.processes:
+            self._host.processes[leader].stored = payload
         self.invalidate([cell])
 
     def invalidate(self, cells: Optional[Sequence[GridCoord]] = None) -> None:
@@ -644,7 +641,7 @@ class QueryEngine:
             querier = (
                 leader
                 if leader is not None
-                and leader in self._procs
+                and leader in self._host.processes
                 and network.node(leader).alive
                 else None
             )
@@ -808,7 +805,7 @@ class QueryEngine:
 
     def _arm_healing_round(self) -> None:
         """Start this round's healing on every process (one event)."""
-        for proc in self._procs.values():
+        for proc in self._host.processes.values():
             proc.arm_healing()
 
     def _inject_batch(self, batch: Tuple[_ActiveQuery, ...]) -> None:
@@ -818,7 +815,7 @@ class QueryEngine:
             if expired:
                 continue  # the admission queue ate the whole budget
             if active.querier_node is not None:
-                proc = self._procs[active.querier_node]
+                proc = self._host.processes[active.querier_node]
                 for cell in active.targets:
                     self._request_cell(active, proc, cell, first=True)
             # dead/unbound querier with no deadline: finalized all-missing;
@@ -861,11 +858,11 @@ class QueryEngine:
         network = self.stack.network
         if (
             leader is not None
-            and leader in self._procs
+            and leader in self._host.processes
             and network.node(leader).alive
         ):
             active.querier_node = leader
-            proc = self._procs[leader]
+            proc = self._host.processes[leader]
             active.retries += 1
             self.stats.retries += 1
             for cell in missing:

@@ -87,8 +87,8 @@ def arrival_buckets(
     """Group jittered receivers by exact arrival time ``delay + extra``.
 
     Buckets and the receivers inside each keep first-seen (receiver)
-    order, so scheduling one event per bucket, in bucket order, fires
-    handlers in the order the per-receiver path does.
+    order, so scheduling one event per bucket, in bucket order, calls
+    the sink in the order the per-receiver path does.
     """
     buckets: Dict[float, List[int]] = {}
     for nbr, extra in zip(survivors, extras):
@@ -137,7 +137,7 @@ class WirelessMedium:
         jitter-free broadcast schedules ONE delivery event that charges
         every surviving receiver, a jittered one schedules one event per
         distinct arrival time.  Observable results (:class:`MediumStats`,
-        the energy ledger, handler invocation order and timestamps) are
+        the energy ledger, sink call order and timestamps) are
         identical either way; only ``Simulator.events_processed`` differs.
         Set False to force the per-receiver legacy path; only tests do,
         as the oracle the fast path is held to.
@@ -169,7 +169,10 @@ class WirelessMedium:
         self._prices = _Prices(cost_model or UniformCostModel())
         # the per-hop accounting updates these two maps in place
         self._records, self._spent = self.stats.records, self.ledger._consumed
-        self._handlers: Dict[int, Callable[[Packet], None]] = {}
+        # the packet sink: receive(node_id, packet) gets every copy whose
+        # receiver survives its own rx charge; a process host installs
+        # one, and None absorbs deliveries (energy is still drawn)
+        self.receive: Optional[Callable[[int, Packet], None]] = None
         # (src, dst) pairs whose radio link is administratively severed
         # (fault injection); empty in normal operation so the hot paths
         # pay only a truthiness check
@@ -202,16 +205,6 @@ class WirelessMedium:
         """Restore a previously blocked link (no-op if not blocked)."""
         self._blocked_links.discard((a, b))
         self._blocked_links.discard((b, a))
-
-    def attach(self, node_id: int, handler: Callable[[Packet], None]) -> None:
-        """Register the packet handler of ``node_id`` (its process)."""
-        if node_id not in self.network.nodes:
-            raise KeyError(f"unknown node {node_id}")
-        self._handlers[node_id] = handler
-
-    def detach(self, node_id: int) -> None:
-        """Unregister a handler (process shutdown)."""
-        self._handlers.pop(node_id, None)
 
     # -- transmission -------------------------------------------------------------
 
@@ -445,7 +438,8 @@ class WirelessMedium:
 
     def _arrive(self, packet: Packet, receiver: int) -> None:
         """One receiver's arrival: every unicast, and the per-receiver
-        step of the ``batch_fanout=False`` broadcast oracle."""
+        step of the ``batch_fanout=False`` broadcast oracle.  The sink
+        gets the copy only if its receiver survives the rx charge."""
         node = self.network.nodes[receiver]
         if not node.alive:  # died in flight
             return
@@ -453,37 +447,37 @@ class WirelessMedium:
         size_units = packet.size_units
         energy = self._prices[size_units][1]
         node._consumed += energy
-        if node._consumed >= node.initial_energy:
-            node.kill()
         spent = self._spent
         spent[receiver] = spent.get(receiver, 0.0) + energy
         record = self._records[kind]
         record.rx += 1
         record.rx_energy += energy
         self.stats.data_units_received += size_units
-        handler = self._handlers.get(receiver)
-        if handler is not None:
-            handler(packet)
+        if node._consumed >= node.initial_energy:
+            node.kill()  # the copy that drains the battery is never heard
+        elif self.receive is not None:
+            self.receive(receiver, packet)
 
     def _arrive_many(self, packet: Packet, receivers: List[int]) -> None:
         """Batched arrival: one event delivers ``packet`` to every receiver.
 
         The receive kernel.  What every receiver shares is looked up once
-        per packet: the rx energy and the kind's record.  Per receiver, in
-        :meth:`_arrive`'s order, come the liveness check, the battery
-        (which can kill the node), the receiver's ledger entry, the record
-        and the received total, all updated in place, and then the handler
-        call.  So every handler observes exactly the counters the
-        per-receiver path would have left, and every float total takes the
-        same additions in the same order.  Receiver order matches the
-        per-receiver path's event order, so handler side effects (and
-        anything they schedule) sequence identically.
+        per packet: the rx energy, the kind's record and the sink.  Per
+        receiver, in :meth:`_arrive`'s order, come the liveness check, the
+        battery, the receiver's ledger entry, the record and the received
+        total, all updated in place, and then either the node's death
+        (the rx charge drained it) or the sink call.  So every sink call
+        observes exactly the counters the per-receiver path would have
+        left, and every float total takes the same additions in the same
+        order.  Receiver order matches the per-receiver path's event
+        order, so the sink's side effects (and anything they schedule)
+        sequence identically.
         """
         size_units = packet.size_units
         energy = self._prices[size_units][1]
         record = self._records[packet.kind]
         nodes = self.network.nodes
-        handlers = self._handlers
+        receive = self.receive
         spent, stats = self._spent, self.stats
         for receiver in receivers:
             node = nodes[receiver]
@@ -491,12 +485,11 @@ class WirelessMedium:
                 continue
             consumed = node._consumed + energy
             node._consumed = consumed
-            if consumed >= node.initial_energy:
-                node.kill()
             spent[receiver] = spent.get(receiver, 0.0) + energy
             record.rx += 1
             record.rx_energy += energy
             stats.data_units_received += size_units
-            handler = handlers.get(receiver)
-            if handler is not None:
-                handler(packet)
+            if consumed >= node.initial_energy:
+                node.kill()
+            elif receive is not None:
+                receive(receiver, packet)

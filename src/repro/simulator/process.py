@@ -3,9 +3,9 @@
 Each physical node runs a :class:`Process`: a reactive object with
 ``on_start`` / ``on_packet`` / ``on_timer`` hooks, mirroring the
 event-driven programming model the paper synthesizes to (Section 4.3).
-The :class:`ProcessHost` owns the processes of a whole network, wires them
-to the :class:`~repro.simulator.network.WirelessMedium`, and provides the
-timer facility.
+The :class:`ProcessHost` owns the processes of a whole network, is the
+packet sink of their :class:`~repro.simulator.network.WirelessMedium`,
+and provides the timer facility.
 
 Protocol implementations (``repro.runtime``) subclass :class:`Process`;
 the full-stack executor additionally hosts the *synthesized rule programs*
@@ -15,7 +15,7 @@ inside a process on elected leader nodes.
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Hashable, Iterable, Optional
+from typing import Any, Dict, Hashable
 
 from .engine import Simulator
 from .network import Packet, WirelessMedium
@@ -124,6 +124,9 @@ class Process(abc.ABC):
 class ProcessHost:
     """Binds one :class:`Process` to every node of a network.
 
+    The host installs itself as the medium's packet sink: a copy that
+    reaches a node goes to the process the node hosts, if any.
+
     Parameters
     ----------
     sim, medium:
@@ -134,39 +137,29 @@ class ProcessHost:
         self.sim = sim
         self.medium = medium
         self.processes: Dict[int, Process] = {}
+        medium.receive = self._receive
 
-    def add(self, node_id: int, process: Process, wire: bool = True) -> Process:
-        """Install ``process`` on ``node_id`` and, with ``wire``, wire its
-        radio to a new handler that runs ``process.on_packet`` while the
-        node is alive.
-
-        A caller whose processes outlive the world (a deployed stack) wires
-        each node's radio with a handler it built once, and adds a process
-        with ``wire=False`` when the node first acts, possibly after
-        :meth:`start`.
-        """
+    def add(self, node_id: int, process: Process) -> Process:
+        """Install ``process`` on ``node_id``, whose packets it gets from
+        then on; a process that first acts mid-run is added after
+        :meth:`start`."""
         if node_id in self.processes:
             raise ValueError(f"node {node_id} already hosts a process")
         process.sim = self.sim
         process.medium = self.medium
         process.node_id = node_id
         self.processes[node_id] = process
-        if not wire:
-            return process
-        node = self.medium.network.node(node_id)
-
-        def handler(packet: Packet, node=node, process=process) -> None:
-            if node.alive:
-                process.on_packet(packet)
-
-        self.medium.attach(node_id, handler)
         return process
 
-    def add_all(self, factory, node_ids: Optional[Iterable[int]] = None) -> None:
-        """Install ``factory(node_id)`` on every (alive) node."""
-        ids = node_ids if node_ids is not None else self.medium.network.alive_ids()
-        for nid in ids:
+    def add_all(self, factory) -> None:
+        """Install ``factory(node_id)`` on every alive node."""
+        for nid in self.medium.network.alive_ids():
             self.add(nid, factory(nid))
+
+    def _receive(self, node_id: int, packet: Packet) -> None:
+        process = self.processes.get(node_id)
+        if process is not None:
+            process.on_packet(packet)
 
     def start(self) -> None:
         """Schedule the ``on_start`` of every process the host holds at
@@ -176,21 +169,21 @@ class ProcessHost:
             self.sim.schedule(0.0, self._boot, nid, proc)
 
     def teardown(self) -> None:
-        """End the run: detach and unbind every hosted process and drop
-        queued events.
+        """End the run: clear the medium's sink, unbind every hosted
+        process and drop queued events.
 
-        The medium holds each process's handler and each process holds the
-        medium; a run cut off at ``max_events`` also leaves queued events
-        holding both.  Breaking those cycles lets a finished world be freed
-        by reference counting instead of waiting for a full garbage
+        The medium holds its sink (a bound method, so its host and
+        through it every process) and each process holds the medium; a
+        run cut off at ``max_events`` also leaves queued events holding
+        both.  Breaking those cycles lets a finished world be freed by
+        reference counting instead of waiting for a full garbage
         collection.  A process can outlive its run (a deployed stack hosts
         the same ones round after round), so its ``sim`` and ``medium`` are
         unbound too.  :attr:`processes` stays readable for post-run
         inspection.
         """
-        detach = self.medium.detach
-        for node_id, process in self.processes.items():
-            detach(node_id)
+        self.medium.receive = None
+        for process in self.processes.values():
             del process.sim, process.medium
         self.sim.clear()
 

@@ -1,5 +1,5 @@
 """Coverage of secondary paths: drop callbacks, latency-objective mapping,
-medium detach, report adapters, and error guards."""
+a sinkless medium, report adapters, and error guards."""
 
 from __future__ import annotations
 
@@ -65,26 +65,24 @@ class TestTransportDropCallback:
 
 class TestMediumDetach:
     def test_detach_stops_delivery(self):
+        """A ``None`` sink absorbs deliveries; the receiver still pays."""
         net = make_deployment(side=4, seed=7)
         sim = Simulator()
         medium = WirelessMedium(sim, net)
         got = []
         src = net.node_ids()[0]
         nbr = net.neighbors(src)[0]
-        medium.attach(nbr, lambda pkt: got.append(pkt))
+        medium.receive = lambda nid, pkt: got.append((nid, pkt))
+        medium.unicast(src, nbr, "k", None)
+        sim.run()
+        assert [nid for nid, _ in got] == [nbr]
+        medium.receive = None
+        spent = net.node(nbr).consumed_energy
         medium.unicast(src, nbr, "k", None)
         sim.run()
         assert len(got) == 1
-        medium.detach(nbr)
-        medium.unicast(src, nbr, "k", None)
-        sim.run()
-        assert len(got) == 1  # energy still drawn, handler gone
-
-    def test_attach_unknown_node_rejected(self):
-        net = make_deployment(side=4, seed=7)
-        medium = WirelessMedium(Simulator(), net)
-        with pytest.raises(KeyError):
-            medium.attach(10**9, lambda pkt: None)
+        assert net.node(nbr).consumed_energy == spent + 1.0
+        assert medium.stats.deliveries == 2
 
 
 class TestStackGuards:

@@ -19,7 +19,10 @@ from repro.core import (
     VirtualArchitecture,
 )
 from repro.core.coords import Direction
+from repro.deployment import RealNetwork
 from repro.runtime import (
+    FaultEvent,
+    FaultPlan,
     HealingConfig,
     build_leader_mesh,
     deploy,
@@ -316,9 +319,12 @@ class TestRoundReuse:
         with a fresh one as it first acts in a round."""
         dirty, sat_out, in_custody = set(), set(), 0
         join = _Round.join
+        current, rounds, joined_in = None, 0, {}
 
         def checked_join(rnd, nid, program=None):
-            nonlocal in_custody
+            nonlocal in_custody, current, rounds
+            if rnd is not current:
+                current, rounds = rnd, rounds + 1
             proc = rnd.processes.get(nid)
             fresh = _AppProcess(rnd, program)
             per_round = [name for name in self.fields(fresh) if name not in self.KEPT]
@@ -328,10 +334,11 @@ class TestRoundReuse:
                     name for name in per_round if getattr(proc, name) != getattr(fresh, name)
                 }
                 dirty.update(stale)
-                if proc.stamp < rnd.stamp - 1:
+                if joined_in[proc] < rounds - 1:
                     sat_out.update(stale)
                 in_custody += bool(proc._pending and proc._armed_timers)
             proc = join(rnd, nid, program)
+            joined_in[proc] = rounds
             for name in per_round:
                 assert getattr(proc, name) == getattr(fresh, name), f"node {nid}: {name}"
             return proc
@@ -348,7 +355,7 @@ class TestRoundReuse:
             "_seq", "_pending", "_seen", "_delivered", "_next_hops", "_next_hops_stamp",
             "_last_hb", "_takeover_seen", "_armed_timers", "_timer_stamp", "forwarded",
             "retransmissions", "duplicates_suppressed", "rejected_frames", "program",
-            "healing", "fault_report", "stamp",
+            "healing", "fault_report",
         } <= dirty
         # processes that sat a round out carried an older round's state in
         assert {"forwarded", "_seen", "healing"} <= sat_out
@@ -379,6 +386,48 @@ class TestRoundReuse:
         hosted = set(hosts[0].processes)
         assert hosted == set(stack.binding.leaders.values()) | set(run.ledger.per_node())
         assert len(hosted) < len(net.alive_ids())
+
+    def test_round_without_healing_lists_no_alive_nodes(self, monkeypatch):
+        """Only a healing round boots every alive node; any other round's
+        set-up touches its leaders alone."""
+        net = make_deployment(side=4, n_random=100, seed=5)
+        stack = deploy(net)
+        spec = VirtualArchitecture(4).synthesize(CountAggregation(lambda c: True))
+
+        def alive_ids(network):
+            raise AssertionError("a round without healing walked the alive nodes")
+
+        monkeypatch.setattr(RealNetwork, "alive_ids", alive_ids)
+        run = stack.run_application(
+            spec, loss_rate=0.1, rng=np.random.default_rng(2), reliable=True,
+            max_retries=8, wire_format=True,
+        )
+        assert run.root_payload == 16
+
+    def test_member_revived_mid_round_acts_from_its_first_packet(self):
+        """A member dead when a healing round starts and restored at
+        t = 0.5 is hosted once it hears its leader's heartbeat."""
+        net = make_deployment(side=4, n_random=100, seed=5)
+        stack = deploy(net)
+        spec = VirtualArchitecture(4).synthesize(CountAggregation(lambda c: True))
+        leader = stack.binding.leaders[(0, 0)]
+        member = next(nid for nid in net.neighbors(leader) if net.cell_of(nid) == (0, 0))
+        net.node(member).kill()
+        hosts = []
+        build = stack.make_harness
+
+        def capture(*args, **kwargs):
+            sim, medium, host = build(*args, **kwargs)
+            hosts.append(host)
+            return sim, medium, host
+
+        stack.make_harness = capture
+        run = stack.run_application(
+            spec, fault_plan=FaultPlan((FaultEvent(time=0.5, action="restore", node=member),)),
+        )
+        assert run.root_payload == 16
+        assert net.node(member).alive
+        assert member in hosts[0].processes
 
     def test_processes_are_built_once_and_unbound_between_rounds(self, stack4):
         _, stack = stack4

@@ -1,13 +1,13 @@
 """The batched broadcast fan-out must be observationally identical to the
 legacy per-receiver path: same :class:`MediumStats`, same energy ledger,
-same handler invocation order — only ``Simulator.events_processed`` may
-(and should) shrink.
+same sink call order — only ``Simulator.events_processed`` may (and
+should) shrink.
 
 The receive kernel (``WirelessMedium._arrive_many``) hoists per-packet
 work out of the receiver loop, so the oracle also drives it through the
 receiver-side effects that could expose a reordering: receivers dying
-from their own rx draw mid-batch, handlers transmitting mid-batch, and
-handlers reading the counters mid-batch.
+from their own rx draw mid-batch, a sink transmitting mid-batch, and a
+sink reading the counters mid-batch.
 """
 
 from __future__ import annotations
@@ -39,16 +39,17 @@ def run_storm(batch_fanout, loss_rate=0.0, jitter=0.0, rounds=3, seed=5, case=No
     ``case`` adds one receiver-side effect (None = plain storm):
 
     * ``"energy"`` — finite batteries, so receivers die from their own rx
-      draw mid-batch.  Handlers skip dead receivers as a hosted process
-      does; the ledger is still charged.  ``observed`` lists the handler
-      calls that found their receiver dead;
+      draw mid-batch.  The medium charges that copy but hands it to no
+      sink, so the sink asserts that it never sees a dead receiver.
+      ``observed`` holds, after every round, the dead nodes and the
+      number of copies charged but withheld so far;
     * ``"unicast"`` — every receiver of a broadcast unicasts an echo back
-      to its sender from inside the handler;
-    * ``"snapshot"`` — every handler call records the channel and ledger
+      to its sender from inside the sink;
+    * ``"snapshot"`` — every sink call records the channel and ledger
       fingerprints and the (addition-order sensitive) ledger total.
 
-    Case runs attach handlers to every third node only, so receivers
-    without one sit between handler calls, and send fractional packet
+    Case runs' sinks act for every third node only, so receivers the sink
+    ignores sit between the ones it acts for, and send fractional packet
     sizes, whose repeated sums differ from their products: a batched
     counter that multiplies instead of adding one term per receiver shows
     up.
@@ -67,11 +68,14 @@ def run_storm(batch_fanout, loss_rate=0.0, jitter=0.0, rounds=3, seed=5, case=No
         # out in rounds 1-2
         for nid, node in net.nodes.items():
             node.initial_energy = 4.0 + nid % 20 / 2
-    arrivals = []  # (time, receiver, src, kind) in handler order
+    arrivals = []  # (time, receiver, src, kind) in sink order
+    handed = 0  # sink calls, for every receiver
 
-    def handler(pkt, nid):
-        if case == "energy" and not net.node(nid).alive:
-            observed.append((sim.now, nid, pkt.src))
+    def sink(nid, pkt):
+        nonlocal handed
+        assert net.node(nid).alive, f"node {nid} got a copy after its death"
+        handed += 1
+        if case is not None and nid % 3:
             return
         arrivals.append((sim.now, nid, pkt.src, pkt.kind))
         if case == "unicast" and pkt.kind == "storm":
@@ -82,14 +86,16 @@ def run_storm(batch_fanout, loss_rate=0.0, jitter=0.0, rounds=3, seed=5, case=No
                 (medium.stats.fingerprint(), ledger.fingerprint(), ledger.total)
             )
 
-    for nid in net.alive_ids():
-        if case is None or nid % 3 == 0:
-            medium.attach(nid, lambda pkt, nid=nid: handler(pkt, nid))
+    medium.receive = sink
     for r in range(rounds):
         for nid in net.alive_ids():
             size = 1.0 if case is None else 0.1 * (1 + nid % 3)
             medium.broadcast(nid, "storm", r, size)
         sim.run()
+        if case == "energy":
+            charged = sum(record.rx for record in medium.stats.records.values())
+            dead = tuple(nid for nid, node in sorted(net.nodes.items()) if not node.alive)
+            observed.append((dead, charged - handed))
     stats = medium.stats.fingerprint()
     ledger = medium.ledger.fingerprint()
     return stats, ledger, arrivals, sim.events_processed, observed
@@ -101,7 +107,7 @@ def test_batch_fanout_matches_legacy_path(loss_rate, jitter):
     legacy = run_storm(False, loss_rate, jitter)
     assert batched[0] == legacy[0], "MediumStats diverged"
     assert batched[1] == legacy[1], "energy ledger diverged"
-    assert batched[2] == legacy[2], "handler order/timing diverged"
+    assert batched[2] == legacy[2], "sink order/timing diverged"
 
 
 @REGIMES
@@ -113,12 +119,12 @@ def test_receive_kernel_matches_legacy_path_under_receiver_effects(
     legacy = run_storm(False, loss_rate, jitter, case=case)
     assert batched[0] == legacy[0], "MediumStats diverged"
     assert batched[1] == legacy[1], "energy ledger diverged"
-    assert batched[2] == legacy[2], "handler order/timing diverged"
+    assert batched[2] == legacy[2], "sink order/timing diverged"
     assert batched[4] == legacy[4], "mid-batch observations diverged"
     # each case really exercises its effect
-    assert batched[2], "no handler ran"
+    assert batched[2], "no sink call"
     if case == "energy":
-        assert batched[4], "no receiver died from its own rx draw"
+        assert batched[4][-1][1], "no receiver died from its own rx draw"
     elif case == "unicast":
         assert any(kind == "echo" for *_, kind in batched[2]), "no echo arrived"
     elif case == "snapshot":

@@ -316,13 +316,11 @@ def first_order_storm(jitter: float):
         rng=np.random.default_rng(9),
     )
 
-    def handler(pkt, nid):
-        if pkt.kind == "storm" and net.node(nid).alive and (nid + pkt.src) % 3 == 0:
+    def sink(nid, pkt):
+        if nid % 2 == 0 and pkt.kind == "storm" and (nid + pkt.src) % 3 == 0:
             medium.unicast(nid, pkt.src, "echo", pkt.payload, 0.25)
 
-    for nid in net.alive_ids():
-        if nid % 2 == 0:
-            medium.attach(nid, lambda pkt, nid=nid: handler(pkt, nid))
+    medium.receive = sink
     for r in range(4):
         for nid in net.alive_ids():
             medium.broadcast(nid, "storm", r, 0.1 * (1 + nid % 3))
@@ -340,11 +338,11 @@ def first_order_medium_case() -> str:
     :data:`FIRST_ORDER`, run jitter-free and jittered.
 
     Three kinds: ``storm`` broadcasts of fractional sizes, ``echo``
-    unicasts a handler sends back to some storm senders, and zero-size
+    unicasts the sink sends back to some storm senders, and zero-size
     ``beacon`` broadcasts.  Batteries hold a few rounds of traffic, so
     nodes die from their own draws, inside a batched arrival when the
-    medium is jitter-free.  Every other node has no handler, so
-    handler-less receivers sit between handler calls.
+    medium is jitter-free.  The sink ignores odd nodes, so receivers it
+    ignores sit between the ones it acts for.
     """
     return stable_digest(tuple(first_order_storm(jitter) for jitter in (0.0, 0.3)))
 
