@@ -16,7 +16,7 @@ subgraph ``Cell(v_ij)``.
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -54,13 +54,15 @@ class RealNetwork:
             cell: tuple(sorted(ids)) for cell, ids in members.items()
         }
         raw = self._build_adjacency(nodes)
-        # immutable adjacency: sorted tuples for ordered iteration, a
-        # frozenset mirror for O(1) membership (the unicast hot path)
+        # immutable adjacency: sorted tuples for ordered iteration, and a
+        # mirror for O(1) membership (the unicast hot path).  The mirror is a
+        # dict of int keys and None values, which the garbage collector
+        # never tracks (a set always is), so full collections skip it
         self._adjacency: Dict[int, Tuple[int, ...]] = {
             nid: tuple(nbrs) for nid, nbrs in raw.items()
         }
-        self._adjacency_sets: Dict[int, FrozenSet[int]] = {
-            nid: frozenset(nbrs) for nid, nbrs in raw.items()
+        self._adjacency_sets: Dict[int, Dict[int, None]] = {
+            nid: dict.fromkeys(nbrs) for nid, nbrs in raw.items()
         }
         # alive-neighbour views are cached per node and invalidated in bulk
         # by a network-wide liveness generation counter, bumped whenever any
@@ -159,8 +161,9 @@ class RealNetwork:
             self._alive_cache[node_id] = view
         return view
 
-    def neighbor_set(self, node_id: int) -> FrozenSet[int]:
-        """Frozen full neighbour set — O(1) membership (the unicast path)."""
+    def neighbor_set(self, node_id: int) -> Mapping[int, None]:
+        """Full neighbour set, keyed by node id — O(1) membership (the
+        unicast path).  Read-only: it is shared by every caller."""
         return self._adjacency_sets[node_id]
 
     def distance(self, a: int, b: int) -> float:

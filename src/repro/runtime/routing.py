@@ -29,7 +29,6 @@ route.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Set, Tuple
 
 from ..core.coords import Direction, GridCoord
@@ -452,7 +451,10 @@ class TransportProcess(Process):
         # have incremented ``hops`` on the shared object since the first
         # attempt, and re-sending it would carry the inflated count.  In
         # wire mode the snapshot re-packs the frame sent the first time
-        clone = replace(envelope, hops=hops_at_send)
+        clone = TransportEnvelope(
+            envelope.src_cell, envelope.dst_cell, envelope.inner,
+            envelope.size_units, hops_at_send, envelope.uid,
+        )
         self._tx_envelope(nxt, clone)
         self.set_timer(self._retry_delay(tag, attempts + 1), tag)
 
@@ -578,16 +580,21 @@ class TransportProcess(Process):
         self.medium.unicast(self.node_id, nxt, TRANSPORT_KIND, frame, envelope.size_units)
         if type(envelope.inner) is EncodedPayload:
             return envelope
-        return replace(envelope, inner=EncodedPayload(frame))
+        return TransportEnvelope(
+            envelope.src_cell, envelope.dst_cell, EncodedPayload(frame),
+            envelope.size_units, envelope.hops, envelope.uid,
+        )
 
     def _decode_inner(self, envelope: TransportEnvelope) -> bool:
         """Decode a wire-mode envelope's inner in place, where it is first
         needed; False, counted in :attr:`rejected_frames`, if its payload
-        body does not decode (relays forward such a frame unchecked)."""
+        body does not decode (relays forward such a frame unchecked).  The
+        frame was validated on receipt, or encoded here, so only its
+        payload body is decoded."""
         inner = envelope.inner
         if type(inner) is EncodedPayload:
             try:
-                envelope.inner = decode_envelope(inner.frame).inner
+                envelope.inner = inner.decode()
             except WireDecodeError:
                 self._reject_frame()
                 return False

@@ -34,7 +34,15 @@ A relay never needs the inner payload, only the header: with
 but the payload is left encoded (:class:`EncodedPayload`), and
 :func:`encode_envelope` forwards such an envelope by re-packing only the
 ``hops`` field and the CRC.  The node that delivers the envelope decodes
-the payload, once.
+the payload of that validated frame (:meth:`EncodedPayload.decode`), once.
+
+Each frame is validated once, with as little work as keeps every check:
+the CRC is seeded with the fixed 8-byte lead (magic, version, flags and a
+zeroed CRC field, one seed per known flags byte) and run over the rest of
+the frame, so no copy is zeroed; an envelope that carries a uid and an
+acknowledgement are each checked by one ``struct`` unpack and one CRC.  A
+frame those checks do not accept goes to the shared validation, which
+raises the error that names its fault.
 
 Inner payloads are encoded under one of three **payload tags**:
 
@@ -84,13 +92,29 @@ _KNOWN_FLAGS = _FLAG_HAS_UID | _FLAG_IS_ACK
 
 #: magic(2) version(1) flags(1) crc(4) sx sy dx dy hops (5 x uint16) size (f64)
 _HEADER = struct.Struct("!2sBBIHHHHHd")
+_FIELDS = struct.Struct("!HHHHHd")  # the header after its CRC field
 _UID = struct.Struct("!IQ")
 _PAYLOAD_PREFIX = struct.Struct("!BI")
 _F64 = struct.Struct("!d")
 _CRC = struct.Struct("!I")
-_CRC_OFFSET = 4
+_CRC_END = 8  # the CRC runs over the frame from here on
 _HOPS = struct.Struct("!H")
-_HOPS_OFFSET = 16
+_HOPS_AT = 16
+
+#: The 4-byte lead (magic, version, flags) of each known flags byte, and
+#: the CRC of that lead followed by a zeroed CRC field: the seed from which
+#: a frame's CRC runs over the rest of the frame, so no copy is zeroed.
+_LEADS = tuple(MAGIC + bytes((WIRE_VERSION, flags)) for flags in range(_KNOWN_FLAGS + 1))
+_CRC_SEEDS = tuple(zlib.crc32(lead + bytes(_CRC.size)) for lead in _LEADS)
+
+#: An envelope with a uid (every reliable-mode envelope) up to its payload
+#: bytes, whole and after its CRC field: the fast paths pack and unpack it
+#: in one call.
+_UID_ENVELOPE = struct.Struct("!4sIHHHHHdIQBI")
+_UID_REST = struct.Struct("!HHHHHdIQBI")
+_UID_PAYLOAD_AT = _UID_ENVELOPE.size
+_UID_LEAD = _LEADS[_FLAG_HAS_UID]
+_UID_SEED = _CRC_SEEDS[_FLAG_HAS_UID]
 
 _U16_MAX = 0xFFFF
 _U32_MAX = 0xFFFFFFFF
@@ -137,12 +161,24 @@ class EncodedPayload:
     copy of ``frame`` with only ``hops`` and the CRC re-packed, so a relay
     never runs the payload codec; the other fields of the envelope must
     be left as decoded.
+
+    ``frame`` is only ever a frame that :func:`decode_envelope` validated
+    (magic, version, flags, CRC, lengths, a known payload tag) or that
+    :func:`encode_envelope` produced.  So :meth:`decode` decodes the
+    payload body alone: the header needs no second check.
     """
 
     __slots__ = ("frame",)
 
     def __init__(self, frame: bytes):
         self.frame = frame
+
+    def decode(self) -> Any:
+        """The inner payload; :class:`WireDecodeError` if its body does not
+        decode (the header checks cannot see a malformed body)."""
+        frame = self.frame
+        pos = _HEADER.size + (_UID.size if frame[3] & _FLAG_HAS_UID else 0)
+        return decode_payload(frame[pos], frame[pos + _PAYLOAD_PREFIX.size :])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EncodedPayload({len(self.frame)} bytes)"
@@ -151,6 +187,13 @@ class EncodedPayload:
 # ---------------------------------------------------------------------------
 # varints
 # ---------------------------------------------------------------------------
+#
+# Ints are zigzag-mapped (non-negatives to even, negatives to odd) and then
+# written as unsigned LEB128, at arbitrary precision: ``n << 1`` for
+# ``n >= 0`` and ``~(n << 1)`` below, inverted by ``(z >> 1) ^ -(z & 1)``.
+# Every varint below 0x80 (an int in [-64, 64), a length under 128) is one
+# byte.  Every read, and the writes of ints, strings, tuples and lists,
+# handle that byte inline; the rest go through these two helpers.
 
 
 def _write_uvarint(out: bytearray, n: int) -> None:
@@ -165,7 +208,7 @@ def _write_uvarint(out: bytearray, n: int) -> None:
             return
 
 
-def _read_uvarint(buf: memoryview, pos: int) -> Tuple[int, int]:
+def _read_uvarint(buf: bytes, pos: int) -> Tuple[int, int]:
     result = 0
     shift = 0
     while True:
@@ -177,15 +220,6 @@ def _read_uvarint(buf: memoryview, pos: int) -> Tuple[int, int]:
         if not byte & 0x80:
             return result, pos
         shift += 7
-
-
-def _zigzag(n: int) -> int:
-    # arbitrary-precision zigzag: non-negatives to even, negatives to odd
-    return n * 2 if n >= 0 else -n * 2 - 1
-
-
-def _unzigzag(n: int) -> int:
-    return n // 2 if n % 2 == 0 else -(n + 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +239,9 @@ _V_DICT = 0x09
 _V_SET = 0x0A
 _V_FROZENSET = 0x0B
 
+#: Decoded value of each tag that carries no body.
+_BARE = (None, True, False)
+
 
 def encode_value(value: Any) -> bytes:
     """Encode a structured value; :class:`WireEncodeError` if unsupported."""
@@ -214,118 +251,147 @@ def encode_value(value: Any) -> bytes:
 
 
 def _write_value(out: bytearray, value: Any) -> None:
-    # bool before int: bool is an int subclass
-    if value is None:
+    # exact types throughout: bool is an int subclass, and its own tags
+    kind = type(value)
+    if kind is int:
+        out.append(_V_INT)
+        z = value << 1 if value >= 0 else ~(value << 1)
+        if z < 0x80:
+            out.append(z)
+        else:
+            _write_uvarint(out, z)
+    elif kind is tuple or kind is list:
+        out.append(_V_TUPLE if kind is tuple else _V_LIST)
+        n = len(value)
+        if n < 0x80:
+            out.append(n)
+        else:
+            _write_uvarint(out, n)
+        for item in value:
+            if type(item) is int and -64 <= item < 64:
+                # one-byte int (a coordinate, a small count) written inline
+                out.append(_V_INT)
+                out.append(item << 1 if item >= 0 else ~(item << 1))
+            else:
+                _write_value(out, item)
+    elif kind is str or kind is bytes:
+        raw = value.encode("utf-8") if kind is str else value
+        out.append(_V_STR if kind is str else _V_BYTES)
+        n = len(raw)
+        if n < 0x80:
+            out.append(n)
+        else:
+            _write_uvarint(out, n)
+        out += raw
+    elif value is None:
         out.append(_V_NONE)
     elif value is True:
         out.append(_V_TRUE)
     elif value is False:
         out.append(_V_FALSE)
-    elif type(value) is int:
-        out.append(_V_INT)
-        _write_uvarint(out, _zigzag(value))
-    elif type(value) is float:
+    elif kind is float:
         out.append(_V_FLOAT)
         out += _F64.pack(value)
-    elif type(value) is str:
-        raw = value.encode("utf-8")
-        out.append(_V_STR)
-        _write_uvarint(out, len(raw))
-        out += raw
-    elif type(value) is bytes:
-        out.append(_V_BYTES)
-        _write_uvarint(out, len(value))
-        out += value
-    elif type(value) is tuple:
-        out.append(_V_TUPLE)
-        _write_uvarint(out, len(value))
-        for item in value:
-            _write_value(out, item)
-    elif type(value) is list:
-        out.append(_V_LIST)
-        _write_uvarint(out, len(value))
-        for item in value:
-            _write_value(out, item)
-    elif type(value) is dict:
+    elif kind is dict:
         out.append(_V_DICT)
         _write_uvarint(out, len(value))
         for key, item in value.items():
             _write_value(out, key)
             _write_value(out, item)
-    elif type(value) in (set, frozenset):
+    elif kind is set or kind is frozenset:
         # order-stable: elements sorted by their encoded bytes
-        out.append(_V_SET if type(value) is set else _V_FROZENSET)
+        out.append(_V_SET if kind is set else _V_FROZENSET)
         _write_uvarint(out, len(value))
         for raw in sorted(encode_value(item) for item in value):
             out += raw
     else:
         raise WireEncodeError(
-            f"value of type {type(value).__name__} is not wire-encodable"
+            f"value of type {kind.__name__} is not wire-encodable"
         )
 
 
 def decode_value(buf: bytes) -> Any:
     """Inverse of :func:`encode_value` (whole-buffer: trailing bytes raise)."""
-    view = memoryview(buf)
-    value, pos = _read_value(view, 0)
-    if pos != len(view):
-        raise WireDecodeError(f"{len(view) - pos} trailing bytes after value")
+    if type(buf) is not bytes:
+        buf = bytes(memoryview(buf))
+    try:
+        value, pos = _read_value(buf, 0)
+    except RecursionError:
+        raise WireDecodeError("value nested too deeply") from None
+    if pos != len(buf):
+        raise WireDecodeError(f"{len(buf) - pos} trailing bytes after value")
     return value
 
 
-def _read_value(buf: memoryview, pos: int) -> Tuple[Any, int]:
-    if pos >= len(buf):
-        raise WireDecodeError("truncated value")
-    tag = buf[pos]
+def _read_value(buf: bytes, pos: int) -> Tuple[Any, int]:
+    try:
+        tag = buf[pos]
+    except IndexError:
+        raise WireDecodeError("truncated value") from None
     pos += 1
-    if tag == _V_NONE:
-        return None, pos
-    if tag == _V_TRUE:
-        return True, pos
-    if tag == _V_FALSE:
-        return False, pos
-    if tag == _V_INT:
-        n, pos = _read_uvarint(buf, pos)
-        return _unzigzag(n), pos
+    if tag <= _V_FALSE:
+        return _BARE[tag], pos
     if tag == _V_FLOAT:
         if pos + 8 > len(buf):
             raise WireDecodeError("truncated float")
         return _F64.unpack_from(buf, pos)[0], pos + 8
-    if tag in (_V_STR, _V_BYTES):
-        length, pos = _read_uvarint(buf, pos)
-        if pos + length > len(buf):
+    if tag > _V_FROZENSET:
+        raise WireDecodeError(f"unknown value tag 0x{tag:02x}")
+    # every other tag is followed by one varint: the zigzagged int itself,
+    # or the length of a string, bytes or container
+    try:
+        n = buf[pos]
+    except IndexError:
+        raise WireDecodeError("truncated varint") from None
+    if n < 0x80:
+        pos += 1
+    else:
+        n, pos = _read_uvarint(buf, pos)
+    if tag == _V_INT:
+        return (n >> 1) ^ -(n & 1), pos
+    if tag == _V_STR or tag == _V_BYTES:
+        end = pos + n
+        if end > len(buf):
             raise WireDecodeError("truncated string/bytes body")
-        raw = bytes(buf[pos : pos + length])
-        pos += length
+        raw = buf[pos:end]
         if tag == _V_STR:
             try:
-                return raw.decode("utf-8"), pos
+                return raw.decode("utf-8"), end
             except UnicodeDecodeError as exc:
                 raise WireDecodeError(f"invalid utf-8 in string: {exc}") from None
-        return raw, pos
-    if tag in (_V_TUPLE, _V_LIST):
-        count, pos = _read_uvarint(buf, pos)
-        items = []
-        for _ in range(count):
-            item, pos = _read_value(buf, pos)
-            items.append(item)
-        return (tuple(items) if tag == _V_TUPLE else items), pos
+        return raw, end
     if tag == _V_DICT:
-        count, pos = _read_uvarint(buf, pos)
         out: Dict[Any, Any] = {}
-        for _ in range(count):
+        for _ in range(n):
             key, pos = _read_value(buf, pos)
             value, pos = _read_value(buf, pos)
-            out[key] = value
+            try:
+                out[key] = value
+            except TypeError:
+                raise WireDecodeError(
+                    f"unhashable dict key of type {type(key).__name__}"
+                ) from None
         return out, pos
-    if tag in (_V_SET, _V_FROZENSET):
-        count, pos = _read_uvarint(buf, pos)
-        items = []
-        for _ in range(count):
-            item, pos = _read_value(buf, pos)
-            items.append(item)
+    items = []
+    for _ in range(n):
+        try:
+            if buf[pos] == _V_INT and (z := buf[pos + 1]) < 0x80:
+                # one-byte int (a coordinate, a small count) read inline
+                items.append((z >> 1) ^ -(z & 1))
+                pos += 2
+                continue
+        except IndexError:
+            pass  # _read_value names the truncation
+        item, pos = _read_value(buf, pos)
+        items.append(item)
+    if tag == _V_TUPLE:
+        return tuple(items), pos
+    if tag == _V_LIST:
+        return items, pos
+    try:
         return (set(items) if tag == _V_SET else frozenset(items)), pos
-    raise WireDecodeError(f"unknown value tag 0x{tag:02x}")
+    except TypeError:
+        raise WireDecodeError("unhashable set element") from None
 
 
 # ---------------------------------------------------------------------------
@@ -343,29 +409,36 @@ def _encode_message(message: Any) -> bytes:
     _write_value(out, message.kind)
     _write_value(out, tuple(message.sender))
     _write_value(out, message.payload)
-    _write_uvarint(out, _zigzag(message.level))
+    level = message.level
+    z = level << 1 if level >= 0 else ~(level << 1)
+    if z < 0x80:
+        out.append(z)
+    else:
+        _write_uvarint(out, z)
     out += _F64.pack(message.size_units)
     return bytes(out)
 
 
 def _decode_message(raw: bytes) -> Any:
-    view = memoryview(raw)
-    kind, pos = _read_value(view, 0)
-    sender, pos = _read_value(view, pos)
-    payload, pos = _read_value(view, pos)
-    zz, pos = _read_uvarint(view, pos)
-    if pos + 8 != len(view):
+    try:
+        kind, pos = _read_value(raw, 0)
+        sender, pos = _read_value(raw, pos)
+        payload, pos = _read_value(raw, pos)
+    except RecursionError:
+        raise WireDecodeError("value nested too deeply") from None
+    try:
+        z = raw[pos]
+    except IndexError:
+        raise WireDecodeError("truncated varint") from None
+    if z < 0x80:
+        pos += 1
+    else:
+        z, pos = _read_uvarint(raw, pos)
+    if pos + 8 != len(raw):
         raise WireDecodeError("malformed Message payload body")
-    size_units = _F64.unpack_from(view, pos)[0]
-    if not isinstance(kind, str) or not isinstance(sender, tuple):
+    if type(kind) is not str or type(sender) is not tuple:
         raise WireDecodeError("malformed Message header fields")
-    return Message(
-        kind=kind,
-        sender=sender,
-        payload=payload,
-        level=_unzigzag(zz),
-        size_units=size_units,
-    )
+    return Message(kind, sender, payload, (z >> 1) ^ -(z & 1), _F64.unpack_from(raw, pos)[0])
 
 
 def encode_payload(inner: Any) -> Tuple[int, bytes]:
@@ -396,10 +469,12 @@ def encode_payload(inner: Any) -> Tuple[int, bytes]:
 
 def decode_payload(tag: int, raw: bytes) -> Any:
     """Inverse of :func:`encode_payload`."""
+    if tag == PAYLOAD_MESSAGE:
+        if type(raw) is not bytes:
+            raw = bytes(memoryview(raw))
+        return _decode_message(raw)
     if tag == PAYLOAD_VALUE:
         return decode_value(raw)
-    if tag == PAYLOAD_MESSAGE:
-        return _decode_message(raw)
     if tag == PAYLOAD_PICKLE:
         try:
             return pickle.loads(raw)
@@ -411,6 +486,11 @@ def decode_payload(tag: int, raw: bytes) -> Any:
 # ---------------------------------------------------------------------------
 # frame codec
 # ---------------------------------------------------------------------------
+#
+# Each direction has a fast path and the shared, field-by-field one.  The
+# fast path handles the common case in a few C calls and hands anything it
+# does not accept to the shared path, which either accepts it too (an int
+# subclass for a cell, say) or raises the error that names the fault.
 
 
 def _check_u16(name: str, value: Any) -> int:
@@ -428,11 +508,12 @@ def _pack_uid(uid: Tuple[int, int]) -> bytes:
     return _UID.pack(origin, seq)
 
 
-def _seal(frame: bytearray) -> bytes:
-    """Write the CRC of ``frame`` (taken with the CRC field zeroed)."""
-    _CRC.pack_into(frame, _CRC_OFFSET, 0)
-    _CRC.pack_into(frame, _CRC_OFFSET, zlib.crc32(frame))
-    return bytes(frame)
+def _forward(frame: bytes, hops: Any) -> bytes:
+    """``frame`` with ``hops`` and the CRC re-packed (a relay's send)."""
+    if type(hops) is not int or not 0 <= hops <= _U16_MAX:
+        hops = _check_u16("hops", hops)
+    body = frame[_CRC_END:_HOPS_AT] + _HOPS.pack(hops) + frame[_HOPS_AT + _HOPS.size :]
+    return frame[:4] + _CRC.pack(zlib.crc32(body, _CRC_SEEDS[frame[3]])) + body
 
 
 def encode_envelope(envelope: TransportEnvelope) -> bytes:
@@ -444,10 +525,34 @@ def encode_envelope(envelope: TransportEnvelope) -> bytes:
     """
     inner = envelope.inner
     if type(inner) is EncodedPayload:
-        frame = bytearray(inner.frame)
-        _HOPS.pack_into(frame, _HOPS_OFFSET, _check_u16("hops", envelope.hops))
-        return _seal(frame)
+        return _forward(inner.frame, envelope.hops)
     tag, raw = encode_payload(inner)
+    uid = envelope.uid
+    if type(uid) is tuple and len(uid) == 2:
+        # the fast path: a uid, and header fields of exact types, whose
+        # ranges the one pack checks
+        src_cell, dst_cell = envelope.src_cell, envelope.dst_cell
+        sx, sy, dx, dy = src_cell[0], src_cell[1], dst_cell[0], dst_cell[1]
+        hops, size = envelope.hops, envelope.size_units
+        origin, seq = uid
+        if (
+            type(sx) is type(sy) is type(dx) is type(dy) is type(hops) is int
+            and type(origin) is type(seq) is int
+            and type(size) is float
+        ):
+            try:
+                body = _UID_REST.pack(sx, sy, dx, dy, hops, size, origin, seq, tag, len(raw))
+            except struct.error:
+                pass  # out of range: the shared path names the field
+            else:
+                body += raw
+                return _UID_LEAD + _CRC.pack(zlib.crc32(body, _UID_SEED)) + body
+    return _pack_envelope(envelope, tag, raw)
+
+
+def _pack_envelope(envelope: TransportEnvelope, tag: int, raw: bytes) -> bytes:
+    """The shared encode path: each header field is checked in frame order,
+    and :class:`WireEncodeError` names the first that cannot be packed."""
     src_cell, dst_cell = envelope.src_cell, envelope.dst_cell
     sx = _check_u16("src cell x", src_cell[0])
     sy = _check_u16("src cell y", src_cell[1])
@@ -467,28 +572,35 @@ def encode_envelope(envelope: TransportEnvelope) -> bytes:
         uid_block = _pack_uid(envelope.uid)
     if len(raw) > _U32_MAX:
         raise WireEncodeError(f"payload of {len(raw)} bytes exceeds uint32 length")
-    frame = bytearray(_HEADER.pack(MAGIC, WIRE_VERSION, flags, 0, sx, sy, dx, dy, hops, size))
-    frame += uid_block
-    frame += _PAYLOAD_PREFIX.pack(tag, len(raw))
-    frame += raw
-    return _seal(frame)
+    body = b"".join((
+        _FIELDS.pack(sx, sy, dx, dy, hops, size),
+        uid_block,
+        _PAYLOAD_PREFIX.pack(tag, len(raw)),
+        raw,
+    ))
+    return _LEADS[flags] + _CRC.pack(zlib.crc32(body, _CRC_SEEDS[flags])) + body
 
 
-#: Every acknowledgement has this header (zero cells, hops and size; CRC
-#: field zeroed); only the uid block after it and the CRC vary.
-_ACK_HEADER = _HEADER.pack(
-    MAGIC, WIRE_VERSION, _FLAG_IS_ACK | _FLAG_HAS_UID, 0, 0, 0, 0, 0, 0, 0.0
-)
-_ACK_HEADER_CRC = zlib.crc32(_ACK_HEADER)
-_ACK_LEAD = _ACK_HEADER[:_CRC_OFFSET]
-_ACK_REST = _ACK_HEADER[_CRC_OFFSET + _CRC.size :]
+#: A whole acknowledgement: lead, CRC, zero cells, hops and size, uid.
+#: Only the uid and the CRC vary, and the CRC of the rest of the header,
+#: with the CRC field zeroed, seeds the CRC of the uid block.
+_ACK = struct.Struct("!4sI18sIQ")
+_ACK_LEAD = _LEADS[_FLAG_IS_ACK | _FLAG_HAS_UID]
+_ACK_ZEROS = bytes(_FIELDS.size)
+_ACK_HEADER_CRC = zlib.crc32(_ACK_ZEROS, _CRC_SEEDS[_FLAG_IS_ACK | _FLAG_HAS_UID])
 
 
 def encode_ack(uid: Tuple[int, int]) -> bytes:
     """Serialize a hop-by-hop acknowledgement of ``uid``."""
-    block = _pack_uid(uid)
-    crc = _CRC.pack(zlib.crc32(block, _ACK_HEADER_CRC))
-    return b"".join((_ACK_LEAD, crc, _ACK_REST, block))
+    origin, seq = uid
+    if type(origin) is not int or type(seq) is not int:
+        _pack_uid(uid)  # the shared check accepts an int subclass, or names the field
+    try:
+        crc = zlib.crc32(_UID.pack(origin, seq), _ACK_HEADER_CRC)
+    except struct.error:
+        _pack_uid(uid)  # out of range: the shared check names the field
+        raise
+    return _ACK.pack(_ACK_LEAD, crc, _ACK_ZEROS, origin, seq)
 
 
 def _unpack_frame(
@@ -512,9 +624,7 @@ def _unpack_frame(
         )
     if flags & ~_KNOWN_FLAGS:
         raise WireDecodeError(f"unknown flag bits 0x{flags & ~_KNOWN_FLAGS:02x}")
-    zeroed = bytearray(buf)
-    _CRC.pack_into(zeroed, _CRC_OFFSET, 0)
-    if zlib.crc32(zeroed) != crc:
+    if zlib.crc32(buf[_CRC_END:], _CRC_SEEDS[flags]) != crc:
         raise WireDecodeError("CRC mismatch: frame corrupted or truncated")
     pos = _HEADER.size
     uid: Optional[Tuple[int, int]] = None
@@ -550,28 +660,48 @@ def decode_envelope(buf: bytes, *, payload: bool = True) -> TransportEnvelope:
     leaves the inner payload encoded: the envelope's ``inner`` is then an
     :class:`EncodedPayload` of ``buf``, ready to be forwarded.
     """
-    frame, flags, fields, uid, pos = _unpack_frame(buf)
-    if flags & _FLAG_IS_ACK:
-        raise WireDecodeError("frame is an acknowledgement, not an envelope")
-    sx, sy, dx, dy, hops, size, tag = fields
+    try:
+        lead, crc, sx, sy, dx, dy, hops, size, origin, seq, tag, length = (
+            _UID_ENVELOPE.unpack_from(buf)
+        )
+    except (struct.error, TypeError):
+        lead = None
+    if (
+        lead == _UID_LEAD
+        and type(buf) is bytes
+        and length == len(buf) - _UID_PAYLOAD_AT
+        and tag in _PAYLOAD_TAGS
+        and zlib.crc32(buf[_CRC_END:], _UID_SEED) == crc
+    ):
+        uid: Optional[Tuple[int, int]] = (origin, seq)
+        pos = _UID_PAYLOAD_AT
+    else:
+        buf, flags, fields, uid, pos = _unpack_frame(buf)
+        if flags & _FLAG_IS_ACK:
+            raise WireDecodeError("frame is an acknowledgement, not an envelope")
+        sx, sy, dx, dy, hops, size, tag = fields
     if payload:
-        inner = decode_payload(tag, frame[pos:])
+        inner = decode_payload(tag, buf[pos:])
     elif tag in _PAYLOAD_TAGS:
-        inner = EncodedPayload(frame)
+        inner = EncodedPayload(buf)
     else:
         raise WireDecodeError(f"unknown payload tag 0x{tag:02x}")
-    return TransportEnvelope(
-        src_cell=(sx, sy),
-        dst_cell=(dx, dy),
-        inner=inner,
-        size_units=size,
-        hops=hops,
-        uid=uid,
-    )
+    return TransportEnvelope((sx, sy), (dx, dy), inner, size, hops, uid)
 
 
 def decode_ack(buf: bytes) -> Tuple[int, int]:
     """Inverse of :func:`encode_ack`: the acknowledged ``(origin, seq)``."""
+    try:
+        lead, crc, zeros, origin, seq = _ACK.unpack(buf)
+    except (struct.error, TypeError):
+        lead = None
+    if (
+        lead == _ACK_LEAD
+        and zeros == _ACK_ZEROS
+        and type(buf) is bytes
+        and zlib.crc32(buf[_HEADER.size :], _ACK_HEADER_CRC) == crc
+    ):
+        return origin, seq
     _frame, flags, _fields, uid, _pos = _unpack_frame(buf)
     if not flags & _FLAG_IS_ACK:
         raise WireDecodeError("frame is an envelope, not an acknowledgement")

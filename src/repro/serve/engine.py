@@ -59,6 +59,7 @@ from ..runtime.routing import (
     TransportProcess,
 )
 from ..runtime.stack import DeployedStack
+from ..simulator.network import Packet
 from ..simulator.trace import stable_digest, stable_unit
 from .admission import AdmissionController, Arrival, TenantPolicy
 
@@ -504,17 +505,27 @@ class QueryEngine:
         )
         self._injected_seen = 0
         self._failovers_seen = 0
-        network = stack.network
-        for nid in network.alive_ids():
-            cell = network.cell_of(nid)
-            stored = (
-                self._storage.get(cell)
-                if stack.binding.leaders.get(cell) == nid
-                else None
-            )
-            self._host.add(nid, _ServeProcess(self, stored=stored))
+        for nid in stack.network.alive_ids():
+            self._host.add(nid, self._new_process(nid))
         self._host.start()
+        self.medium.receive = self._receive
         self.sim.run_until_quiet()  # drain the boot events; no traffic yet
+
+    def _new_process(self, nid: int) -> _ServeProcess:
+        """A serving process for ``nid``, holding its cell's stored payload
+        when it is the cell's leader."""
+        cell = self.stack.network.cell_of(nid)
+        leader = self.stack.binding.leaders.get(cell) == nid
+        return _ServeProcess(self, stored=self._storage.get(cell) if leader else None)
+
+    def _receive(self, nid: int, packet: Packet) -> None:
+        """The medium's sink: hand ``packet`` to ``nid``'s process, hosting
+        one on the node's first packet if it has none (a node that was dead
+        when the engine was built and has been revived since)."""
+        proc = self._host.processes.get(nid)
+        if proc is None:
+            proc = self._host.add(nid, self._new_process(nid))
+        proc.on_packet(packet)
 
     # -- storage, freshness, and fault interaction --------------------------------
 

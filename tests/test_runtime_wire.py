@@ -313,6 +313,28 @@ class TestDecodeHardening:
         with pytest.raises(wire.WireDecodeError):
             wire.decode_envelope("not bytes")  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            bytes([0x09, 1, 0x08, 0, 0x00]),  # {[]: None}
+            bytes([0x0A, 1, 0x08, 0]),  # {[]}
+            bytes([0x07, 1] * 3000 + [0x00]),  # 3000 nested 1-tuples
+        ],
+        ids=["unhashable-key", "unhashable-element", "deep-nesting"],
+    )
+    def test_crc_valid_body_that_is_no_value_raises_decode_error(self, body):
+        """Such a frame passes every header check; the payload decode must
+        still raise WireDecodeError, which the transport counts, and never
+        another error, which would stop the simulation."""
+        frame = _with_body(self.frame(), body)
+        relay = wire.decode_envelope(frame, payload=False)
+        with pytest.raises(wire.WireDecodeError):
+            wire.decode_envelope(frame)
+        with pytest.raises(wire.WireDecodeError):
+            relay.inner.decode()
+        with pytest.raises(wire.WireDecodeError):
+            wire.decode_value(body)
+
     def test_out_of_range_header_fields_raise_on_encode(self):
         for bad in (
             TransportEnvelope((-1, 0), (0, 0), inner=None),
@@ -323,6 +345,94 @@ class TestDecodeHardening:
         ):
             with pytest.raises(wire.WireEncodeError):
                 wire.encode_envelope(bad)
+
+    def test_a_field_out_of_range_is_named_on_either_encode_path(self):
+        """Exact ints out of range pass the fast path's type check and fail
+        its pack; the shared path then names the first bad field."""
+        for uid in (None, (1, 2)):
+            for env, field in (
+                (TransportEnvelope((0, 70000), (0, 0), None, uid=uid), "src cell y"),
+                (TransportEnvelope((0, 0), (0, 0), None, hops=2**16, uid=uid), "hops"),
+                (TransportEnvelope((0, 0), (0, 0), None, size_units="x", uid=uid), "size_units"),
+            ):
+                with pytest.raises(wire.WireEncodeError, match=field):
+                    wire.encode_envelope(env)
+        with pytest.raises(wire.WireEncodeError, match="uid seq"):
+            wire.encode_envelope(TransportEnvelope((0, 0), (0, 0), None, uid=(1, -1)))
+
+    def test_fast_and_shared_encode_paths_agree(self):
+        """Field values of other types that the shared path accepts (an int
+        subclass, an int size, a list uid) encode to the same bytes."""
+
+        class Coordinate(int):
+            pass
+
+        env = TransportEnvelope((1, 2), (3, 4), ("x", 9), size_units=2.0, hops=5, uid=(5, 6))
+        frame = wire.encode_envelope(env)
+        for variant in (
+            dataclasses.replace(env, src_cell=(Coordinate(1), 2)),
+            dataclasses.replace(env, size_units=2),
+            dataclasses.replace(env, uid=[5, 6]),
+        ):
+            assert wire.encode_envelope(variant) == frame
+        assert wire.decode_envelope(frame) == env
+
+
+class TestAckHardening:
+    """``decode_ack`` checks the fixed ack layout in one unpack; whatever
+    that check does not accept must still raise, naming the fault."""
+
+    def frame(self):
+        return wire.encode_ack((5, 6))
+
+    def test_every_truncation_raises(self):
+        frame = self.frame()
+        for cut in range(len(frame)):
+            with pytest.raises(wire.WireDecodeError):
+                wire.decode_ack(frame[:cut])
+
+    def test_every_single_byte_corruption_raises(self):
+        frame = self.frame()
+        for i in range(len(frame)):
+            for flip in (0x01, 0x41, 0xFF):
+                corrupt = bytearray(frame)
+                corrupt[i] ^= flip
+                with pytest.raises(wire.WireDecodeError):
+                    wire.decode_ack(bytes(corrupt))
+
+    def test_trailing_garbage_raises(self):
+        with pytest.raises(wire.WireDecodeError, match="trailing"):
+            wire.decode_ack(_reseal(self.frame() + b"\x00"))
+        with pytest.raises(wire.WireDecodeError, match="CRC"):
+            wire.decode_ack(self.frame() + b"\x00")
+
+    @pytest.mark.parametrize(
+        "at, value", [(0, b"ZZ"), (2, bytes([wire.WIRE_VERSION + 1]))], ids=["magic", "version"]
+    )
+    def test_bad_lead_raises_what_an_envelope_gets(self, at, value):
+        ack, env = bytearray(self.frame()), bytearray(TestDecodeHardening().frame())
+        for frame in (ack, env):
+            frame[at : at + len(value)] = value
+        with pytest.raises(wire.WireDecodeError) as from_ack:
+            wire.decode_ack(bytes(ack))
+        with pytest.raises(wire.WireDecodeError) as from_envelope:
+            wire.decode_envelope(bytes(env))
+        assert str(from_ack.value) == str(from_envelope.value)
+        assert ("magic" if at == 0 else "version") in str(from_ack.value)
+
+    def test_other_buffers_decode_like_bytes(self):
+        frame = self.frame()
+        assert wire.decode_ack(bytearray(frame)) == wire.decode_ack(memoryview(frame)) == (5, 6)
+        with pytest.raises(wire.WireDecodeError, match="must be bytes"):
+            wire.decode_ack(frame.hex())
+
+    def test_a_resealed_ack_with_header_fields_still_decodes(self):
+        """The shared validation never required an ack's cells, hops and
+        size to be zero; a frame the fast check refuses for that alone
+        is still accepted."""
+        frame = bytearray(self.frame())
+        frame[16:18] = b"\x00\x07"
+        assert wire.decode_ack(_reseal(bytes(frame))) == (5, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +501,21 @@ if HAVE_HYPOTHESIS:
         ),
         max_leaves=12,
     )
+    _small_or_any = st.integers(-100, 100) | st.integers()
+    _messages = st.builds(
+        Message,
+        kind=st.text(max_size=12),
+        sender=st.tuples(_small_or_any, _small_or_any),
+        payload=_values,
+        level=_small_or_any,
+        size_units=st.floats(allow_nan=False),
+    )
     _cells = st.tuples(st.integers(0, 65535), st.integers(0, 65535))
     _envelopes = st.builds(
         TransportEnvelope,
         src_cell=_cells,
         dst_cell=_cells,
-        inner=_values,
+        inner=_values | _messages,
         size_units=st.floats(allow_nan=False),
         hops=st.integers(0, 65535),
         uid=st.none() | st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1)),
@@ -445,6 +564,31 @@ class TestRoundTripProperties:
     @settings(max_examples=40, deadline=None)
     def test_ack_round_trip(self, uid):
         assert wire.decode_ack(wire.encode_ack(uid)) == uid
+
+    @given(
+        envelope=_envelopes if HAVE_HYPOTHESIS else st.nothing(),
+        body=st.none() | st.binary(max_size=48) if HAVE_HYPOTHESIS else st.nothing(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_payload_only_decode_matches_the_full_decode(self, envelope, body):
+        """The leader decodes only the payload of the frame it validated on
+        receipt.  That must equal the full decode's inner, and raise
+        exactly where the full decode does: on a CRC-valid frame whose
+        body (``body``, under the frame's own tag) is malformed, too."""
+        frame = wire.encode_envelope(envelope)
+        if body is not None:
+            frame = _with_body(frame, body)
+        relay = wire.decode_envelope(frame, payload=False)
+        try:
+            full = wire.decode_envelope(frame).inner
+        except wire.WireDecodeError:
+            with pytest.raises(wire.WireDecodeError):
+                relay.inner.decode()
+        else:
+            # byte-equal re-encodings: same types and values, NaN included
+            assert wire.encode_payload(relay.inner.decode()) == wire.encode_payload(full)
+            if body is None:
+                assert full == envelope.inner
 
 
 # ---------------------------------------------------------------------------
@@ -589,13 +733,18 @@ def _payload_offset(frame):
     return HEADER_SIZE + (UID_SIZE if frame[3] & 0x01 else 0)
 
 
+def _with_body(frame, body):
+    """``frame`` with its payload body swapped for ``body`` (its tag kept)
+    and a valid CRC: the header checks pass whatever the body holds."""
+    at = _payload_offset(frame)
+    return _reseal(frame[:at] + struct.pack("!BI", frame[at], len(body)) + body)
+
+
 def _with_malformed_body(frame):
     """``frame`` with its payload body swapped for a byte no value codec
     accepts, and a valid CRC: the header checks pass, the payload does not
     decode.  (Flipping one byte cannot produce this: CRC32 catches it.)"""
-    at = _payload_offset(frame)
-    body = b"\xff"
-    return _reseal(frame[:at] + struct.pack("!BI", frame[at], len(body)) + body)
+    return _with_body(frame, b"\xff")
 
 
 def _wire_round(stack, tx_transform=None, loss=0.1):

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from repro.core import CountAggregation, VirtualArchitecture
-from repro.runtime import FaultEvent, FaultPlan, deploy
+from repro.runtime import FaultEvent, FaultPlan, deploy, trace_route
 from repro.serve import (
     Arrival,
     QueryEngine,
     ServeConfig,
     synthesize_arrivals,
 )
+from repro.serve.chaos import build_serving_stack
 from repro.sweep import SweepSpec, run_sweep
 
 from conftest import make_deployment
@@ -138,6 +139,22 @@ class TestPersistentEngine:
         engine = QueryEngine(stack, storage)
         with pytest.raises(ValueError):
             engine.query((9, 9))
+
+    def test_relay_revived_after_the_engine_was_built_acts_from_its_first_packet(self):
+        """A node dead when the engine is built has no process; revived, it
+        is hosted on its first packet, so it relays and every answer over
+        the routes through it is whole (before, all 12 ended partial)."""
+        stack, storage = build_serving_stack(side=4, seed=7)
+        querier, relay = sorted(storage)[0], 15
+        routes = [trace_route(stack.topology, stack.binding, querier, c) for c in storage]
+        assert any(relay in route[1:-1] for route in routes)
+        stack.network.node(relay).kill()
+        engine = QueryEngine(stack, storage, ServeConfig(cache=False, reliable=True))
+        assert relay not in engine._host.processes
+        stack.network.node(relay).revive()
+        outcomes = [engine.query(querier).outcome for _ in range(12)]
+        assert outcomes == ["ok"] * 12
+        assert engine._host.processes[relay].forwarded > 0
 
     def test_lossy_engine_without_rng_is_rejected(self, served_stack):
         # the engine's medium would otherwise draw its losses from OS
