@@ -102,14 +102,14 @@ class Context:
         self.effects.append(Effect(LOG, payload=None, operations=operations))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Rule:
     """One guarded command: ``Condition : ... Action : ...`` of Figure 4.
 
     ``condition`` is a predicate over the :class:`Context`; ``action``
-    mutates state through the context and may emit effects.  ``once_per_
-    message`` rules only run for the stimulus that delivered a message
-    (Figure 4's *received mGraph* guard).
+    mutates state through the context and may emit effects; it keeps no
+    node state, so one rule serves every node.  ``consumes_message`` rules
+    only run for the stimulus that delivered a message (*received mGraph*).
     """
 
     name: str
@@ -126,7 +126,8 @@ class NodeProgram:
     rules:
         Evaluated in order; the first enabled rule fires, then evaluation
         restarts (so rule priority is list order, and actions enabling
-        other rules cascade within the same stimulus).
+        other rules cascade within the same stimulus); programs given one
+        tuple share it.
     state:
         The initial state dictionary (the Figure 4 ``State`` block).
     max_firings:
@@ -139,7 +140,7 @@ class NodeProgram:
         state: Dict[str, Any],
         max_firings: int = 100_000,
     ):
-        self.rules = list(rules)
+        self.rules = tuple(rules)
         self.state = state
         self.max_firings = max_firings
         self.firing_log: List[str] = []

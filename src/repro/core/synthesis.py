@@ -7,7 +7,8 @@ to simplify and ultimately automate the design and synthesis"*).  Given the
 group-formation middleware and an *aggregation* (the data-dependent part:
 how local readings are summarized and how summaries merge),
 :func:`synthesize_quadtree_program` emits a :class:`SynthesizedProgram`
-whose per-node rule sets follow Figure 4:
+whose rule set follows Figure 4, built once and run by every node over its
+own state:
 
 * ``Condition: start = true`` — compute ``mySubGraph[0]`` from intra-cell
   readings, schedule transmission, advance the recursion level.
@@ -42,8 +43,8 @@ leader yet continues to serve as the merge point of a higher level.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .coords import GridCoord
 from .groups import HierarchicalGroups
@@ -98,9 +99,21 @@ class Aggregation(abc.ABC):
         return self.size_of(payload)
 
 
-@dataclass
+class _Role(NamedTuple):
+    """A node's static part in the program, a pure function of its coordinate."""
+
+    lead_levels: Tuple[int, ...]
+    external: Dict[int, int]  # lead level >= 1 -> child summaries from other nodes
+    own: Dict[int, bool]  # lead level >= 1 -> the node's own summary is a child
+
+
+@dataclass(frozen=True)
 class SynthesizedProgram:
-    """The output of program synthesis: a program factory per grid node.
+    """The output of program synthesis: the Figure 4 program of every grid node.
+
+    Its four rules, built with the spec, run every node's state: a rule
+    reads the coordinate from ``state["myCoords"]`` and the node's role
+    from the record the coordinate's first :meth:`program_for` computes.
 
     Attributes
     ----------
@@ -115,6 +128,13 @@ class SynthesizedProgram:
     groups: HierarchicalGroups
     aggregation: Aggregation
     max_level: int
+    _rules: Tuple[Rule, ...] = field(init=False, repr=False, compare=False)
+    _role_of: Dict[GridCoord, _Role] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_rules", _figure4_rules(self))
 
     @property
     def topology(self) -> OrientedGrid:
@@ -122,21 +142,50 @@ class SynthesizedProgram:
         return self.groups.grid
 
     def program_for(self, coord: GridCoord) -> NodeProgram:
-        """Instantiate the node program for the node at ``coord``."""
-        self.groups.grid.validate_member(coord)
-        return _build_node_program(self, coord)
+        """The node program for ``coord``: the shared rules, a fresh state."""
+        self._role(coord)  # validates coord and records its role
+        levels = range(self.max_level + 1)
+        state: Dict[str, Any] = {
+            "start": False,
+            "transmit": False,
+            "recLevel": 0,
+            "maxrecLevel": self.max_level,
+            "myCoords": coord,
+            "mySubGraph": {},  # level -> accumulator
+            "msgsReceived": dict.fromkeys(levels, 0),
+            # level -> coords merged at that level: a failover successor
+            # adopts the program state-fresh and may re-send a summary, and
+            # merging it twice would corrupt the aggregation — msgsReceived
+            # counts *distinct* child senders
+            "sendersMerged": {},
+            "ownMerged": dict.fromkeys(levels, False),
+            "done": False,
+            "exfiltrated": None,
+        }
+        return NodeProgram(self._rules, state)
+
+    def _role(self, coord: GridCoord) -> _Role:
+        """``coord``'s record; an invalid ``coord`` raises on every call."""
+        role = self._role_of.get(coord)
+        if role is None:
+            groups = self.groups
+            groups.grid.validate_member(coord)
+            lead = tuple(k for k in range(self.max_level + 1) if groups.is_leader(coord, k))
+            children = {k: groups.child_leaders(coord, k) for k in lead if k > 0}
+            role = self._role_of[coord] = _Role(
+                lead,
+                {k: sum(1 for c in cs if c != coord) for k, cs in children.items()},
+                {k: coord in cs for k, cs in children.items()},
+            )
+        return role
 
     def roles(self, coord: GridCoord) -> Dict[str, Any]:
         """Role metadata for ``coord`` (diagnostics and Figure 4 header)."""
-        lead_levels = [
-            k
-            for k in range(self.max_level + 1)
-            if self.groups.is_leader(coord, k)
-        ]
+        lead_levels = self._role(coord).lead_levels
         return {
             "coord": coord,
-            "lead_levels": lead_levels,
-            "is_root": self.groups.is_leader(coord, self.max_level),
+            "lead_levels": list(lead_levels),
+            "is_root": self.max_level in lead_levels,
             "maxrecLevel": self.max_level,
         }
 
@@ -174,48 +223,16 @@ def synthesize_quadtree_program(
 # ---------------------------------------------------------------------------
 
 
-def _build_node_program(spec: SynthesizedProgram, coord: GridCoord) -> NodeProgram:
+def _figure4_rules(spec: SynthesizedProgram) -> Tuple[Rule, ...]:
+    """The four rules of Figure 4, shared by every node program of ``spec``."""
     groups = spec.groups
     agg = spec.aggregation
     max_level = spec.max_level
-
-    lead_levels = [
-        k for k in range(max_level + 1) if groups.is_leader(coord, k)
-    ]
-
-    # Static per-level expectations (pure functions of the coordinates,
-    # as the paper requires: "every node knows its own grid coordinates,
-    # [so] it can also determine its role ... at each level").
-    external_expected: Dict[int, int] = {}
-    own_expected: Dict[int, bool] = {}
-    for k in lead_levels:
-        if k == 0:
-            continue
-        children = groups.child_leaders(coord, k)
-        external_expected[k] = sum(1 for c in children if c != coord)
-        own_expected[k] = coord in children
-
-    state: Dict[str, Any] = {
-        "start": False,
-        "transmit": False,
-        "recLevel": 0,
-        "maxrecLevel": max_level,
-        "myCoords": coord,
-        "mySubGraph": {},  # level -> accumulator
-        "msgsReceived": {k: 0 for k in range(max_level + 1)},
-        # level -> coords already merged at that level: a leader failover
-        # can legitimately re-send a child's summary (the successor adopts
-        # the program state-fresh), and merging it twice would corrupt the
-        # aggregation — msgsReceived counts *distinct* child senders
-        "sendersMerged": {k: set() for k in range(max_level + 1)},
-        "ownMerged": {k: False for k in range(max_level + 1)},
-        "done": False,
-        "exfiltrated": None,
-    }
+    role_of = spec._role_of
 
     def _ensure_accumulator(st: Dict[str, Any], level: int) -> Any:
         if level not in st["mySubGraph"]:
-            corner = groups.block_corner(coord, level)
+            corner = groups.block_corner(st["myCoords"], level)
             st["mySubGraph"][level] = agg.make_accumulator(corner, level)
         return st["mySubGraph"][level]
 
@@ -226,10 +243,10 @@ def _build_node_program(spec: SynthesizedProgram, coord: GridCoord) -> NodeProgr
     def act_start(ctx: Context) -> None:
         st = ctx.state
         st["start"] = False
-        st["mySubGraph"][0] = agg.local(coord)
+        st["mySubGraph"][0] = agg.local(st["myCoords"])
         st["recLevel"] = 0
         st["transmit"] = True
-        ctx.charge(agg.local_operations(coord))
+        ctx.charge(agg.local_operations(st["myCoords"]))
 
     # -- Rule 2: Condition : received mGraph ----------------------------------
     def cond_receive(ctx: Context) -> bool:
@@ -240,7 +257,7 @@ def _build_node_program(spec: SynthesizedProgram, coord: GridCoord) -> NodeProgr
         msg = ctx.message
         assert msg is not None
         level = msg.level
-        senders = st["sendersMerged"][level]
+        senders = st["sendersMerged"].setdefault(level, set())
         if msg.sender in senders:
             return  # duplicate child summary (post-failover re-send)
         senders.add(msg.sender)
@@ -255,6 +272,7 @@ def _build_node_program(spec: SynthesizedProgram, coord: GridCoord) -> NodeProgr
 
     def act_transmit(ctx: Context) -> None:
         st = ctx.state
+        coord = st["myCoords"]
         st["transmit"] = False
         completed = st["recLevel"]
         payload = agg.finalize(st["mySubGraph"][completed])
@@ -283,7 +301,7 @@ def _build_node_program(spec: SynthesizedProgram, coord: GridCoord) -> NodeProgr
                     size_units=agg.size_of(payload),
                 ),
             )
-            higher = [k for k in lead_levels if k > completed]
+            higher = [k for k in role_of[coord].lead_levels if k > completed]
             if higher:
                 # Non-nested leader policy: this node still anchors a
                 # higher merge level despite delegating its local data.
@@ -297,24 +315,24 @@ def _build_node_program(spec: SynthesizedProgram, coord: GridCoord) -> NodeProgr
         if st["transmit"] or st["done"]:
             return False
         level = st["recLevel"]
-        if level < 1 or level not in external_expected:
+        role = role_of[st["myCoords"]]
+        if level < 1 or level not in role.external:
             return False
-        if st["msgsReceived"][level] < external_expected[level]:
+        if st["msgsReceived"][level] < role.external[level]:
             return False
-        if own_expected[level] and not st["ownMerged"][level]:
+        if role.own[level] and not st["ownMerged"][level]:
             return False
         return True
 
     def act_advance(ctx: Context) -> None:
         ctx.state["transmit"] = True
 
-    rules = [
+    return (
         Rule("start", cond_start, act_start),
         Rule("transmit", cond_transmit, act_transmit),
         Rule("receive-mGraph", cond_receive, act_receive, consumes_message=True),
         Rule("advance-level", cond_advance, act_advance),
-    ]
-    return NodeProgram(rules, state)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ travel one tree edge per hop).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict
+from dataclasses import dataclass, field
+from typing import Any, Dict, Tuple
 
 from .coords import GridCoord
 from .network_model import VirtualTree
@@ -30,16 +30,21 @@ from .program import Context, Message, NodeProgram, Rule
 from .synthesis import MGRAPH, Aggregation
 
 
-@dataclass
+@dataclass(frozen=True)
 class TreeProgramSpec:
     """Synthesized reduction program over a virtual tree.
 
-    ``program_for`` instantiates the per-node rule program; addresses are
-    the tree's ``(level, index)`` pairs.
+    Like :class:`~repro.core.synthesis.SynthesizedProgram`, its rules,
+    built with the spec, run every node's state; a rule reads the node's
+    address, a ``(level, index)`` pair, from ``state["myAddr"]``.
     """
 
     tree: VirtualTree
     aggregation: Aggregation
+    _rules: Tuple[Rule, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_rules", _tree_rules(self))
 
     @property
     def topology(self) -> VirtualTree:
@@ -49,7 +54,17 @@ class TreeProgramSpec:
     def program_for(self, addr: GridCoord) -> NodeProgram:
         """The node program for tree address ``addr``."""
         self.tree.validate_member(addr)
-        return _build_tree_program(self, addr)
+        state: Dict[str, Any] = {
+            "start": False,
+            "transmit": False,
+            "myAddr": addr,
+            "mySubGraph": None,
+            "msgsReceived": 0,
+            "sensed": False,
+            "done": False,
+            "exfiltrated": None,
+        }
+        return NodeProgram(self._rules, state)
 
 
 def synthesize_tree_program(
@@ -59,32 +74,21 @@ def synthesize_tree_program(
     return TreeProgramSpec(tree=tree, aggregation=aggregation)
 
 
-def _build_tree_program(spec: TreeProgramSpec, addr: GridCoord) -> NodeProgram:
+def _tree_rules(spec: TreeProgramSpec) -> Tuple[Rule, ...]:
+    """The reduction rules, shared by every node program of ``spec``: leaves
+    sit at the tree's depth, and every other node has ``arity`` children."""
     tree = spec.tree
     agg = spec.aggregation
-    children = tree.children(addr)
-    parent = tree.parent(addr)
-    is_leaf = not children
-
-    state: Dict[str, Any] = {
-        "start": False,
-        "transmit": False,
-        "myAddr": addr,
-        "mySubGraph": None,
-        "msgsReceived": 0,
-        "sensed": False,
-        "done": False,
-        "exfiltrated": None,
-    }
 
     def cond_start(ctx: Context) -> bool:
         return bool(ctx.state["start"]) and not ctx.state["done"]
 
     def act_start(ctx: Context) -> None:
         st = ctx.state
+        addr = st["myAddr"]
         st["start"] = False
         st["sensed"] = True
-        if is_leaf:
+        if addr[0] == tree.depth:
             st["mySubGraph"] = agg.local(addr)
             st["transmit"] = True
             ctx.charge(agg.local_operations(addr))
@@ -102,6 +106,7 @@ def _build_tree_program(spec: TreeProgramSpec, addr: GridCoord) -> NodeProgram:
         msg = ctx.message
         assert msg is not None
         if st["mySubGraph"] is None:
+            addr = st["myAddr"]
             st["mySubGraph"] = agg.make_accumulator(addr, addr[0])
         agg.merge(st["mySubGraph"], msg.payload)
         st["msgsReceived"] += 1
@@ -110,11 +115,11 @@ def _build_tree_program(spec: TreeProgramSpec, addr: GridCoord) -> NodeProgram:
     def cond_complete(ctx: Context) -> bool:
         st = ctx.state
         return (
-            not is_leaf
+            st["myAddr"][0] < tree.depth
             and not st["transmit"]
             and not st["done"]
             and st["sensed"]
-            and st["msgsReceived"] >= len(children)
+            and st["msgsReceived"] >= tree.arity
         )
 
     def act_complete(ctx: Context) -> None:
@@ -125,12 +130,11 @@ def _build_tree_program(spec: TreeProgramSpec, addr: GridCoord) -> NodeProgram:
 
     def act_transmit(ctx: Context) -> None:
         st = ctx.state
+        addr = st["myAddr"]
         st["transmit"] = False
-        payload = (
-            st["mySubGraph"]
-            if is_leaf
-            else agg.finalize(st["mySubGraph"])
-        )
+        leaf = addr[0] == tree.depth
+        payload = st["mySubGraph"] if leaf else agg.finalize(st["mySubGraph"])
+        parent = tree.parent(addr)
         if parent is None:
             st["exfiltrated"] = payload
             st["done"] = True
@@ -148,10 +152,9 @@ def _build_tree_program(spec: TreeProgramSpec, addr: GridCoord) -> NodeProgram:
         )
         st["done"] = True
 
-    rules = [
+    return (
         Rule("start", cond_start, act_start),
         Rule("transmit", cond_transmit, act_transmit),
         Rule("receive-mGraph", cond_receive, act_receive, consumes_message=True),
         Rule("advance", cond_complete, act_complete),
-    ]
-    return NodeProgram(rules, state)
+    )

@@ -74,8 +74,9 @@ class RealNetwork:
         # topology-emulation and binding query members per maintenance round
         self._members_cache: Dict[GridCoord, Tuple[int, ...]] = {}
         self._members_cache_gen = 0
+        bump = self._bump_liveness_generation  # one bound method, not one per node
         for node in self.nodes.values():
-            node._on_liveness_change = self._bump_liveness_generation
+            node._on_liveness_change = bump
 
     def _bump_liveness_generation(self) -> None:
         self._liveness_gen += 1

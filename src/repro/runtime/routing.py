@@ -237,7 +237,9 @@ class TransportProcess(Process):
         # healing state; the horizon is set when healing is armed
         self._last_hb = 0.0
         self._healing_until = 0.0
-        self._takeover_seen: Set[Tuple[GridCoord, int]] = set()
+        self._takeover_seen: Optional[Set[Tuple[GridCoord, int]]] = (
+            None if healing is None else set()
+        )
 
     # -- API used by the application layer ---------------------------------------
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.groups import CenterLeaderPolicy, HierarchicalGroups
@@ -33,8 +35,14 @@ class TestSynthesis:
             synthesize_quadtree_program(groups4, agg, max_level=-1)
 
     def test_program_for_validates_coord(self, spec4):
-        with pytest.raises(ValueError):
-            spec4.program_for((9, 9))
+        # a valid coordinate's record does not let an invalid one through,
+        # on its first call or any later one
+        spec4.program_for((0, 0))
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                spec4.program_for((9, 9))
+            with pytest.raises(ValueError):
+                spec4.roles((9, 9))
 
     def test_roles(self, spec4):
         root = spec4.roles((0, 0))
@@ -48,6 +56,43 @@ class TestSynthesis:
         assert "msgsReceived" in text
         assert "Condition : start = true" in text
         assert "exfiltrate" in text
+
+
+class TestSharedRules:
+    """One rule set per spec; a program owns only its state."""
+
+    PER_NODE = ("mySubGraph", "msgsReceived", "sendersMerged", "ownMerged")
+
+    def test_programs_share_rules_not_state(self, spec4):
+        root, leaf = spec4.program_for((0, 0)), spec4.program_for((1, 0))
+        again = spec4.program_for((0, 0))
+        assert len(root.rules) == 4
+        assert all(r is s for r, s in zip(root.rules, leaf.rules))
+        assert all(r is s for r, s in zip(root.rules, again.rules))
+        assert root.state is not again.state
+        for key in self.PER_NODE:
+            assert root.state[key] is not again.state[key], key
+        leaf.start()
+        assert leaf.state["done"] and not root.state["done"]
+
+    def test_spec_and_rules_are_frozen(self, spec4):
+        rule = spec4.program_for((0, 0)).rules[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rule.action = rule.condition
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec4.max_level = 1
+
+    def test_resent_summary_at_an_unseen_level_merges_once(self, spec4):
+        # a failover successor adopts the program state-fresh and re-sends
+        # its summary; the level's sender set is made by its first summary
+        prog = spec4.program_for((0, 0))
+        prog.start()
+        assert 2 not in prog.state["sendersMerged"]
+        for _ in range(2):
+            prog.deliver(Message(MGRAPH, (2, 0), payload=4, level=2))
+        assert prog.state["sendersMerged"][2] == {(2, 0)}
+        assert prog.state["msgsReceived"][2] == 1
+        assert prog.state["mySubGraph"][2] == [4]
 
 
 class TestLeafBehaviour:

@@ -54,11 +54,21 @@ class TestTreePrograms:
         exfil = [e for e in effects if e.kind == "exfiltrate"]
         assert exfil[0].payload == 2  # children only, no own +1
 
+    def test_programs_share_rules_not_state(self):
+        tree = VirtualTree(2, 2)
+        spec = synthesize_tree_program(tree, CountAggregation(lambda a: True))
+        root, leaf = spec.program_for((0, 0)), spec.program_for((2, 3))
+        assert len(root.rules) == 4
+        assert all(r is s for r, s in zip(root.rules, leaf.rules))
+        leaf.start()
+        assert leaf.state["done"] and not root.state["done"]
+
     def test_validates_address(self):
         tree = VirtualTree(2, 2)
         spec = synthesize_tree_program(tree, CountAggregation(lambda a: True))
-        with pytest.raises(ValueError):
-            spec.program_for((5, 0))
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                spec.program_for((5, 0))
 
 
 class TestTreeExecution:

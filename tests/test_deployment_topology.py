@@ -138,6 +138,21 @@ class TestCells:
         # the full (alive_only=False) view never changes
         assert victim in net.members_of_cell(cell, alive_only=False)
 
+    def test_one_liveness_callback_per_network(self):
+        net = make_deployment(side=4)
+        callback = net.node(0)._on_liveness_change
+        assert all(n._on_liveness_change is callback for n in net.nodes.values())
+        nid = net.node_ids()[0]
+        victim = net.neighbors(nid)[0]
+        cell = net.cell_of(victim)
+        assert victim in net.members_of_cell(cell)
+        net.node(victim).kill()
+        assert victim not in net.alive_neighbors(nid)
+        assert victim not in net.members_of_cell(cell)
+        net.node(victim).revive(energy=1.0)
+        assert victim in net.alive_neighbors(nid)
+        assert victim in net.members_of_cell(cell)
+
     def test_intra_cell_links_match_bruteforce_and_track_liveness(self):
         net = make_deployment(side=4)
         nid = next(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from repro.core import (
     VirtualArchitecture,
 )
 from repro.core.coords import Direction
-from repro.deployment import RealNetwork
+from repro.deployment import RealNetwork, covered_deployment
 from repro.runtime import (
     FaultEvent,
     FaultPlan,
@@ -440,6 +441,66 @@ class TestRoundReuse:
         assert all(a is b for a, b in zip(kept.values(), stack._processes.values()))
         for proc in kept.values():
             assert not hasattr(proc, "sim") and not hasattr(proc, "medium")
+
+    def test_rounds_share_rules_not_state(self):
+        """A leader's programs of two rounds run the spec's one rule set
+        over two fresh states."""
+        stack = deploy(make_deployment(side=4, n_random=100, seed=5))
+        spec = VirtualArchitecture(4).synthesize(CountAggregation(lambda c: True))
+        leader = stack.binding.leaders[(0, 0)]
+        programs = []
+        for _ in range(2):
+            assert stack.run_application(spec).root_payload == 16
+            programs.append(stack._processes[leader].program)
+        first, second = programs
+        assert all(r is s for r, s in zip(first.rules, second.rules))
+        assert all(r is s for r, s in zip(first.rules, spec.program_for((3, 3)).rules))
+        assert first.state is not second.state
+        for key in ("mySubGraph", "msgsReceived", "sendersMerged", "ownMerged"):
+            assert first.state[key] is not second.state[key], key
+
+    def test_only_a_healing_round_tracks_takeovers(self):
+        stack = deploy(make_deployment(side=4, n_random=100, seed=5))
+        spec = VirtualArchitecture(4).synthesize(CountAggregation(lambda c: True))
+        hosts = []
+        build = stack.make_harness
+
+        def capture(*args, **kwargs):
+            sim, medium, host = build(*args, **kwargs)
+            hosts.append(host)
+            return sim, medium, host
+
+        stack.make_harness = capture
+        for healing in (None, HealingConfig(), None):
+            assert stack.run_application(spec, healing=healing).root_payload == 16
+            for proc in hosts[-1].processes.values():
+                assert (proc._takeover_seen is None) == (healing is None)
+
+
+class TestRoundFootprint:
+    """A deployed world leaves the collector no function, closure cell,
+    bound method or rule per node or per round."""
+
+    @staticmethod
+    def added_by_world(side):
+        kinds = ("function", "cell", "method", "Rule")
+        gc.collect()
+        before = Counter(type(o).__name__ for o in gc.get_objects())
+        stack = deploy(covered_deployment(side, 7 * side * side, 11))
+        spec = VirtualArchitecture(side).synthesize(CountAggregation(lambda c: True))
+        for i in range(2):
+            run = stack.run_application(
+                spec, loss_rate=0.05, rng=np.random.default_rng([11, i]),
+                reliable=True, max_retries=8, wire_format=True,
+            )
+            assert run.root_payload == side * side
+        gc.collect()
+        after = Counter(type(o).__name__ for o in gc.get_objects())
+        return {kind: after[kind] - before[kind] for kind in kinds}
+
+    def test_world_adds_the_same_functions_at_every_side(self):
+        self.added_by_world(4)  # first use: lazy imports and module caches
+        assert self.added_by_world(8) == self.added_by_world(16)
 
 
 class TestNextHopMemo:
