@@ -68,7 +68,7 @@ def test_properties_report(benchmark):
         for nid, tbl in result.topology.tables.items():
             cell = net.cell_of(nid)
             for d in ALL_DIRECTIONS:
-                entry = tbl[d]
+                entry = tbl[d.ordinal]
                 if entry is not None:
                     assert net.cell_of(entry) in (cell, d.step(cell))
     print_table(

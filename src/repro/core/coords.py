@@ -31,8 +31,11 @@ class Direction(enum.Enum):
     """The four directions of the oriented grid (Section 5.1's ``DIR`` set).
 
     The value of each member is the unit step ``(dx, dy)`` it induces in
-    grid coordinates under the north-west-origin convention.
+    grid coordinates under the north-west-origin convention; ``ordinal``
+    is its index in :data:`ALL_DIRECTIONS`.
     """
+
+    ordinal: int
 
     NORTH = (0, -1)
     SOUTH = (0, 1)
@@ -74,6 +77,12 @@ ALL_DIRECTIONS: Tuple[Direction, ...] = (
     Direction.EAST,
     Direction.WEST,
 )
+
+# each member's position in ALL_DIRECTIONS, its slot in a routing table:
+# indexing by it hashes no enum member (Enum.__hash__ is Python code)
+for _ordinal, _direction in enumerate(ALL_DIRECTIONS):
+    _direction.ordinal = _ordinal
+del _ordinal, _direction
 
 
 def manhattan(a: GridCoord, b: GridCoord) -> int:

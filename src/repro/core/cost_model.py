@@ -20,6 +20,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import Dict, Hashable, Iterable, Optional, Sequence, Tuple
 
 
@@ -81,7 +82,7 @@ class CostModel(abc.ABC):
         run charges its routed messages here.
         """
         tx, rx = self.tx_energy(units), self.rx_energy(units)
-        for a, b in zip(path, path[1:]):
+        for a, b in pairwise(path):
             ledger.charge(a, tx, "tx")
             ledger.charge(b, rx, "rx")
         return self.path_latency(units, len(path) - 1)

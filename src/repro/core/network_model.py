@@ -238,24 +238,27 @@ class VirtualTree(VirtualTopology):
             raise ValueError(f"depth must be >= 0, got {depth}")
         self.arity = arity
         self.depth = depth
+        # node count per level, so a membership check (both endpoints of
+        # every routed message) computes no power
+        self._level_sizes = tuple(arity**level for level in range(depth + 1))
 
     def __repr__(self) -> str:
         return f"VirtualTree(arity={self.arity}, depth={self.depth})"
 
     @property
     def num_nodes(self) -> int:
-        return sum(self.arity**l for l in range(self.depth + 1))
+        return sum(self._level_sizes)
 
     def nodes(self) -> Iterator[GridCoord]:
-        for level in range(self.depth + 1):
-            for index in range(self.arity**level):
+        for level, size in enumerate(self._level_sizes):
+            for index in range(size):
                 yield (level, index)
 
     def __contains__(self, coord: GridCoord) -> bool:
         if not isinstance(coord, tuple) or len(coord) != 2:
             return False
         level, index = coord
-        return 0 <= level <= self.depth and 0 <= index < self.arity**level
+        return 0 <= level <= self.depth and 0 <= index < self._level_sizes[level]
 
     def parent(self, coord: GridCoord) -> Optional[GridCoord]:
         """Parent address, or None for the root."""

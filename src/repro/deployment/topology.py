@@ -44,36 +44,31 @@ class RealNetwork:
             raise ValueError("node ids must be unique")
         self.nodes: Dict[int, SensorNode] = {n.node_id: n for n in nodes}
         self.cells = cells
-        self._cell_of: Dict[int, GridCoord] = {
+        #: node id -> ``CELL(v_i)``; read-only, shared by every caller
+        self.cell_map: Dict[int, GridCoord] = {
             n.node_id: cells.cell_of(n.position) for n in nodes
         }
         members: Dict[GridCoord, List[int]] = {}
-        for nid, cell in self._cell_of.items():
+        for nid, cell in self.cell_map.items():
             members.setdefault(cell, []).append(nid)
         self._members: Dict[GridCoord, Tuple[int, ...]] = {
             cell: tuple(sorted(ids)) for cell, ids in members.items()
         }
-        raw = self._build_adjacency(nodes)
         # immutable adjacency: sorted tuples for ordered iteration, and a
         # mirror for O(1) membership (the unicast hot path).  The mirror is a
         # dict of int keys and None values, which the garbage collector
         # never tracks (a set always is), so full collections skip it
-        self._adjacency: Dict[int, Tuple[int, ...]] = {
-            nid: tuple(nbrs) for nid, nbrs in raw.items()
-        }
+        self._adjacency = self._build_adjacency(nodes)
         self._adjacency_sets: Dict[int, Dict[int, None]] = {
-            nid: dict.fromkeys(nbrs) for nid, nbrs in raw.items()
+            nid: dict.fromkeys(nbrs) for nid, nbrs in self._adjacency.items()
         }
-        # alive-neighbour views are cached per node and invalidated in bulk
-        # by a network-wide liveness generation counter, bumped whenever any
-        # node dies or revives — neighbors() stops copying on every packet
+        # alive views (neighbours, cell members) are cached per liveness
+        # generation, a network-wide counter bumped whenever any node dies
+        # or revives; while no node is dead they are the stored tuples
         self._liveness_gen = 0
+        self._views_gen = -1
         self._alive_cache: Dict[int, Tuple[int, ...]] = {}
-        self._alive_cache_gen = 0
-        # alive cell-membership views share the same invalidation scheme:
-        # topology-emulation and binding query members per maintenance round
         self._members_cache: Dict[GridCoord, Tuple[int, ...]] = {}
-        self._members_cache_gen = 0
         bump = self._bump_liveness_generation  # one bound method, not one per node
         for node in self.nodes.values():
             node._on_liveness_change = bump
@@ -89,37 +84,40 @@ class RealNetwork:
     # -- construction ------------------------------------------------------------
 
     @staticmethod
-    def _build_adjacency(nodes: Sequence[SensorNode]) -> Dict[int, List[int]]:
-        """Unit-disk adjacency via spatial hashing on the max range."""
-        adjacency: Dict[int, List[int]] = {n.node_id: [] for n in nodes}
+    def _build_adjacency(nodes: Sequence[SensorNode]) -> Dict[int, Tuple[int, ...]]:
+        """Unit-disk adjacency via spatial hashing on the max range.
+
+        One distance matrix per bucket: its members against the nodes of
+        its 3x3 neighbourhood, taken in id order so that each row's hits
+        come out ascending.  The tuples hold each neighbour's own
+        ``node_id`` object, not an equal int from ``tolist()``: a dict
+        keyed by node id (``nodes``, the ledger, a process table) then
+        finds it by identity instead of by comparing values.
+        """
+        adjacency: Dict[int, Tuple[int, ...]] = {n.node_id: () for n in nodes}
         if len(nodes) < 2:
             return adjacency
-        max_range = max(n.tx_range for n in nodes)
-        pos = np.array([n.position for n in nodes], dtype=float)
-        ids = [n.node_id for n in nodes]
-        ranges = np.array([n.tx_range for n in nodes], dtype=float)
-        bucket = max_range
-        keys = np.floor(pos / bucket).astype(np.int64)
+        by_id = sorted(nodes, key=lambda n: n.node_id)
+        ids = np.array([n.node_id for n in by_id], dtype=object)
+        pos = np.array([n.position for n in by_id], dtype=float)
+        ranges = np.array([n.tx_range for n in by_id], dtype=float)
+        keys = np.floor(pos / ranges.max()).astype(np.int64).tolist()
         buckets: Dict[Tuple[int, int], List[int]] = {}
         for idx, (bx, by) in enumerate(keys):
-            buckets.setdefault((int(bx), int(by)), []).append(idx)
+            buckets.setdefault((bx, by), []).append(idx)
         for (bx, by), members in buckets.items():
-            cand: List[int] = []
-            for dy in (-1, 0, 1):
-                for dx in (-1, 0, 1):
-                    cand.extend(buckets.get((bx + dx, by + dy), ()))
-            cand_arr = np.array(cand, dtype=int)
-            for i in members:
-                d = np.hypot(
-                    pos[cand_arr, 0] - pos[i, 0], pos[cand_arr, 1] - pos[i, 1]
-                )
-                # symmetric links: both radios must reach (identical nodes
-                # make this the plain unit-disk condition)
-                reach = np.minimum(ranges[cand_arr], ranges[i])
-                for j in cand_arr[(d <= reach) & (cand_arr != i)]:
-                    adjacency[ids[i]].append(ids[int(j)])
-        for nid in adjacency:
-            adjacency[nid] = sorted(set(adjacency[nid]))
+            cand = np.array(sorted(
+                j for dy in (-1, 0, 1) for dx in (-1, 0, 1)
+                for j in buckets.get((bx + dx, by + dy), ())
+            ))
+            own = np.array(members)[:, None]
+            d = np.hypot(pos[cand, 0] - pos[own, 0], pos[cand, 1] - pos[own, 1])
+            # symmetric links: both radios must reach (identical nodes
+            # make this the plain unit-disk condition)
+            hits = (d <= np.minimum(ranges[cand], ranges[own])) & (cand != own)
+            nbr_ids = ids[cand]
+            for i, row in zip(members, hits):
+                adjacency[ids[i]] = tuple(nbr_ids[row].tolist())
         return adjacency
 
     # -- basic queries -------------------------------------------------------------
@@ -150,11 +148,21 @@ class RealNetwork:
             return self._adjacency[node_id]
         return self.alive_neighbors(node_id)
 
+    def _start_alive_views(self) -> None:
+        """Open the alive views of a new liveness generation.  While no
+        node is dead (checked once, here) the caches are the stored
+        adjacency and membership themselves, which hold every key a view
+        is looked up by, so nothing is filtered, copied or stored."""
+        self._views_gen = self._liveness_gen
+        if all(n.alive for n in self.nodes.values()):
+            self._alive_cache, self._members_cache = self._adjacency, self._members
+        else:
+            self._alive_cache, self._members_cache = {}, {}
+
     def alive_neighbors(self, node_id: int) -> Tuple[int, ...]:
         """Cached tuple of alive one-hop neighbours (the broadcast path)."""
-        if self._alive_cache_gen != self._liveness_gen:
-            self._alive_cache.clear()
-            self._alive_cache_gen = self._liveness_gen
+        if self._views_gen != self._liveness_gen:
+            self._start_alive_views()
         view = self._alive_cache.get(node_id)
         if view is None:
             nodes = self.nodes
@@ -174,7 +182,7 @@ class RealNetwork:
 
     def cell_of(self, node_id: int) -> GridCoord:
         """The cell a node emulates (``CELL(v_i)``)."""
-        return self._cell_of[node_id]
+        return self.cell_map[node_id]
 
     def members_of_cell(
         self, cell: GridCoord, alive_only: bool = True
@@ -187,11 +195,10 @@ class RealNetwork:
         re-filter an unchanged membership.
         """
         members = self._members.get(cell, ())
-        if not alive_only:
+        if not alive_only or not members:
             return members
-        if self._members_cache_gen != self._liveness_gen:
-            self._members_cache.clear()
-            self._members_cache_gen = self._liveness_gen
+        if self._views_gen != self._liveness_gen:
+            self._start_alive_views()
         view = self._members_cache.get(cell)
         if view is None:
             nodes = self.nodes
@@ -229,21 +236,20 @@ class RealNetwork:
 
     # -- connectivity (the paper's standing assumptions) ----------------------------
 
-    def _bfs(self, start: int, allowed: Optional[Set[int]] = None) -> Set[int]:
+    def _bfs(self, start: int, allowed: Set[int]) -> Set[int]:
+        """The nodes of ``allowed`` (alive ones, from every caller) that
+        ``start`` reaches through ``allowed`` alone.  Each frontier is
+        expanded by set operations, so no edge is tested in Python."""
         seen = {start}
-        frontier = [start]
+        frontier = {start}
+        adjacency = self._adjacency
         while frontier:
-            nxt: List[int] = []
+            nxt: Set[int] = set()
             for u in frontier:
-                for v in self._adjacency[u]:
-                    if v in seen:
-                        continue
-                    if allowed is not None and v not in allowed:
-                        continue
-                    if not self.nodes[v].alive:
-                        continue
-                    seen.add(v)
-                    nxt.append(v)
+                nxt.update(adjacency[u])
+            nxt &= allowed
+            nxt -= seen
+            seen |= nxt
             frontier = nxt
         return seen
 

@@ -28,7 +28,7 @@ possible entries, and by experiment E4 to report the efficiency properties
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.coords import ALL_DIRECTIONS, Direction, GridCoord
 from ..core.cost_model import CostModel
@@ -70,33 +70,40 @@ def _run_setup(
 
 
 class TopologyEmulationProcess(Process):
-    """The per-node protocol logic."""
+    """The per-node protocol logic.
+
+    ``rt`` holds ``RT`` by direction ordinal (:data:`ALL_DIRECTIONS`
+    order), and ``filled`` its non-NULL entries as a 4-bit mask, which is
+    what an announcement carries.
+    """
 
     def __init__(self) -> None:
         super().__init__()
         self.cell: GridCoord = (-1, -1)
-        self.rt: Dict[Direction, Optional[int]] = {d: None for d in ALL_DIRECTIONS}
+        self.rt: List[Optional[int]] = [None] * len(ALL_DIRECTIONS)
+        self.filled = 0
         self.rebroadcasts = 0
 
     # -- protocol ------------------------------------------------------------
 
     def on_start(self) -> None:
         net = self.medium.network
-        self.cell = net.cell_of(self.node_id)
+        self.cell = cell = net.cell_of(self.node_id)
         # Step 2: direct entries from initially available information.
-        # One pass over the neighbours against an adjacent-cell -> direction
-        # map (instead of a per-neighbour direction scan); ties resolve to
-        # the lowest node id, deterministically.
-        adjacent = {d.step(self.cell): d for d in ALL_DIRECTIONS}
-        best: Dict[Direction, int] = {}
+        # One pass over the sorted alive neighbours against the network's
+        # cell map: the first hit in an adjacent cell is its lowest id, the
+        # deterministic tie-break.
+        adjacent = {d.step(cell): d.ordinal for d in ALL_DIRECTIONS}
+        cell_map = net.cell_map
+        rt, filled = self.rt, 0
         for nbr in net.neighbors(self.node_id):
-            d = adjacent.get(net.cell_of(nbr))
-            if d is not None and (d not in best or nbr < best[d]):
-                best[d] = nbr
-        for d, nbr in best.items():
-            self.rt[d] = nbr
+            o = adjacent.get(cell_map[nbr])
+            if o is not None and rt[o] is None:
+                rt[o] = nbr
+                filled |= 1 << o
+        self.filled = filled
         # Step 3: announce.
-        self.broadcast(RT_KIND, self._summary(), RT_SIZE_UNITS)
+        self.broadcast(RT_KIND, (cell, filled), RT_SIZE_UNITS)
 
     def on_packet(self, packet: Packet) -> None:
         if packet.kind != RT_KIND:
@@ -104,20 +111,14 @@ class TopologyEmulationProcess(Process):
         sender_cell, filled = packet.payload
         if sender_cell != self.cell:
             return  # suppression at the cell boundary (property ii)
-        changed = False
-        for d in filled:
-            if self.rt[d] is None:
-                self.rt[d] = packet.src
-                changed = True
-        if changed:
+        gained = filled & ~self.filled
+        if gained:
+            for o in range(len(ALL_DIRECTIONS)):
+                if gained >> o & 1:
+                    self.rt[o] = packet.src
+            self.filled |= gained
             self.rebroadcasts += 1
-            self.broadcast(RT_KIND, self._summary(), RT_SIZE_UNITS)
-
-    def _summary(self) -> Tuple[GridCoord, FrozenSet[Direction]]:
-        return (
-            self.cell,
-            frozenset(d for d, entry in self.rt.items() if entry is not None),
-        )
+            self.broadcast(RT_KIND, (self.cell, self.filled), RT_SIZE_UNITS)
 
 
 @dataclass
@@ -147,24 +148,27 @@ class EmulationResult:
 class EmulatedTopology:
     """The converged product of the protocol: per-node routing tables.
 
-    Provides the forwarding queries the transport layer and the tests
-    need.  The tables are immutable in normal operation; the only
-    mutation path is :meth:`repair`, the self-healing transport's
-    on-demand rebuild around dead nodes.
+    ``tables[node]`` is the node's ``RT`` as a tuple in
+    :data:`ALL_DIRECTIONS` order, indexed by ``Direction.ordinal``: ints
+    and None only, which the garbage collector stops tracking.  Provides
+    the forwarding queries the transport layer and the tests need.  The
+    tables are immutable in normal operation; the only mutation path is
+    :meth:`repair`, the self-healing transport's on-demand rebuild around
+    dead nodes, which replaces a node's tuple.
     """
 
     def __init__(
-        self, network: RealNetwork, tables: Dict[int, Dict[Direction, Optional[int]]]
+        self, network: RealNetwork, tables: Dict[int, Tuple[Optional[int], ...]]
     ):
         self.network = network
         self.tables = tables
-        # liveness generation at the last repair of each (cell, direction);
-        # throttles on-demand repairs to one per churn event
-        self._repair_generation: Dict[Tuple[GridCoord, Direction], int] = {}
+        # liveness generation at the last repair of each (cell, direction
+        # ordinal); throttles on-demand repairs to one per churn event
+        self._repair_generation: Dict[Tuple[GridCoord, int], int] = {}
 
     def entry(self, node_id: int, direction: Direction) -> Optional[int]:
         """``RT_{node}[direction]``."""
-        return self.tables[node_id][direction]
+        return self.tables[node_id][direction.ordinal]
 
     def gateway_chain(
         self, node_id: int, direction: Direction
@@ -181,11 +185,12 @@ class EmulatedTopology:
         net = self.network
         start_cell = net.cell_of(node_id)
         target_cell = direction.step(start_cell)
+        o = direction.ordinal
         path = [node_id]
         seen = {node_id}
         current = node_id
         while True:
-            nxt = self.tables[current][direction]
+            nxt = self.tables[current][o]
             if nxt is None:
                 return None
             if nxt in seen:
@@ -218,7 +223,8 @@ class EmulatedTopology:
         changed; throttled per liveness generation.
         """
         net = self.network
-        key = (cell, direction)
+        o = direction.ordinal
+        key = (cell, o)
         gen = net.liveness_generation
         if self._repair_generation.get(key) == gen:
             return False
@@ -246,11 +252,12 @@ class EmulatedTopology:
                         new_entry[v] = u
                         nxt.append(v)
             frontier = nxt
+        tables = self.tables
         changed = False
         for m in members:
-            new = new_entry.get(m)
-            if self.tables[m][direction] != new:
-                self.tables[m][direction] = new
+            new, row = new_entry.get(m), tables[m]
+            if row[o] != new:
+                tables[m] = row[:o] + (new,) + row[o + 1:]
                 changed = True
         return changed
 
@@ -264,11 +271,11 @@ class EmulatedTopology:
         oracle = oracle_reachable_directions(self.network)
         for node_id, table in self.tables.items():
             cell = self.network.cell_of(node_id)
-            for d in ALL_DIRECTIONS:
+            for d, entry in zip(ALL_DIRECTIONS, table):
                 adjacent = d.step(cell)
                 in_grid = self.network.cells.contains_cell(adjacent)
                 reachable = (node_id, d) in oracle
-                if table[d] is not None:
+                if entry is not None:
                     if not in_grid:
                         problems.append(
                             f"node {node_id}: entry {d.name} points off-grid"
@@ -369,7 +376,7 @@ def emulate_topology(
         network, cost_model, lambda nid: TopologyEmulationProcess()
     )
     tables = {
-        nid: dict(proc.rt)  # type: ignore[attr-defined]
+        nid: tuple(proc.rt)  # type: ignore[attr-defined]
         for nid, proc in processes.items()
     }
     return EmulationResult(

@@ -11,7 +11,7 @@ from repro.core import (
     VirtualArchitecture,
     simulate_event_activations,
 )
-from repro.core.coords import Direction
+from repro.core.coords import ALL_DIRECTIONS, Direction
 from repro.runtime import deploy
 from repro.runtime.binding import Binding
 from repro.runtime.topology_emulation import EmulatedTopology
@@ -29,11 +29,9 @@ class TestCorruptedStructureGuards:
             if len(net.members_of_cell(c)) >= 2
         )
         a, b = members[0], members[1]
-        tables = {
-            nid: {d: None for d in Direction} for nid in net.node_ids()
-        }
-        tables[a][Direction.EAST] = b
-        tables[b][Direction.EAST] = a
+        tables = {nid: (None,) * 4 for nid in net.node_ids()}
+        tables[a] = tuple(b if d is Direction.EAST else None for d in ALL_DIRECTIONS)
+        tables[b] = tuple(a if d is Direction.EAST else None for d in ALL_DIRECTIONS)
         topo = EmulatedTopology(net, tables)
         with pytest.raises(RuntimeError, match="cycle"):
             topo.gateway_chain(a, Direction.EAST)
@@ -43,10 +41,10 @@ class TestCorruptedStructureGuards:
         # point "NORTH" at a node in the wrong (eastern) cell
         a = net.members_of_cell((1, 1))[0]
         wrong = net.members_of_cell((2, 1))[0]
-        tables = {
-            nid: {d: None for d in Direction} for nid in net.node_ids()
-        }
-        tables[a][Direction.NORTH] = wrong
+        tables = {nid: (None,) * 4 for nid in net.node_ids()}
+        tables[a] = tuple(
+            wrong if d is Direction.NORTH else None for d in ALL_DIRECTIONS
+        )
         topo = EmulatedTopology(net, tables)
         with pytest.raises(RuntimeError, match="strayed"):
             topo.gateway_chain(a, Direction.NORTH)

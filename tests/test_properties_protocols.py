@@ -17,7 +17,7 @@ from repro.apps import (
     feature_matrix_aggregation,
     random_feature_matrix,
 )
-from repro.core import VirtualArchitecture
+from repro.core import ALL_DIRECTIONS, VirtualArchitecture
 from repro.deployment import (
     CellGrid,
     Terrain,
@@ -67,7 +67,7 @@ class TestEmulationProperties:
         result = emulate_topology(net)
         for nid, table in result.topology.tables.items():
             cell = net.cell_of(nid)
-            for d, entry in table.items():
+            for d, entry in zip(ALL_DIRECTIONS, table):
                 if entry is not None:
                     assert net.cell_of(entry) in (cell, d.step(cell))
 

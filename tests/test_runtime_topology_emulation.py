@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.core.coords import ALL_DIRECTIONS, Direction
@@ -152,7 +154,7 @@ class TestPeriodicReexecution:
         if net.validate_protocol_preconditions() == []:
             second = emulate_topology(net)
             assert second.topology.verify() == []
-            assert all(victim not in row.values() for row in
+            assert all(victim not in row for row in
                        second.topology.tables.values())
 
 
@@ -167,3 +169,42 @@ class TestCosts:
     def test_energy_positive(self, emulation4):
         _, result = emulation4
         assert result.energy > 0
+
+
+class TestTableForm:
+    """Tables are tuples of ints and None in ``ALL_DIRECTIONS`` order,
+    indexed by ``Direction.ordinal``, so the collector stops tracking
+    them: at side 64 the per-node dicts they replace were 28k of the
+    129k objects every full collection walked."""
+
+    def test_rows_are_untracked_ordinal_tuples(self, emulation4):
+        net, result = emulation4
+        assert [d.ordinal for d in ALL_DIRECTIONS] == list(range(len(ALL_DIRECTIONS)))
+        gc.collect()
+        for nid, row in result.topology.tables.items():
+            assert type(row) is tuple and not gc.is_tracked(row)
+            assert list(row) == [result.topology.entry(nid, d) for d in ALL_DIRECTIONS]
+        assert result.topology.verify() == []
+
+    def test_repair_replaces_only_its_direction(self):
+        net = make_deployment(side=4, n_random=200, seed=13)
+        topo = emulate_topology(net).topology
+        nid, d = next(
+            (n, d) for n in net.node_ids() for d in ALL_DIRECTIONS
+            if topo.entry(n, d) is not None
+        )
+        victim, cell = topo.entry(nid, d), net.cell_of(nid)
+        before = dict(topo.tables)
+        net.node(victim).kill()
+        assert topo.repair(cell, d)
+        gc.collect()
+        for m in net.members_of_cell(cell):
+            row = topo.tables[m]
+            assert not gc.is_tracked(row)
+            assert topo.entry(m, d) != victim
+            assert all(
+                row[o.ordinal] == before[m][o.ordinal] for o in ALL_DIRECTIONS if o is not d
+            )
+            if topo.entry(m, d) is not None:
+                assert net.cell_of(topo.gateway_chain(m, d)[-1]) == d.step(cell)
+        assert not topo.repair(cell, d)  # throttled until liveness changes again
