@@ -282,8 +282,8 @@ class TransportProcess(Process):
         heartbeat timer, a live member its watch timer.
 
         :meth:`on_start` calls it, so an application round heals from
-        t = 0; a persistent serving engine calls it on every process at
-        the start of each admission round instead.
+        t = 0; a persistent serving engine calls it on every alive node's
+        process at the start of each admission round instead.
         """
         h = self.healing
         assert h is not None

@@ -29,7 +29,7 @@ from ..core.synthesis import SynthesizedProgram
 from ..deployment.topology import RealNetwork
 from ..scenario import LinkGate, LinkModel, link_model_from_dict
 from ..simulator.engine import Simulator
-from ..simulator.network import Packet, WirelessMedium
+from ..simulator.network import WirelessMedium
 from ..simulator.process import ProcessHost
 from .binding import Binding, BindingResult, Metric, bind_processes, distance_to_center_metric
 from .faults import FaultInjector, FaultPlan, FaultReport, HealingConfig
@@ -114,26 +114,24 @@ class DeployedRunResult:
 
 
 class _Round:
-    """One round of a :class:`DeployedStack`, and its medium's packet sink.
+    """One round of a :class:`DeployedStack`, and its host's factory.
 
     A node is armed for the round exactly when the round's host holds its
     process: the starters join before the round starts, every other node
-    on its first packet (:meth:`receive`).  ``processes`` are the stack's,
-    which outlive rounds; the round itself is reachable only from its
-    medium's sink, which the host's teardown clears.
+    on its first packet, when the host builds it through :meth:`join`.
+    ``processes`` are the stack's, which outlive rounds; the round itself
+    is reachable only from its host.
     """
 
-    __slots__ = ("processes", "host", "spec", "transport", "results", "counters")
+    __slots__ = ("processes", "spec", "transport", "results", "counters")
 
     def __init__(
         self,
         processes: Dict[int, "_AppProcess"],
-        host: ProcessHost,
         spec: SynthesizedProgram,
         transport: Dict[str, Any],
     ):
         self.processes = processes
-        self.host = host
         self.spec = spec
         self.transport = transport  # the keywords of TransportProcess.arm
         self.results: Dict[GridCoord, Any] = {}
@@ -141,22 +139,14 @@ class _Round:
 
     def join(self, nid: int, program: Optional[NodeProgram] = None) -> "_AppProcess":
         """Arm ``nid``'s process for this round, building it on the node's
-        first act, and host it.  The process's first act follows."""
+        first act, and return it for the host to install.  The process's
+        first act follows."""
         proc = self.processes.get(nid)
         if proc is None:
             proc = self.processes[nid] = _AppProcess(self, program)
         else:
             proc.arm(self, program)
-        self.host.add(nid, proc)
         return proc
-
-    def receive(self, nid: int, packet: Packet) -> None:
-        """The sink: hand ``packet`` to ``nid``'s process, arming it on the
-        node's first packet of the round."""
-        proc = self.host.processes.get(nid)
-        if proc is None:
-            proc = self.join(nid)
-        proc.on_packet(packet)
 
 
 class _AppProcess(TransportProcess):
@@ -338,7 +328,7 @@ class DeployedStack:
         gate = medium.link_gate = self._gates.get(link_model)
         faded = 0 if gate is None else gate.faded
         network, leaders = self.network, self.binding.leaders
-        rnd = _Round(self._processes, host, spec, dict(
+        rnd = _Round(self._processes, spec, dict(
             topology=self.topology,
             binding=self.binding,
             reliable=reliable,
@@ -347,7 +337,7 @@ class DeployedStack:
             healing=healing,
             fault_report=report,
         ))
-        medium.receive = rnd.receive
+        host.factory = rnd.join
         try:
             # the processes with start work arm and boot now, the rest
             # (non-leaders of a round without healing) on their first packet
@@ -356,7 +346,8 @@ class DeployedStack:
             ]
             for nid in starters:
                 cell = network.cell_of(nid)
-                rnd.join(nid, spec.program_for(cell) if leaders.get(cell) == nid else None)
+                program = spec.program_for(cell) if leaders.get(cell) == nid else None
+                host.add(nid, rnd.join(nid, program))
             host.start()
             if fault_plan:
                 injector = FaultInjector(fault_plan, network, self.binding, report)

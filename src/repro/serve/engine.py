@@ -2,10 +2,14 @@
 
 One :class:`QueryEngine` instance keeps a single simulator, wireless
 medium, and per-node transport-process set alive over a
-:class:`~repro.runtime.stack.DeployedStack` for its whole lifetime.
-Queries are admitted in batches (one radio phase per admission round,
-see :mod:`repro.serve.admission`); the virtual clock never resets, so a
-serving session is one monotone timeline the way a real deployment is.
+:class:`~repro.runtime.stack.DeployedStack` for its whole lifetime.  It
+hosts a node's process when the node first acts (a querier leader when
+it first originates, storage leaders and relays on their first packet),
+so a one-shot query pays for the nodes on its routes, not for the
+network.  Queries are admitted in batches (one radio phase per
+admission round, see :mod:`repro.serve.admission`); the virtual clock
+never resets, so a serving session is one monotone timeline the way a
+real deployment is.
 
 A one-shot query is ``QueryEngine(stack, storage,
 ServeConfig(cache=False)).query(...)``; the clock, the medium's ledger and
@@ -37,8 +41,9 @@ adds:
   may accept bounded cache staleness (``max_staleness`` freshness
   epochs) in exchange for radio silence, and a
   :class:`~repro.runtime.faults.HealingConfig` lets the engine keep
-  serving across leader failover — the successor adopts the cell's
-  stored aggregate and only the dirtied cache cells are invalidated.
+  serving across leader failover — a leader answers from the engine's
+  store, so the successor serves the cell's stored aggregate, and only
+  the dirtied cache cells are invalidated.
 """
 
 from __future__ import annotations
@@ -59,7 +64,6 @@ from ..runtime.routing import (
     TransportProcess,
 )
 from ..runtime.stack import DeployedStack
-from ..simulator.network import Packet
 from ..simulator.trace import stable_digest, stable_unit
 from .admission import AdmissionController, Arrival, TenantPolicy
 
@@ -396,14 +400,15 @@ class _ActiveQuery:
 class _ServeProcess(TransportProcess):
     """Per-node transport engine plus the storage/querier roles.
 
-    The process is *role-light*: whether it answers requests depends only
-    on ``stored`` (set by the engine on storage leaders and kept current
-    through :meth:`QueryEngine.update_field`), and responses are handed
-    straight back to the engine, which owns all per-query state — one
-    process set serves every tenant and every query concurrently.
+    The process is *role-free*: a request delivered to it (routing
+    delivers only at a cell's bound leader) is answered from the engine's
+    store, so a failover successor serves its cell with no hand-over, and
+    responses are handed straight back to the engine, which owns all
+    per-query state — one process set serves every tenant and every query
+    concurrently.
     """
 
-    def __init__(self, engine: "QueryEngine", stored: Optional[Any] = None):
+    def __init__(self, engine: "QueryEngine"):
         cfg = engine.config
         super().__init__(
             engine.stack.topology,
@@ -414,24 +419,14 @@ class _ServeProcess(TransportProcess):
             fault_report=engine._fault_report,
         )
         self.engine = engine
-        self.stored = stored
-
-    def on_start(self) -> None:
-        # the engine arms healing at the start of every admission round
-        # (the boot drain must quiesce), not at boot
-        pass
-
-    def on_become_leader(self) -> None:
-        # failover continuity: the successor adopts its cell's stored
-        # aggregate from the engine, so serving resumes without
-        # reconstructing the engine or re-running the gather
-        self.stored = self.engine._storage.get(self.my_cell)
 
     def _deliver(self, envelope: TransportEnvelope) -> None:
         kind, body = envelope.inner
         if kind == QUERY_REQUEST:
             qid, querier_cell = body
-            if self.stored is None:
+            cell = self.my_cell
+            stored = self.engine._storage.get(cell)
+            if stored is None:
                 # a request reached a leader holding nothing: protocol
                 # routing error, observable per query
                 self.engine._note_misdirected(qid)
@@ -440,8 +435,8 @@ class _ServeProcess(TransportProcess):
             # transport when enabled
             self.originate(
                 querier_cell,
-                (QUERY_RESPONSE, (qid, self.my_cell, self.stored)),
-                size_units=getattr(self.stored, "size_units", 1.0),
+                (QUERY_RESPONSE, (qid, cell, stored)),
+                size_units=getattr(stored, "size_units", 1.0),
             )
         elif kind == QUERY_RESPONSE:
             qid, cell, payload = body
@@ -466,12 +461,13 @@ class QueryEngine:
     config:
         Engine-lifetime :class:`ServeConfig`.
 
-    The engine builds its simulator/medium/process harness once; every
-    :meth:`run_batch` (and therefore :meth:`query` / :meth:`serve`)
-    advances the same virtual clock.  Determinism contract: given the
-    same stack, storage, config, and call sequence, every observable —
-    outcomes, medium stats, energy ledger, :meth:`fingerprint` — replays
-    byte-identically in any process.
+    The engine builds its simulator/medium/process harness once and hosts
+    no process until a node first acts; every :meth:`run_batch` (and
+    therefore :meth:`query` / :meth:`serve`) advances the same virtual
+    clock.  Determinism contract: given the same stack, storage, config,
+    and call sequence, every observable — outcomes, medium stats, energy
+    ledger, :meth:`fingerprint` — replays byte-identically in any
+    process.
     """
 
     def __init__(
@@ -505,27 +501,12 @@ class QueryEngine:
         )
         self._injected_seen = 0
         self._failovers_seen = 0
-        for nid in stack.network.alive_ids():
-            self._host.add(nid, self._new_process(nid))
-        self._host.start()
-        self.medium.receive = self._receive
-        self.sim.run_until_quiet()  # drain the boot events; no traffic yet
+        self._host.factory = self._new_process
 
     def _new_process(self, nid: int) -> _ServeProcess:
-        """A serving process for ``nid``, holding its cell's stored payload
-        when it is the cell's leader."""
-        cell = self.stack.network.cell_of(nid)
-        leader = self.stack.binding.leaders.get(cell) == nid
-        return _ServeProcess(self, stored=self._storage.get(cell) if leader else None)
-
-    def _receive(self, nid: int, packet: Packet) -> None:
-        """The medium's sink: hand ``packet`` to ``nid``'s process, hosting
-        one on the node's first packet if it has none (a node that was dead
-        when the engine was built and has been revived since)."""
-        proc = self._host.processes.get(nid)
-        if proc is None:
-            proc = self._host.add(nid, self._new_process(nid))
-        proc.on_packet(packet)
+        """The host's factory: a serving process for ``nid``, built when
+        the node first acts, under the engine's current fault report."""
+        return _ServeProcess(self)
 
     # -- storage, freshness, and fault interaction --------------------------------
 
@@ -537,15 +518,12 @@ class QueryEngine:
     def update_field(self, cell: GridCoord, payload: Any) -> None:
         """Replace the stored payload of ``cell`` and dirty its epoch.
 
-        The new payload lands at the cell's bound leader; every cached
-        copy of the old aggregate becomes stale immediately (epoch
-        mismatch), so the next query over ``cell`` re-fetches it — and
-        only it — over the radio.
+        The cell's leader answers from the engine's store, so it serves
+        the new payload from then on; every cached copy of the old
+        aggregate becomes stale immediately (epoch mismatch), so the next
+        query over ``cell`` re-fetches it — and only it — over the radio.
         """
         self._storage[cell] = payload
-        leader = self.stack.binding.leaders.get(cell)
-        if leader is not None and leader in self._host.processes:
-            self._host.processes[leader].stored = payload
         self.invalidate([cell])
 
     def invalidate(self, cells: Optional[Sequence[GridCoord]] = None) -> None:
@@ -564,11 +542,16 @@ class QueryEngine:
         faulted cell are re-fetched instead of served stale.  With
         ``config.healing`` set, a killed serving leader fails over inside
         the round (deterministic successor, takeover flood) and the
-        successor adopts the cell's stored aggregate — the engine keeps
-        serving without reconstruction.
+        successor answers from the engine's store — the engine keeps
+        serving without reconstruction.  Every hosted process, and every
+        process hosted later, counts the frames it rejects into the
+        returned report.
         """
-        report = self._fault_report or FaultReport()
-        self._fault_report = report
+        report = self._fault_report
+        if report is None:
+            report = self._fault_report = FaultReport()
+            for proc in self._host.processes.values():
+                proc.fault_report = report
         injector = FaultInjector(plan, self.stack.network, self.stack.binding, report)
         injector.arm(self.sim, self.medium)
         return report
@@ -631,31 +614,29 @@ class QueryEngine:
         """Serve one admission round: inject every call, run to quiesce.
 
         ``at`` is the admission time on the engine clock (clamped to
-        ``now``; ``None`` = now).  Queries whose querier leader is dead
-        or unbound are not injected — they complete immediately with
-        every target missing, so a faulted cell degrades one tenant's
-        answers instead of crashing the serving loop (with healing armed
-        and a deadline, the retry schedule re-resolves the binding, so a
-        failover inside the round can still rescue the query).
+        ``now``; ``None`` = now).  A call whose cell has no bound leader
+        raises :class:`ValueError` before any call of the batch is
+        registered.  Queries whose querier leader is dead are not
+        injected — they complete immediately with every target missing,
+        so a faulted cell degrades one tenant's answers instead of
+        crashing the serving loop (with healing armed and a deadline, the
+        retry schedule re-resolves the binding, so a failover inside the
+        round can still rescue the query).
         """
+        leaders = self.stack.binding.leaders
+        for call in calls:
+            if call.query_cell not in leaders:
+                raise ValueError(f"query cell {call.query_cell} has no bound leader")
         start = self.sim.now if at is None else max(at, self.sim.now)
         batch: List[_ActiveQuery] = []
         network = self.stack.network
         for call in calls:
-            if call.query_cell not in self.stack.binding.leaders:
-                raise ValueError(f"query cell {call.query_cell} has no bound leader")
             targets = (
                 call.cells if call.cells is not None
                 else tuple(sorted(self._storage))
             )
-            leader = self.stack.binding.leaders.get(call.query_cell)
-            querier = (
-                leader
-                if leader is not None
-                and leader in self._host.processes
-                and network.node(leader).alive
-                else None
-            )
+            leader = leaders[call.query_cell]
+            querier = leader if network.node(leader).alive else None
             relative = call.deadline
             if relative is None:
                 relative = self._policy_for(call.tenant).deadline
@@ -815,9 +796,11 @@ class QueryEngine:
         return outcome
 
     def _arm_healing_round(self) -> None:
-        """Start this round's healing on every process (one event)."""
-        for proc in self._host.processes.values():
-            proc.arm_healing()
+        """Start this round's healing (one event): host and arm every alive
+        node in node-id order, as a healing application round does."""
+        get = self._host.get
+        for nid in self.stack.network.alive_ids():
+            get(nid).arm_healing()
 
     def _inject_batch(self, batch: Tuple[_ActiveQuery, ...]) -> None:
         now = self.sim.now
@@ -826,7 +809,7 @@ class QueryEngine:
             if expired:
                 continue  # the admission queue ate the whole budget
             if active.querier_node is not None:
-                proc = self._host.processes[active.querier_node]
+                proc = self._host.get(active.querier_node)
                 for cell in active.targets:
                     self._request_cell(active, proc, cell, first=True)
             # dead/unbound querier with no deadline: finalized all-missing;
@@ -865,15 +848,10 @@ class QueryEngine:
         assert deadline is not None
         # re-resolve the querier: the cell may have failed over since
         # admission — serving continuity across recovery
-        leader = self.stack.binding.leaders.get(active.call.query_cell)
-        network = self.stack.network
-        if (
-            leader is not None
-            and leader in self._host.processes
-            and network.node(leader).alive
-        ):
+        leader = self.stack.binding.leaders[active.call.query_cell]
+        if self.stack.network.node(leader).alive:
             active.querier_node = leader
-            proc = self._host.processes[leader]
+            proc = self._host.get(leader)
             active.retries += 1
             self.stats.retries += 1
             for cell in missing:
@@ -897,8 +875,9 @@ class QueryEngine:
         """
         if cell == active.call.query_cell:
             # the querier's own stored payload needs no radio
-            if proc.stored is not None and cell not in active.received:
-                active.received[cell] = proc.stored
+            stored = self._storage.get(cell)
+            if stored is not None and cell not in active.received:
+                active.received[cell] = stored
                 active.local_hits += 1
                 self.stats.local_hits += 1
             return

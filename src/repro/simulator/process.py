@@ -3,9 +3,12 @@
 Each physical node runs a :class:`Process`: a reactive object with
 ``on_start`` / ``on_packet`` / ``on_timer`` hooks, mirroring the
 event-driven programming model the paper synthesizes to (Section 4.3).
-The :class:`ProcessHost` owns the processes of a whole network, is the
-packet sink of their :class:`~repro.simulator.network.WirelessMedium`,
-and provides the timer facility.
+The :class:`ProcessHost` owns the processes of a whole network and is
+the one packet sink of their
+:class:`~repro.simulator.network.WirelessMedium`.  Given a
+:attr:`~ProcessHost.factory`, it hosts a node's process lazily: on the
+node's first packet, or the first time a caller asks for it
+(:meth:`ProcessHost.get`), so only the nodes that act pay for one.
 
 Protocol implementations (``repro.runtime``) subclass :class:`Process`;
 the full-stack executor additionally hosts the *synthesized rule programs*
@@ -15,7 +18,7 @@ inside a process on elected leader nodes.
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Hashable
+from typing import Any, Callable, Dict, Hashable, Optional
 
 from .engine import Simulator
 from .network import Packet, WirelessMedium
@@ -122,10 +125,12 @@ class Process(abc.ABC):
 
 
 class ProcessHost:
-    """Binds one :class:`Process` to every node of a network.
+    """Binds one :class:`Process` to every node of a network that acts.
 
     The host installs itself as the medium's packet sink: a copy that
-    reaches a node goes to the process the node hosts, if any.
+    reaches a node goes to the process the node hosts.  A node the host
+    does not hold gets one from :attr:`factory` on its first packet, or
+    stays deaf when the host has no factory.
 
     Parameters
     ----------
@@ -137,12 +142,16 @@ class ProcessHost:
         self.sim = sim
         self.medium = medium
         self.processes: Dict[int, Process] = {}
+        #: ``factory(node_id)`` builds the process of a node the host does
+        #: not hold yet, when :meth:`get` first asks for it; None (the
+        #: default) hosts only what :meth:`add` installs
+        self.factory: Optional[Callable[[int], Process]] = None
         medium.receive = self._receive
 
     def add(self, node_id: int, process: Process) -> Process:
         """Install ``process`` on ``node_id``, whose packets it gets from
-        then on; a process that first acts mid-run is added after
-        :meth:`start`."""
+        then on; every process the host builds through :attr:`factory`
+        is installed here too."""
         if node_id in self.processes:
             raise ValueError(f"node {node_id} already hosts a process")
         process.sim = self.sim
@@ -158,13 +167,17 @@ class ProcessHost:
 
     def _receive(self, node_id: int, packet: Packet) -> None:
         process = self.processes.get(node_id)
-        if process is not None:
-            process.on_packet(packet)
+        if process is None:
+            if self.factory is None:
+                return
+            process = self.get(node_id)
+        process.on_packet(packet)
 
     def start(self) -> None:
         """Schedule the ``on_start`` of every process the host holds at
         t=now, in node-id order.  Boot events are plain, uncancellable
-        events."""
+        events; a process the host builds later acts from its first
+        packet instead."""
         for nid, proc in sorted(self.processes.items()):
             self.sim.schedule(0.0, self._boot, nid, proc)
 
@@ -192,5 +205,12 @@ class ProcessHost:
             process.on_start()
 
     def get(self, node_id: int) -> Process:
-        """The process installed on ``node_id``."""
-        return self.processes[node_id]
+        """The process installed on ``node_id``, built through
+        :attr:`factory` and installed if the host does not hold one yet
+        (:class:`KeyError` when it has no factory)."""
+        process = self.processes.get(node_id)
+        if process is None:
+            if self.factory is None:
+                raise KeyError(node_id)
+            process = self.add(node_id, self.factory(node_id))
+        return process

@@ -20,10 +20,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PINNED = {
     ("storm", 11): "7a074fb0f65f3151",
     ("e1_round", 11): "8688f6bfb7c75cdc",
-    ("serve_mixed", 11): "19c6bf819aae6285",
+    ("serve_mixed", 11): "327cedea694cf526",
     ("storm", 90210): "8f6863d426240d96",
     ("e1_round", 90210): "93b1b95fe8534629",
-    ("serve_mixed", 90210): "343b2d755189a4b1",
+    ("serve_mixed", 90210): "13bda40e86cf94c1",
 }
 
 

@@ -90,7 +90,7 @@ class TestCli:
         assert main(["serve"]) == 0
         out = capsys.readouterr().out
         assert "served 12 queries (12 complete) over 6 rounds" in out
-        assert "engine fingerprint   : 3f1591fb130b1e0b" in out
+        assert "engine fingerprint   : 6db38dad437df0f7" in out
 
     def test_sweep_subcommand_dispatches(self, capsys):
         assert main(["sweep", "--list-workloads"]) == 0

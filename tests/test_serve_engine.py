@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from repro.core import CountAggregation, VirtualArchitecture
-from repro.runtime import FaultEvent, FaultPlan, deploy, trace_route
+from repro.runtime import FaultEvent, FaultPlan, HealingConfig, deploy, trace_route
 from repro.serve import (
     Arrival,
+    QueryCall,
     QueryEngine,
     ServeConfig,
     synthesize_arrivals,
 )
 from repro.serve.chaos import build_serving_stack
+from repro.simulator.process import Process
 from repro.sweep import SweepSpec, run_sweep
 
 from conftest import make_deployment
@@ -163,6 +165,167 @@ class TestPersistentEngine:
         with pytest.raises(ValueError, match="rng"):
             QueryEngine(stack, storage, ServeConfig(loss_rate=0.1))
         QueryEngine(stack, storage, ServeConfig(loss_rate=0.1, rng=3))
+
+
+class TestOneHost:
+    """The engine hosts a node's process when the node first acts, through
+    the same get-or-build sink as an application round."""
+
+    @staticmethod
+    def hosts_of(stack):
+        """Record every harness ``stack`` builds; returns the host list."""
+        hosts = []
+        build = stack.make_harness
+
+        def capture(*args, **kwargs):
+            sim, medium, host = build(*args, **kwargs)
+            hosts.append(host)
+            return sim, medium, host
+
+        stack.make_harness = capture
+        return hosts
+
+    def test_fresh_engine_hosts_nothing_and_runs_no_event(self):
+        stack, storage = build_serving_stack(side=4, seed=7)
+        engine = QueryEngine(stack, storage, ServeConfig(cache=False))
+        assert engine._host.processes == {}
+        assert engine.sim.events_processed == 0
+
+    @pytest.mark.parametrize("querier, hosted", [((3, 3), 20), ((0, 0), 12)])
+    def test_one_shot_query_hosts_exactly_its_routes(self, querier, hosted):
+        """A lossless cache-off query hosts the querier and every node on
+        its routes to each storage cell and back, and nothing else."""
+        stack, storage = build_serving_stack(side=4, seed=7)
+        engine = QueryEngine(stack, storage, ServeConfig(cache=False))
+        outcome = engine.query(querier, reduce_fn=sum)
+        assert (outcome.outcome, outcome.value) == ("ok", 16)
+        routes = {stack.binding.leaders[querier]}
+        for cell in storage:
+            if cell != querier:
+                routes.update(trace_route(stack.topology, stack.binding, querier, cell))
+                routes.update(trace_route(stack.topology, stack.binding, cell, querier))
+        assert set(engine._host.processes) == routes
+        assert len(routes) == hosted
+
+    def test_querier_revived_after_the_engine_was_built_is_hosted(self):
+        """A querier leader dead when the engine is built and revived
+        afterwards is hosted when it first originates (before, all three
+        queries ended partial with every cell missing)."""
+        stack, storage = build_serving_stack(side=4, seed=7)
+        querier = (1, 2)
+        assert querier not in storage
+        leader = stack.network.node(stack.binding.leaders[querier])
+        leader.kill()
+        engine = QueryEngine(stack, storage)
+        leader.revive()
+        outcomes = [engine.query(querier, reduce_fn=sum) for _ in range(3)]
+        assert [(o.outcome, o.value, o.missing_cells) for o in outcomes] == [("ok", 16, [])] * 3
+
+    def test_rejected_batch_registers_no_query(self):
+        """A batch naming an unbound cell is refused before any of its
+        queries is registered: the engine carries on as if it never saw
+        it (before, qid 0 stayed active forever and the next query got 1)."""
+        stack, storage = build_serving_stack(side=4, seed=7)
+        engine = QueryEngine(stack, storage)
+        with pytest.raises(ValueError, match="no bound leader"):
+            engine.run_batch([QueryCall((0, 0)), QueryCall((9, 9))])
+        assert engine._active == {}
+        assert engine.query((0, 0)).qid == 0
+        fresh_stack, fresh_storage = build_serving_stack(side=4, seed=7)
+        fresh = QueryEngine(fresh_stack, fresh_storage)
+        fresh.query((0, 0))
+        assert engine.fingerprint() == fresh.fingerprint()
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_fault_report_counts_every_rejected_frame(self, warm):
+        """Without healing the report exists only once a plan is armed; the
+        processes hosted before it count into it as well as those hosted
+        after (before, the report said 0 rejected while the processes
+        rejected 5)."""
+        stack, storage = build_serving_stack(side=4, seed=7)
+        engine = QueryEngine(stack, storage, ServeConfig(cache=False, reliable=True))
+        queriers = sorted(stack.binding.leaders)
+        if warm:
+            for querier in queriers:
+                engine.query(querier)
+        report = engine.arm_faults(
+            FaultPlan((FaultEvent(time=0.0, action="corrupt_frame", count=5),))
+        )
+        for querier in queriers[:6]:
+            engine.query(querier)
+        rejected = sum(p.rejected_frames for p in engine._host.processes.values())
+        assert report.frames_rejected == report.frames_corrupted == rejected == 5
+
+    def test_healing_tick_hosts_and_arms_every_alive_node(self, monkeypatch):
+        """A healing admission round hosts every alive node, arming a
+        heartbeat on each leader and a watch on each member."""
+        stack, storage = build_serving_stack(side=4, seed=7)
+        net = stack.network
+        engine = QueryEngine(
+            stack, storage, ServeConfig(healing=HealingConfig(horizon=4.0))
+        )
+        dead = next(nid for nid in net.alive_ids() if not stack.binding.is_leader(nid))
+        net.node(dead).kill()
+        armed = []
+        set_timer = Process.set_timer
+
+        def record(proc, delay, tag=None):
+            if proc.now == 0.0:
+                armed.append((proc.node_id, tag))
+            return set_timer(proc, delay, tag)
+
+        monkeypatch.setattr(Process, "set_timer", record)
+        engine.tick()
+        alive = net.alive_ids()
+        assert dead not in alive
+        assert sorted(engine._host.processes) == alive
+        assert armed == [
+            (nid, "hb" if stack.binding.is_leader(nid) else "hb-watch") for nid in alive
+        ]
+
+    def test_member_revived_mid_round_follows_one_rule_on_both_hosts(self, monkeypatch):
+        """A member dead when a healing round starts, restored after its
+        leader is killed, is hosted from its first packet and arms no
+        healing timer in that round, under ``run_application`` and under
+        the engine alike (before, the engine armed its watch)."""
+        cell = (1, 1)
+        healing = HealingConfig(horizon=20.0)
+        timers = []
+        set_timer = Process.set_timer
+
+        def record(proc, delay, tag=None):
+            timers.append((proc.node_id, tag))
+            return set_timer(proc, delay, tag)
+
+        monkeypatch.setattr(Process, "set_timer", record)
+        for surface in ("round", "engine"):
+            stack, storage = build_serving_stack(side=4, seed=7)
+            net, leader = stack.network, stack.binding.leaders[cell]
+            successor = min(
+                (m for m in net.members_of_cell(cell) if m != leader),
+                key=lambda m: (stack.binding.metric(net, m), m),
+            )
+            member = next(
+                m for m in net.neighbors(leader) if net.cell_of(m) == cell and m != successor
+            )
+            plan = FaultPlan((
+                FaultEvent(time=0.5, action="kill_leader", cell=cell),
+                FaultEvent(time=0.6, action="restore", node=member),
+            ))
+            hosts = self.hosts_of(stack)
+            timers.clear()
+            if surface == "round":
+                net.node(member).kill()
+                spec = VirtualArchitecture(4).synthesize(CountAggregation(lambda c: True))
+                report = stack.run_application(spec, fault_plan=plan, healing=healing).fault_report
+            else:
+                engine = QueryEngine(stack, storage, ServeConfig(healing=healing))
+                net.node(member).kill()
+                report = engine.arm_faults(plan)
+                engine.tick()
+            assert [(cell, leader, successor)] == [f[1:] for f in report.failovers], surface
+            assert net.node(member).alive and member in hosts[-1].processes, surface
+            assert not [tag for nid, tag in timers if nid == member and tag in ("hb", "hb-watch")]
 
 
 class TestServeStream:
